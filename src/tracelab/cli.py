@@ -26,6 +26,17 @@ VALID_MESHES = fem2d.KINDS
 _DRIFT_LIMIT = 0.25       # successive-refinement drift gate for hhalf constants
 _GROWTH_LIMIT = 3.0       # growth gate for h1 / necas constants
 
+# tolerance tables each suite gates against; --tol names must occur in one of them
+_GATE_TABLES = {
+    "oplab": (oplab.IDENTITY_TOLS, oplab.DOUGLAS_TOLS),
+    "pde": (tracescale.PDE_TOLS,),
+    "hhalf": (tracescale.HHALF_TOLS,),
+    "h1": (tracescale.H1_TOLS,),
+    "necas": (tracescale.NECAS_TOLS,),
+    "interp": (tracescale.INTERP_TOLS,),
+    "dual": (tracescale.DUAL_TOLS,),
+}
+
 _STABILITY_METRICS = {
     "hhalf": (("quotient_cmin", "quotient_cmax"), "drift", _DRIFT_LIMIT),
     "h1": (("h1_cmin", "h1_cmax", "seminorm_cmin", "seminorm_cmax"), "growth", _GROWTH_LIMIT),
@@ -63,6 +74,8 @@ class RunConfig:
         for n in self.ns:
             if n < 1:
                 raise ConfigParseError(f"refinement {n} must be positive")
+        if len(set(self.ns)) != len(self.ns):
+            raise ConfigParseError(f"refinement levels {list(self.ns)} repeat a level")
         if "lshape" in self.meshes and any(n % 2 for n in self.ns):
             raise ConfigParseError("lshape meshes need even refinement levels")
         if self.trials < 1:
@@ -235,8 +248,18 @@ def _mesh_cells(config: RunConfig, suite: str, assemblies) -> list[SuiteReport]:
     return reports
 
 
+def _check_tolerance_names(config: RunConfig) -> None:
+    """Reject tolerance overrides that name no gate of the selected suites."""
+    known = {name for suite in config.suites for table in _GATE_TABLES[suite] for name in table}
+    unknown = sorted(set(config.tol_overrides) - known)
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ConfigParseError(f"no gate named {names} in suites {', '.join(config.suites)}")
+
+
 def execute(config: RunConfig) -> tuple[list[SuiteReport], str]:
     """Run every selected cell; returns (reports, verdict)."""
+    _check_tolerance_names(config)
     reports: list[SuiteReport] = []
     tols = config.tol_overrides or None
     if "oplab" in config.suites:
@@ -330,12 +353,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        config = build_config(args)
+        return run(build_config(args))
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
     except TracelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,21 @@ class RangeNotContained(TracelabError):
     """Range inclusion required by a factorization does not hold numerically."""
 
 
+class NoConvergence(TracelabError):
+    """A Jacobi kernel used up its sweep budget before meeting its convergence test.
+
+    ``sweeps`` is the number of sweeps run and ``off_norm`` the off-diagonal
+    Frobenius norm left at the end: of the rotated matrix for an eigensolve,
+    of the Gram matrix of the rotated columns for an SVD.
+    """
+
+    def __init__(self, kernel: str, sweeps: int, off_norm: float) -> None:
+        super().__init__(f"{kernel} did not converge in {sweeps} sweeps (off-diagonal norm {off_norm:.3e})")
+        self.kernel = kernel
+        self.sweeps = sweeps
+        self.off_norm = off_norm
+
+
 # -- mesh / assembly layer -------------------------------------------------
 
 class BadParameter(TracelabError):

@@ -9,7 +9,6 @@ change of coordinates x -> L' x with G = L L'.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,7 +408,7 @@ def random_operator(
     raise SolveFailure("could not draw an operator with a clean rank gap")  # pragma: no cover
 
 
-_IDENTITY_TOLS: dict[str, float] = {
+IDENTITY_TOLS: dict[str, float] = {
     "penrose": 1e-10,
     "adjoint_involution": 1e-12,
     "adjoint_product": 1e-10,
@@ -428,7 +427,7 @@ _IDENTITY_TOLS: dict[str, float] = {
     "factorization": 1e-10,
 }
 
-_DOUGLAS_TOLS: dict[str, float] = {
+DOUGLAS_TOLS: dict[str, float] = {
     "douglas_factorization": 1e-10,
     "douglas_nullspace": 1e-10,
     "douglas_range": 1e-10,
@@ -512,7 +511,7 @@ def identity_suite(
     if not saw_item5:  # pragma: no cover - the shape mix makes this unreachable
         raise SolveFailure("fixture mix produced no injective-adjoint population")
 
-    tols = apply_overrides(_IDENTITY_TOLS, tolerances)
+    tols = apply_overrides(IDENTITY_TOLS, tolerances)
     rep = SuiteReport(
         suite="oplab",
         residuals=worst,
@@ -572,7 +571,7 @@ def douglas_suite(
             excess = max(excess, (qa - mu * qb) / max(qa, qb, 1.0))
         record("douglas_domination_excess", max(excess, 0.0))
 
-    tols = apply_overrides(_DOUGLAS_TOLS, tolerances)
+    tols = apply_overrides(DOUGLAS_TOLS, tolerances)
     rep = SuiteReport(
         suite="oplab",
         residuals=worst,

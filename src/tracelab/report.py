@@ -52,7 +52,12 @@ class SuiteReport:
 
 
 def apply_overrides(defaults: dict[str, float], overrides: dict[str, float] | None) -> dict[str, float]:
-    """Merge tolerance overrides into a default gate table (names must exist elsewhere-checked)."""
+    """Merge tolerance overrides into a default gate table.
+
+    One override mapping serves every suite of a run, so names that belong to
+    another suite's table are skipped here; the CLI rejects names that belong
+    to no selected suite's table before any suite runs.
+    """
     if not overrides:
         return dict(defaults)
     merged = dict(defaults)

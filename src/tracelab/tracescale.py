@@ -243,7 +243,7 @@ def equivalence_constants(qa: NormMatrix, qb: NormMatrix) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 # verification suites
 
-_PDE_TOLS: dict[str, float] = {
+PDE_TOLS: dict[str, float] = {
     "harmonic_two_path": 1e-8,
     "robin_two_path": 1e-10,
     "poisson_two_path": 1e-10,
@@ -333,7 +333,7 @@ def suite_pde(
         record("hand_robin_affine", _maxabs(robin_solve(a, np.array([1.0, 0.0])) - affine))
         record("hand_s_matrix", _maxabs(_s_operator(a).mat - np.array([[2.0, -1.0], [-1.0, 2.0]])))
 
-    tols = apply_overrides(_PDE_TOLS, tolerances)
+    tols = apply_overrides(PDE_TOLS, tolerances)
     tols = {k: v for k, v in tols.items() if k in worst}
     rep = SuiteReport(
         suite="pde",
@@ -354,7 +354,7 @@ def _refinement(a: Assembly) -> int:
     return a.mesh.boundary_nodes.size // 4
 
 
-_HHALF_TOLS: dict[str, float] = {
+HHALF_TOLS: dict[str, float] = {
     "proof_identity": 1e-9,
     "energy_split": 1e-10,
 }
@@ -417,7 +417,7 @@ def suite_hhalf(
             }
         )
 
-    tols = apply_overrides(_HHALF_TOLS, tolerances)
+    tols = apply_overrides(HHALF_TOLS, tolerances)
     rep = SuiteReport(
         suite="hhalf",
         mesh=a.mesh.kind,
@@ -430,7 +430,7 @@ def suite_hhalf(
     return rep
 
 
-_H1_TOLS: dict[str, float] = {
+H1_TOLS: dict[str, float] = {
     "resolvent_identity": 1e-9,
     "ts_left": 1e-9,
     "ts_right": 1e-9,
@@ -489,7 +489,7 @@ def suite_h1(
         "cond_t": _cond(bridge_t),
         "cond_s": _cond(bridge_s),
     }
-    tols = apply_overrides(_H1_TOLS, tolerances)
+    tols = apply_overrides(H1_TOLS, tolerances)
     rep = SuiteReport(
         suite="h1",
         mesh=a.mesh.kind,
@@ -502,7 +502,7 @@ def suite_h1(
     return rep
 
 
-_NECAS_TOLS: dict[str, float] = {
+NECAS_TOLS: dict[str, float] = {
     "sample_failures": 0.0,
 }
 
@@ -589,7 +589,7 @@ def necas_constants(
         "trace_const": r1_const,
         "samples": float(n_samples),
     }
-    tols = apply_overrides(_NECAS_TOLS, tolerances)
+    tols = apply_overrides(NECAS_TOLS, tolerances)
     rep = SuiteReport(
         suite="necas",
         mesh=a.mesh.kind,
@@ -602,7 +602,7 @@ def necas_constants(
     return rep
 
 
-_INTERP_TOLS: dict[str, float] = {
+INTERP_TOLS: dict[str, float] = {
     "log_convexity_excess": 1e-10,
 }
 
@@ -643,7 +643,7 @@ def interpolation_check(
                 if bound > 0.0:
                     excess = max(excess, norms[j] / bound - 1.0)
     constants = {f"norm_t_{t:g}": v for t, v in zip(grid, norms)}
-    tols = apply_overrides(_INTERP_TOLS, tolerances)
+    tols = apply_overrides(INTERP_TOLS, tolerances)
     rep = SuiteReport(
         suite="interp",
         mesh=a.mesh.kind,
@@ -656,7 +656,7 @@ def interpolation_check(
     return rep
 
 
-_DUAL_TOLS: dict[str, float] = {
+DUAL_TOLS: dict[str, float] = {
     "dual_gram": 1e-9,
     "dual_attainment": 1e-9,
     "dual_bound_excess": 1e-9,
@@ -700,7 +700,7 @@ def duality_check(
     worst["dual_attainment"] = att
     worst["dual_bound_excess"] = max(excess, 0.0)
 
-    tols = apply_overrides(_DUAL_TOLS, tolerances)
+    tols = apply_overrides(DUAL_TOLS, tolerances)
     rep = SuiteReport(
         suite="dual",
         mesh=a.mesh.kind,
@@ -728,7 +728,7 @@ def suite_interp(
         g = rng.standard_normal(nb)
         rep = interpolation_check(a, g, grid, tolerances=tolerances)
         worst = max(worst, rep.residuals["log_convexity_excess"])
-    tols = apply_overrides(_INTERP_TOLS, tolerances)
+    tols = apply_overrides(INTERP_TOLS, tolerances)
     rep = SuiteReport(
         suite="interp",
         mesh=a.mesh.kind,
@@ -755,7 +755,7 @@ def suite_dual(
         for name, value in rep.residuals.items():
             worst[name] = max(worst.get(name, 0.0), value)
         constants[f"gram_residual_s_{s:g}"] = rep.residuals["dual_gram"]
-    tols = apply_overrides(_DUAL_TOLS, tolerances)
+    tols = apply_overrides(DUAL_TOLS, tolerances)
     rep = SuiteReport(
         suite="dual",
         mesh=a.mesh.kind,

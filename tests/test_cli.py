@@ -41,6 +41,12 @@ class TestRunConfig:
             cli.RunConfig(suites=("pde",), meshes=("lshape",), ns=(4, 5))
         cli.RunConfig(suites=("pde",), meshes=("lshape",), ns=(4, 8))
 
+    def test_duplicate_refinement_rejected(self):
+        with pytest.raises(ConfigParseError):
+            cli.RunConfig(suites=("hhalf",), meshes=("interval",), ns=(2, 2))
+        with pytest.raises(ConfigParseError):
+            cli.RunConfig(suites=("hhalf",), meshes=("interval",), ns=(1, 2, 1))
+
     def test_trials_floor(self):
         with pytest.raises(ConfigParseError):
             cli.RunConfig(suites=("pde",), trials=0)
@@ -214,6 +220,47 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["verdict"] == "fail"
         assert "FAIL" in capsys.readouterr().out
+
+    def test_misspelled_tol_name_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = run_main(
+            [
+                "--suite", "hhalf", "--mesh", "interval", "--n", "1",
+                "--trials", "2", "--tol", "energy_splt=-1", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "energy_splt" in err
+
+    def test_tol_name_of_unselected_suite_exit_2(self, tmp_path, capsys):
+        # energy_split gates hhalf, not pde
+        out = tmp_path / "rep"
+        code = run_main(
+            [
+                "--suite", "pde", "--mesh", "interval", "--n", "1",
+                "--trials", "2", "--tol", "energy_split=1e-8", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        code = run_main(
+            [
+                "--suite", "pde,hhalf", "--mesh", "interval", "--n", "1",
+                "--trials", "2", "--tol", "energy_split=1e-8", "--out", str(out),
+            ]
+        )
+        assert code == 0
+
+    def test_duplicate_refinement_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = run_main(
+            ["--suite", "hhalf", "--mesh", "interval", "--n", "2,2", "--trials", "2", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "rep"

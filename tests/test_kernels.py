@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from tracelab import kernels
-from tracelab.errors import NotSymmetric
+from tracelab.errors import NoConvergence, NotSymmetric, TracelabError
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -18,7 +18,7 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 class TestJacobiEigh:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 31, 64])
     def test_matches_numpy(self, rng, n):
         for _ in range(10):
             a = random_symmetric(rng, n, scale=rng.uniform(0.1, 50.0))
@@ -62,7 +62,7 @@ class TestJacobiEigh:
 
 
 class TestJacobiSvd:
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 3), (3, 5), (12, 7), (7, 12)])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 3), (3, 5), (12, 7), (7, 12), (289, 64)])
     def test_matches_numpy(self, rng, shape):
         for _ in range(10):
             m = rng.standard_normal(shape) * rng.uniform(0.1, 30.0)
@@ -94,6 +94,50 @@ class TestJacobiSvd:
         u, s, vt = kernels.jacobi_svd(np.zeros((3, 4)))
         assert np.all(s == 0.0)
         assert np.abs(u @ np.diag(s) @ vt).max() == 0.0
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", [*range(1, 12), 31, 64])
+    def test_every_pair_once_disjoint_steps(self, n):
+        steps = kernels._round_robin(n)
+        assert len(steps) == (0 if n == 1 else n - 1 + n % 2)
+        seen = []
+        for p, q, pq, qp in steps:
+            assert np.all(p < q)
+            assert len(set(pq.tolist())) == pq.size  # disjoint pairs
+            assert pq.tolist() == [*p.tolist(), *q.tolist()]
+            assert qp.tolist() == [*q.tolist(), *p.tolist()]
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+class TestNoConvergence:
+    def test_is_a_tracelab_error(self):
+        assert issubclass(NoConvergence, TracelabError)
+
+    def test_eigh_raises_when_sweeps_run_out(self, rng):
+        a = random_symmetric(rng, 20)
+        with pytest.raises(NoConvergence) as info:
+            kernels.jacobi_eigh(a, max_sweeps=1)
+        assert info.value.kernel == "jacobi_eigh"
+        assert info.value.sweeps == 1
+        assert info.value.off_norm > 1e-13 * np.linalg.norm(a)
+        kernels.jacobi_eigh(a)  # the budget, not the input, was short
+
+    @pytest.mark.parametrize("shape", [(20, 20), (40, 20), (20, 40)])
+    def test_svd_raises_when_sweeps_run_out(self, rng, shape):
+        m = rng.standard_normal(shape)
+        with pytest.raises(NoConvergence) as info:
+            kernels.jacobi_svd(m, max_sweeps=1)
+        assert info.value.kernel == "jacobi_svd"
+        assert info.value.sweeps == 1
+        assert info.value.off_norm > 0.0
+        kernels.jacobi_svd(m)
+
+    def test_converged_input_needs_no_budget(self):
+        # a diagonal matrix passes the eigh convergence test before any sweep
+        vals, _ = kernels.jacobi_eigh(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
+        assert vals.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestPinv:
