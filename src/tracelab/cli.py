@@ -15,35 +15,79 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import fem2d, oplab, tracescale
 from .errors import ConfigParseError, TracelabError
 from .report import SuiteReport
 
-VALID_SUITES = ("oplab", "pde", "hhalf", "h1", "necas", "interp", "dual")
 VALID_MESHES = fem2d.KINDS
 
-_DRIFT_LIMIT = 0.25       # successive-refinement drift gate for hhalf constants
-_GROWTH_LIMIT = 3.0       # growth gate for h1 / necas constants
 
-# tolerance tables each suite gates against; --tol names must occur in one of them
-_GATE_TABLES = {
-    "oplab": (oplab.IDENTITY_TOLS, oplab.DOUGLAS_TOLS),
-    "pde": (tracescale.PDE_TOLS,),
-    "hhalf": (tracescale.HHALF_TOLS,),
-    "h1": (tracescale.H1_TOLS,),
-    "necas": (tracescale.NECAS_TOLS,),
-    "interp": (tracescale.INTERP_TOLS,),
-    "dual": (tracescale.DUAL_TOLS,),
-}
+@dataclass(frozen=True)
+class SuiteSpec:
+    """Everything the runner knows about one suite.
 
-_STABILITY_METRICS = {
-    "hhalf": (("quotient_cmin", "quotient_cmax"), "drift", _DRIFT_LIMIT),
-    "h1": (("h1_cmin", "h1_cmax", "seminorm_cmin", "seminorm_cmax"), "growth", _GROWTH_LIMIT),
-    "necas": (
-        ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max"),
-        "growth",
-        _GROWTH_LIMIT,
+    ``free_cells`` are mesh-free cells, each a name and a runner called as
+    ``run(config, seed, tolerances)``; ``mesh_cell`` runs once per mesh and
+    refinement level as ``run(assembly, config, seed, tolerances)``.
+    ``gates`` are the tolerance tables the suite gates against (``--tol``
+    names must occur in one of them), and ``stability`` the cross-refinement
+    gate ``(constants, mode, limit)`` of suites that have one.  Runners look
+    the suite function up on its module at call time, so a patched module
+    attribute (a tracer, a test double) takes effect.
+    """
+
+    gates: tuple[dict[str, float], ...]
+    free_cells: tuple[tuple[str, Callable[..., SuiteReport]], ...] = ()
+    mesh_cell: Callable[..., SuiteReport] | None = None
+    stability: tuple[tuple[str, ...], str, float] | None = None
+
+
+SUITES: dict[str, SuiteSpec] = {
+    "oplab": SuiteSpec(
+        gates=(oplab.IDENTITY_TOLS, oplab.DOUGLAS_TOLS),
+        free_cells=(
+            ("identity", lambda c, seed, tols: oplab.identity_suite(
+                trials=c.trials, seed=seed, tolerances=tols)),
+            ("douglas", lambda c, seed, tols: oplab.douglas_suite(
+                pairs=max(1, c.trials // 2), seed=seed, tolerances=tols)),
+        ),
+    ),
+    "pde": SuiteSpec(
+        gates=(tracescale.PDE_TOLS,),
+        mesh_cell=lambda a, c, seed, tols: tracescale.suite_pde(
+            a, trials=c.trials, seed=seed, tolerances=tols),
+    ),
+    "hhalf": SuiteSpec(
+        gates=(tracescale.HHALF_TOLS,),
+        mesh_cell=lambda a, c, seed, tols: tracescale.suite_hhalf(
+            a, trials=c.trials, seed=seed, tolerances=tols),
+        stability=(("quotient_cmin", "quotient_cmax"), "drift", 0.25),
+    ),
+    "h1": SuiteSpec(
+        gates=(tracescale.H1_TOLS,),
+        mesh_cell=lambda a, c, seed, tols: tracescale.suite_h1(a, tolerances=tols),
+        stability=(("h1_cmin", "h1_cmax", "seminorm_cmin", "seminorm_cmax"), "growth", 3.0),
+    ),
+    "necas": SuiteSpec(
+        gates=(tracescale.NECAS_TOLS,),
+        mesh_cell=lambda a, c, seed, tols: tracescale.necas_constants(
+            a, n_samples=c.trials, seed=seed, tolerances=tols),
+        stability=(
+            ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max"),
+            "growth",
+            3.0,
+        ),
+    ),
+    "interp": SuiteSpec(
+        gates=(tracescale.INTERP_TOLS,),
+        mesh_cell=lambda a, c, seed, tols: tracescale.suite_interp(
+            a, trials=c.trials, seed=seed, tolerances=tols),
+    ),
+    "dual": SuiteSpec(
+        gates=(tracescale.DUAL_TOLS,),
+        mesh_cell=lambda a, c, seed, tols: tracescale.suite_dual(a, seed=seed, tolerances=tols),
     ),
 }
 
@@ -62,7 +106,7 @@ class RunConfig:
         if not self.suites:
             raise ConfigParseError("no suites selected")
         for s in self.suites:
-            if s not in VALID_SUITES:
+            if s not in SUITES:
                 raise ConfigParseError(f"unknown suite {s!r}")
         for m in self.meshes:
             if m not in VALID_MESHES:
@@ -213,31 +257,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _mesh_cells(config: RunConfig, suite: str, assemblies) -> list[SuiteReport]:
+    spec = SUITES[suite]
     reports: list[SuiteReport] = []
     tols = config.tol_overrides or None
     for mesh in config.meshes:
         per_level: list[SuiteReport] = []
         for n in config.ns:
-            a = assemblies[(mesh, n)]
             seed = cell_seed(config.seed, f"{suite}:{mesh}:{n}")
-            if suite == "pde":
-                rep = tracescale.suite_pde(a, trials=config.trials, seed=seed, tolerances=tols)
-            elif suite == "hhalf":
-                rep = tracescale.suite_hhalf(a, trials=config.trials, seed=seed, tolerances=tols)
-            elif suite == "h1":
-                rep = tracescale.suite_h1(a, tolerances=tols)
-            elif suite == "necas":
-                rep = tracescale.necas_constants(a, n_samples=config.trials, seed=seed, tolerances=tols)
-            elif suite == "interp":
-                rep = tracescale.suite_interp(a, trials=config.trials, seed=seed, tolerances=tols)
-            elif suite == "dual":
-                rep = tracescale.suite_dual(a, seed=seed, tolerances=tols)
-            else:  # pragma: no cover - guarded by RunConfig validation
-                raise ConfigParseError(f"unknown suite {suite!r}")
-            per_level.append(rep)
+            per_level.append(spec.mesh_cell(assemblies[(mesh, n)], config, seed, tols))
         reports.extend(per_level)
-        if suite in _STABILITY_METRICS and len(per_level) >= 2:
-            metrics, mode, limit = _STABILITY_METRICS[suite]
+        if spec.stability and len(per_level) >= 2:
+            metrics, mode, limit = spec.stability
             series = {
                 m: [rep.constants[m] for rep in per_level]
                 for m in metrics
@@ -250,7 +280,7 @@ def _mesh_cells(config: RunConfig, suite: str, assemblies) -> list[SuiteReport]:
 
 def _check_tolerance_names(config: RunConfig) -> None:
     """Reject tolerance overrides that name no gate of the selected suites."""
-    known = {name for suite in config.suites for table in _GATE_TABLES[suite] for name in table}
+    known = {name for suite in config.suites for table in SUITES[suite].gates for name in table}
     unknown = sorted(set(config.tol_overrides) - known)
     if unknown:
         names = ", ".join(map(repr, unknown))
@@ -258,27 +288,16 @@ def _check_tolerance_names(config: RunConfig) -> None:
 
 
 def execute(config: RunConfig) -> tuple[list[SuiteReport], str]:
-    """Run every selected cell; returns (reports, verdict)."""
+    """Run every selected cell, mesh-free cells first; returns (reports, verdict)."""
     _check_tolerance_names(config)
-    reports: list[SuiteReport] = []
     tols = config.tol_overrides or None
-    if "oplab" in config.suites:
-        reports.append(
-            oplab.identity_suite(
-                trials=config.trials,
-                seed=cell_seed(config.seed, "oplab:identity"),
-                tolerances=tols,
-            )
-        )
-        reports.append(
-            oplab.douglas_suite(
-                pairs=max(1, config.trials // 2),
-                seed=cell_seed(config.seed, "oplab:douglas"),
-                tolerances=tols,
-            )
-        )
+    reports = [
+        run_cell(config, cell_seed(config.seed, f"{suite}:{name}"), tols)
+        for suite in config.suites
+        for name, run_cell in SUITES[suite].free_cells
+    ]
 
-    mesh_suites = [s for s in config.suites if s != "oplab"]
+    mesh_suites = [s for s in config.suites if SUITES[s].mesh_cell]
     if mesh_suites:
         assemblies = {
             (mesh, n): fem2d.assemble(fem2d.gen_mesh(mesh, n))

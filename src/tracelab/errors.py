@@ -78,6 +78,10 @@ class ZeroVector(TracelabError):
     """An operation requiring a nonzero vector received (numerically) zero."""
 
 
+class NonFiniteResidual(TracelabError):
+    """A suite cell measured a residual that is NaN, infinite or negative."""
+
+
 # -- cli layer ---------------------------------------------------------------
 
 class ConfigParseError(TracelabError):

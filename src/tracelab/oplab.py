@@ -24,7 +24,7 @@ from .errors import (
     RangeNotContained,
     SolveFailure,
 )
-from .report import SuiteReport, apply_overrides
+from .report import Recorder, SuiteReport
 
 _TINY = 1e-300
 
@@ -135,13 +135,6 @@ class SpectralDecomposition:
     space: InnerSpace
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.vectors @ (self.eigenvalues[:, None] * (self.vectors.T @ self.space.gram))
-
-    def apply_function(self, fn) -> np.ndarray:
-        vals = np.asarray([fn(lam) for lam in self.eigenvalues], dtype=float)
-        return self.vectors @ (vals[:, None] * (self.vectors.T @ self.space.gram))
 
 
 def identity(space: InnerSpace) -> Operator:
@@ -341,22 +334,6 @@ def build_tb(a: Operator) -> tuple[Operator, Operator]:
     return t_b, t_bstar
 
 
-def decompose(a: Operator) -> tuple[Operator, Operator, float]:
-    """Split a into (smoothing factor, co-isometric factor, residual).
-
-    a == smoothing @ partner with smoothing = (I + b*b)^(-1/2) on the
-    codomain and partner = t_bstar from build_tb.  The residual is
-    |a - smoothing @ partner| / max(|a|, 1).
-    """
-    b = pinv(a)
-    bstar = adjoint(b)
-    smoothing = frac_power(identity(a.codomain) + bstar @ b, -0.5)
-    _, partner = build_tb(a)
-    product = smoothing @ partner
-    residual = float(np.linalg.norm(a.mat - product.mat)) / max(float(np.linalg.norm(a.mat)), 1.0)
-    return smoothing, partner, residual
-
-
 # ---------------------------------------------------------------------------
 # seeded fixtures and the mesh-free verification suites
 
@@ -462,11 +439,7 @@ def identity_suite(
     both injective and non-injective adjoints occur.
     """
     rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {}
-
-    def record(name: str, value: float) -> None:
-        worst[name] = max(worst.get(name, 0.0), float(value))
-
+    rec = Recorder("oplab")
     saw_item5 = False
     for _ in range(trials):
         ncols, nrows, rank = _draw_shapes(rng, dim_cap)
@@ -475,51 +448,43 @@ def identity_suite(
         a = random_operator(rng, dom, cod, rank=rank)
         b = pinv(a)
 
-        record("penrose", rel_diff((a @ b @ a).mat, a.mat))
-        record("penrose", rel_diff((b @ a @ b).mat, b.mat))
-        record("penrose", rel_diff(adjoint(a @ b).mat, (a @ b).mat))
-        record("penrose", rel_diff(adjoint(b @ a).mat, (b @ a).mat))
-        record("adjoint_involution", rel_diff(adjoint(adjoint(a)).mat, a.mat))
-        record("pinv_involution", rel_diff(pinv(b).mat, a.mat))
+        rec.record("penrose", rel_diff((a @ b @ a).mat, a.mat))
+        rec.record("penrose", rel_diff((b @ a @ b).mat, b.mat))
+        rec.record("penrose", rel_diff(adjoint(a @ b).mat, (a @ b).mat))
+        rec.record("penrose", rel_diff(adjoint(b @ a).mat, (b @ a).mat))
+        rec.record("adjoint_involution", rel_diff(adjoint(adjoint(a)).mat, a.mat))
+        rec.record("pinv_involution", rel_diff(pinv(b).mat, a.mat))
 
         third = random_space(rng, int(rng.integers(1, dim_cap + 1)))
         c = random_operator(rng, third, dom)
-        record("adjoint_product", rel_diff(adjoint(a @ c).mat, (adjoint(c) @ adjoint(a)).mat))
+        rec.record("adjoint_product", rel_diff(adjoint(a @ c).mat, (adjoint(c) @ adjoint(a)).mat))
 
         for name, value in labrousse_check(a).items():
-            record(name, value)
+            rec.record(name, value)
             if name == "item5":
                 saw_item5 = True
 
         x = rng.standard_normal(dom.dim)
         _, _, res = norm_identity_check(a, x)
-        record("norm_split_whole", res["whole_space"])
-        record("norm_split_range", res["range_restricted"])
+        rec.record("norm_split_whole", res["whole_space"])
+        rec.record("norm_split_range", res["range_restricted"])
 
         t_b, t_bstar = build_tb(a)
         bstar = adjoint(b)
         half = frac_power(identity(dom) + b @ bstar, -0.5)
         w = bstar @ half
-        record("tb_pinv_crosscheck", rel_diff(t_b.mat, pinv(w).mat))
-        record("tb_adjoint_pair", rel_diff(adjoint(t_b).mat, t_bstar.mat))
-        record("tb_projections", rel_diff((t_b @ w).mat, (b @ a).mat))
-        record("tb_projections", rel_diff((w @ t_b).mat, (a @ b).mat))
+        rec.record("tb_pinv_crosscheck", rel_diff(t_b.mat, pinv(w).mat))
+        rec.record("tb_adjoint_pair", rel_diff(adjoint(t_b).mat, t_bstar.mat))
+        rec.record("tb_projections", rel_diff((t_b @ w).mat, (b @ a).mat))
+        rec.record("tb_projections", rel_diff((w @ t_b).mat, (a @ b).mat))
 
         smoothing = frac_power(identity(cod) + bstar @ b, -0.5)
-        record("factorization", rel_diff((smoothing @ t_bstar).mat, a.mat))
+        rec.record("factorization", rel_diff((smoothing @ t_bstar).mat, a.mat))
 
     if not saw_item5:  # pragma: no cover - the shape mix makes this unreachable
         raise SolveFailure("fixture mix produced no injective-adjoint population")
 
-    tols = apply_overrides(IDENTITY_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="oplab",
-        residuals=worst,
-        constants={"trials": float(trials), "dim_cap": float(dim_cap)},
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    return rec.report(IDENTITY_TOLS, tolerances, {"trials": float(trials), "dim_cap": float(dim_cap)})
 
 
 def douglas_suite(
@@ -530,11 +495,7 @@ def douglas_suite(
 ) -> SuiteReport:
     """Factor-through checks on random pairs with nested ranges (a = b @ m)."""
     rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {}
-
-    def record(name: str, value: float) -> None:
-        worst[name] = max(worst.get(name, 0.0), float(value))
-
+    rec = Recorder("oplab")
     for _ in range(pairs):
         k = int(rng.integers(1, dim_cap + 1))
         na = int(rng.integers(1, dim_cap + 1))
@@ -549,34 +510,24 @@ def douglas_suite(
         a = b @ m
 
         c, mu = douglas_factor(a, b)
-        record("douglas_factorization", rel_diff((b @ c).mat, a.mat))
+        rec.record("douglas_factorization", rel_diff((b @ c).mat, a.mat))
 
         null_c = np.eye(na) - (pinv(c) @ c).mat
         null_a = np.eye(na) - (pinv(a) @ a).mat
-        record("douglas_nullspace", rel_diff(null_c, null_a))
+        rec.record("douglas_nullspace", rel_diff(null_c, null_a))
 
         onto_bstar = (pinv(b) @ b).mat          # projector onto range(b*) in dom_b
-        record("douglas_range", rel_diff(c.mat, onto_bstar @ c.mat))
+        rec.record("douglas_range", rel_diff(c.mat, onto_bstar @ c.mat))
 
         astar = adjoint(a)
         bstar = adjoint(b)
         aas = a.mat @ astar.mat
         bbs = b.mat @ bstar.mat
         gram = cod.gram
-        excess = 0.0
         for _ in range(20):
             y = rng.standard_normal(k)
             qa = float(y @ gram @ aas @ y)
             qb = float(y @ gram @ bbs @ y)
-            excess = max(excess, (qa - mu * qb) / max(qa, qb, 1.0))
-        record("douglas_domination_excess", max(excess, 0.0))
+            rec.record("douglas_domination_excess", (qa - mu * qb) / max(qa, qb, 1.0))
 
-    tols = apply_overrides(DOUGLAS_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="oplab",
-        residuals=worst,
-        constants={"pairs": float(pairs)},
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    return rec.report(DOUGLAS_TOLS, tolerances, {"pairs": float(pairs)})

@@ -1,9 +1,19 @@
-"""Result container shared by the verification suites and the CLI."""
+"""Result container shared by the verification suites and the CLI.
+
+A suite records each residual it measures into a ``Recorder``, which keeps
+the worst value seen per residual name.  ``Recorder.report`` then turns
+those values into one gated ``SuiteReport``: the tolerance overrides are
+merged into the suite's default gate table, only the gates whose residual
+was recorded are kept, and each kept gate gets its verdict.  A NaN, an
+infinity or a negative residual raises ``NonFiniteResidual``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from .errors import NonFiniteResidual
 
 
 @dataclass
@@ -26,13 +36,8 @@ class SuiteReport:
     def __post_init__(self) -> None:
         for name, value in self.residuals.items():
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"residual {name!r} must be finite and >= 0, got {value!r}")
-
-    def gate(self) -> None:
-        """Fill verdicts from residuals vs tolerances (shared names)."""
-        for name, tol in self.tolerances.items():
-            if name in self.residuals:
-                self.verdicts[name] = bool(self.residuals[name] <= tol)
+                cell = f"{self.suite}:{self.mesh}:{self.n}"
+                raise NonFiniteResidual(f"{cell} residual {name!r} must be finite and >= 0, got {value!r}")
 
     @property
     def passed(self) -> bool:
@@ -51,17 +56,46 @@ class SuiteReport:
         }
 
 
-def apply_overrides(defaults: dict[str, float], overrides: dict[str, float] | None) -> dict[str, float]:
-    """Merge tolerance overrides into a default gate table.
+@dataclass
+class Recorder:
+    """Worst value per residual name for one suite cell."""
 
-    One override mapping serves every suite of a run, so names that belong to
-    another suite's table are skipped here; the CLI rejects names that belong
-    to no selected suite's table before any suite runs.
-    """
-    if not overrides:
-        return dict(defaults)
-    merged = dict(defaults)
-    for name, value in overrides.items():
-        if name in merged:
-            merged[name] = value
-    return merged
+    suite: str
+    mesh: str = "-"
+    n: int = 0
+    worst: dict[str, float] = field(default_factory=dict)
+
+    def record(self, name: str, value: float) -> None:
+        """Keep the largest value seen for ``name``, floored at 0.
+
+        A non-finite value is kept once seen (``max`` would drop a NaN), so
+        the report built from it raises instead of passing.
+        """
+        value = float(value)
+        old = self.worst.setdefault(name, 0.0)
+        if math.isfinite(old) and (value > old or not math.isfinite(value)):
+            self.worst[name] = value
+
+    def report(
+        self,
+        defaults: dict[str, float],
+        overrides: dict[str, float] | None = None,
+        constants: dict[str, float] | None = None,
+    ) -> SuiteReport:
+        """Gate the recorded residuals against ``defaults`` merged with ``overrides``.
+
+        One override mapping serves every suite of a run, so names outside
+        ``defaults`` are skipped here; the CLI rejects names that belong to
+        no selected suite's table before any suite runs.
+        """
+        overrides = overrides or {}
+        tols = {name: overrides.get(name, tol) for name, tol in defaults.items() if name in self.worst}
+        return SuiteReport(
+            suite=self.suite,
+            mesh=self.mesh,
+            n=self.n,
+            residuals=dict(self.worst),
+            constants=dict(constants or {}),
+            tolerances=tols,
+            verdicts={name: bool(self.worst[name] <= tol) for name, tol in tols.items()},
+        )

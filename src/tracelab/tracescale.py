@@ -28,7 +28,7 @@ from .errors import (
 from .fem2d import Assembly, op_embed_boundary, op_embed_domain, op_trace, space_h1partial
 from .kernels import gen_eigh, jacobi_svd
 from .oplab import Operator, rel_diff
-from .report import SuiteReport, apply_overrides
+from .report import Recorder, SuiteReport
 
 _TINY = 1e-300
 HARMONIC_GATE = 1e-8
@@ -243,6 +243,18 @@ def equivalence_constants(qa: NormMatrix, qb: NormMatrix) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 # verification suites
 
+
+def _refinement(a: Assembly) -> int:
+    if a.mesh.kind == "interval":
+        return a.mesh.elements.shape[0]
+    # structured meshes: boundary has 4n edges
+    return a.mesh.boundary_nodes.size // 4
+
+
+def _recorder(suite: str, a: Assembly) -> Recorder:
+    return Recorder(suite, a.mesh.kind, _refinement(a))
+
+
 PDE_TOLS: dict[str, float] = {
     "harmonic_two_path": 1e-8,
     "robin_two_path": 1e-10,
@@ -283,75 +295,56 @@ def suite_pde(
     gamma_star = oplab.adjoint(gamma)
     embed_star = oplab.adjoint(op_embed_domain(a))
 
-    worst: dict[str, float] = {}
-
-    def record(name: str, value: float) -> None:
-        worst[name] = max(worst.get(name, 0.0), float(value))
-
-    record("extension_trace_identity", rel_diff(a.R @ lam.mat, np.eye(nb)))
+    rec = _recorder("pde", a)
+    rec.record("extension_trace_identity", rel_diff(a.R @ lam.mat, np.eye(nb)))
     proj = lam.mat @ a.R
-    record("harmonic_projection", rel_diff(proj @ proj, proj))
+    rec.record("harmonic_projection", rel_diff(proj @ proj, proj))
     gp = h1.gram @ proj
-    record("harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0))
+    rec.record(
+        "harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)
+    )
 
     for _ in range(trials):
         g = rng.standard_normal(nb)
         z = harmonic_extension(a, g)
-        record("harmonic_two_path", _maxabs(z - lam.apply(g)))
-        record("harmonic_projection", _maxabs(proj @ z - z))
+        rec.record("harmonic_two_path", _maxabs(z - lam.apply(g)))
+        rec.record("harmonic_projection", _maxabs(proj @ z - z))
 
         zr = robin_solve(a, g)
-        record("robin_two_path", _maxabs(zr - gamma_star.apply(g)))
+        rec.record("robin_two_path", _maxabs(zr - gamma_star.apply(g)))
 
         f = rng.standard_normal(nn)
         u = poisson_robin(a, f)
-        record("poisson_two_path", _maxabs(u - embed_star.apply(f)))
+        rec.record("poisson_two_path", _maxabs(u - embed_star.apply(f)))
         f2 = rng.standard_normal(nn)
         u2 = poisson_robin(a, f2)
         lhs = float(f @ a.M_dom @ u2)
         rhs = float(f2 @ a.M_dom @ u)
-        record("poisson_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+        rec.record("poisson_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
 
     for _ in range(identity_samples):
         g = rng.standard_normal(nb)
         z = harmonic_extension(a, g)
         v = rng.standard_normal(nn)
-        record("green_formula", green_residual(a, z, v))
+        rec.record("green_formula", green_residual(a, z, v))
 
         zr = robin_solve(a, g)
         w = normal_derivative(a, zr)
-        record("robin_boundary", _maxabs(w + a.R @ zr - g))
+        rec.record("robin_boundary", _maxabs(w + a.R @ zr - g))
 
     # linear coordinate functions are harmonic and representable exactly
     xs = np.ascontiguousarray(a.mesh.nodes[:, 0])
-    record("linear_reproduction", _maxabs(harmonic_extension(a, xs[a.mesh.boundary_nodes]) - xs))
+    rec.record("linear_reproduction", _maxabs(harmonic_extension(a, xs[a.mesh.boundary_nodes]) - xs))
 
     if a.mesh.kind == "interval":
         ones = np.ones(2)
-        record("hand_robin_ones", _maxabs(robin_solve(a, ones) - 1.0))
+        rec.record("hand_robin_ones", _maxabs(robin_solve(a, ones) - 1.0))
         affine = (2.0 / 3.0) * (1.0 - xs) + (1.0 / 3.0) * xs
-        record("hand_robin_affine", _maxabs(robin_solve(a, np.array([1.0, 0.0])) - affine))
-        record("hand_s_matrix", _maxabs(_s_operator(a).mat - np.array([[2.0, -1.0], [-1.0, 2.0]])))
+        rec.record("hand_robin_affine", _maxabs(robin_solve(a, np.array([1.0, 0.0])) - affine))
+        rec.record("hand_s_matrix", _maxabs(_s_operator(a).mat - np.array([[2.0, -1.0], [-1.0, 2.0]])))
 
-    tols = apply_overrides(PDE_TOLS, tolerances)
-    tols = {k: v for k, v in tols.items() if k in worst}
-    rep = SuiteReport(
-        suite="pde",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals=worst,
-        constants={"trials": float(trials), "identity_samples": float(identity_samples)},
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
-
-
-def _refinement(a: Assembly) -> int:
-    if a.mesh.kind == "interval":
-        return a.mesh.elements.shape[0]
-    # structured meshes: boundary has 4n edges
-    return a.mesh.boundary_nodes.size // 4
+    constants = {"trials": float(trials), "identity_samples": float(identity_samples)}
+    return rec.report(PDE_TOLS, tolerances, constants)
 
 
 HHALF_TOLS: dict[str, float] = {
@@ -381,20 +374,18 @@ def suite_hhalf(
     lam = _trace_pinv(a)
     q_half = hs_gram(a, 0.5)
 
-    worst: dict[str, float] = {}
+    rec = _recorder("hhalf", a)
     shrink = oplab.frac_power(oplab.identity(l2bnd) + s_op, -0.5)
-    worst["proof_identity"] = rel_diff(shrink.mat, a.R @ lam.mat @ shrink.mat)
+    rec.record("proof_identity", rel_diff(shrink.mat, a.R @ lam.mat @ shrink.mat))
 
     z = _extension_matrix(a)
-    split_max = 0.0
     for _ in range(trials):
         g = rng.standard_normal(nb)
         total = float(g @ q_half.Q @ g)
         l2_part = float(g @ a.M_b @ g)
         ext = z @ g
         energy = float(ext @ h1.gram @ ext)
-        split_max = max(split_max, abs(total - l2_part - energy) / max(total, _TINY))
-    worst["energy_split"] = split_max
+        rec.record("energy_split", abs(total - l2_part - energy) / max(total, _TINY))
 
     quot = a.M_b + lam.mat.T @ h1.gram @ lam.mat
     quot = 0.5 * (quot + quot.T)
@@ -417,17 +408,7 @@ def suite_hhalf(
             }
         )
 
-    tols = apply_overrides(HHALF_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="hhalf",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals=worst,
-        constants=constants,
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    return rec.report(HHALF_TOLS, tolerances, constants)
 
 
 H1_TOLS: dict[str, float] = {
@@ -451,11 +432,11 @@ def suite_h1(
     gamma = op_trace(a)
     gamma_star = oplab.adjoint(gamma)
 
-    worst: dict[str, float] = {}
+    rec = _recorder("h1", a)
     gg = a.R @ gamma_star.mat                      # trace o adjoint, on boundary L2
     lhs = gg @ np.linalg.solve(eye + gg, eye)
     rhs = np.linalg.solve(eye + s_mat, eye)
-    worst["resolvent_identity"] = rel_diff(lhs, rhs)
+    rec.record("resolvent_identity", rel_diff(lhs, rhs))
 
     q_one = hs_gram(a, 1.0)
     h1_cmin, h1_cmax = equivalence_constants(q_one, NormMatrix(space=l2bnd, s=1.0, Q=a.M_b + a.K_b))
@@ -465,8 +446,8 @@ def suite_h1(
     grow = oplab.identity(l2bnd) + vsv
     bridge_t = (eye + s_mat) @ oplab.frac_power(grow, -0.5).mat
     bridge_s = oplab.frac_power(grow, 0.5).mat @ np.linalg.solve(eye + s_mat, eye)
-    worst["ts_left"] = rel_diff(bridge_t @ bridge_s, eye)
-    worst["ts_right"] = rel_diff(bridge_s @ bridge_t, eye)
+    rec.record("ts_left", rel_diff(bridge_t @ bridge_s, eye))
+    rec.record("ts_right", rel_diff(bridge_s @ bridge_t, eye))
 
     def _cond(mat: np.ndarray) -> float:
         op = Operator(l2bnd, l2bnd, mat)
@@ -489,17 +470,7 @@ def suite_h1(
         "cond_t": _cond(bridge_t),
         "cond_s": _cond(bridge_s),
     }
-    tols = apply_overrides(H1_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="h1",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals=worst,
-        constants=constants,
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    return rec.report(H1_TOLS, tolerances, constants)
 
 
 NECAS_TOLS: dict[str, float] = {
@@ -589,17 +560,9 @@ def necas_constants(
         "trace_const": r1_const,
         "samples": float(n_samples),
     }
-    tols = apply_overrides(NECAS_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="necas",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals={"sample_failures": float(failures)},
-        constants=constants,
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    rec = _recorder("necas", a)
+    rec.record("sample_failures", failures)
+    return rec.report(NECAS_TOLS, tolerances, constants)
 
 
 INTERP_TOLS: dict[str, float] = {
@@ -607,16 +570,10 @@ INTERP_TOLS: dict[str, float] = {
 }
 
 
-def interpolation_check(
-    a: Assembly,
-    g,
-    grid,
-    tolerances: dict[str, float] | None = None,
-) -> SuiteReport:
-    """Log-convexity of t -> |(I+S)^t g| on the given order grid in [0, 1].
+def _record_log_convexity(rec: Recorder, a: Assembly, g, grid) -> dict[str, float]:
+    """Record the log-convexity excess of t -> |(I+S)^t g| over ``grid``.
 
-    For every ordered triple t1 < t < t2 the norm at t must not exceed the
-    geometric interpolation of the endpoint norms (up to 1e-10 slack).
+    Returns the norm at each order of the sorted grid.
     """
     g = np.asarray(g, dtype=float)
     grid = sorted(float(t) for t in grid)
@@ -633,7 +590,6 @@ def interpolation_check(
         return float(np.sqrt(np.sum((lam ** (2.0 * t)) * coords**2)))
 
     norms = [norm_at(t) for t in grid]
-    excess = 0.0
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             for k in range(j + 1, len(grid)):
@@ -641,19 +597,24 @@ def interpolation_check(
                 theta = (t2 - t) / (t2 - t1)
                 bound = norms[i] ** theta * norms[k] ** (1.0 - theta)
                 if bound > 0.0:
-                    excess = max(excess, norms[j] / bound - 1.0)
-    constants = {f"norm_t_{t:g}": v for t, v in zip(grid, norms)}
-    tols = apply_overrides(INTERP_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="interp",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals={"log_convexity_excess": max(excess, 0.0)},
-        constants=constants,
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+                    rec.record("log_convexity_excess", norms[j] / bound - 1.0)
+    return {f"norm_t_{t:g}": v for t, v in zip(grid, norms)}
+
+
+def interpolation_check(
+    a: Assembly,
+    g,
+    grid,
+    tolerances: dict[str, float] | None = None,
+) -> SuiteReport:
+    """Log-convexity of t -> |(I+S)^t g| on the given order grid in [0, 1].
+
+    For every ordered triple t1 < t < t2 the norm at t must not exceed the
+    geometric interpolation of the endpoint norms (up to 1e-10 slack).
+    """
+    rec = _recorder("interp", a)
+    constants = _record_log_convexity(rec, a, g, grid)
+    return rec.report(INTERP_TOLS, tolerances, constants)
 
 
 DUAL_TOLS: dict[str, float] = {
@@ -661,6 +622,35 @@ DUAL_TOLS: dict[str, float] = {
     "dual_attainment": 1e-9,
     "dual_bound_excess": 1e-9,
 }
+
+
+def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int) -> float:
+    """Record the duality residuals of orders s and -s; returns the Gram identity residual."""
+    s = float(s)
+    if not 0.0 < s <= 1.0:
+        raise OrderOutOfRange(f"order {s} outside (0, 1]")
+    rng = np.random.default_rng(seed)
+    q_pos = hs_gram(a, s)
+    q_neg = hs_gram(a, -s)
+    nb = q_pos.space.dim
+
+    dual_gram = a.M_b @ np.linalg.solve(q_pos.Q, a.M_b)
+    gram_residual = rel_diff(dual_gram, q_neg.Q)
+    rec.record("dual_gram", gram_residual)
+
+    for _ in range(probes):
+        g = rng.standard_normal(nb)
+        dual_norm = q_neg.norm(g)
+        h_star = np.linalg.solve(q_pos.Q, a.M_b @ g)
+        pairing = float(g @ a.M_b @ h_star)
+        rec.record(
+            "dual_attainment",
+            abs(pairing / max(q_pos.norm(h_star), _TINY) - dual_norm) / max(dual_norm, _TINY),
+        )
+        h = rng.standard_normal(nb)
+        val = float(g @ a.M_b @ h) / max(q_pos.norm(h), _TINY)
+        rec.record("dual_bound_excess", (val - dual_norm) / max(dual_norm, _TINY))
+    return gram_residual
 
 
 def duality_check(
@@ -675,42 +665,9 @@ def duality_check(
     Checks the Gram identity M_b Q_s^-1 M_b = Q_{-s} and spot-checks that
     sup_h <g,h>/|h|_s is attained at h = Q_s^-1 M_b g with value |g|_{-s}.
     """
-    s = float(s)
-    if not 0.0 < s <= 1.0:
-        raise OrderOutOfRange(f"order {s} outside (0, 1]")
-    rng = np.random.default_rng(seed)
-    q_pos = hs_gram(a, s)
-    q_neg = hs_gram(a, -s)
-    nb = q_pos.space.dim
-
-    dual_gram = a.M_b @ np.linalg.solve(q_pos.Q, a.M_b)
-    worst = {"dual_gram": rel_diff(dual_gram, q_neg.Q)}
-
-    att = 0.0
-    excess = 0.0
-    for _ in range(probes):
-        g = rng.standard_normal(nb)
-        dual_norm = q_neg.norm(g)
-        h_star = np.linalg.solve(q_pos.Q, a.M_b @ g)
-        pairing = float(g @ a.M_b @ h_star)
-        att = max(att, abs(pairing / max(q_pos.norm(h_star), _TINY) - dual_norm) / max(dual_norm, _TINY))
-        h = rng.standard_normal(nb)
-        val = float(g @ a.M_b @ h) / max(q_pos.norm(h), _TINY)
-        excess = max(excess, (val - dual_norm) / max(dual_norm, _TINY))
-    worst["dual_attainment"] = att
-    worst["dual_bound_excess"] = max(excess, 0.0)
-
-    tols = apply_overrides(DUAL_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="dual",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals=worst,
-        constants={"order": s},
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    rec = _recorder("dual", a)
+    _record_duality(rec, a, s, seed, probes)
+    return rec.report(DUAL_TOLS, tolerances, {"order": float(s)})
 
 
 def suite_interp(
@@ -723,22 +680,11 @@ def suite_interp(
     """interpolation_check over many random boundary vectors, worst case."""
     rng = np.random.default_rng(seed)
     nb = a.M_b.shape[0]
-    worst = 0.0
+    rec = _recorder("interp", a)
     for _ in range(trials):
-        g = rng.standard_normal(nb)
-        rep = interpolation_check(a, g, grid, tolerances=tolerances)
-        worst = max(worst, rep.residuals["log_convexity_excess"])
-    tols = apply_overrides(INTERP_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="interp",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals={"log_convexity_excess": worst},
-        constants={"trials": float(trials), "grid_points": float(len(tuple(grid)))},
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+        _record_log_convexity(rec, a, rng.standard_normal(nb), grid)
+    constants = {"trials": float(trials), "grid_points": float(len(tuple(grid)))}
+    return rec.report(INTERP_TOLS, tolerances, constants)
 
 
 def suite_dual(
@@ -748,24 +694,12 @@ def suite_dual(
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """duality_check across the standard order set, worst case per family."""
-    worst: dict[str, float] = {}
-    constants: dict[str, float] = {}
-    for i, s in enumerate(orders):
-        rep = duality_check(a, s, seed=seed + i, tolerances=tolerances)
-        for name, value in rep.residuals.items():
-            worst[name] = max(worst.get(name, 0.0), value)
-        constants[f"gram_residual_s_{s:g}"] = rep.residuals["dual_gram"]
-    tols = apply_overrides(DUAL_TOLS, tolerances)
-    rep = SuiteReport(
-        suite="dual",
-        mesh=a.mesh.kind,
-        n=_refinement(a),
-        residuals=worst,
-        constants=constants,
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+    rec = _recorder("dual", a)
+    constants = {
+        f"gram_residual_s_{s:g}": _record_duality(rec, a, s, seed + i, probes=20)
+        for i, s in enumerate(orders)
+    }
+    return rec.report(DUAL_TOLS, tolerances, constants)
 
 
 def refinement_stability(
@@ -778,22 +712,9 @@ def refinement_stability(
     """Cross-refinement gate: 'drift' bounds |v2/v1 - 1|, 'growth' bounds v2/v1."""
     if mode not in ("drift", "growth"):
         raise ValueError(f"unknown stability mode {mode!r}")
-    residuals: dict[str, float] = {}
-    tols: dict[str, float] = {}
+    rec = Recorder(f"{suite}-stability", mesh)
     for name, values in series.items():
-        worst = 0.0
         for prev, nxt in zip(values, values[1:]):
             ratio = nxt / max(prev, _TINY)
-            worst = max(worst, abs(ratio - 1.0) if mode == "drift" else ratio)
-        residuals[name] = min(worst, 1e300)
-        tols[name] = limit
-    rep = SuiteReport(
-        suite=f"{suite}-stability",
-        mesh=mesh,
-        n=0,
-        residuals=residuals,
-        constants={},
-        tolerances=tols,
-    )
-    rep.gate()
-    return rep
+            rec.record(name, min(abs(ratio - 1.0) if mode == "drift" else ratio, 1e300))
+    return rec.report(dict.fromkeys(series, limit))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tracelab import cli
+from tracelab import cli, oplab, tracescale
 from tracelab.errors import ConfigParseError
 
 
@@ -253,6 +253,31 @@ class TestRun:
         )
         assert code == 0
 
+    def test_nan_residual_exit_2_no_files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(oplab, "rel_diff", lambda x, y: float("nan"))
+        out = tmp_path / "rep"
+        code = run_main(["--suite", "oplab", "--trials", "2", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: oplab:-:0 residual ")
+        assert "Traceback" not in err
+
+    def test_runner_looked_up_at_call_time(self, monkeypatch):
+        # tools that patch module attributes (the benchmark tracer) must see every cell
+        calls = []
+        original = tracescale.suite_h1
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tracescale, "suite_h1", counting)
+        config = cli.RunConfig(suites=("h1",), meshes=("interval",), ns=(1,))
+        reports, verdict = cli.execute(config)
+        assert len(calls) == 1
+        assert [rep.suite for rep in reports] == ["h1"] and verdict == "pass"
+
     def test_duplicate_refinement_exit_2(self, tmp_path, capsys):
         out = tmp_path / "rep"
         code = run_main(
@@ -281,16 +306,29 @@ class TestRun:
         out = tmp_path / "rep"
         code = run_main(
             [
-                "--suite", "hhalf", "--mesh", "square", "--n", "4,8",
+                "--suite", "hhalf,h1,necas", "--mesh", "square", "--n", "4,8",
                 "--trials", "5", "--out", str(out),
             ]
         )
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
-        suites = [rep["suite"] for rep in payload["results"]]
-        assert "hhalf-stability" in suites
-        stab = payload["results"][suites.index("hhalf-stability")]
-        assert set(stab["residuals"]) == {"quotient_cmin", "quotient_cmax"}
+        rows = {rep["suite"]: rep for rep in payload["results"] if rep["suite"].endswith("-stability")}
+        expected = {
+            "hhalf": ({"quotient_cmin", "quotient_cmax"}, "drift", 0.25),
+            "h1": ({"h1_cmin", "h1_cmax", "seminorm_cmin", "seminorm_cmax"}, "growth", 3.0),
+            "necas": (
+                {"trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max"},
+                "growth",
+                3.0,
+            ),
+        }
+        assert set(rows) == {f"{suite}-stability" for suite in expected}
+        for suite, (metrics, mode, limit) in expected.items():
+            table_metrics, table_mode, table_limit = cli.SUITES[suite].stability
+            assert (set(table_metrics), table_mode, table_limit) == (metrics, mode, limit)
+            stab = rows[f"{suite}-stability"]
+            assert set(stab["residuals"]) == metrics
+            assert stab["tolerances"] == dict.fromkeys(sorted(metrics), limit)
 
     def test_no_stability_row_for_single_level(self, tmp_path):
         out = tmp_path / "rep"

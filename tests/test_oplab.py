@@ -13,6 +13,7 @@ from tracelab import oplab
 from tracelab.errors import (
     DimensionMismatch,
     NegativeEigenvalue,
+    NonFiniteResidual,
     NotPositiveDefinite,
     NotSelfAdjoint,
     NotSymmetric,
@@ -404,28 +405,30 @@ class TestBuildTb:
         proj_range_b = (b @ a).mat
         assert np.abs((t_b @ base).mat - proj_range_b).max() <= 1e-9
 
-
-class TestDecompose:
-    def test_zero_operator(self):
-        sp = euclidean(2)
-        a = oplab.Operator(sp, sp, np.zeros((2, 2)))
-        _, _, residual = oplab.decompose(a)
-        assert residual == 0.0
-
-    def test_identity_scalar_factors(self):
-        sp = euclidean(2)
-        smoothing, partner, residual = oplab.decompose(oplab.identity(sp))
-        assert np.abs(smoothing.mat - np.eye(2) / np.sqrt(2.0)).max() <= 1e-13
-        assert np.abs(partner.mat - np.sqrt(2.0) * np.eye(2)).max() <= 1e-13
-        assert residual <= 1e-13
-
-    def test_rank_deficient_product(self, rng):
-        for _ in range(10):
-            dom = random_weighted_space(rng, 4)
-            cod = random_weighted_space(rng, 4)
-            mat = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
-            _, _, residual = oplab.decompose(oplab.Operator(dom, cod, mat))
-            assert residual <= 1e-10
+    @pytest.mark.parametrize("case", ["zero", "identity", "rank_deficient"])
+    def test_smoothing_factorization(self, case, rng):
+        # a == (I + b*b)^(-1/2) t_bstar on the codomain, b = pinv(a)
+        if case == "zero":
+            sp = euclidean(2)
+            ops, tol = [oplab.Operator(sp, sp, np.zeros((2, 2)))], 0.0
+        elif case == "identity":
+            ops, tol = [oplab.identity(euclidean(2))], 1e-13
+        else:
+            ops, tol = [], 1e-10
+            for _ in range(10):
+                dom = random_weighted_space(rng, 4)
+                cod = random_weighted_space(rng, 4)
+                mat = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+                ops.append(oplab.Operator(dom, cod, mat))
+        for a in ops:
+            b = oplab.pinv(a)
+            smoothing = oplab.frac_power(oplab.identity(a.codomain) + oplab.adjoint(b) @ b, -0.5)
+            _, t_bstar = oplab.build_tb(a)
+            residual = np.linalg.norm(a.mat - (smoothing @ t_bstar).mat) / max(np.linalg.norm(a.mat), 1.0)
+            assert residual <= tol
+            if case == "identity":
+                assert np.abs(smoothing.mat - np.eye(2) / np.sqrt(2.0)).max() <= 1e-13
+                assert np.abs(t_bstar.mat - np.sqrt(2.0) * np.eye(2)).max() <= 1e-13
 
 
 class TestSuites:
@@ -463,3 +466,8 @@ class TestSuites:
         rep = oplab.identity_suite(trials=5, seed=1, tolerances={"penrose": 1e-30})
         assert not rep.passed
         assert not rep.verdicts["penrose"]
+
+    def test_nan_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(oplab, "rel_diff", lambda x, y: float("nan"))
+        with pytest.raises(NonFiniteResidual, match=r"oplab:-:0 residual '\w+'"):
+            oplab.identity_suite(trials=2, seed=0)

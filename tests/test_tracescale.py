@@ -11,6 +11,7 @@ import pytest
 from tracelab import fem2d, oplab, tracescale
 from tracelab.errors import (
     DimensionMismatch,
+    NonFiniteResidual,
     NotHarmonic,
     NotPositiveDefinite,
     NotSymmetric,
@@ -377,6 +378,11 @@ class TestSuitePde:
         )
         assert not rep.passed
 
+    def test_nan_residual_raises(self, monkeypatch):
+        monkeypatch.setattr(tracescale, "_maxabs", lambda arr: float("nan"))
+        with pytest.raises(NonFiniteResidual, match=r"pde:interval:1 residual '\w+'"):
+            tracescale.suite_pde(asm("interval", 1), trials=2, identity_samples=2)
+
 
 class TestSuiteHhalf:
     def test_interval_exact_split(self):
@@ -548,3 +554,8 @@ class TestRefinementStability:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             tracescale.refinement_stability("h1", "square", {}, 1.0, "ratio")
+
+    def test_nan_constant_raises(self):
+        # a NaN level must not read as a zero drift
+        with pytest.raises(NonFiniteResidual, match="hhalf-stability:square:0 residual 'c'"):
+            tracescale.refinement_stability("hhalf", "square", {"c": [1.0, float("nan"), 1.0]}, 0.25, "drift")
