@@ -188,17 +188,37 @@ def gen_mesh(kind: str, n: int) -> Mesh:
     return mesh
 
 
+_SEG_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
+_SEG_STIFF = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _scatter(idx: np.ndarray, local: np.ndarray, size: int) -> np.ndarray:
+    """Sum element matrices ``local[e]`` into a dense size x size matrix.
+
+    ``idx[e]`` holds element e's global indices.  bincount adds the
+    contributions to each entry in element order, as a loop of
+    ``mat[np.ix_(idx[e], idx[e])] += local[e]`` would.
+    """
+    rows = np.repeat(idx, idx.shape[1], axis=1)
+    cols = np.tile(idx, (1, idx.shape[1]))
+    flat = (rows * size + cols).ravel()
+    return np.bincount(flat, weights=local.ravel(), minlength=size * size).reshape(size, size)
+
+
+def _segment_matrices(idx: np.ndarray, h: np.ndarray, size: int, what: str):
+    """Mass and stiffness of P1 segments of lengths ``h`` on nodes ``idx``."""
+    if np.any(h <= 0.0):
+        raise DegenerateElement(f"non-positive {what} length")
+    mass = _SEG_MASS * (h / 6.0)[:, None, None]
+    stiff = _SEG_STIFF / h[:, None, None]
+    return _scatter(idx, stiff, size), _scatter(idx, mass, size)
+
+
 def _assemble_interval(mesh: Mesh):
-    nn = mesh.n_nodes
-    k = np.zeros((nn, nn))
-    m = np.zeros((nn, nn))
-    for a, b in mesh.elements:
-        h = float(mesh.nodes[b, 0] - mesh.nodes[a, 0])
-        if h <= 0.0:
-            raise DegenerateElement("non-positive segment length")
-        sl = np.ix_((a, b), (a, b))
-        k[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
-        m[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
+    xs = mesh.nodes[:, 0]
+    h = xs[mesh.elements[:, 1]] - xs[mesh.elements[:, 0]]
+    k, m = _segment_matrices(mesh.elements, h, mesh.n_nodes, "segment")
     m_b = np.eye(2)          # counting measure on the two endpoints
     k_b = np.zeros((2, 2))
     return k, m, m_b, k_b
@@ -206,34 +226,25 @@ def _assemble_interval(mesh: Mesh):
 
 def _assemble_triangles(mesh: Mesh):
     nn = mesh.n_nodes
-    k = np.zeros((nn, nn))
-    m = np.zeros((nn, nn))
-    m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    for tri in mesh.elements:
-        pts = mesh.nodes[tri]
-        e1 = pts[1] - pts[0]
-        e2 = pts[2] - pts[0]
-        area2 = e1[0] * e2[1] - e1[1] * e2[0]
-        if area2 <= 0.0:
-            raise DegenerateElement("non-positive triangle area")
-        area = 0.5 * area2
-        bvec = np.array([pts[1, 1] - pts[2, 1], pts[2, 1] - pts[0, 1], pts[0, 1] - pts[1, 1]])
-        cvec = np.array([pts[2, 0] - pts[1, 0], pts[0, 0] - pts[2, 0], pts[1, 0] - pts[0, 0]])
-        sl = np.ix_(tri, tri)
-        k[sl] += (np.outer(bvec, bvec) + np.outer(cvec, cvec)) / (4.0 * area)
-        m[sl] += area * m_loc
+    tris = mesh.elements
+    x = mesh.nodes[tris, 0]                  # (ne, 3) vertex coordinates
+    y = mesh.nodes[tris, 1]
+    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+    if np.any(area2 <= 0.0):
+        raise DegenerateElement("non-positive triangle area")
+    area = 0.5 * area2
+    bvec = np.column_stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]])
+    cvec = np.column_stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]])
+    outer = bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
+    k = _scatter(tris, outer / (4.0 * area)[:, None, None], nn)
+    m = _scatter(tris, area[:, None, None] * _TRI_MASS, nn)
 
     nb = mesh.boundary_nodes.size
-    pos = {int(node): i for i, node in enumerate(mesh.boundary_nodes)}
-    m_b = np.zeros((nb, nb))
-    k_b = np.zeros((nb, nb))
-    for a, b in mesh.boundary_edges:
-        h = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
-        if h <= 0.0:
-            raise DegenerateElement("non-positive boundary edge length")
-        sl = np.ix_((pos[int(a)], pos[int(b)]), (pos[int(a)], pos[int(b)]))
-        m_b[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
-        k_b[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    pos = np.empty(nn, dtype=np.intp)
+    pos[mesh.boundary_nodes] = np.arange(nb)
+    edges = mesh.boundary_edges
+    h = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    k_b, m_b = _segment_matrices(pos[edges], h, nb, "boundary edge")
     return k, m, m_b, k_b
 
 

@@ -436,11 +436,11 @@ def identity_suite(
     """Worst-case residuals of the operator identities over random fixtures.
 
     Populations mix square/tall/wide shapes and full/deficient/zero ranks, so
-    both injective and non-injective adjoints occur.
+    both injective and non-injective adjoints occur.  A small population may
+    draw no injective adjoint; its report then lists no ``item5`` gate.
     """
     rng = np.random.default_rng(seed)
     rec = Recorder("oplab")
-    saw_item5 = False
     for _ in range(trials):
         ncols, nrows, rank = _draw_shapes(rng, dim_cap)
         dom = random_space(rng, ncols)
@@ -461,8 +461,6 @@ def identity_suite(
 
         for name, value in labrousse_check(a).items():
             rec.record(name, value)
-            if name == "item5":
-                saw_item5 = True
 
         x = rng.standard_normal(dom.dim)
         _, _, res = norm_identity_check(a, x)
@@ -480,9 +478,6 @@ def identity_suite(
 
         smoothing = frac_power(identity(cod) + bstar @ b, -0.5)
         rec.record("factorization", rel_diff((smoothing @ t_bstar).mat, a.mat))
-
-    if not saw_item5:  # pragma: no cover - the shape mix makes this unreachable
-        raise SolveFailure("fixture mix produced no injective-adjoint population")
 
     return rec.report(IDENTITY_TOLS, tolerances, {"trials": float(trials), "dim_cap": float(dim_cap)})
 

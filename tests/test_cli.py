@@ -181,6 +181,22 @@ class TestRun:
         assert len(families) >= 8
         assert "passed" in payload["results"][0]
 
+    def test_oplab_single_trial_reports_without_item5(self, tmp_path):
+        # one trial can draw no operator with an injective adjoint
+        out = tmp_path / "rep"
+        assert run_main(["--suite", "oplab", "--trials", "1", "--seed", "0", "--out", str(out)]) == 0
+        identity = json.loads((out / "report.json").read_text())["results"][0]
+        assert identity["constants"]["trials"] == 1.0
+        assert "item5" not in identity["residuals"]
+        assert "item5" not in identity["tolerances"]
+
+    def test_default_identity_cell_covers_item5(self):
+        config = cli.RunConfig(suites=("oplab",))
+        assert (config.trials, config.seed) == (100, 0)
+        run_cell = dict(cli.SUITES["oplab"].free_cells)["identity"]
+        rep = run_cell(config, cli.cell_seed(config.seed, "oplab:identity"), None)
+        assert rep.verdicts["item5"]
+
     def test_hhalf_interval_hand_values(self, tmp_path):
         out = tmp_path / "rep"
         code = run_main(

@@ -98,6 +98,41 @@ class TestGenMesh:
             assert all(tri_area(m.nodes, el) > 0 for el in m.elements)
 
 
+def looped_assembly(mesh):
+    """Element-by-element P1 assembly: the reference the vectorized one must match bit for bit."""
+    nn = mesh.n_nodes
+    k = np.zeros((nn, nn))
+    m = np.zeros((nn, nn))
+    if mesh.kind == "interval":
+        for a, b in mesh.elements:
+            h = float(mesh.nodes[b, 0] - mesh.nodes[a, 0])
+            sl = np.ix_((a, b), (a, b))
+            k[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+            m[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
+        return k, m, np.eye(2), np.zeros((2, 2))
+    m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    for tri in mesh.elements:
+        pts = mesh.nodes[tri]
+        e1 = pts[1] - pts[0]
+        e2 = pts[2] - pts[0]
+        area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+        bvec = np.array([pts[1, 1] - pts[2, 1], pts[2, 1] - pts[0, 1], pts[0, 1] - pts[1, 1]])
+        cvec = np.array([pts[2, 0] - pts[1, 0], pts[0, 0] - pts[2, 0], pts[1, 0] - pts[0, 0]])
+        sl = np.ix_(tri, tri)
+        k[sl] += (np.outer(bvec, bvec) + np.outer(cvec, cvec)) / (4.0 * area)
+        m[sl] += area * m_loc
+    nb = mesh.boundary_nodes.size
+    pos = {int(node): i for i, node in enumerate(mesh.boundary_nodes)}
+    m_b = np.zeros((nb, nb))
+    k_b = np.zeros((nb, nb))
+    for a, b in mesh.boundary_edges:
+        h = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
+        sl = np.ix_((pos[int(a)], pos[int(b)]), (pos[int(a)], pos[int(b)]))
+        m_b[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
+        k_b[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    return k, m, m_b, k_b
+
+
 class TestAssemble:
     def test_interval_hand_matrices(self):
         a = asm("interval", 1)
@@ -143,6 +178,20 @@ class TestAssemble:
         assert np.linalg.eigvalsh(a.K).min() >= -1e-12 * scale
         if np.abs(a.K_b).max() > 0:
             assert np.linalg.eigvalsh(a.K_b).min() >= -1e-12 * np.abs(a.K_b).max()
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("interval", 1), ("interval", 2), ("interval", 16), ("square", 1), ("square", 2), ("square", 7),
+         ("square", 16), ("lshape", 2), ("lshape", 6), ("lshape", 16)],
+    )
+    def test_matches_element_loop_bitwise(self, kind, n):
+        mesh = fem2d.gen_mesh(kind, n)
+        a = fem2d.assemble(mesh)
+        k, m, m_b, k_b = looped_assembly(mesh)
+        assert np.array_equal(a.K, k)
+        assert np.array_equal(a.M_dom, m)
+        assert np.array_equal(a.M_b, m_b)
+        assert np.array_equal(a.K_b, k_b)
 
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
     def test_patch_test_linear_gradient(self, kind):

@@ -175,6 +175,57 @@ class TestNormalDerivative:
             tracescale.normal_derivative(a, bump)
 
 
+def interior_hat(a):
+    """Indicator of the first interior node: visibly not harmonic."""
+    interior = np.setdiff1d(np.arange(a.mesh.n_nodes), a.mesh.boundary_nodes)
+    bump = np.zeros(a.mesh.n_nodes)
+    bump[interior[0]] = 1.0
+    return bump
+
+
+class TestBlockSolvers:
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_block_equals_columns(self, kind, n, rng):
+        a = asm(kind, n)
+        g = rng.standard_normal((a.mesh.boundary_nodes.size, 5))
+        z = tracescale.harmonic_extension(a, g)
+        w = tracescale.normal_derivative(a, z)
+        assert z.shape == (a.mesh.n_nodes, 5)
+        assert w.shape == g.shape
+        for j in range(g.shape[1]):
+            zj = tracescale.harmonic_extension(a, g[:, j])
+            wj = tracescale.normal_derivative(a, zj)
+            assert np.abs(z[:, j] - zj).max() <= 1e-13 * max(np.abs(zj).max(), 1.0)
+            assert np.abs(w[:, j] - wj).max() <= 1e-13 * max(np.abs(wj).max(), 1.0)
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_one_non_harmonic_column_rejected(self, kind, n, rng):
+        a = asm(kind, n)
+        harmonic = 1e10 * tracescale.harmonic_extension(a, rng.standard_normal((a.mesh.boundary_nodes.size, 2)))
+        bump = interior_hat(a)
+        block = np.column_stack([harmonic[:, 0], bump, harmonic[:, 1]])
+        # a gate on the whole block's norm would let the bump through
+        interior = np.setdiff1d(np.arange(a.mesh.n_nodes), a.mesh.boundary_nodes)
+        bump_residual = np.linalg.norm((a.K @ bump)[interior])
+        assert bump_residual <= tracescale.HARMONIC_GATE * np.linalg.norm(block)
+        tracescale.normal_derivative(a, harmonic)
+        with pytest.raises(NotHarmonic):
+            tracescale.normal_derivative(a, block)
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_wrong_leading_dimension_rejected(self, kind, n):
+        a = asm(kind, n)
+        nb, nn = a.mesh.boundary_nodes.size, a.mesh.n_nodes
+        with pytest.raises(DimensionMismatch):
+            tracescale.harmonic_extension(a, np.ones((nb + 1, 3)))
+        with pytest.raises(DimensionMismatch):
+            tracescale.harmonic_extension(a, np.ones((nb, 3, 1)))
+        with pytest.raises(DimensionMismatch):
+            tracescale.normal_derivative(a, np.ones((nn - 1, 3)))
+        with pytest.raises(DimensionMismatch):
+            tracescale.normal_derivative(a, np.ones((3, nn)))
+
+
 class TestGreenResidual:
     def test_constant_z(self, rng):
         a = asm("square", 4)
@@ -434,6 +485,41 @@ class TestSuiteH1:
             assert rep.constants[key] > 0.0
 
 
+NECAS_MAXIMA = ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max")
+
+
+def necas_reference(a, n_samples, seed):
+    """necas constants sample by sample, from the one-column solvers and dense solves."""
+    rng = np.random.default_rng(seed)
+    bnd = a.mesh.boundary_nodes
+    interior = np.setdiff1d(np.arange(a.mesh.n_nodes), bnd)
+    h1_dom = a.K + a.M_dom
+    h1_bnd = a.M_b + a.K_b
+    eye_s = np.eye(bnd.size) + tracescale._s_operator(a).mat
+
+    def ratios(g):
+        u = tracescale.harmonic_extension(a, g)
+        w = tracescale.normal_derivative(a, u)
+        dom, flux, trace = u @ h1_dom @ u, w @ a.M_b @ w, g @ h1_bnd @ g
+        return float(np.sqrt(trace / (dom + flux))), float(np.sqrt(flux / (dom + trace)))
+
+    worst = dict.fromkeys(NECAS_MAXIMA, 0.0)
+    for _ in range(n_samples):
+        g = rng.standard_normal(bnd.size)
+        for name, data in (("rough", g), ("smooth", np.linalg.solve(eye_s, g))):
+            r1, r2 = ratios(data)
+            worst[f"trace_{name}_max"] = max(worst[f"trace_{name}_max"], r1)
+            worst[f"flux_{name}_max"] = max(worst[f"flux_{name}_max"], r2)
+        f = rng.standard_normal(a.mesh.n_nodes)
+        load = a.M_dom @ f
+        u0 = np.zeros(a.mesh.n_nodes)
+        u0[interior] = np.linalg.solve(a.K[np.ix_(interior, interior)], load[interior])
+        w0 = np.linalg.solve(a.M_b, (a.K @ u0 - load)[bnd])
+        worst["rellich_max"] = max(worst["rellich_max"], float(np.sqrt((w0 @ a.M_b @ w0) / (f @ a.M_dom @ f))))
+    worst["trace_const"] = ratios(np.ones(bnd.size))[0]
+    return worst
+
+
 class TestNecasConstants:
     @pytest.mark.parametrize(
         "kind,expected",
@@ -457,6 +543,34 @@ class TestNecasConstants:
         ):
             assert np.isfinite(rep.constants[key])
             assert rep.constants[key] > 0.0
+
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_matches_sample_by_sample_reference(self, kind, n):
+        a = asm(kind, n)
+        rep = tracescale.necas_constants(a, n_samples=30, seed=9)
+        expected = necas_reference(a, n_samples=30, seed=9)
+        assert set(rep.constants) == set(expected) | {"samples"}
+        for key, value in expected.items():
+            assert rep.constants[key] == pytest.approx(value, rel=1e-12), key
+
+    @pytest.mark.parametrize("columns", [[2], [1, 4]])
+    def test_nan_sample_counts_one_failure_each(self, monkeypatch, columns):
+        original = tracescale.normal_derivative
+        calls = []
+
+        def planted(a, z):
+            w = original(a, z)
+            if not calls:  # the rough population's flux block
+                w[:, columns] = np.nan
+            calls.append(w.shape)
+            return w
+
+        monkeypatch.setattr(tracescale, "normal_derivative", planted)
+        rep = tracescale.necas_constants(asm("square", 4), n_samples=6, seed=0)
+        assert calls[0] == (16, 6)
+        assert rep.residuals["sample_failures"] == float(len(columns))
+        assert not rep.passed
+        assert all(np.isfinite(v) for v in rep.constants.values())
 
     def test_deterministic_in_seed(self):
         r1 = tracescale.necas_constants(asm("square", 2), n_samples=10, seed=5)
