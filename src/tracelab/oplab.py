@@ -10,6 +10,7 @@ change of coordinates x -> L' x with G = L L'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -136,6 +137,22 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
+    def power(self, t: float, tol: float = 1e-10) -> Operator:
+        """The power V diag(lambda^t) V' G.  A non-integer power of a negative
+        spectrum raises NegativeEigenvalue, a negative power of a singular one
+        SolveFailure."""
+        vals = self.eigenvalues.copy()
+        scale = max(float(np.abs(vals).max()), 1.0)
+        if float(t) != int(t):
+            if float(vals.min()) < -tol * scale:
+                raise NegativeEigenvalue(f"min eigenvalue {vals.min():.3e} < 0")
+            vals = np.clip(vals, 0.0, None)
+        if t < 0 and float(vals.min()) <= kernels.EPS * scale * 1e3:
+            raise SolveFailure("negative power of a singular operator")
+        powered = vals ** float(t)
+        mat = self.vectors @ (powered[:, None] * (self.vectors.T @ self.space.gram))
+        return Operator(self.space, self.space, mat)
+
 
 def identity(space: InnerSpace) -> Operator:
     return Operator(space, space, np.eye(space.dim))
@@ -199,23 +216,8 @@ def spectral(a: Operator, tol: float = 1e-10) -> SpectralDecomposition:
 
 
 def frac_power(a: Operator, t: float, tol: float = 1e-10) -> Operator:
-    """Real power a^t of a self-adjoint positive semidefinite operator.
-
-    Non-integer powers require nonnegative spectrum (NegativeEigenvalue
-    otherwise); negative powers require an invertible operator.
-    """
-    dec = spectral(a, tol=tol)
-    vals = dec.eigenvalues.copy()
-    scale = max(float(np.abs(vals).max()), 1.0)
-    if float(t) != int(t):
-        if float(vals.min()) < -tol * scale:
-            raise NegativeEigenvalue(f"min eigenvalue {vals.min():.3e} < 0")
-        vals = np.clip(vals, 0.0, None)
-    if t < 0 and float(vals.min()) <= kernels.EPS * scale * 1e3:
-        raise SolveFailure("negative power of a singular operator")
-    powered = vals ** float(t)
-    mat = dec.vectors @ (powered[:, None] * (dec.vectors.T @ a.domain.gram))
-    return Operator(a.domain, a.domain, mat)
+    """Real power a^t of a self-adjoint operator: SpectralDecomposition.power."""
+    return spectral(a, tol=tol).power(t, tol)
 
 
 def douglas_factor(a: Operator, b: Operator, tol: float = 1e-8) -> tuple[Operator, float]:
@@ -244,15 +246,26 @@ def _inv(mat: np.ndarray) -> np.ndarray:
         raise SolveFailure("dense inverse failed") from exc
 
 
+@lru_cache(maxsize=32)
+def _pinv_pair(a: Operator) -> tuple[Operator, Operator, Operator, Operator, Operator]:
+    """(b, a*, b*, (I + b b*)^(-1/2), (I + b* b)^(-1/2)) for b = pinv(a).
+
+    One pinv and two eigensolves per operator (operators are immutable).
+    """
+    b = pinv(a)
+    bstar = adjoint(b)
+    smooth_dom = frac_power(identity(a.domain) + b @ bstar, -0.5)
+    smooth_cod = frac_power(identity(a.codomain) + bstar @ b, -0.5)
+    return b, adjoint(a), bstar, smooth_dom, smooth_cod
+
+
 def labrousse_check(a: Operator) -> dict[str, float]:
     """Relative residuals of the six inverse-pair identities linking a and pinv(a).
 
     Key "item5" is present only when the adjoint of ``a`` is injective
     (i.e. ``a`` has full row rank in its weighted sense).
     """
-    b = pinv(a)
-    astar = adjoint(a)
-    bstar = adjoint(b)
+    b, astar, bstar, _, _ = _pinv_pair(a)
     n1, n2 = a.domain.dim, a.codomain.dim
     eye1, eye2 = np.eye(n1), np.eye(n2)
 
@@ -293,12 +306,8 @@ def norm_identity_check(a: Operator, x) -> tuple[float, float, dict[str, float]]
     x = np.asarray(x, dtype=float)
     if x.shape != (a.domain.dim,):
         raise DimensionMismatch(f"vector length {x.shape} != ({a.domain.dim},)")
-    b = pinv(a)
-    bstar = adjoint(b)
+    b, astar, bstar, smooth, _ = _pinv_pair(a)
     dom = a.domain
-    eye1 = identity(dom)
-
-    smooth = frac_power(eye1 + b @ bstar, -0.5)
     lhs = dom.norm(x) ** 2
     term_across = a.codomain.norm((bstar @ smooth).apply(x)) ** 2
     term_within = dom.norm(smooth.apply(x)) ** 2
@@ -308,7 +317,7 @@ def norm_identity_check(a: Operator, x) -> tuple[float, float, dict[str, float]]
 
     # restriction to range(b): the split swaps in (I + a*a)^(-1/2)
     xr = (b @ a).apply(x)
-    smooth2 = frac_power(eye1 + adjoint(a) @ a, -0.5)
+    smooth2 = frac_power(identity(dom) + astar @ a, -0.5)
     lhs_r = dom.norm(xr) ** 2
     rhs_r = dom.norm(smooth.apply(xr)) ** 2 + dom.norm(smooth2.apply(xr)) ** 2
     res["range_restricted"] = abs(lhs_r - rhs_r) / scale
@@ -324,11 +333,7 @@ def build_tb(a: Operator) -> tuple[Operator, Operator]:
     t_b is the Moore-Penrose inverse of b*(I + b b*)^(-1/2) and
     t_bstar is its adjoint.
     """
-    b = pinv(a)
-    astar = adjoint(a)
-    bstar = adjoint(b)
-    smooth_cod = frac_power(identity(a.codomain) + bstar @ b, -0.5)
-    smooth_dom = frac_power(identity(a.domain) + b @ bstar, -0.5)
+    b, astar, bstar, smooth_dom, smooth_cod = _pinv_pair(a)
     t_b = (b + astar) @ smooth_cod
     t_bstar = (bstar + a) @ smooth_dom
     return t_b, t_bstar
@@ -446,7 +451,7 @@ def identity_suite(
         dom = random_space(rng, ncols)
         cod = random_space(rng, nrows)
         a = random_operator(rng, dom, cod, rank=rank)
-        b = pinv(a)
+        b, _, bstar, half, smoothing = _pinv_pair(a)
 
         rec.record("penrose", rel_diff((a @ b @ a).mat, a.mat))
         rec.record("penrose", rel_diff((b @ a @ b).mat, b.mat))
@@ -468,15 +473,12 @@ def identity_suite(
         rec.record("norm_split_range", res["range_restricted"])
 
         t_b, t_bstar = build_tb(a)
-        bstar = adjoint(b)
-        half = frac_power(identity(dom) + b @ bstar, -0.5)
         w = bstar @ half
         rec.record("tb_pinv_crosscheck", rel_diff(t_b.mat, pinv(w).mat))
         rec.record("tb_adjoint_pair", rel_diff(adjoint(t_b).mat, t_bstar.mat))
         rec.record("tb_projections", rel_diff((t_b @ w).mat, (b @ a).mat))
         rec.record("tb_projections", rel_diff((w @ t_b).mat, (a @ b).mat))
 
-        smoothing = frac_power(identity(cod) + bstar @ b, -0.5)
         rec.record("factorization", rel_diff((smoothing @ t_bstar).mat, a.mat))
 
     return rec.report(IDENTITY_TOLS, tolerances, {"trials": float(trials), "dim_cap": float(dim_cap)})

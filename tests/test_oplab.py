@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tracelab import oplab
+from tracelab import kernels, oplab
 from tracelab.errors import (
     DimensionMismatch,
     NegativeEigenvalue,
@@ -466,6 +466,22 @@ class TestSuites:
         rep = oplab.identity_suite(trials=5, seed=1, tolerances={"penrose": 1e-30})
         assert not rep.passed
         assert not rep.verdicts["penrose"]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_each_trial_makes_four_eigensolves_and_five_pinvs(self, monkeypatch, trials):
+        calls = {"jacobi_eigh": 0, "pinv": 0}
+        for module, name in ((kernels, "jacobi_eigh"), (oplab, "pinv")):
+
+            def counted(*args, _name=name, _fn=getattr(module, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        assert oplab.identity_suite(trials=trials, seed=0).passed
+        # one pinv and two smoothing powers per operator, shared by every check, plus
+        # the checks' own routes: pinv(b) for pinv_involution, the two pinvs of item6,
+        # pinv(w), and the single-use powers of I + a a* and I + a* a
+        assert calls == {"jacobi_eigh": 4 * trials, "pinv": 5 * trials}
 
     def test_nan_residual_raises(self, monkeypatch):
         monkeypatch.setattr(oplab, "rel_diff", lambda x, y: float("nan"))

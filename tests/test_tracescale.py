@@ -7,8 +7,9 @@ residual gates.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tracelab import fem2d, oplab, tracescale
+from tracelab import fem2d, kernels, oplab, tracescale
 from tracelab.errors import (
     DimensionMismatch,
     NonFiniteResidual,
@@ -311,6 +312,19 @@ class TestHsGram:
         assert np.array_equal(q.Q, q.Q.T)
         assert np.linalg.eigvalsh(q.Q).min() > 0.0
 
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    @pytest.mark.parametrize("s", [-1.0, -0.75, -0.5, -0.3, 0.25, 0.7])
+    def test_spectral_orders_match_lapack(self, kind, s):
+        # reference: M_b (I+S) V = M_b V diag(w) with V' M_b V = I, so
+        # M_b (I+S)^(2s) = M_b V diag(w^(2s)) V' M_b
+        a = asm(kind, 4)
+        nb = a.M_b.shape[0]
+        grown = a.M_b @ (np.eye(nb) + tracescale._s_operator(a).mat)
+        w, v = scipy.linalg.eigh(0.5 * (grown + grown.T), a.M_b)
+        mv = a.M_b @ v
+        expected = (mv * w ** (2.0 * s)) @ mv.T
+        assert oplab.rel_diff(tracescale.hs_gram(a, s).Q, expected) <= 1e-11
+
     @pytest.mark.parametrize("s", [-1.5, 1.2])
     def test_order_range(self, s):
         with pytest.raises(OrderOutOfRange):
@@ -483,6 +497,28 @@ class TestSuiteH1:
         for key in ("h1_cmin", "h1_cmax", "seminorm_cmin", "seminorm_cmax", "cond_t", "cond_s"):
             assert np.isfinite(rep.constants[key])
             assert rep.constants[key] > 0.0
+
+
+class TestDecompositionCounts:
+    def test_square_level_makes_five_eigensolves(self, monkeypatch):
+        calls = []
+        eigh = kernels.jacobi_eigh
+
+        def counted(*args, **kw):
+            calls.append(args[0].shape)
+            return eigh(*args, **kw)
+
+        monkeypatch.setattr(kernels, "jacobi_eigh", counted)
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so no decomposition is cached
+        for report in (
+            tracescale.suite_hhalf(a, trials=2),
+            tracescale.suite_h1(a),
+            tracescale.suite_interp(a, trials=2),
+            tracescale.suite_dual(a),
+        ):
+            assert report.passed
+        # I + S once, the bridge operator of suite_h1 once, three equivalence constants
+        assert len(calls) == 5
 
 
 NECAS_MAXIMA = ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max")
