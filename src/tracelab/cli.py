@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import fem2d, oplab, tracescale
-from .errors import ConfigParseError, TracelabError
+from .errors import ConfigParseError, NonFiniteResidual, TracelabError
 from .report import SuiteReport
 
 VALID_MESHES = fem2d.KINDS
@@ -152,11 +153,19 @@ def _split_csv(values: list[str]) -> list[str]:
     return out
 
 
+def _tolerance(value: str) -> float:
+    """A gate tolerance: a finite real >= 0 (0 passes only an exact zero residual)."""
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(value)
+    return tol
+
+
 def parse_config_file(path: str) -> dict[str, object]:
     """Flat key=value text.  Blank lines and #-comments are skipped.
 
     Keys: suites, meshes, ns (comma lists), seed, trials (integers),
-    out (path), tol.NAME (real override for tolerance family NAME).
+    out (path), tol.NAME (override for tolerance family NAME, a finite real >= 0).
     """
     raw: dict[str, object] = {}
     tols: dict[str, float] = {}
@@ -178,7 +187,7 @@ def parse_config_file(path: str) -> dict[str, object]:
             if not name:
                 raise ConfigParseError(f"{path}:{lineno}: empty tolerance name")
             try:
-                tols[name] = float(value)
+                tols[name] = _tolerance(value)
             except ValueError as exc:
                 raise ConfigParseError(f"{path}:{lineno}: bad tolerance value {value!r}") from exc
         elif key in ("suites", "meshes", "ns"):
@@ -205,7 +214,7 @@ def _parse_tol_flag(items: list[str]) -> dict[str, float]:
         name, _, value = item.partition("=")
         name = name.strip()
         try:
-            tols[name] = float(value)
+            tols[name] = _tolerance(value)
         except ValueError as exc:
             raise ConfigParseError(f"bad tolerance value in {item!r}") from exc
     return tols
@@ -312,15 +321,19 @@ def execute(config: RunConfig) -> tuple[list[SuiteReport], str]:
 
 
 def write_reports(config: RunConfig, reports: list[SuiteReport], verdict: str) -> tuple[Path, Path]:
-    out = Path(config.out_dir or "tracelab_out")
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": config.as_dict(),
         "results": [rep.as_dict() for rep in reports],
         "verdict": verdict,
     }
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResidual(f"report not written, it holds a NaN or infinity: {exc}") from exc
+    out = Path(config.out_dir or "tracelab_out")
+    out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(text)
 
     csv_path = out / "report.csv"
     with csv_path.open("w", newline="") as fh:
@@ -364,7 +377,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", action="append", help="refinement level (repeatable / comma list)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
     parser.add_argument("--trials", type=int, default=None, help="random trials per cell")
-    parser.add_argument("--tol", action="append", help="tolerance override NAME=VALUE")
+    parser.add_argument("--tol", action="append", help="tolerance override NAME=VALUE, VALUE finite and >= 0")
     parser.add_argument("--out", default=None, help="output directory (default $TRACELAB_OUT)")
     return parser
 

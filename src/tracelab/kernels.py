@@ -8,6 +8,7 @@ numpy operations, and n-1 steps (n for odd n) visit every pair once.  The SVD
 first reduces a tall input by a column-pivoted QR (Drmač & Veselić 2008) and
 rotates only the square triangular factor.  A kernel that uses up
 ``max_sweeps`` raises NoConvergence rather than return an unconverged result.
+The rank rule and the pseudo-inverse read an SVD the caller already holds.
 Intended scale is desk-size dense matrices (a few hundred rows).
 """
 
@@ -208,19 +209,19 @@ def rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * EPS * sigma_max * 1e3
 
 
-def pinv_dense(m: np.ndarray):
-    """Euclidean Moore-Penrose inverse built on jacobi_svd.
+def svd_rank(shape: tuple[int, int], s: np.ndarray) -> int:
+    """Numerical rank of a ``shape`` matrix with singular values ``s``: those above rank_cutoff."""
+    return int(np.count_nonzero(s > rank_cutoff(shape, float(s.max(initial=0.0)))))
 
+
+def pinv_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
+    """Euclidean Moore-Penrose inverse from the thin SVD ``(u, s, vt)`` of jacobi_svd.
+
+    Singular values above the rank cutoff are inverted, the rest dropped.
     Returns ``(pinv, rank)``.
     """
-    u, s, vt = jacobi_svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0])), 0
-    cut = rank_cutoff(m.shape, float(s[0]))
-    keep = s > cut
-    r = int(np.count_nonzero(keep))
-    inv = vt[:r].T @ (u[:, :r] / s[:r]).T
-    return inv, r
+    r = svd_rank((u.shape[0], vt.shape[1]), s)
+    return vt[:r].T @ (u[:, :r] / s[:r]).T, r
 
 
 def gen_eigh(a: np.ndarray, b: np.ndarray):

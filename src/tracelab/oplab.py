@@ -4,7 +4,8 @@ A space is R^n with inner product (x, y) -> x' G y for a symmetric positive
 definite Gram matrix G.  Adjoints, Moore-Penrose inverses, fractional powers
 and the identity suites below are all taken with respect to these weighted
 products.  Weighted problems reduce to Euclidean ones through the Cholesky
-change of coordinates x -> L' x with G = L L'.
+change of coordinates x -> L' x with G = L L'.  Each operator's SVD in those
+coordinates is taken once and cached; its pinv, norm and rank all read it.
 """
 
 from __future__ import annotations
@@ -177,22 +178,21 @@ def from_euclidean(mat_e: np.ndarray, domain: InnerSpace, codomain: InnerSpace) 
     return Operator(domain, codomain, mat)
 
 
+@lru_cache(maxsize=32)
+def _svd(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euclidean SVD of ``a``, read-only: the one decomposition behind pinv, op_norm and the rank."""
+    return tuple(_frozen(x) for x in kernels.jacobi_svd(to_euclidean(a)))
+
+
 def op_norm(a: Operator) -> float:
     """Operator norm induced by the weighted space norms."""
-    _, s, _ = kernels.jacobi_svd(to_euclidean(a))
+    s = _svd(a)[1]
     return float(s[0]) if s.size else 0.0
-
-
-def op_rank(a: Operator) -> int:
-    _, s, _ = kernels.jacobi_svd(to_euclidean(a))
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > kernels.rank_cutoff(a.mat.shape, float(s[0]))))
 
 
 def pinv(a: Operator) -> Operator:
     """Moore-Penrose inverse with respect to the weighted inner products."""
-    inv_e, _ = kernels.pinv_dense(to_euclidean(a))
+    inv_e, _ = kernels.pinv_svd(*_svd(a))
     return from_euclidean(inv_e, a.codomain, a.domain)
 
 
@@ -230,13 +230,11 @@ def douglas_factor(a: Operator, b: Operator, tol: float = 1e-8) -> tuple[Operato
     if not a.codomain.matches(b.codomain):
         raise DimensionMismatch("factorization needs a shared codomain")
     bp = pinv(b)
-    onto_range = b @ bp
-    leak = rel_diff(a.mat, onto_range.mat @ a.mat)
+    leak = rel_diff(a.mat, (b @ bp).mat @ a.mat)
     if leak > tol:
         raise RangeNotContained(f"range residual {leak:.3e} exceeds {tol:.1e}")
     c = bp @ a
-    mu = op_norm(c) ** 2
-    return c, mu
+    return c, op_norm(c) ** 2
 
 
 def _inv(mat: np.ndarray) -> np.ndarray:
@@ -250,7 +248,7 @@ def _inv(mat: np.ndarray) -> np.ndarray:
 def _pinv_pair(a: Operator) -> tuple[Operator, Operator, Operator, Operator, Operator]:
     """(b, a*, b*, (I + b b*)^(-1/2), (I + b* b)^(-1/2)) for b = pinv(a).
 
-    One pinv and two eigensolves per operator (operators are immutable).
+    One pinv (from the cached SVD) and two eigensolves per operator (operators are immutable).
     """
     b = pinv(a)
     bstar = adjoint(b)
@@ -281,14 +279,13 @@ def labrousse_check(a: Operator) -> dict[str, float]:
     out["item3"] = rel_diff(astar.mat @ inv_aas, b.mat @ inv_bsb)
     null_astar = eye2 - a.mat @ b.mat             # projector onto null(a*)
     out["item4"] = rel_diff(inv_aas + inv_bsb, eye2 + null_astar)
-    if op_rank(a) == n2:
+    if kernels.svd_rank(a.mat.shape, _svd(a)[1]) == n2:
         out["item5"] = rel_diff(inv_aas + inv_bsb, eye2)
 
     half = frac_power(Operator(a.codomain, a.codomain, eye2 + a.mat @ astar.mat), -0.5)
     smooth = astar @ half
     proj_smooth = eye2 - (pinv(smooth) @ smooth).mat
-    bp = pinv(b)
-    proj_null_b = eye2 - (bp @ b).mat
+    proj_null_b = eye2 - (pinv(b) @ b).mat
     out["item6"] = max(
         rel_diff(proj_smooth, null_astar),
         rel_diff(proj_smooth, proj_null_b),
@@ -348,10 +345,13 @@ def random_space(rng: np.random.Generator, dim: int, cond_cap: float = 1e4) -> I
     for _ in range(64):
         m = rng.standard_normal((dim, dim))
         g = m.T @ m + np.eye(dim)
+        # cond(g) <= 1 + |m|_F^2: only a Gram whose bound exceeds the cap needs the SVD
+        if 1.0 + float(np.sum(m * m)) <= cond_cap:
+            return make_space(dim, g)
         _, s, _ = kernels.jacobi_svd(g)
         if s[-1] > 0.0 and s[0] / s[-1] <= cond_cap:
             return make_space(dim, g)
-    raise SolveFailure("could not draw a well-conditioned Gram")  # pragma: no cover
+    raise SolveFailure("could not draw a well-conditioned Gram")
 
 
 def random_operator(
@@ -368,10 +368,7 @@ def random_operator(
     rank clears ``gap`` so rank decisions are never borderline.
     """
     full = min(domain.dim, codomain.dim)
-    if rank is None or rank >= full:
-        target = full
-    else:
-        target = max(rank, 0)
+    target = full if rank is None or rank >= full else max(rank, 0)
     for _ in range(256):
         if target == 0:
             return Operator(domain, codomain, np.zeros((codomain.dim, domain.dim)))
@@ -382,7 +379,7 @@ def random_operator(
             right = rng.standard_normal((target, domain.dim))
             mat = left @ right
         op = Operator(domain, codomain, mat)
-        _, s, _ = kernels.jacobi_svd(to_euclidean(op))
+        s = _svd(op)[1]
         if s[0] == 0.0:
             continue
         if s[target - 1] / s[0] >= gap:

@@ -7,6 +7,7 @@ import pytest
 
 from tracelab import cli, oplab, tracescale
 from tracelab.errors import ConfigParseError
+from tracelab.report import SuiteReport
 
 
 def run_main(argv):
@@ -121,6 +122,18 @@ class TestConfigFile:
         f.write_text("tol.x = much\n")
         with pytest.raises(ConfigParseError):
             cli.parse_config_file(str(f))
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_non_finite_or_negative_tolerance(self, tmp_path, value):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"tol.penrose = {value}\n")
+        with pytest.raises(ConfigParseError, match=":1: bad tolerance value"):
+            cli.parse_config_file(str(f))
+
+    def test_zero_tolerance_allowed(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("tol.sample_failures = 0\n")
+        assert cli.parse_config_file(str(f))["tol_overrides"] == {"sample_failures": 0.0}
 
 
 class TestPrecedence:
@@ -242,13 +255,38 @@ class TestRun:
         code = run_main(
             [
                 "--suite", "hhalf", "--mesh", "interval", "--n", "1",
-                "--trials", "2", "--tol", "energy_splt=-1", "--out", str(out),
+                "--trials", "2", "--tol", "energy_splt=1e-8", "--out", str(out),
             ]
         )
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and "energy_splt" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_non_finite_or_negative_tol_exit_2_no_files(self, tmp_path, capsys, value, source):
+        # an infinite tolerance would switch its gate off and write "Infinity" into report.json
+        out = tmp_path / "rep"
+        argv = ["--suite", "oplab", "--trials", "4", "--out", str(out)]
+        if source == "flag":
+            argv += ["--tol", f"penrose={value}"]
+        else:
+            f = tmp_path / "run.cfg"
+            f.write_text(f"tol.penrose = {value}\n")
+            argv.insert(0, str(f))
+        assert run_main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "bad tolerance value" in err
+
+    def test_non_finite_constant_exit_2_no_files(self, tmp_path, monkeypatch, capsys):
+        rep = SuiteReport(suite="oplab", constants={"trials": float("inf")})
+        monkeypatch.setattr(cli, "execute", lambda config: ([rep], "pass"))
+        out = tmp_path / "rep"
+        assert run_main(["--suite", "oplab", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: report not written")
 
     def test_tol_name_of_unselected_suite_exit_2(self, tmp_path, capsys):
         # energy_split gates hhalf, not pde

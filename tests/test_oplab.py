@@ -46,6 +46,39 @@ def random_weighted_space(rng, dim):
     return oplab.make_space(dim, m @ m.T + dim * np.eye(dim))
 
 
+def count_outer_svds(monkeypatch):
+    """Patch kernels.jacobi_svd to record the input of each outermost call.
+
+    A wide input recurses on its transpose and a tall one on its QR factor;
+    the depth guard counts such a call once, as the benchmark tracer does.
+    """
+    inputs, depth = [], [0]
+    original = kernels.jacobi_svd
+
+    def counted(m, *args, **kw):
+        if depth[0] == 0:
+            inputs.append(np.array(m, dtype=float))
+        depth[0] += 1
+        try:
+            return original(m, *args, **kw)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "jacobi_svd", counted)
+    return inputs
+
+
+def random_space_svd_only(rng, dim, cond_cap=1e4):
+    """Reference for random_space without its Frobenius pre-test: every Gram is decided by its SVD."""
+    for _ in range(64):
+        m = rng.standard_normal((dim, dim))
+        g = m.T @ m + np.eye(dim)
+        _, s, _ = kernels.jacobi_svd(g)
+        if s[-1] > 0.0 and s[0] / s[-1] <= cond_cap:
+            return g
+    raise SolveFailure("could not draw a well-conditioned Gram")
+
+
 class TestMakeSpace:
     def test_euclidean_plane(self):
         sp = oplab.make_space(2, np.eye(2))
@@ -164,6 +197,54 @@ class TestPinv:
             a = oplab.Operator(dom, cod, rng.standard_normal((6, 4)))
             back = oplab.pinv(oplab.pinv(a))
             assert np.abs(back.mat - a.mat).max() <= 1e-9 * max(np.abs(a.mat).max(), 1.0)
+
+    def test_one_svd_per_operator_keyed_on_identity(self, rng, monkeypatch):
+        # a cache keyed on the shape would hand the second operator the first one's SVD
+        inputs = count_outer_svds(monkeypatch)
+        dom, cod = random_weighted_space(rng, 3), random_weighted_space(rng, 4)
+        a = oplab.Operator(dom, cod, rng.standard_normal((4, 3)))
+        b = oplab.pinv(a)
+        oplab.op_norm(a)
+        oplab.labrousse_check(a)
+        a_e = oplab.to_euclidean(a)
+        assert sum(np.array_equal(m, a_e) for m in inputs) == 1
+
+        inputs.clear()
+        other = oplab.Operator(dom, cod, rng.standard_normal((4, 3)))
+        other_b = oplab.pinv(other)
+        assert len(inputs) == 1 and np.array_equal(inputs[0], oplab.to_euclidean(other))
+        assert np.abs(b.mat - weighted_pinv_oracle(a)).max() <= 1e-10 * np.abs(b.mat).max()
+        assert np.abs(other_b.mat - weighted_pinv_oracle(other)).max() <= 1e-10 * np.abs(other_b.mat).max()
+        assert oplab.op_norm(other) == pytest.approx(np.linalg.norm(oplab.to_euclidean(other), 2), rel=1e-12)
+        assert len(inputs) == 1
+
+
+class TestRandomSpace:
+    @pytest.mark.parametrize("cond_cap", [1e4, 50.0, 3.0])
+    def test_same_stream_as_svd_only_loop(self, cond_cap, monkeypatch):
+        inputs = count_outer_svds(monkeypatch)
+        paths = set()
+        for dim in range(1, 13):
+            new_rng, old_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+            inputs.clear()
+            try:
+                new = oplab.random_space(new_rng, dim, cond_cap).gram
+            except SolveFailure:
+                new = None
+            took_svd = bool(inputs)
+            try:
+                old = random_space_svd_only(old_rng, dim, cond_cap)
+            except SolveFailure:
+                old = None
+            if new is None or old is None:
+                assert new is None and old is None
+                paths.add("rejected")
+            else:
+                assert np.array_equal(new, old)
+                paths.add("svd" if took_svd else "bound")
+            assert new_rng.random() == old_rng.random()
+        # the small caps run the SVD fallback and, at cap 3, exhaust the draws
+        assert paths == {1e4: {"bound"}, 50.0: {"bound", "svd"}, 3.0: {"bound", "svd", "rejected"}}[cond_cap]
 
 
 class TestFracPower:
@@ -482,6 +563,20 @@ class TestSuites:
         # the checks' own routes: pinv(b) for pinv_involution, the two pinvs of item6,
         # pinv(w), and the single-use powers of I + a a* and I + a* a
         assert calls == {"jacobi_eigh": 4 * trials, "pinv": 5 * trials}
+
+    def test_svd_counts(self, monkeypatch):
+        inputs = count_outer_svds(monkeypatch)
+        assert oplab.identity_suite(trials=100, seed=0).passed
+        # per trial: the rank-gap SVDs of a and c (a's serves pinv(a), the pinv bundle and
+        # the item5 rank), pinv(b) for pinv_involution and item6, pinv(smooth) and pinv(w);
+        # one redrawn operator; no Gram of dim <= 12 needs an SVD (an SVD per helper call
+        # made 1098)
+        assert len(inputs) == 5 * 100 + 1
+        inputs.clear()
+        assert oplab.douglas_suite(pairs=50, seed=1).passed
+        # per pair: the rank-gap SVDs of b and m, op_norm(c), whose SVD also serves
+        # pinv(c), and pinv(a) (an SVD per helper call made 500)
+        assert len(inputs) == 4 * 50
 
     def test_nan_residual_raises(self, monkeypatch):
         monkeypatch.setattr(oplab, "rel_diff", lambda x, y: float("nan"))
