@@ -5,13 +5,13 @@ definite Gram matrix G.  Adjoints, Moore-Penrose inverses, fractional powers
 and the identity suites below are all taken with respect to these weighted
 products.  Weighted problems reduce to Euclidean ones through the Cholesky
 change of coordinates x -> L' x with G = L L'.  Each operator's SVD in those
-coordinates is taken once and cached; its pinv, norm and rank all read it.
+coordinates is taken once and kept on the operator; its pinv, norm and rank all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -104,6 +104,12 @@ class Operator:
             )
         object.__setattr__(self, "mat", m)
 
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Euclidean SVD, read-only: the one decomposition behind pinv, op_norm and
+        the rank.  It lives as long as the operator does."""
+        return tuple(_frozen(x) for x in kernels.jacobi_svd(to_euclidean(self)))
+
     def apply(self, x) -> np.ndarray:
         return self.mat @ np.asarray(x, dtype=float)
 
@@ -178,21 +184,15 @@ def from_euclidean(mat_e: np.ndarray, domain: InnerSpace, codomain: InnerSpace) 
     return Operator(domain, codomain, mat)
 
 
-@lru_cache(maxsize=32)
-def _svd(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euclidean SVD of ``a``, read-only: the one decomposition behind pinv, op_norm and the rank."""
-    return tuple(_frozen(x) for x in kernels.jacobi_svd(to_euclidean(a)))
-
-
 def op_norm(a: Operator) -> float:
     """Operator norm induced by the weighted space norms."""
-    s = _svd(a)[1]
+    s = a.svd[1]
     return float(s[0]) if s.size else 0.0
 
 
 def pinv(a: Operator) -> Operator:
     """Moore-Penrose inverse with respect to the weighted inner products."""
-    inv_e, _ = kernels.pinv_svd(*_svd(a))
+    inv_e, _ = kernels.pinv_svd(*a.svd)
     return from_euclidean(inv_e, a.codomain, a.domain)
 
 
@@ -279,7 +279,7 @@ def labrousse_check(a: Operator) -> dict[str, float]:
     out["item3"] = rel_diff(astar.mat @ inv_aas, b.mat @ inv_bsb)
     null_astar = eye2 - a.mat @ b.mat             # projector onto null(a*)
     out["item4"] = rel_diff(inv_aas + inv_bsb, eye2 + null_astar)
-    if kernels.svd_rank(a.mat.shape, _svd(a)[1]) == n2:
+    if kernels.svd_rank(a.mat.shape, a.svd[1]) == n2:
         out["item5"] = rel_diff(inv_aas + inv_bsb, eye2)
 
     half = frac_power(Operator(a.codomain, a.codomain, eye2 + a.mat @ astar.mat), -0.5)
@@ -379,7 +379,7 @@ def random_operator(
             right = rng.standard_normal((target, domain.dim))
             mat = left @ right
         op = Operator(domain, codomain, mat)
-        s = _svd(op)[1]
+        s = op.svd[1]
         if s[0] == 0.0:
             continue
         if s[target - 1] / s[0] >= gap:

@@ -160,20 +160,24 @@ def harmonic_extension(a: Assembly, g) -> np.ndarray:
 
 
 def robin_solve(a: Assembly, g) -> np.ndarray:
-    """Solve G z = R' M_b g: zero-load Robin problem with boundary data g."""
+    """Solve G z = R' M_b g: zero-load Robin problem with boundary data g.
+
+    ``g`` is one (nb,) vector or an (nb, k) block whose columns are solved
+    together; the solution has shape (n_nodes,) or (n_nodes, k).
+    """
     h1, _, _, _ = space_h1partial(a)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (a.M_b.shape[0],):
-        raise DimensionMismatch("boundary data has the wrong length")
+    g = _columns(g, a.M_b.shape[0], "boundary")
     return cho_solve((h1.chol, True), a.R.T @ (a.M_b @ g))
 
 
 def poisson_robin(a: Assembly, f) -> np.ndarray:
-    """Solve G u = M_dom f: source problem with homogeneous Robin boundary."""
+    """Solve G u = M_dom f: source problem with homogeneous Robin boundary.
+
+    ``f`` is one (n_nodes,) vector or an (n_nodes, k) block of sources; the
+    solution has the same shape.
+    """
     h1, _, _, _ = space_h1partial(a)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (a.mesh.n_nodes,):
-        raise DimensionMismatch("source vector has the wrong length")
+    f = _columns(f, a.mesh.n_nodes, "source")
     return cho_solve((h1.chol, True), a.M_dom @ f)
 
 
@@ -197,14 +201,22 @@ def normal_derivative(a: Assembly, z) -> np.ndarray:
     return cho_solve((l2bnd.chol, True), flux[bnd])
 
 
-def green_residual(a: Assembly, z, v) -> float:
-    """|v' K z - <flux(z), v|boundary>_Mb| / max(|z||v|, 1)."""
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
+def green_residual(a: Assembly, z, v) -> float | np.ndarray:
+    """|v' K z - <flux(z), v|boundary>_Mb| / max(|z||v|, 1).
+
+    ``z`` and ``v`` are one (n_nodes,) pair, giving a float, or two
+    (n_nodes, k) blocks paired column by column, giving a (k,) array.
+    """
+    z = _columns(z, a.mesh.n_nodes, "domain")
+    v = _columns(v, a.mesh.n_nodes, "domain")
+    if z.shape != v.shape:
+        raise DimensionMismatch(f"green_residual pairs {z.shape} with {v.shape}")
     w = normal_derivative(a, z)
-    lhs = float(v @ a.K @ z)
-    rhs = float(w @ a.M_b @ (a.R @ v))
-    return abs(lhs - rhs) / max(float(np.linalg.norm(z)) * float(np.linalg.norm(v)), 1.0)
+    lhs = np.sum(v * (a.K @ z), axis=0)
+    rhs = np.sum(w * (a.M_b @ (a.R @ v)), axis=0)
+    scale = np.maximum(np.linalg.norm(z, axis=0) * np.linalg.norm(v, axis=0), 1.0)
+    res = np.abs(lhs - rhs) / scale
+    return float(res) if res.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +307,58 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
+    """P = Lambda R projects onto the discrete-harmonic functions, H1-orthogonally.
+
+    P has rank nb, so every product goes through its n_nodes x nb factor.
+    """
+    h1, _, _, _ = space_h1partial(a)
+    rl = a.R @ lam.mat
+    rec.record("extension_trace_identity", rel_diff(rl, np.eye(rl.shape[0])))
+    rec.record("harmonic_projection", rel_diff(lam.mat @ (rl @ a.R), lam.mat @ a.R))
+    gp = (h1.gram @ lam.mat) @ a.R
+    rec.record(
+        "harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)
+    )
+
+
+def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Generator, trials: int) -> None:
+    """Each solver against its operator-algebra twin, over one block of trials.
+
+    Trial j draws g_j, f_j and f2_j in turn; each family is solved as one block.
+    """
+    nb, nn = a.M_b.shape[0], a.mesh.n_nodes
+    gamma_star = oplab.adjoint(op_trace(a))
+    embed_star = oplab.adjoint(op_embed_domain(a))
+    draws = rng.standard_normal((trials, nb + 2 * nn)).T
+    g, f, f2 = draws[:nb], draws[nb : nb + nn], draws[nb + nn :]
+
+    z = harmonic_extension(a, g)
+    rec.record("harmonic_two_path", _maxabs(z - lam.mat @ g))
+    rec.record("harmonic_projection", _maxabs(lam.mat @ (a.R @ z) - z))
+    rec.record("robin_two_path", _maxabs(robin_solve(a, g) - gamma_star.mat @ g))
+
+    u = poisson_robin(a, f)
+    rec.record("poisson_two_path", _maxabs(u - embed_star.mat @ f))
+    lhs = np.sum(f * (a.M_dom @ poisson_robin(a, f2)), axis=0)
+    rhs = np.sum(f2 * (a.M_dom @ u), axis=0)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    rec.record("poisson_symmetry", _maxabs(np.abs(lhs - rhs) / scale))
+
+
+def _pde_identities(rec: Recorder, a: Assembly, rng: np.random.Generator, samples: int) -> None:
+    """Green's formula and the Robin boundary condition, over one block of samples.
+
+    Sample j draws its boundary data g_j and then its test function v_j.
+    """
+    nb = a.M_b.shape[0]
+    draws = rng.standard_normal((samples, nb + a.mesh.n_nodes)).T
+    g, v = draws[:nb], draws[nb:]
+    rec.record("green_formula", _maxabs(green_residual(a, harmonic_extension(a, g), v)))
+    zr = robin_solve(a, g)
+    rec.record("robin_boundary", _maxabs(normal_derivative(a, zr) + a.R @ zr - g))
+
+
 def suite_pde(
     a: Assembly,
     trials: int = 20,
@@ -304,52 +368,19 @@ def suite_pde(
 ) -> SuiteReport:
     """Solver characterizations: each boundary-value solver against its
     operator-algebra twin, plus the flux/boundary identities.
+
+    The trial population and then the identity population are each drawn
+    with one call and solved as blocks of columns; the dense twins of the
+    trial phase are freed before the identity population is drawn.
     """
     rng = np.random.default_rng(seed)
-    h1, _, l2bnd, _ = space_h1partial(a)
-    nb = l2bnd.dim
-    nn = a.mesh.n_nodes
-    gamma = op_trace(a)
     lam = _trace_pinv(a)
-    gamma_star = oplab.adjoint(gamma)
-    embed_star = oplab.adjoint(op_embed_domain(a))
-
     rec = _recorder("pde", a)
-    rec.record("extension_trace_identity", rel_diff(a.R @ lam.mat, np.eye(nb)))
-    proj = lam.mat @ a.R
-    rec.record("harmonic_projection", rel_diff(proj @ proj, proj))
-    gp = h1.gram @ proj
-    rec.record(
-        "harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)
-    )
-
-    for _ in range(trials):
-        g = rng.standard_normal(nb)
-        z = harmonic_extension(a, g)
-        rec.record("harmonic_two_path", _maxabs(z - lam.apply(g)))
-        rec.record("harmonic_projection", _maxabs(proj @ z - z))
-
-        zr = robin_solve(a, g)
-        rec.record("robin_two_path", _maxabs(zr - gamma_star.apply(g)))
-
-        f = rng.standard_normal(nn)
-        u = poisson_robin(a, f)
-        rec.record("poisson_two_path", _maxabs(u - embed_star.apply(f)))
-        f2 = rng.standard_normal(nn)
-        u2 = poisson_robin(a, f2)
-        lhs = float(f @ a.M_dom @ u2)
-        rhs = float(f2 @ a.M_dom @ u)
-        rec.record("poisson_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-
-    for _ in range(identity_samples):
-        g = rng.standard_normal(nb)
-        z = harmonic_extension(a, g)
-        v = rng.standard_normal(nn)
-        rec.record("green_formula", green_residual(a, z, v))
-
-        zr = robin_solve(a, g)
-        w = normal_derivative(a, zr)
-        rec.record("robin_boundary", _maxabs(w + a.R @ zr - g))
+    _pde_projection(rec, a, lam)
+    if trials:
+        _pde_trials(rec, a, lam, rng, trials)
+    if identity_samples:
+        _pde_identities(rec, a, rng, identity_samples)
 
     # linear coordinate functions are harmonic and representable exactly
     xs = np.ascontiguousarray(a.mesh.nodes[:, 0])
@@ -369,6 +400,19 @@ def suite_pde(
 HHALF_TOLS: dict[str, float] = {
     "proof_identity": 1e-9,
     "energy_split": 1e-10,
+    "x_trace_energy": 1e-10,
+}
+
+# g = x on the boundary is the trace of the harmonic P1 function x, so
+# g' Q_{1/2} g = |g|^2_{L2(bnd)} + |grad x|^2 + |g|^2_{L2(bnd)} = |Omega| + 2 int x^2 ds
+# exactly at every refinement.  Taken from each domain's edges (x = 0 on the
+# left ones); the interval's boundary {0, 1} carries the counting measure.
+X_TRACE_ENERGY: dict[str, float] = {
+    "interval": 1.0 + 2.0 * (0.0 + 1.0),
+    # bottom, right, top
+    "square": 1.0 + 2.0 * (1.0 / 3.0 + 1.0 + 1.0 / 3.0),
+    # bottom, lower right, inner horizontal, inner vertical, top
+    "lshape": 0.75 + 2.0 * (1.0 / 3.0 + 1.0 / 2.0 + 7.0 / 24.0 + 1.0 / 8.0 + 1.0 / 24.0),
 }
 
 
@@ -378,7 +422,8 @@ def suite_hhalf(
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
-    """Order-1/2 characterization: proof identity, exact energy split, and
+    """Order-1/2 characterization: proof identity, exact energy split, the
+    closed-form energy of g = x on the boundary (``X_TRACE_ENERGY``), and
     the comparison against the minimal-extension (trace-quotient) norm.
 
     The quotient Gram is built through the pseudo-inverse route while the
@@ -404,6 +449,9 @@ def suite_hhalf(
         ext = z @ g
         energy = float(ext @ h1.gram @ ext)
         rec.record("energy_split", abs(total - l2_part - energy) / max(total, _TINY))
+
+    xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
+    rec.record("x_trace_energy", abs(float(xb @ q_half.Q @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
 
     quot = a.M_b + lam.mat.T @ h1.gram @ lam.mat
     quot = 0.5 * (quot + quot.T)

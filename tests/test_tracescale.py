@@ -5,6 +5,8 @@ two-path comparisons (direct solve vs operator algebra) and the suite
 residual gates.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -200,6 +202,28 @@ class TestBlockSolvers:
             assert np.abs(w[:, j] - wj).max() <= 1e-13 * max(np.abs(wj).max(), 1.0)
 
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_solver_blocks_equal_columns(self, kind, n, rng):
+        a = asm(kind, n)
+        nb, nn, k = a.mesh.boundary_nodes.size, a.mesh.n_nodes, 4
+        g = rng.standard_normal((nb, k))
+        f = rng.standard_normal((nn, k))
+        zr = tracescale.robin_solve(a, g)
+        u = tracescale.poisson_robin(a, f)
+        # a slightly non-harmonic z, inside the gate, gives a residual well above rounding
+        z = tracescale.harmonic_extension(a, g * [1.0, 10.0, 0.1, 3.0]) + 1e-10 * interior_hat(a)[:, None]
+        green = tracescale.green_residual(a, z, f)
+        assert green.min() > 1e-15
+        assert zr.shape == u.shape == (nn, k) and green.shape == (k,)
+        for j in range(k):
+            zr_j = tracescale.robin_solve(a, g[:, j])
+            u_j = tracescale.poisson_robin(a, f[:, j])
+            green_j = tracescale.green_residual(a, z[:, j], f[:, j])
+            assert isinstance(green_j, float)
+            assert np.abs(zr[:, j] - zr_j).max() <= 1e-13 * max(np.abs(zr_j).max(), 1.0)
+            assert np.abs(u[:, j] - u_j).max() <= 1e-13 * max(np.abs(u_j).max(), 1.0)
+            assert abs(green[j] - green_j) <= 1e-13
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_one_non_harmonic_column_rejected(self, kind, n, rng):
         a = asm(kind, n)
         harmonic = 1e10 * tracescale.harmonic_extension(a, rng.standard_normal((a.mesh.boundary_nodes.size, 2)))
@@ -225,6 +249,20 @@ class TestBlockSolvers:
             tracescale.normal_derivative(a, np.ones((nn - 1, 3)))
         with pytest.raises(DimensionMismatch):
             tracescale.normal_derivative(a, np.ones((3, nn)))
+        for solve, rows in ((tracescale.robin_solve, nb), (tracescale.poisson_robin, nn)):
+            with pytest.raises(DimensionMismatch):
+                solve(a, np.ones((rows + 1, 3)))
+            with pytest.raises(DimensionMismatch):
+                solve(a, np.ones((rows, 3, 1)))
+            with pytest.raises(DimensionMismatch):
+                solve(a, np.ones(()))
+        z = tracescale.harmonic_extension(a, np.ones((nb, 3)))
+        with pytest.raises(DimensionMismatch):
+            tracescale.green_residual(a, z, np.ones((nn - 1, 3)))
+        with pytest.raises(DimensionMismatch):
+            tracescale.green_residual(a, z, np.ones((nn, 2)))
+        with pytest.raises(DimensionMismatch):
+            tracescale.green_residual(a, z[:, 0], np.ones((nn, 1)))
 
 
 class TestGreenResidual:
@@ -448,6 +486,73 @@ class TestSuitePde:
         with pytest.raises(NonFiniteResidual, match=r"pde:interval:1 residual '\w+'"):
             tracescale.suite_pde(asm("interval", 1), trials=2, identity_samples=2)
 
+    def test_solve_count_does_not_grow_with_samples(self, monkeypatch):
+        a = asm("square", 4)
+        tracescale.suite_pde(a, trials=1, identity_samples=1)  # fill the per-assembly caches
+        calls = []
+        original = tracescale.cho_solve
+
+        def counted(*args, **kw):
+            calls.append(args[1].shape)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(tracescale, "cho_solve", counted)
+        counts = []
+        for trials, samples in ((2, 3), (7, 11)):
+            calls.clear()
+            assert tracescale.suite_pde(a, trials=trials, identity_samples=samples, seed=4).passed
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_same_stream_as_per_trial_draws(self, kind, n, monkeypatch):
+        a = asm(kind, n)
+        nb, nn = a.mesh.boundary_nodes.size, a.mesh.n_nodes
+        trials, samples, seed = 3, 5, 21
+        extended, sourced = [], []
+        extension, poisson = tracescale.harmonic_extension, tracescale.poisson_robin
+        monkeypatch.setattr(
+            tracescale, "harmonic_extension", lambda a, g: extended.append(np.array(g)) or extension(a, g)
+        )
+        monkeypatch.setattr(
+            tracescale, "poisson_robin", lambda a, f: sourced.append(np.array(f)) or poisson(a, f)
+        )
+        tracescale.suite_pde(a, trials=trials, identity_samples=samples, seed=seed)
+
+        rng = np.random.default_rng(seed)
+        g_trial, f_trial, f2_trial, g_ident = [], [], [], []
+        for _ in range(trials):
+            g_trial.append(rng.standard_normal(nb))
+            f_trial.append(rng.standard_normal(nn))
+            f2_trial.append(rng.standard_normal(nn))
+        for _ in range(samples):
+            g_ident.append(rng.standard_normal(nb))
+            rng.standard_normal(nn)
+        assert np.array_equal(extended[0], np.column_stack(g_trial))
+        assert np.array_equal(extended[1], np.column_stack(g_ident))
+        assert np.array_equal(sourced[0], np.column_stack(f_trial))
+        assert np.array_equal(sourced[1], np.column_stack(f2_trial))
+
+    def test_nan_in_one_robin_column_raises(self, monkeypatch):
+        original = tracescale.robin_solve
+        calls = []
+
+        def planted(a, g):
+            z = original(a, g)
+            if not calls:  # the trial population's block
+                z[:, 1] = np.nan
+            calls.append(z.shape)
+            return z
+
+        monkeypatch.setattr(tracescale, "robin_solve", planted)
+        with pytest.raises(NonFiniteResidual, match=r"pde:square:4 residual 'robin_two_path'"):
+            tracescale.suite_pde(asm("square", 4), trials=3, identity_samples=4)
+        assert calls[0] == (25, 3)
+
+    def test_empty_population_records_no_gate(self):
+        rep = tracescale.suite_pde(asm("square", 2), trials=0, identity_samples=0)
+        assert set(rep.residuals) == {"extension_trace_identity", "harmonic_projection", "linear_reproduction"}
+
 
 class TestSuiteHhalf:
     def test_interval_exact_split(self):
@@ -458,6 +563,7 @@ class TestSuiteHhalf:
         assert c["split_total"] == 3.0
         assert c["split_l2"] == 1.0
         assert c["split_extension"] == pytest.approx(2.0, abs=1e-13)
+        assert rep.residuals["x_trace_energy"] <= 1e-15
 
     @pytest.mark.parametrize("kind", ["square", "lshape"])
     def test_two_dim_gates(self, kind):
@@ -465,9 +571,52 @@ class TestSuiteHhalf:
         assert rep.passed
         assert rep.residuals["proof_identity"] <= 1e-9
         assert rep.residuals["energy_split"] <= 1e-10
+        assert rep.residuals["x_trace_energy"] <= 1e-13
         # both routes build the same norm, so the constants sit at 1
         assert rep.constants["quotient_cmin"] == pytest.approx(1.0, abs=1e-6)
         assert rep.constants["quotient_cmax"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("kind,mutant", [("interval", 2.5), ("square", 3.5), ("lshape", 43.0 / 16.0)])
+    def test_halved_robin_gram_fails_x_trace_energy(self, kind, mutant, monkeypatch):
+        # K + R' M_b R / 2 in place of the combined H1 Gram: S and Q_{1/2} follow it,
+        # so energy_split still holds, but the closed-form energy does not
+        a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached S holds the true Gram
+
+        def halved(asm_):
+            _, l2dom, l2bnd, h1bnd = fem2d.space_h1partial(asm_)
+            g = asm_.K + 0.5 * asm_.R.T @ asm_.M_b @ asm_.R
+            return oplab.make_space(asm_.mesh.n_nodes, g), l2dom, l2bnd, h1bnd
+
+        monkeypatch.setattr(tracescale, "space_h1partial", halved)
+        rep = tracescale.suite_hhalf(a, trials=3)
+        assert rep.verdicts["energy_split"] and not rep.verdicts["x_trace_energy"]
+        exact = tracescale.X_TRACE_ENERGY[kind]
+        assert rep.residuals["x_trace_energy"] == pytest.approx(abs(mutant / exact - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind,exact", [("interval", 3.0), ("square", 13.0 / 3.0), ("lshape", 10.0 / 3.0)])
+    def test_x_trace_energy_closed_form(self, kind, exact):
+        assert tracescale.X_TRACE_ENERGY[kind] == pytest.approx(exact, rel=1e-15)
+        for n in (2, 8):
+            a = asm(kind, n)
+            x = a.mesh.nodes[a.mesh.boundary_nodes, 0]
+            assert x @ tracescale.hs_gram(a, 0.5).Q @ x == pytest.approx(exact, rel=1e-13)
+
+
+class TestTracePinv:
+    def test_trace_operator_dies_after_trace_pinv(self, monkeypatch):
+        # the trace operator's SVD lives on the operator, so neither outlives the pinv
+        refs = []
+
+        def op_trace(a):
+            op = fem2d.op_trace(a)
+            refs.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(tracescale, "op_trace", op_trace)
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so _trace_pinv runs
+        lam = tracescale._trace_pinv(a)
+        assert len(refs) == 1 and refs[0]() is None
+        assert np.abs(a.R @ lam.mat - np.eye(16)).max() <= 1e-12
 
 
 class TestSuiteH1:
