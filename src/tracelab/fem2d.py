@@ -4,13 +4,15 @@ boundary-aware H1 geometry.
 Three mesh kinds: the unit interval, the unit square, and the L-shape
 (unit square minus its upper-right quarter).  Assembly produces dense
 stiffness/mass matrices for the domain, arclength mass/stiffness matrices
-for the boundary polygon, and the 0/1 boundary restriction matrix.
+for the boundary polygon, and the 0/1 boundary restriction matrix.  The
+domain stiffness and mass are also held as their few nonzero diagonals
+(``Band``), which is what the solvers multiply with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +49,35 @@ class Mesh:
 
 
 @dataclass(frozen=True, eq=False)
+class Band:
+    """A symmetric matrix held as its nonzero diagonals.
+
+    ``offsets`` ascend from 0; ``diags[k]`` holds the entries (i, i + offsets[k]),
+    which equal the entries (i + offsets[k], i).
+    """
+
+    offsets: tuple[int, ...]
+    diags: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, mat: np.ndarray, offsets) -> Band:
+        """The diagonals of ``mat`` at ``offsets`` (0 first), all-zero ones dropped."""
+        diags = {int(d): _frozen(np.diagonal(mat, d), float) for d in offsets}
+        kept = [d for d, v in diags.items() if d == 0 or np.any(v)]
+        return cls(offsets=tuple(kept), diags=tuple(diags[d] for d in kept))
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The product with one vector or with a block of columns."""
+        x = np.asarray(x, dtype=float)
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        out = self.diags[0][col] * x
+        for d, v in zip(self.offsets[1:], self.diags[1:]):
+            out[:-d] += v[col] * x[d:]
+            out[d:] += v[col] * x[:-d]
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class Assembly:
     """Dense P1 matrices for one mesh.
 
@@ -54,6 +85,7 @@ class Assembly:
     mass in arclength (identity for the interval's two-point boundary).
     K_b: tangential boundary stiffness (zero for the interval).  R: 0/1
     restriction onto boundary nodes, shape (len(boundary), n_nodes).
+    K_band and M_band hold K and M_dom by their diagonals.
     """
 
     mesh: Mesh
@@ -62,6 +94,20 @@ class Assembly:
     M_b: np.ndarray
     K_b: np.ndarray
     R: np.ndarray
+
+    @cached_property
+    def K_band(self) -> Band:
+        return Band.of(self.K, _offsets(self.mesh))
+
+    @cached_property
+    def M_band(self) -> Band:
+        return Band.of(self.M_dom, _offsets(self.mesh))
+
+
+def _offsets(mesh: Mesh) -> np.ndarray:
+    """Every |i - j| over node pairs sharing an element: the diagonals that can be nonzero."""
+    el = mesh.elements
+    return np.unique(np.abs(el[:, :, None] - el[:, None, :]))
 
 
 def _interval_mesh(n: int) -> Mesh:
@@ -156,18 +202,21 @@ def _lshape_mesh(n: int) -> Mesh:
     )
 
 
+def _edge_keys(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    """One integer per undirected edge: min * n_nodes + max."""
+    pairs = np.sort(pairs, axis=1)
+    return pairs[:, 0] * n_nodes + pairs[:, 1]
+
+
 def _validate_mesh(mesh: Mesh) -> None:
     # 2-d: every loop edge must belong to exactly one triangle, and vice versa
     if mesh.kind == "interval":
         return
-    counts: dict[tuple[int, int], int] = {}
-    for tri in mesh.elements:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    single = {edge for edge, c in counts.items() if c == 1}
-    loop_edges = {(min(a, b), max(a, b)) for a, b in mesh.boundary_edges}
-    if single != loop_edges:
+    tris = mesh.elements
+    sides = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    keys, counts = np.unique(_edge_keys(sides, mesh.n_nodes), return_counts=True)
+    loop = np.unique(_edge_keys(mesh.boundary_edges, mesh.n_nodes))
+    if not np.array_equal(keys[counts == 1], loop):
         raise BadParameter("boundary loop disagrees with the element skeleton")
 
 
@@ -257,14 +306,28 @@ def assemble(mesh: Mesh) -> Assembly:
     nb = mesh.boundary_nodes.size
     r = np.zeros((nb, mesh.n_nodes))
     r[np.arange(nb), mesh.boundary_nodes] = 1.0
-    return Assembly(
-        mesh=mesh,
-        K=_frozen(k, float),
-        M_dom=_frozen(m, float),
-        M_b=_frozen(m_b, float),
-        K_b=_frozen(k_b, float),
-        R=_frozen(r, float),
-    )
+    mats = {"K": k, "M_dom": m, "M_b": m_b, "K_b": k_b, "R": r}
+    for mat in mats.values():
+        mat.setflags(write=False)  # fresh float arrays: frozen in place, not copied
+    return Assembly(mesh=mesh, **mats)
+
+
+def _spaces(*dims_and_grams) -> tuple[InnerSpace, ...]:
+    try:
+        return tuple(make_space(dim, gram) for dim, gram in dims_and_grams)
+    except NotPositiveDefinite as exc:
+        raise GramNotPD(str(exc)) from exc
+
+
+@lru_cache(maxsize=32)
+def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
+    """The two boundary coefficient spaces of one assembly.
+
+    Returns (boundary L2 space with Gram M_b, boundary H1 space with Gram
+    M_b + K_b).  Both are nb x nb, so nothing of domain size is built.
+    """
+    nb = a.M_b.shape[0]
+    return _spaces((nb, a.M_b), (nb, a.M_b + a.K_b))
 
 
 @lru_cache(maxsize=32)
@@ -272,17 +335,13 @@ def space_h1partial(a: Assembly) -> tuple[InnerSpace, InnerSpace, InnerSpace, In
     """The four coefficient spaces attached to one assembly.
 
     Returns (combined H1 space with Gram K + R' M_b R, domain L2 space,
-    boundary L2 space, boundary H1 space with Gram M_b + K_b).
+    boundary L2 space, boundary H1 space with Gram M_b + K_b).  The two
+    boundary spaces are the very objects of ``boundary_spaces``; the two
+    n_nodes x n_nodes spaces are only for the operator-algebra twins.
     """
+    l2bnd, h1bnd = boundary_spaces(a)
     g = a.K + a.R.T @ a.M_b @ a.R
-    nb = a.M_b.shape[0]
-    try:
-        h1 = make_space(a.mesh.n_nodes, g)
-        l2dom = make_space(a.mesh.n_nodes, a.M_dom)
-        l2bnd = make_space(nb, a.M_b)
-        h1bnd = make_space(nb, a.M_b + a.K_b)
-    except NotPositiveDefinite as exc:
-        raise GramNotPD(str(exc)) from exc
+    h1, l2dom = _spaces((a.mesh.n_nodes, g), (a.mesh.n_nodes, a.M_dom))
     return h1, l2dom, l2bnd, h1bnd
 
 
@@ -303,7 +362,7 @@ def op_embed_boundary(a: Assembly) -> tuple[Operator, Operator]:
 
     Returns (u, v): u goes H1(boundary) -> L2(boundary), v the other way.
     """
-    _, _, l2bnd, h1bnd = space_h1partial(a)
+    l2bnd, h1bnd = boundary_spaces(a)
     nb = l2bnd.dim
     return Operator(h1bnd, l2bnd, np.eye(nb)), Operator(l2bnd, h1bnd, np.eye(nb))
 

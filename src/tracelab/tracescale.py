@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded, solve
 
 from . import oplab
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     SolveFailure,
     ZeroVector,
 )
-from .fem2d import Assembly, op_embed_boundary, op_embed_domain, op_trace, space_h1partial
+from .fem2d import Assembly, boundary_spaces, op_embed_boundary, op_trace, space_h1partial
 from .kernels import gen_eigh, jacobi_svd
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
@@ -77,12 +77,36 @@ def _partition(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _interior_chol(a: Assembly) -> np.ndarray:
+    """Banded Cholesky factor of the interior stiffness block K_ii.
+
+    Stored in the lower form of ``scipy.linalg.cholesky_banded``: row d
+    holds the d-th subdiagonal, so the shape is (bw + 1, n_interior) for
+    the interior bandwidth bw.  The band is filled from the nonzero
+    diagonals of K, whose offsets come from the element connectivity;
+    Cholesky fill stays inside it, so no n_interior^2 array is made.
+    """
     _, interior = _partition(a)
-    kii = a.K[np.ix_(interior, interior)]
+    pos = np.full(a.mesh.n_nodes, -1)
+    pos[interior] = np.arange(interior.size)
+    rows, cols, vals = [], [], []
+    for d, v in zip(a.K_band.offsets, a.K_band.diags):
+        i = np.arange(v.size)
+        keep = (pos[i] >= 0) & (pos[i + d] >= 0) & (v != 0.0)
+        rows.append(pos[i + d][keep] - pos[i][keep])
+        cols.append(pos[i][keep])
+        vals.append(v[keep])
+    rows = np.concatenate(rows)
+    ab = np.zeros((int(rows.max()) + 1, interior.size))
+    ab[rows, np.concatenate(cols)] = np.concatenate(vals)
     try:
-        return np.linalg.cholesky(kii)
+        return cholesky_banded(ab, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure("interior stiffness block is singular") from exc
+
+
+def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
+    """K_ii^-1 rhs for one vector or a block of interior right-hand sides."""
+    return cho_solve_banded((_interior_chol(a), True), rhs)
 
 
 @lru_cache(maxsize=32)
@@ -101,20 +125,35 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
     z = np.zeros((a.mesh.n_nodes, bnd.size))
     z[bnd, np.arange(bnd.size)] = 1.0
     if interior.size:
-        z[interior] = cho_solve((_interior_chol(a), True), -_coupling(a))
+        z[interior] = _interior_solve(a, -_coupling(a))
     z.setflags(write=False)
     return z
 
 
 @lru_cache(maxsize=32)
-def _s_operator(a: Assembly) -> Operator:
-    """S on boundary L2: M_b S = Z' G Z for the extension matrix Z."""
-    h1, _, l2bnd, _ = space_h1partial(a)
-    z = _extension_matrix(a)
-    mbs = z.T @ h1.gram @ z
+def _schur(a: Assembly) -> np.ndarray:
+    """M_b S = M_b + K_bb + K_bi Z_i: the Schur complement of the combined
+    H1 Gram onto the boundary, from the stiffness blocks and the extension
+    matrix Z (K_ii Z_i = -K_ib), never from the Gram itself."""
+    bnd, interior = _partition(a)
+    mbs = a.M_b + a.K[np.ix_(bnd, bnd)]
+    if interior.size:
+        mbs = mbs + _coupling(a).T @ _extension_matrix(a)[interior]
     mbs = 0.5 * (mbs + mbs.T)
-    s_mat = cho_solve((l2bnd.chol, True), mbs)
-    return Operator(l2bnd, l2bnd, s_mat)
+    mbs.setflags(write=False)
+    return mbs
+
+
+def _schur_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
+    """(M_b S)^-1 rhs for one vector or a block of boundary right-hand sides."""
+    return solve(_schur(a), rhs, assume_a="pos")
+
+
+@lru_cache(maxsize=32)
+def _s_operator(a: Assembly) -> Operator:
+    """S on boundary L2, from the Schur complement: S = M_b^-1 (M_b S)."""
+    l2bnd, _ = boundary_spaces(a)
+    return Operator(l2bnd, l2bnd, cho_solve((l2bnd.chol, True), _schur(a)))
 
 
 @lru_cache(maxsize=32)
@@ -150,12 +189,16 @@ def harmonic_extension(a: Assembly, g) -> np.ndarray:
     entries are copied verbatim; interior entries solve the interior
     stiffness equations (discrete harmonicity).
     """
+    return _extend(a, _columns(g, a.M_b.shape[0], "boundary"))
+
+
+def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
+    """harmonic_extension of boundary values already checked by ``_columns``."""
     bnd, interior = _partition(a)
-    g = _columns(g, bnd.size, "boundary")
     z = np.zeros((a.mesh.n_nodes,) + g.shape[1:])
     z[bnd] = g
     if interior.size:
-        z[interior] = cho_solve((_interior_chol(a), True), -_coupling(a) @ g)
+        z[interior] = _interior_solve(a, -_coupling(a) @ g)
     return z
 
 
@@ -163,22 +206,31 @@ def robin_solve(a: Assembly, g) -> np.ndarray:
     """Solve G z = R' M_b g: zero-load Robin problem with boundary data g.
 
     ``g`` is one (nb,) vector or an (nb, k) block whose columns are solved
-    together; the solution has shape (n_nodes,) or (n_nodes, k).
+    together; the solution has shape (n_nodes,) or (n_nodes, k).  Solved by
+    static condensation: with no interior load z is harmonic, and its
+    boundary values solve M_b S z_b = M_b g, so z = harmonic_extension(S^-1 g).
     """
-    h1, _, _, _ = space_h1partial(a)
     g = _columns(g, a.M_b.shape[0], "boundary")
-    return cho_solve((h1.chol, True), a.R.T @ (a.M_b @ g))
+    return _extend(a, _schur_solve(a, a.M_b @ g))
 
 
 def poisson_robin(a: Assembly, f) -> np.ndarray:
     """Solve G u = M_dom f: source problem with homogeneous Robin boundary.
 
     ``f`` is one (n_nodes,) vector or an (n_nodes, k) block of sources; the
-    solution has the same shape.
+    solution has the same shape.  Solved by static condensation: y = K_ii^-1
+    b_i for the load b = M_dom f, then M_b S u_b = b_b - K_bi y on the
+    boundary, and u = y + Z u_b for the extension matrix Z.
     """
-    h1, _, _, _ = space_h1partial(a)
     f = _columns(f, a.mesh.n_nodes, "source")
-    return cho_solve((h1.chol, True), a.M_dom @ f)
+    bnd, interior = _partition(a)
+    load = a.M_band @ f
+    u = np.zeros_like(load)
+    rhs = load[bnd]
+    if interior.size:
+        u[interior] = _interior_solve(a, load[interior])
+        rhs = rhs - _coupling(a).T @ u[interior]
+    return u + _extension_matrix(a) @ _schur_solve(a, rhs)
 
 
 def normal_derivative(a: Assembly, z) -> np.ndarray:
@@ -192,12 +244,12 @@ def normal_derivative(a: Assembly, z) -> np.ndarray:
     """
     z = _columns(z, a.mesh.n_nodes, "domain")
     bnd, interior = _partition(a)
-    flux = a.K @ z
+    flux = a.K_band @ z
     if interior.size:
         gate = HARMONIC_GATE * np.linalg.norm(z, axis=0)
         if np.any(np.linalg.norm(flux[interior], axis=0) > gate):
             raise NotHarmonic("interior residual exceeds the harmonicity gate")
-    _, _, l2bnd, _ = space_h1partial(a)
+    l2bnd, _ = boundary_spaces(a)
     return cho_solve((l2bnd.chol, True), flux[bnd])
 
 
@@ -212,7 +264,7 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
     if z.shape != v.shape:
         raise DimensionMismatch(f"green_residual pairs {z.shape} with {v.shape}")
     w = normal_derivative(a, z)
-    lhs = np.sum(v * (a.K @ z), axis=0)
+    lhs = np.sum(v * (a.K_band @ z), axis=0)
     rhs = np.sum(w * (a.M_b @ (a.R @ v)), axis=0)
     scale = np.maximum(np.linalg.norm(z, axis=0) * np.linalg.norm(v, axis=0), 1.0)
     res = np.abs(lhs - rhs) / scale
@@ -225,7 +277,7 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
 
 @lru_cache(maxsize=128)
 def _hs_gram_cached(a: Assembly, s: float) -> NormMatrix:
-    _, _, l2bnd, _ = space_h1partial(a)
+    l2bnd, _ = boundary_spaces(a)
     if s == 0.0:
         return NormMatrix(space=l2bnd, s=0.0, Q=a.M_b)
     two_s = 2.0 * s
@@ -328,8 +380,8 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
     Trial j draws g_j, f_j and f2_j in turn; each family is solved as one block.
     """
     nb, nn = a.M_b.shape[0], a.mesh.n_nodes
+    h1, _, _, _ = space_h1partial(a)
     gamma_star = oplab.adjoint(op_trace(a))
-    embed_star = oplab.adjoint(op_embed_domain(a))
     draws = rng.standard_normal((trials, nb + 2 * nn)).T
     g, f, f2 = draws[:nb], draws[nb : nb + nn], draws[nb + nn :]
 
@@ -339,9 +391,11 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
     rec.record("robin_two_path", _maxabs(robin_solve(a, g) - gamma_star.mat @ g))
 
     u = poisson_robin(a, f)
-    rec.record("poisson_two_path", _maxabs(u - embed_star.mat @ f))
-    lhs = np.sum(f * (a.M_dom @ poisson_robin(a, f2)), axis=0)
-    rhs = np.sum(f2 * (a.M_dom @ u), axis=0)
+    # the twin is the adjoint G^-1 M_dom of the embedding H1 -> L2(domain),
+    # applied to the block through the Gram's own factor and the dense mass
+    rec.record("poisson_two_path", _maxabs(u - cho_solve((h1.chol, True), a.M_dom @ f)))
+    lhs = np.sum(f * (a.M_band @ poisson_robin(a, f2)), axis=0)
+    rhs = np.sum(f2 * (a.M_band @ u), axis=0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rec.record("poisson_symmetry", _maxabs(np.abs(lhs - rhs) / scale))
 
@@ -491,7 +545,7 @@ def suite_h1(
     """Order-1 characterization: resolvent identity, the scale-vs-boundary-FEM
     comparison, and the two mutually inverse bridge operators.
     """
-    h1, _, l2bnd, _ = space_h1partial(a)
+    l2bnd, _ = boundary_spaces(a)
     nb = l2bnd.dim
     eye = np.eye(nb)
     s_mat = _s_operator(a).mat
@@ -577,19 +631,17 @@ def necas_constants(
     the sources.  A sample whose ratio is not finite counts as a failure.
     """
     rng = np.random.default_rng(seed)
-    _, _, l2bnd, _ = space_h1partial(a)
+    l2bnd, h1bnd = boundary_spaces(a)
     bnd, interior = _partition(a)
     nb = l2bnd.dim
-    h1_dom = a.K + a.M_dom
-    h1_bnd = a.M_b + a.K_b
     eye_s = np.eye(nb) + _s_operator(a).mat
 
     def harmonic_ratios(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = harmonic_extension(a, g)
         w = normal_derivative(a, u)
-        dom_sq = _colquad(u, h1_dom)
+        dom_sq = np.einsum("ij,ij->j", u, a.K_band @ u + a.M_band @ u)
         flux_sq = _colquad(w, a.M_b)
-        trace_sq = _colquad(g, h1_bnd)
+        trace_sq = _colquad(g, h1bnd.gram)
         r1 = np.sqrt(trace_sq) / np.sqrt(dom_sq + flux_sq)
         r2 = np.sqrt(flux_sq) / np.sqrt(dom_sq + trace_sq)
         return r1, r2
@@ -604,12 +656,12 @@ def necas_constants(
         constants[f"trace_{name}_max"] = _running_max(r1)
         constants[f"flux_{name}_max"] = _running_max(r2)
 
-    load = a.M_dom @ f
+    load = a.M_band @ f
     u0 = np.zeros_like(f)
     if interior.size:
-        u0[interior] = cho_solve((_interior_chol(a), True), load[interior])
+        u0[interior] = _interior_solve(a, load[interior])
     # weak flux of the source problem keeps the volume correction
-    w0 = cho_solve((l2bnd.chol, True), a.K[bnd] @ u0 - load[bnd])
+    w0 = cho_solve((l2bnd.chol, True), (a.K_band @ u0)[bnd] - load[bnd])
     f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
     sourced = f_norm > 0.0
     ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]

@@ -1,5 +1,7 @@
 """Meshes and P1 assemblies: frozen hand values plus geometric invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -96,6 +98,52 @@ class TestGenMesh:
             assert (lengths > 0).all()
         else:
             assert all(tri_area(m.nodes, el) > 0 for el in m.elements)
+
+
+def loop_skeleton_agrees(mesh):
+    """The element-by-element check the vectorized validation replaced: do the
+    triangle sides owned by one triangle form exactly the set of loop edges?"""
+    counts = {}
+    for tri in mesh.elements.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    single = {edge for edge, c in counts.items() if c == 1}
+    return single == {(min(a, b), max(a, b)) for a, b in mesh.boundary_edges.tolist()}
+
+
+class TestValidateMesh:
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    def test_matches_loop_reference(self, kind, rng):
+        m = fem2d.gen_mesh(kind, 4)
+        for _ in range(40):
+            edges = m.boundary_edges.copy()
+            edges[rng.integers(len(edges)), rng.integers(2)] = rng.integers(m.n_nodes)
+            bad = dataclasses.replace(m, boundary_edges=edges)
+            if loop_skeleton_agrees(bad):
+                fem2d._validate_mesh(bad)
+            else:
+                with pytest.raises(BadParameter):
+                    fem2d._validate_mesh(bad)
+
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    def test_broken_loop_edge_rejected(self, kind):
+        m = fem2d.gen_mesh(kind, 4)
+        edges = m.boundary_edges.copy()
+        edges[3, 1] = m.boundary_nodes[6]  # no triangle side joins these two nodes
+        with pytest.raises(BadParameter, match="element skeleton"):
+            fem2d._validate_mesh(dataclasses.replace(m, boundary_edges=edges))
+
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    def test_missing_loop_edge_rejected(self, kind):
+        m = fem2d.gen_mesh(kind, 4)
+        with pytest.raises(BadParameter, match="element skeleton"):
+            fem2d._validate_mesh(dataclasses.replace(m, boundary_edges=m.boundary_edges[1:]))
+
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    def test_edge_orientation_ignored(self, kind):
+        m = fem2d.gen_mesh(kind, 4)
+        fem2d._validate_mesh(dataclasses.replace(m, boundary_edges=m.boundary_edges[::-1, ::-1].copy()))
 
 
 def looped_assembly(mesh):
@@ -226,6 +274,38 @@ class TestAssemble:
             fem2d.assemble(bad)
 
 
+class TestBands:
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_products_match_dense(self, kind, n, rng):
+        a = asm(kind, n)
+        for band, dense in ((a.K_band, a.K), (a.M_band, a.M_dom)):
+            for x in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 5))):
+                ref = dense @ x
+                got = band @ x
+                assert got.shape == ref.shape
+                assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "kind,n,k_offsets,m_offsets",
+        [
+            ("interval", 4, (0, 1), (0, 1)),
+            # the diagonal of each grid cell carries mass but no stiffness
+            ("square", 4, (0, 1, 5), (0, 1, 5, 6)),
+            # rows above the notch are 3 nodes wide, rows below it 5
+            ("lshape", 4, (0, 1, 3, 5), (0, 1, 3, 4, 5, 6)),
+        ],
+    )
+    def test_offsets_from_connectivity(self, kind, n, k_offsets, m_offsets):
+        a = asm(kind, n)
+        assert a.K_band.offsets == k_offsets
+        assert a.M_band.offsets == m_offsets
+        for band, dense in ((a.K_band, a.K), (a.M_band, a.M_dom)):
+            for d, v in zip(band.offsets, band.diags):
+                assert np.array_equal(v, np.diagonal(dense, d))
+            idx = np.arange(dense.shape[0])
+            assert not dense[~np.isin(np.abs(np.subtract.outer(idx, idx)), band.offsets)].any()
+
+
 class TestSpaces:
     def test_interval_combined_gram(self):
         h1, l2dom, l2bnd, h1bnd = fem2d.space_h1partial(asm("interval", 1))
@@ -246,6 +326,15 @@ class TestSpaces:
     def test_square_gram_spectral_floor(self):
         h1 = fem2d.space_h1partial(asm("square", 8))[0]
         assert np.linalg.eigvalsh(h1.gram).min() > 1e-4
+
+    @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
+    def test_boundary_spaces_shared(self, kind):
+        a = fem2d.assemble(fem2d.gen_mesh(kind, 4))
+        l2bnd, h1bnd = fem2d.boundary_spaces(a)
+        assert np.array_equal(l2bnd.gram, a.M_b)
+        assert np.array_equal(h1bnd.gram, a.M_b + a.K_b)
+        _, _, l2bnd_4, h1bnd_4 = fem2d.space_h1partial(a)
+        assert l2bnd_4 is l2bnd and h1bnd_4 is h1bnd
 
     def test_bad_assembly_flagged(self):
         m = fem2d.gen_mesh("interval", 1)

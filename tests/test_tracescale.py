@@ -147,6 +147,44 @@ class TestPoissonRobin:
             tracescale.poisson_robin(asm("interval", 4), np.ones(2))
 
 
+def dense_g_solve(a, rhs):
+    """G^-1 rhs for the combined H1 Gram G = K + R' M_b R, by a plain dense solve."""
+    return np.linalg.solve(a.K + a.R.T @ a.M_b @ a.R, rhs)
+
+
+class TestStaticCondensation:
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE + [("square", 8), ("lshape", 8)])
+    def test_agrees_with_dense_gram_solve(self, kind, n, rng):
+        a = asm(kind, n)
+        g = rng.standard_normal((a.mesh.boundary_nodes.size, 3))
+        f = rng.standard_normal((a.mesh.n_nodes, 3))
+        for got, ref in (
+            (tracescale.robin_solve(a, g), dense_g_solve(a, a.R.T @ a.M_b @ g)),
+            (tracescale.poisson_robin(a, f), dense_g_solve(a, a.M_dom @ f)),
+        ):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a: tracescale.robin_solve(a, np.ones(16)),
+            lambda a: tracescale.poisson_robin(a, np.ones(25)),
+            lambda a: tracescale.necas_constants(a, n_samples=5),
+            lambda a: tracescale.suite_interp(a, trials=3),
+            lambda a: tracescale.suite_dual(a),
+        ],
+        ids=["robin_solve", "poisson_robin", "necas", "interp", "dual"],
+    )
+    def test_builds_no_domain_space(self, run, monkeypatch):
+        # only the operator-algebra twins need the n_nodes x n_nodes H1 and L2 spaces
+        def refuse(a):
+            raise AssertionError("space_h1partial called")
+
+        monkeypatch.setattr(tracescale, "space_h1partial", refuse)
+        monkeypatch.setattr(fem2d, "space_h1partial", refuse)
+        run(fem2d.assemble(fem2d.gen_mesh("square", 4)))  # fresh, so nothing is cached
+
+
 class TestNormalDerivative:
     def test_constants_have_zero_flux(self):
         a = asm("square", 4)
@@ -311,6 +349,24 @@ class TestProjectionIdentities:
         # fixes everything that passes the harmonicity gate
         z = tracescale.harmonic_extension(a, rng.standard_normal(16))
         assert np.abs(proj @ z - z).max() <= 1e-8
+
+
+class TestInteriorFactor:
+    def test_banded_shape_square(self):
+        # the interior of the 17 x 17 grid is 15 x 15: K_ii has bandwidth 15
+        a = fem2d.assemble(fem2d.gen_mesh("square", 16))
+        assert tracescale._interior_chol(a).shape == (16, 225)
+
+    @pytest.mark.parametrize("kind,n", [("interval", 2), ("interval", 8), ("square", 4), ("lshape", 8)])
+    def test_factor_reproduces_interior_block(self, kind, n):
+        a = asm(kind, n)
+        interior = np.setdiff1d(np.arange(a.mesh.n_nodes), a.mesh.boundary_nodes)
+        band = tracescale._interior_chol(a)
+        low = np.zeros((interior.size, interior.size))
+        for d in range(band.shape[0]):
+            low += np.diag(band[d, : interior.size - d], -d)
+        kii = a.K[np.ix_(interior, interior)]
+        assert np.abs(low @ low.T - kii).max() <= 1e-13 * np.abs(kii).max()
 
 
 class TestHsGram:
@@ -490,13 +546,16 @@ class TestSuitePde:
         a = asm("square", 4)
         tracescale.suite_pde(a, trials=1, identity_samples=1)  # fill the per-assembly caches
         calls = []
-        original = tracescale.cho_solve
 
-        def counted(*args, **kw):
-            calls.append(args[1].shape)
-            return original(*args, **kw)
+        def counting(original):
+            def counted(*args, **kw):
+                calls.append(args[1].shape)
+                return original(*args, **kw)
 
-        monkeypatch.setattr(tracescale, "cho_solve", counted)
+            return counted
+
+        for name in ("cho_solve", "cho_solve_banded", "solve"):
+            monkeypatch.setattr(tracescale, name, counting(getattr(tracescale, name)))
         counts = []
         for trials, samples in ((2, 3), (7, 11)):
             calls.clear()
@@ -576,20 +635,42 @@ class TestSuiteHhalf:
         assert rep.constants["quotient_cmin"] == pytest.approx(1.0, abs=1e-6)
         assert rep.constants["quotient_cmax"] == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("kind,mutant", [("interval", 2.5), ("square", 3.5), ("lshape", 43.0 / 16.0)])
-    def test_halved_robin_gram_fails_x_trace_energy(self, kind, mutant, monkeypatch):
-        # K + R' M_b R / 2 in place of the combined H1 Gram: S and Q_{1/2} follow it,
-        # so energy_split still holds, but the closed-form energy does not
-        a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached S holds the true Gram
+    @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
+    def test_halved_robin_in_gram_fails_three_suites(self, kind, monkeypatch):
+        # K + R' M_b R / 2 in place of the combined H1 Gram, wherever the Gram is read.
+        # S comes from the stiffness blocks, so every G route now disagrees with its
+        # K-block twin; the closed-form energy, which reads no G, still holds
+        a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached object holds the true Gram
+        original = fem2d.space_h1partial
 
         def halved(asm_):
-            _, l2dom, l2bnd, h1bnd = fem2d.space_h1partial(asm_)
+            _, l2dom, l2bnd, h1bnd = original(asm_)
             g = asm_.K + 0.5 * asm_.R.T @ asm_.M_b @ asm_.R
             return oplab.make_space(asm_.mesh.n_nodes, g), l2dom, l2bnd, h1bnd
 
+        monkeypatch.setattr(fem2d, "space_h1partial", halved)
         monkeypatch.setattr(tracescale, "space_h1partial", halved)
+        hhalf = tracescale.suite_hhalf(a, trials=3)
+        assert not hhalf.verdicts["energy_split"] and hhalf.verdicts["x_trace_energy"]
+        assert not tracescale.suite_h1(a).verdicts["resolvent_identity"]
+        pde = tracescale.suite_pde(a, trials=3, identity_samples=3)
+        assert not pde.verdicts["robin_two_path"] and not pde.verdicts["poisson_two_path"]
+
+    @pytest.mark.parametrize("kind,mutant", [("interval", 2.5), ("square", 3.5), ("lshape", 43.0 / 16.0)])
+    def test_halved_robin_gram_fails_x_trace_energy(self, kind, mutant, monkeypatch):
+        # the Robin term R' M_b R of G is the M_b term of its Schur complement
+        # M_b S = M_b + K_bb + K_bi Z_i; halved there, S loses I/2 and g' Q_{1/2} g
+        # drops by half the boundary L2 norm of g
+        a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached scale holds the true S
+        original = tracescale._s_operator
+
+        def halved(asm_):
+            s_op = original(asm_)
+            return oplab.Operator(s_op.domain, s_op.codomain, s_op.mat - 0.5 * np.eye(s_op.domain.dim))
+
+        monkeypatch.setattr(tracescale, "_s_operator", halved)
         rep = tracescale.suite_hhalf(a, trials=3)
-        assert rep.verdicts["energy_split"] and not rep.verdicts["x_trace_energy"]
+        assert not rep.verdicts["x_trace_energy"]
         exact = tracescale.X_TRACE_ENERGY[kind]
         assert rep.residuals["x_trace_energy"] == pytest.approx(abs(mutant / exact - 1.0), rel=1e-12)
 
