@@ -2,17 +2,18 @@
 boundary-aware H1 geometry.
 
 Three mesh kinds: the unit interval, the unit square, and the L-shape
-(unit square minus its upper-right quarter).  Assembly produces dense
-stiffness/mass matrices for the domain, arclength mass/stiffness matrices
-for the boundary polygon, and the 0/1 boundary restriction matrix.  The
-domain stiffness and mass are also held as their few nonzero diagonals
-(``Band``), which is what the solvers multiply with.
+(unit square minus its upper-right quarter).  Assembly produces the
+domain stiffness and mass as their few nonzero diagonals (``Band``), dense
+arclength mass/stiffness matrices for the boundary polygon, and the 0/1
+boundary restriction matrix.  Only the operator-algebra twins
+(``space_h1partial``, ``op_embed_domain``) make n_nodes x n_nodes arrays.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,11 +61,32 @@ class Band:
     diags: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, mat: np.ndarray, offsets) -> Band:
-        """The diagonals of ``mat`` at ``offsets`` (0 first), all-zero ones dropped."""
-        diags = {int(d): _frozen(np.diagonal(mat, d), float) for d in offsets}
+    def scatter(cls, idx: np.ndarray, local: np.ndarray, size: int) -> Band:
+        """Sum symmetric element matrices ``local[e]`` into a size x size band.
+
+        ``idx[e]`` holds element e's global indices.  Only entries with row <=
+        column are kept, and bincount adds the contributions to each in
+        element order, as a loop of ``mat[np.ix_(idx[e], idx[e])] += local[e]``
+        would.  The offsets are those the elements reach; all-zero
+        off-diagonals are dropped.
+        """
+        rows = np.repeat(idx, idx.shape[1], axis=1).ravel()
+        cols = np.tile(idx, (1, idx.shape[1])).ravel()
+        upper = rows <= cols
+        offsets, which = np.unique(cols[upper] - rows[upper], return_inverse=True)
+        flat = which * size + rows[upper]
+        sums = np.bincount(flat, weights=local.ravel()[upper], minlength=offsets.size * size)
+        diags = {int(d): _frozen(v[: size - d], float) for d, v in zip(offsets, sums.reshape(-1, size))}
         kept = [d for d, v in diags.items() if d == 0 or np.any(v)]
         return cls(offsets=tuple(kept), diags=tuple(diags[d] for d in kept))
+
+    def dense(self) -> np.ndarray:
+        """The full matrix: for boundary-sized bands, the operator-algebra twins and tests."""
+        out = np.zeros((self.diags[0].size,) * 2)
+        for d, v in zip(self.offsets, self.diags):
+            i = np.arange(v.size)
+            out[i, i + d] = out[i + d, i] = v
+        return out
 
     def __matmul__(self, x) -> np.ndarray:
         """The product with one vector or with a block of columns."""
@@ -79,35 +101,21 @@ class Band:
 
 @dataclass(frozen=True, eq=False)
 class Assembly:
-    """Dense P1 matrices for one mesh.
+    """P1 matrices for one mesh.
 
-    K: grad-grad form on the domain.  M_dom: domain mass.  M_b: boundary
-    mass in arclength (identity for the interval's two-point boundary).
-    K_b: tangential boundary stiffness (zero for the interval).  R: 0/1
-    restriction onto boundary nodes, shape (len(boundary), n_nodes).
-    K_band and M_band hold K and M_dom by their diagonals.
+    K: grad-grad form on the domain, a ``Band``.  M_dom: domain mass, a
+    ``Band``.  M_b: boundary mass in arclength (identity for the interval's
+    two-point boundary).  K_b: tangential boundary stiffness (zero for the
+    interval).  R: 0/1 restriction onto boundary nodes, shape
+    (len(boundary), n_nodes).  M_b, K_b and R are dense.
     """
 
     mesh: Mesh
-    K: np.ndarray
-    M_dom: np.ndarray
+    K: Band
+    M_dom: Band
     M_b: np.ndarray
     K_b: np.ndarray
     R: np.ndarray
-
-    @cached_property
-    def K_band(self) -> Band:
-        return Band.of(self.K, _offsets(self.mesh))
-
-    @cached_property
-    def M_band(self) -> Band:
-        return Band.of(self.M_dom, _offsets(self.mesh))
-
-
-def _offsets(mesh: Mesh) -> np.ndarray:
-    """Every |i - j| over node pairs sharing an element: the diagonals that can be nonzero."""
-    el = mesh.elements
-    return np.unique(np.abs(el[:, :, None] - el[:, None, :]))
 
 
 def _interval_mesh(n: int) -> Mesh:
@@ -224,7 +232,9 @@ def gen_mesh(kind: str, n: int) -> Mesh:
     """Uniform mesh of the requested kind at refinement n (h = 1/n)."""
     if kind not in KINDS:
         raise BadParameter(f"unknown mesh kind {kind!r}")
-    if int(n) < 1:
+    if not isinstance(n, numbers.Integral):
+        raise BadParameter(f"refinement must be an integer, got {n!r}")
+    if n < 1:
         raise BadParameter(f"refinement must be >= 1, got {n}")
     n = int(n)
     if kind == "interval":
@@ -242,26 +252,13 @@ _SEG_STIFF = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _scatter(idx: np.ndarray, local: np.ndarray, size: int) -> np.ndarray:
-    """Sum element matrices ``local[e]`` into a dense size x size matrix.
-
-    ``idx[e]`` holds element e's global indices.  bincount adds the
-    contributions to each entry in element order, as a loop of
-    ``mat[np.ix_(idx[e], idx[e])] += local[e]`` would.
-    """
-    rows = np.repeat(idx, idx.shape[1], axis=1)
-    cols = np.tile(idx, (1, idx.shape[1]))
-    flat = (rows * size + cols).ravel()
-    return np.bincount(flat, weights=local.ravel(), minlength=size * size).reshape(size, size)
-
-
 def _segment_matrices(idx: np.ndarray, h: np.ndarray, size: int, what: str):
-    """Mass and stiffness of P1 segments of lengths ``h`` on nodes ``idx``."""
+    """Stiffness and mass bands of P1 segments of lengths ``h`` on nodes ``idx``."""
     if np.any(h <= 0.0):
         raise DegenerateElement(f"non-positive {what} length")
     mass = _SEG_MASS * (h / 6.0)[:, None, None]
     stiff = _SEG_STIFF / h[:, None, None]
-    return _scatter(idx, stiff, size), _scatter(idx, mass, size)
+    return Band.scatter(idx, stiff, size), Band.scatter(idx, mass, size)
 
 
 def _assemble_interval(mesh: Mesh):
@@ -285,8 +282,8 @@ def _assemble_triangles(mesh: Mesh):
     bvec = np.column_stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]])
     cvec = np.column_stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]])
     outer = bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
-    k = _scatter(tris, outer / (4.0 * area)[:, None, None], nn)
-    m = _scatter(tris, area[:, None, None] * _TRI_MASS, nn)
+    k = Band.scatter(tris, outer / (4.0 * area)[:, None, None], nn)
+    m = Band.scatter(tris, area[:, None, None] * _TRI_MASS, nn)
 
     nb = mesh.boundary_nodes.size
     pos = np.empty(nn, dtype=np.intp)
@@ -294,7 +291,7 @@ def _assemble_triangles(mesh: Mesh):
     edges = mesh.boundary_edges
     h = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
     k_b, m_b = _segment_matrices(pos[edges], h, nb, "boundary edge")
-    return k, m, m_b, k_b
+    return k, m, m_b.dense(), k_b.dense()
 
 
 def assemble(mesh: Mesh) -> Assembly:
@@ -306,15 +303,14 @@ def assemble(mesh: Mesh) -> Assembly:
     nb = mesh.boundary_nodes.size
     r = np.zeros((nb, mesh.n_nodes))
     r[np.arange(nb), mesh.boundary_nodes] = 1.0
-    mats = {"K": k, "M_dom": m, "M_b": m_b, "K_b": k_b, "R": r}
-    for mat in mats.values():
+    for mat in (m_b, k_b, r):
         mat.setflags(write=False)  # fresh float arrays: frozen in place, not copied
-    return Assembly(mesh=mesh, **mats)
+    return Assembly(mesh=mesh, K=k, M_dom=m, M_b=m_b, K_b=k_b, R=r)
 
 
-def _spaces(*dims_and_grams) -> tuple[InnerSpace, ...]:
+def _space(gram: np.ndarray) -> InnerSpace:
     try:
-        return tuple(make_space(dim, gram) for dim, gram in dims_and_grams)
+        return make_space(gram.shape[0], gram)
     except NotPositiveDefinite as exc:
         raise GramNotPD(str(exc)) from exc
 
@@ -326,35 +322,33 @@ def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
     Returns (boundary L2 space with Gram M_b, boundary H1 space with Gram
     M_b + K_b).  Both are nb x nb, so nothing of domain size is built.
     """
-    nb = a.M_b.shape[0]
-    return _spaces((nb, a.M_b), (nb, a.M_b + a.K_b))
+    return _space(a.M_b), _space(a.M_b + a.K_b)
 
 
 @lru_cache(maxsize=32)
-def space_h1partial(a: Assembly) -> tuple[InnerSpace, InnerSpace, InnerSpace, InnerSpace]:
-    """The four coefficient spaces attached to one assembly.
+def space_h1partial(a: Assembly) -> InnerSpace:
+    """The combined H1 space of one assembly: Gram G = K + R' M_b R.
 
-    Returns (combined H1 space with Gram K + R' M_b R, domain L2 space,
-    boundary L2 space, boundary H1 space with Gram M_b + K_b).  The two
-    boundary spaces are the very objects of ``boundary_spaces``; the two
-    n_nodes x n_nodes spaces are only for the operator-algebra twins.
+    G is the inner product (grad u, grad v) + (u, v) on the boundary.  It is
+    a dense n_nodes x n_nodes space for the operator-algebra twins only; the
+    solvers work from the bands of K and M_dom and from ``boundary_spaces``.
     """
-    l2bnd, h1bnd = boundary_spaces(a)
-    g = a.K + a.R.T @ a.M_b @ a.R
-    h1, l2dom = _spaces((a.mesh.n_nodes, g), (a.mesh.n_nodes, a.M_dom))
-    return h1, l2dom, l2bnd, h1bnd
+    return _space(a.K.dense() + a.R.T @ a.M_b @ a.R)
 
 
 def op_trace(a: Assembly) -> Operator:
     """Boundary restriction as a map from the combined H1 space to boundary L2."""
-    h1, _, l2bnd, _ = space_h1partial(a)
-    return Operator(h1, l2bnd, a.R)
+    l2bnd, _ = boundary_spaces(a)
+    return Operator(space_h1partial(a), l2bnd, a.R)
 
 
 def op_embed_domain(a: Assembly) -> Operator:
-    """Identity on coefficients, from the combined H1 space into domain L2."""
-    h1, l2dom, _, _ = space_h1partial(a)
-    return Operator(h1, l2dom, np.eye(a.mesh.n_nodes))
+    """Identity on coefficients, from the combined H1 space into domain L2.
+
+    The domain L2 space (Gram M_dom) is built afresh on every call: the map
+    is a reference for tests, and no suite reads it.
+    """
+    return Operator(space_h1partial(a), _space(a.M_dom.dense()), np.eye(a.mesh.n_nodes))
 
 
 def op_embed_boundary(a: Assembly) -> tuple[Operator, Operator]:

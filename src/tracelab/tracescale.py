@@ -89,7 +89,7 @@ def _interior_chol(a: Assembly) -> np.ndarray:
     pos = np.full(a.mesh.n_nodes, -1)
     pos[interior] = np.arange(interior.size)
     rows, cols, vals = [], [], []
-    for d, v in zip(a.K_band.offsets, a.K_band.diags):
+    for d, v in zip(a.K.offsets, a.K.diags):
         i = np.arange(v.size)
         keep = (pos[i] >= 0) & (pos[i + d] >= 0) & (v != 0.0)
         rows.append(pos[i + d][keep] - pos[i][keep])
@@ -110,12 +110,16 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _coupling(a: Assembly) -> np.ndarray:
-    """K[interior, bnd]: how boundary values load the interior equations."""
+def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
+    """K[interior, bnd] and K[bnd, bnd]: how boundary values load the interior
+    and the boundary equations.  Both are rows of K's boundary columns, the
+    band's product with the boundary unit columns R'."""
     bnd, interior = _partition(a)
-    kib = a.K[np.ix_(interior, bnd)]
+    cols = a.K @ np.ascontiguousarray(a.R.T)
+    kib, kbb = cols[interior], cols[bnd]
     kib.setflags(write=False)
-    return kib
+    kbb.setflags(write=False)
+    return kib, kbb
 
 
 @lru_cache(maxsize=32)
@@ -125,7 +129,7 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
     z = np.zeros((a.mesh.n_nodes, bnd.size))
     z[bnd, np.arange(bnd.size)] = 1.0
     if interior.size:
-        z[interior] = _interior_solve(a, -_coupling(a))
+        z[interior] = _interior_solve(a, -_coupling(a)[0])
     z.setflags(write=False)
     return z
 
@@ -135,10 +139,11 @@ def _schur(a: Assembly) -> np.ndarray:
     """M_b S = M_b + K_bb + K_bi Z_i: the Schur complement of the combined
     H1 Gram onto the boundary, from the stiffness blocks and the extension
     matrix Z (K_ii Z_i = -K_ib), never from the Gram itself."""
-    bnd, interior = _partition(a)
-    mbs = a.M_b + a.K[np.ix_(bnd, bnd)]
+    _, interior = _partition(a)
+    kib, kbb = _coupling(a)
+    mbs = a.M_b + kbb
     if interior.size:
-        mbs = mbs + _coupling(a).T @ _extension_matrix(a)[interior]
+        mbs = mbs + kib.T @ _extension_matrix(a)[interior]
     mbs = 0.5 * (mbs + mbs.T)
     mbs.setflags(write=False)
     return mbs
@@ -198,7 +203,7 @@ def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     z = np.zeros((a.mesh.n_nodes,) + g.shape[1:])
     z[bnd] = g
     if interior.size:
-        z[interior] = _interior_solve(a, -_coupling(a) @ g)
+        z[interior] = _interior_solve(a, -_coupling(a)[0] @ g)
     return z
 
 
@@ -224,12 +229,12 @@ def poisson_robin(a: Assembly, f) -> np.ndarray:
     """
     f = _columns(f, a.mesh.n_nodes, "source")
     bnd, interior = _partition(a)
-    load = a.M_band @ f
+    load = a.M_dom @ f
     u = np.zeros_like(load)
     rhs = load[bnd]
     if interior.size:
         u[interior] = _interior_solve(a, load[interior])
-        rhs = rhs - _coupling(a).T @ u[interior]
+        rhs = rhs - _coupling(a)[0].T @ u[interior]
     return u + _extension_matrix(a) @ _schur_solve(a, rhs)
 
 
@@ -244,7 +249,7 @@ def normal_derivative(a: Assembly, z) -> np.ndarray:
     """
     z = _columns(z, a.mesh.n_nodes, "domain")
     bnd, interior = _partition(a)
-    flux = a.K_band @ z
+    flux = a.K @ z
     if interior.size:
         gate = HARMONIC_GATE * np.linalg.norm(z, axis=0)
         if np.any(np.linalg.norm(flux[interior], axis=0) > gate):
@@ -264,7 +269,7 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
     if z.shape != v.shape:
         raise DimensionMismatch(f"green_residual pairs {z.shape} with {v.shape}")
     w = normal_derivative(a, z)
-    lhs = np.sum(v * (a.K_band @ z), axis=0)
+    lhs = np.sum(v * (a.K @ z), axis=0)
     rhs = np.sum(w * (a.M_b @ (a.R @ v)), axis=0)
     scale = np.maximum(np.linalg.norm(z, axis=0) * np.linalg.norm(v, axis=0), 1.0)
     res = np.abs(lhs - rhs) / scale
@@ -359,12 +364,17 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _colquad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x_j' mat x_j for every column x_j of x."""
+    return np.einsum("ij,ij->j", x, mat @ x)
+
+
 def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
     """P = Lambda R projects onto the discrete-harmonic functions, H1-orthogonally.
 
     P has rank nb, so every product goes through its n_nodes x nb factor.
     """
-    h1, _, _, _ = space_h1partial(a)
+    h1 = space_h1partial(a)
     rl = a.R @ lam.mat
     rec.record("extension_trace_identity", rel_diff(rl, np.eye(rl.shape[0])))
     rec.record("harmonic_projection", rel_diff(lam.mat @ (rl @ a.R), lam.mat @ a.R))
@@ -380,7 +390,7 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
     Trial j draws g_j, f_j and f2_j in turn; each family is solved as one block.
     """
     nb, nn = a.M_b.shape[0], a.mesh.n_nodes
-    h1, _, _, _ = space_h1partial(a)
+    h1 = space_h1partial(a)
     gamma_star = oplab.adjoint(op_trace(a))
     draws = rng.standard_normal((trials, nb + 2 * nn)).T
     g, f, f2 = draws[:nb], draws[nb : nb + nn], draws[nb + nn :]
@@ -391,11 +401,11 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
     rec.record("robin_two_path", _maxabs(robin_solve(a, g) - gamma_star.mat @ g))
 
     u = poisson_robin(a, f)
-    # the twin is the adjoint G^-1 M_dom of the embedding H1 -> L2(domain),
-    # applied to the block through the Gram's own factor and the dense mass
-    rec.record("poisson_two_path", _maxabs(u - cho_solve((h1.chol, True), a.M_dom @ f)))
-    lhs = np.sum(f * (a.M_band @ poisson_robin(a, f2)), axis=0)
-    rhs = np.sum(f2 * (a.M_band @ u), axis=0)
+    # the twin G^-1 M_dom, adjoint of the embedding H1 -> L2(domain), goes through
+    # the Gram's own factor and the dense mass: no band product shared with the solver
+    rec.record("poisson_two_path", _maxabs(u - cho_solve((h1.chol, True), a.M_dom.dense() @ f)))
+    lhs = np.sum(f * (a.M_dom @ poisson_robin(a, f2)), axis=0)
+    rhs = np.sum(f2 * (a.M_dom @ u), axis=0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     rec.record("poisson_symmetry", _maxabs(np.abs(lhs - rhs) / scale))
 
@@ -486,7 +496,8 @@ def suite_hhalf(
     arithmetic).
     """
     rng = np.random.default_rng(seed)
-    h1, _, l2bnd, _ = space_h1partial(a)
+    h1 = space_h1partial(a)
+    l2bnd, _ = boundary_spaces(a)
     nb = l2bnd.dim
     lam = _trace_pinv(a)
     q_half = hs_gram(a, 0.5)
@@ -496,13 +507,12 @@ def suite_hhalf(
     rec.record("proof_identity", rel_diff(shrink.mat, a.R @ lam.mat @ shrink.mat))
 
     z = _extension_matrix(a)
-    for _ in range(trials):
-        g = rng.standard_normal(nb)
-        total = float(g @ q_half.Q @ g)
-        l2_part = float(g @ a.M_b @ g)
-        ext = z @ g
-        energy = float(ext @ h1.gram @ ext)
-        rec.record("energy_split", abs(total - l2_part - energy) / max(total, _TINY))
+    if trials:
+        # one draw per trial, as columns; the extension energy goes through G
+        g = rng.standard_normal((trials, nb)).T
+        total = _colquad(g, q_half.Q)
+        split = total - _colquad(g, a.M_b) - _colquad(z @ g, h1.gram)
+        rec.record("energy_split", _maxabs(np.abs(split) / np.maximum(total, _TINY)))
 
     xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
     rec.record("x_trace_energy", abs(float(xb @ q_half.Q @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
@@ -606,11 +616,6 @@ def _running_max(values: np.ndarray) -> float:
     return worst
 
 
-def _colquad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x_j' mat x_j for every column x_j of x."""
-    return np.einsum("ij,ij->j", x, mat @ x)
-
-
 def necas_constants(
     a: Assembly,
     n_samples: int = 100,
@@ -639,7 +644,7 @@ def necas_constants(
     def harmonic_ratios(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = harmonic_extension(a, g)
         w = normal_derivative(a, u)
-        dom_sq = np.einsum("ij,ij->j", u, a.K_band @ u + a.M_band @ u)
+        dom_sq = np.einsum("ij,ij->j", u, a.K @ u + a.M_dom @ u)
         flux_sq = _colquad(w, a.M_b)
         trace_sq = _colquad(g, h1bnd.gram)
         r1 = np.sqrt(trace_sq) / np.sqrt(dom_sq + flux_sq)
@@ -656,12 +661,12 @@ def necas_constants(
         constants[f"trace_{name}_max"] = _running_max(r1)
         constants[f"flux_{name}_max"] = _running_max(r2)
 
-    load = a.M_band @ f
+    load = a.M_dom @ f
     u0 = np.zeros_like(f)
     if interior.size:
         u0[interior] = _interior_solve(a, load[interior])
     # weak flux of the source problem keeps the volume correction
-    w0 = cho_solve((l2bnd.chol, True), (a.K_band @ u0)[bnd] - load[bnd])
+    w0 = cho_solve((l2bnd.chol, True), (a.K @ u0)[bnd] - load[bnd])
     f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
     sourced = f_norm > 0.0
     ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tracelab import fem2d, oplab
+from tracelab import fem2d, oplab, tracescale
 from tracelab.errors import BadParameter, DegenerateElement, GramNotPD
 
 from conftest import asm
@@ -78,6 +80,18 @@ class TestGenMesh:
     def test_unknown_kind_rejected(self):
         with pytest.raises(BadParameter):
             fem2d.gen_mesh("disc", 4)
+
+    @pytest.mark.parametrize("n", [2.999, 2.0, "2", None])
+    def test_non_integer_refinement_rejected(self, n):
+        # int(2.999) would quietly build the n = 2 mesh
+        with pytest.raises(BadParameter, match="integer"):
+            fem2d.gen_mesh("square", n)
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_refinement(self, n):
+        m = fem2d.gen_mesh("square", n)
+        assert m.n_nodes == 9
+        assert np.array_equal(m.elements, fem2d.gen_mesh("square", 2).elements)
 
     @pytest.mark.parametrize("kind,n", [("square", 4), ("lshape", 4)])
     def test_boundary_loop_closed(self, kind, n):
@@ -184,8 +198,8 @@ def looped_assembly(mesh):
 class TestAssemble:
     def test_interval_hand_matrices(self):
         a = asm("interval", 1)
-        assert np.array_equal(a.K, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.abs(a.M_dom - np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0).max() <= 1e-16
+        assert np.array_equal(a.K.dense(), [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.abs(a.M_dom.dense() - np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0).max() <= 1e-16
         assert np.array_equal(a.M_b, np.eye(2))
         assert np.array_equal(a.K_b, np.zeros((2, 2)))
         assert np.array_equal(a.R, np.eye(2))
@@ -193,37 +207,38 @@ class TestAssemble:
     def test_interval_two_segments(self):
         a = asm("interval", 2)
         expected_k = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])
-        assert np.abs(a.K - expected_k).max() <= 1e-15
+        assert np.abs(a.K.dense() - expected_k).max() <= 1e-15
         expected_m = np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 2.0]]) / 12.0
-        assert np.abs(a.M_dom - expected_m).max() <= 1e-16
+        assert np.abs(a.M_dom.dense() - expected_m).max() <= 1e-16
         assert a.R.shape == (2, 3)
         assert a.R[0, 0] == 1.0 and a.R[1, 2] == 1.0
 
     def test_square_measure_totals(self):
         a = asm("square", 1)
         ones = np.ones(a.mesh.n_nodes)
-        assert ones @ a.M_dom @ ones == pytest.approx(1.0, abs=1e-12)
+        assert ones @ a.M_dom.dense() @ ones == pytest.approx(1.0, abs=1e-12)
         onesb = np.ones(a.M_b.shape[0])
         assert onesb @ a.M_b @ onesb == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind,n", list(all_cells()))
     def test_assembly_invariants(self, kind, n):
         a = asm(kind, n)
+        k, m_dom = a.K.dense(), a.M_dom.dense()
         ones = np.ones(a.mesh.n_nodes)
         onesb = np.ones(a.M_b.shape[0])
         # constants are exactly gradient-free on dyadic grids
-        assert np.abs(a.K @ ones).max() == 0.0
+        assert np.abs(k @ ones).max() == 0.0
         assert np.abs(a.K_b @ onesb).max() == 0.0
-        assert np.array_equal(a.K, a.K.T)
-        assert np.array_equal(a.M_dom, a.M_dom.T)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(m_dom, m_dom.T)
         assert np.array_equal(a.M_b, a.M_b.T)
         assert np.array_equal(a.K_b, a.K_b.T)
-        assert abs(ones @ a.M_dom @ ones - AREA[kind]) <= 1e-10
+        assert abs(ones @ m_dom @ ones - AREA[kind]) <= 1e-10
         assert abs(onesb @ a.M_b @ onesb - PERIMETER[kind]) <= 1e-10
-        assert np.linalg.eigvalsh(a.M_dom).min() > 0.0
+        assert np.linalg.eigvalsh(m_dom).min() > 0.0
         assert np.linalg.eigvalsh(a.M_b).min() > 0.0
-        scale = np.abs(a.K).max()
-        assert np.linalg.eigvalsh(a.K).min() >= -1e-12 * scale
+        scale = np.abs(k).max()
+        assert np.linalg.eigvalsh(k).min() >= -1e-12 * scale
         if np.abs(a.K_b).max() > 0:
             assert np.linalg.eigvalsh(a.K_b).min() >= -1e-12 * np.abs(a.K_b).max()
 
@@ -236,8 +251,8 @@ class TestAssemble:
         mesh = fem2d.gen_mesh(kind, n)
         a = fem2d.assemble(mesh)
         k, m, m_b, k_b = looped_assembly(mesh)
-        assert np.array_equal(a.K, k)
-        assert np.array_equal(a.M_dom, m)
+        assert np.array_equal(a.K.dense(), k)
+        assert np.array_equal(a.M_dom.dense(), m)
         assert np.array_equal(a.M_b, m_b)
         assert np.array_equal(a.K_b, k_b)
 
@@ -245,7 +260,7 @@ class TestAssemble:
     def test_patch_test_linear_gradient(self, kind):
         a = asm(kind, 4)
         u = a.mesh.nodes[:, 0].copy()
-        assert abs(u @ a.K @ u - AREA[kind]) <= 1e-10
+        assert abs(u @ a.K.dense() @ u - AREA[kind]) <= 1e-10
 
     def test_degenerate_segment_rejected(self):
         m = fem2d.gen_mesh("interval", 2)
@@ -278,7 +293,8 @@ class TestBands:
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_products_match_dense(self, kind, n, rng):
         a = asm(kind, n)
-        for band, dense in ((a.K_band, a.K), (a.M_band, a.M_dom)):
+        for band in (a.K, a.M_dom):
+            dense = band.dense()
             for x in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 5))):
                 ref = dense @ x
                 got = band @ x
@@ -297,18 +313,81 @@ class TestBands:
     )
     def test_offsets_from_connectivity(self, kind, n, k_offsets, m_offsets):
         a = asm(kind, n)
-        assert a.K_band.offsets == k_offsets
-        assert a.M_band.offsets == m_offsets
-        for band, dense in ((a.K_band, a.K), (a.M_band, a.M_dom)):
+        assert a.K.offsets == k_offsets
+        assert a.M_dom.offsets == m_offsets
+        k, m, _, _ = looped_assembly(a.mesh)
+        for band, dense in ((a.K, k), (a.M_dom, m)):
             for d, v in zip(band.offsets, band.diags):
                 assert np.array_equal(v, np.diagonal(dense, d))
             idx = np.arange(dense.shape[0])
             assert not dense[~np.isin(np.abs(np.subtract.outer(idx, idx)), band.offsets)].any()
 
 
+def renumbered(mesh, perm):
+    """``mesh`` with node i renamed perm[i]: the same elements and loop, in a new node order."""
+    nodes = np.empty_like(mesh.nodes)
+    nodes[perm] = mesh.nodes
+    return fem2d.Mesh(
+        kind=mesh.kind,
+        nodes=nodes,
+        elements=perm[mesh.elements],
+        boundary_nodes=perm[mesh.boundary_nodes],
+        boundary_edges=perm[mesh.boundary_edges],
+    )
+
+
+@st.composite
+def renumbered_meshes(draw):
+    kind, n = draw(st.sampled_from([("square", n) for n in range(1, 7)] + [("lshape", n) for n in (2, 4, 6)]))
+    mesh = fem2d.gen_mesh(kind, n)
+    perm = np.array(draw(st.permutations(range(mesh.n_nodes))), dtype=np.intp)
+    return mesh, perm
+
+
+class TestRenumberedMesh:
+    # a random node order spreads K over many wide diagonals, away from the grid's offsets
+    @given(case=renumbered_meshes())
+    def test_bands_follow_the_permutation(self, case):
+        mesh, perm = case
+        a = asm(mesh.kind, mesh.boundary_nodes.size // 4)
+        b = fem2d.assemble(renumbered(mesh, perm))
+        for orig, new in ((a.K, b.K), (a.M_dom, b.M_dom)):
+            expected = np.empty((mesh.n_nodes, mesh.n_nodes))
+            expected[np.ix_(perm, perm)] = orig.dense()
+            assert np.array_equal(new.dense(), expected)
+        assert np.array_equal(b.M_b, a.M_b) and np.array_equal(b.K_b, a.K_b)
+
+    @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_harmonic_extension_follows_the_permutation(self, case, seed):
+        mesh, perm = case
+        a = asm(mesh.kind, mesh.boundary_nodes.size // 4)
+        b = fem2d.assemble(renumbered(mesh, perm))
+        g = np.random.default_rng(seed).standard_normal((mesh.boundary_nodes.size, 2))
+        z = tracescale.harmonic_extension(a, g)
+        assert np.abs(tracescale.harmonic_extension(b, g)[perm] - z).max() <= 1e-12 * max(np.abs(z).max(), 1.0)
+
+
 class TestSpaces:
+    def test_builds_one_domain_space(self, monkeypatch):
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so nothing is cached
+        dims = []
+        make_space = fem2d.make_space
+
+        def counted(dim, gram):
+            dims.append(dim)
+            return make_space(dim, gram)
+
+        monkeypatch.setattr(fem2d, "make_space", counted)
+        h1 = fem2d.space_h1partial(a)
+        assert isinstance(h1, oplab.InnerSpace) and h1.dim == a.mesh.n_nodes
+        # the combined H1 space only: no domain L2 space, no boundary space
+        assert dims == [a.mesh.n_nodes]
+
     def test_interval_combined_gram(self):
-        h1, l2dom, l2bnd, h1bnd = fem2d.space_h1partial(asm("interval", 1))
+        a = asm("interval", 1)
+        h1 = fem2d.space_h1partial(a)
+        l2dom = fem2d.op_embed_domain(a).codomain
+        l2bnd, h1bnd = fem2d.boundary_spaces(a)
         assert np.array_equal(h1.gram, [[2.0, -1.0], [-1.0, 2.0]])
         assert np.array_equal(l2bnd.gram, np.eye(2))
         assert np.array_equal(h1bnd.gram, np.eye(2))
@@ -317,14 +396,14 @@ class TestSpaces:
     @pytest.mark.parametrize("kind,n", [("interval", 4), ("square", 4), ("lshape", 4)])
     def test_boundary_term_removes_kernel(self, kind, n):
         a = asm(kind, n)
-        h1 = fem2d.space_h1partial(a)[0]
+        h1 = fem2d.space_h1partial(a)
         ones = np.ones(a.mesh.n_nodes)
         boundary_part = a.R.T @ a.M_b @ a.R @ ones
         assert np.abs(h1.gram @ ones - boundary_part).max() <= 1e-14
         assert np.abs(boundary_part).max() > 0.0
 
     def test_square_gram_spectral_floor(self):
-        h1 = fem2d.space_h1partial(asm("square", 8))[0]
+        h1 = fem2d.space_h1partial(asm("square", 8))
         assert np.linalg.eigvalsh(h1.gram).min() > 1e-4
 
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
@@ -333,15 +412,16 @@ class TestSpaces:
         l2bnd, h1bnd = fem2d.boundary_spaces(a)
         assert np.array_equal(l2bnd.gram, a.M_b)
         assert np.array_equal(h1bnd.gram, a.M_b + a.K_b)
-        _, _, l2bnd_4, h1bnd_4 = fem2d.space_h1partial(a)
-        assert l2bnd_4 is l2bnd and h1bnd_4 is h1bnd
+        u, v = fem2d.op_embed_boundary(a)
+        assert fem2d.op_trace(a).codomain is l2bnd
+        assert u.domain is h1bnd and u.codomain is l2bnd and v.domain is l2bnd
 
     def test_bad_assembly_flagged(self):
         m = fem2d.gen_mesh("interval", 1)
         good = fem2d.assemble(m)
         bad = fem2d.Assembly(
             mesh=m,
-            K=-5.0 * np.eye(2),
+            K=fem2d.Band(offsets=(0,), diags=(np.full(2, -5.0),)),
             M_dom=good.M_dom,
             M_b=good.M_b,
             K_b=good.K_b,
@@ -356,8 +436,8 @@ class TestSpaces:
         ends = {}
         for n in (4, 8):
             a = asm(kind, n)
-            g = fem2d.space_h1partial(a)[0].gram
-            vals = scipy.linalg.eigh(g, a.K + a.M_dom, eigvals_only=True)
+            g = fem2d.space_h1partial(a).gram
+            vals = scipy.linalg.eigh(g, a.K.dense() + a.M_dom.dense(), eigvals_only=True)
             ends[n] = (vals.min(), vals.max())
             assert vals.min() > 0.0
         for lo_hi in zip(ends[4], ends[8]):
@@ -389,7 +469,7 @@ class TestOperators:
         emb = fem2d.op_embed_domain(a)
         assert np.array_equal(emb.mat, np.eye(a.mesh.n_nodes))
         g = emb.domain.gram
-        c = np.sqrt(scipy.linalg.eigh(a.M_dom, g, eigvals_only=True).max())
+        c = np.sqrt(scipy.linalg.eigh(a.M_dom.dense(), g, eigvals_only=True).max())
         for _ in range(20):
             v = rng.standard_normal(a.mesh.n_nodes)
             assert emb.codomain.norm(emb.apply(v)) <= (c + 1e-12) * emb.domain.norm(v)

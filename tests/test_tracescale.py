@@ -138,8 +138,8 @@ class TestPoissonRobin:
         for _ in range(10):
             f1 = rng.standard_normal(a.mesh.n_nodes)
             f2 = rng.standard_normal(a.mesh.n_nodes)
-            lhs = f1 @ a.M_dom @ tracescale.poisson_robin(a, f2)
-            rhs = f2 @ a.M_dom @ tracescale.poisson_robin(a, f1)
+            lhs = f1 @ a.M_dom.dense() @ tracescale.poisson_robin(a, f2)
+            rhs = f2 @ a.M_dom.dense() @ tracescale.poisson_robin(a, f1)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_wrong_length_rejected(self):
@@ -149,7 +149,7 @@ class TestPoissonRobin:
 
 def dense_g_solve(a, rhs):
     """G^-1 rhs for the combined H1 Gram G = K + R' M_b R, by a plain dense solve."""
-    return np.linalg.solve(a.K + a.R.T @ a.M_b @ a.R, rhs)
+    return np.linalg.solve(a.K.dense() + a.R.T @ a.M_b @ a.R, rhs)
 
 
 class TestStaticCondensation:
@@ -160,7 +160,7 @@ class TestStaticCondensation:
         f = rng.standard_normal((a.mesh.n_nodes, 3))
         for got, ref in (
             (tracescale.robin_solve(a, g), dense_g_solve(a, a.R.T @ a.M_b @ g)),
-            (tracescale.poisson_robin(a, f), dense_g_solve(a, a.M_dom @ f)),
+            (tracescale.poisson_robin(a, f), dense_g_solve(a, a.M_dom.dense() @ f)),
         ):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -176,13 +176,18 @@ class TestStaticCondensation:
         ids=["robin_solve", "poisson_robin", "necas", "interp", "dual"],
     )
     def test_builds_no_domain_space(self, run, monkeypatch):
-        # only the operator-algebra twins need the n_nodes x n_nodes H1 and L2 spaces
+        # only the operator-algebra twins need the n_nodes x n_nodes H1 space or a dense K or M_dom
         def refuse(a):
             raise AssertionError("space_h1partial called")
 
+        def refuse_dense(band):
+            raise AssertionError("Band.dense called")
+
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so nothing is cached
         monkeypatch.setattr(tracescale, "space_h1partial", refuse)
         monkeypatch.setattr(fem2d, "space_h1partial", refuse)
-        run(fem2d.assemble(fem2d.gen_mesh("square", 4)))  # fresh, so nothing is cached
+        monkeypatch.setattr(fem2d.Band, "dense", refuse_dense)
+        run(a)
 
 
 class TestNormalDerivative:
@@ -204,7 +209,7 @@ class TestNormalDerivative:
         w = tracescale.normal_derivative(a, z)
         for _ in range(10):
             v = rng.standard_normal(a.mesh.n_nodes)
-            lhs = v @ a.K @ z
+            lhs = v @ a.K.dense() @ z
             rhs = (a.R @ v) @ a.M_b @ w
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
@@ -340,7 +345,7 @@ class TestProjectionIdentities:
 
     def test_extension_of_trace_projects(self, rng):
         a = asm("square", 4)
-        h1 = fem2d.space_h1partial(a)[0]
+        h1 = fem2d.space_h1partial(a)
         lam = oplab.pinv(fem2d.op_trace(a))
         proj = lam.mat @ a.R
         assert np.abs(proj @ proj - proj).max() <= 1e-10
@@ -365,7 +370,7 @@ class TestInteriorFactor:
         low = np.zeros((interior.size, interior.size))
         for d in range(band.shape[0]):
             low += np.diag(band[d, : interior.size - d], -d)
-        kii = a.K[np.ix_(interior, interior)]
+        kii = a.K.dense()[np.ix_(interior, interior)]
         assert np.abs(low @ low.T - kii).max() <= 1e-13 * np.abs(kii).max()
 
 
@@ -391,7 +396,7 @@ class TestHsGram:
         assert g @ q.Q @ g == pytest.approx(3.0, abs=1e-13)
         # split: 1 from the boundary mass, 2 from the extension energy
         z = tracescale.harmonic_extension(a, g)
-        h1 = fem2d.space_h1partial(a)[0]
+        h1 = fem2d.space_h1partial(a)
         assert g @ a.M_b @ g == pytest.approx(1.0)
         assert z @ h1.gram @ z == pytest.approx(2.0, abs=1e-13)
 
@@ -427,28 +432,28 @@ class TestHsGram:
     def test_boundary_h1_norm_of_constants(self):
         # zero tangential derivative, boundary length 4
         for n in (4, 8):
-            h1bnd = fem2d.space_h1partial(asm("square", n))[3]
+            _, h1bnd = fem2d.boundary_spaces(asm("square", n))
             assert h1bnd.norm(np.ones(4 * n)) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestNormMatrixValidation:
     def test_asymmetric_rejected(self):
-        sp = fem2d.space_h1partial(asm("interval", 1))[2]
+        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
         with pytest.raises(NotSymmetric):
             tracescale.NormMatrix(space=sp, s=0.0, Q=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_indefinite_rejected(self):
-        sp = fem2d.space_h1partial(asm("interval", 1))[2]
+        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
         with pytest.raises(NotPositiveDefinite):
             tracescale.NormMatrix(space=sp, s=0.0, Q=np.diag([1.0, -1.0]))
 
     def test_wrong_shape_rejected(self):
-        sp = fem2d.space_h1partial(asm("interval", 1))[2]
+        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
         with pytest.raises(DimensionMismatch):
             tracescale.NormMatrix(space=sp, s=0.0, Q=np.eye(3))
 
     def test_norm_evaluation(self):
-        sp = fem2d.space_h1partial(asm("interval", 1))[2]
+        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
         q = tracescale.NormMatrix(space=sp, s=0.0, Q=np.diag([4.0, 9.0]))
         assert q.norm([1.0, 0.0]) == pytest.approx(2.0)
         assert q.norm([0.0, 2.0]) == pytest.approx(6.0)
@@ -641,12 +646,9 @@ class TestSuiteHhalf:
         # S comes from the stiffness blocks, so every G route now disagrees with its
         # K-block twin; the closed-form energy, which reads no G, still holds
         a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached object holds the true Gram
-        original = fem2d.space_h1partial
-
         def halved(asm_):
-            _, l2dom, l2bnd, h1bnd = original(asm_)
-            g = asm_.K + 0.5 * asm_.R.T @ asm_.M_b @ asm_.R
-            return oplab.make_space(asm_.mesh.n_nodes, g), l2dom, l2bnd, h1bnd
+            g = asm_.K.dense() + 0.5 * asm_.R.T @ asm_.M_b @ asm_.R
+            return oplab.make_space(asm_.mesh.n_nodes, g)
 
         monkeypatch.setattr(fem2d, "space_h1partial", halved)
         monkeypatch.setattr(tracescale, "space_h1partial", halved)
@@ -759,7 +761,8 @@ def necas_reference(a, n_samples, seed):
     rng = np.random.default_rng(seed)
     bnd = a.mesh.boundary_nodes
     interior = np.setdiff1d(np.arange(a.mesh.n_nodes), bnd)
-    h1_dom = a.K + a.M_dom
+    k, m_dom = a.K.dense(), a.M_dom.dense()
+    h1_dom = k + m_dom
     h1_bnd = a.M_b + a.K_b
     eye_s = np.eye(bnd.size) + tracescale._s_operator(a).mat
 
@@ -777,11 +780,11 @@ def necas_reference(a, n_samples, seed):
             worst[f"trace_{name}_max"] = max(worst[f"trace_{name}_max"], r1)
             worst[f"flux_{name}_max"] = max(worst[f"flux_{name}_max"], r2)
         f = rng.standard_normal(a.mesh.n_nodes)
-        load = a.M_dom @ f
+        load = m_dom @ f
         u0 = np.zeros(a.mesh.n_nodes)
-        u0[interior] = np.linalg.solve(a.K[np.ix_(interior, interior)], load[interior])
-        w0 = np.linalg.solve(a.M_b, (a.K @ u0 - load)[bnd])
-        worst["rellich_max"] = max(worst["rellich_max"], float(np.sqrt((w0 @ a.M_b @ w0) / (f @ a.M_dom @ f))))
+        u0[interior] = np.linalg.solve(k[np.ix_(interior, interior)], load[interior])
+        w0 = np.linalg.solve(a.M_b, (k @ u0 - load)[bnd])
+        worst["rellich_max"] = max(worst["rellich_max"], float(np.sqrt((w0 @ a.M_b @ w0) / (f @ m_dom @ f))))
     worst["trace_const"] = ratios(np.ones(bnd.size))[0]
     return worst
 
