@@ -3,10 +3,11 @@ boundary-aware H1 geometry.
 
 Three mesh kinds: the unit interval, the unit square, and the L-shape
 (unit square minus its upper-right quarter).  Assembly produces the
-domain stiffness and mass as their few nonzero diagonals (``Band``), dense
-arclength mass/stiffness matrices for the boundary polygon, and the 0/1
-boundary restriction matrix.  Only the operator-algebra twins
-(``space_h1partial``, ``op_embed_domain``) make n_nodes x n_nodes arrays.
+domain stiffness and mass as their few nonzero diagonals (``Band``) and
+dense arclength mass/stiffness matrices for the boundary polygon.  The
+trace is the index array ``mesh.boundary_nodes``; only ``op_trace`` makes
+it a 0/1 matrix, and only the operator-algebra twins (``space_h1partial``,
+``op_trace``, ``op_embed_domain``) make arrays of n_nodes columns.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class Assembly:
     K: grad-grad form on the domain, a ``Band``.  M_dom: domain mass, a
     ``Band``.  M_b: boundary mass in arclength (identity for the interval's
     two-point boundary).  K_b: tangential boundary stiffness (zero for the
-    interval).  R: 0/1 restriction onto boundary nodes, shape
-    (len(boundary), n_nodes).  M_b, K_b and R are dense.
+    interval).  M_b and K_b are dense, on the boundary nodes in the order
+    of ``mesh.boundary_nodes``; the trace of v is ``v[mesh.boundary_nodes]``.
     """
 
     mesh: Mesh
@@ -115,7 +116,6 @@ class Assembly:
     M_dom: Band
     M_b: np.ndarray
     K_b: np.ndarray
-    R: np.ndarray
 
 
 def _interval_mesh(n: int) -> Mesh:
@@ -300,12 +300,9 @@ def assemble(mesh: Mesh) -> Assembly:
         k, m, m_b, k_b = _assemble_interval(mesh)
     else:
         k, m, m_b, k_b = _assemble_triangles(mesh)
-    nb = mesh.boundary_nodes.size
-    r = np.zeros((nb, mesh.n_nodes))
-    r[np.arange(nb), mesh.boundary_nodes] = 1.0
-    for mat in (m_b, k_b, r):
+    for mat in (m_b, k_b):
         mat.setflags(write=False)  # fresh float arrays: frozen in place, not copied
-    return Assembly(mesh=mesh, K=k, M_dom=m, M_b=m_b, K_b=k_b, R=r)
+    return Assembly(mesh=mesh, K=k, M_dom=m, M_b=m_b, K_b=k_b)
 
 
 def _space(gram: np.ndarray) -> InnerSpace:
@@ -327,19 +324,25 @@ def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
 
 @lru_cache(maxsize=32)
 def space_h1partial(a: Assembly) -> InnerSpace:
-    """The combined H1 space of one assembly: Gram G = K + R' M_b R.
+    """The combined H1 space of one assembly: Gram G = K plus M_b on the boundary block.
 
     G is the inner product (grad u, grad v) + (u, v) on the boundary.  It is
     a dense n_nodes x n_nodes space for the operator-algebra twins only; the
     solvers work from the bands of K and M_dom and from ``boundary_spaces``.
     """
-    return _space(a.K.dense() + a.R.T @ a.M_b @ a.R)
+    g = a.K.dense()
+    bnd = a.mesh.boundary_nodes
+    g[np.ix_(bnd, bnd)] += a.M_b
+    return _space(g)
 
 
 def op_trace(a: Assembly) -> Operator:
-    """Boundary restriction as a map from the combined H1 space to boundary L2."""
+    """The trace as a map from the combined H1 space to boundary L2: its matrix
+    is the 0/1 restriction onto the boundary nodes, the one place it is built."""
     l2bnd, _ = boundary_spaces(a)
-    return Operator(space_h1partial(a), l2bnd, a.R)
+    r = np.zeros((l2bnd.dim, a.mesh.n_nodes))
+    r[np.arange(l2bnd.dim), a.mesh.boundary_nodes] = 1.0
+    return Operator(space_h1partial(a), l2bnd, r)
 
 
 def op_embed_domain(a: Assembly) -> Operator:

@@ -74,6 +74,8 @@ def make_space(dim: int, gram) -> InnerSpace:
     g = np.array(gram, dtype=float)
     if g.shape != (dim, dim):
         raise DimensionMismatch(f"gram shape {g.shape} != ({dim}, {dim})")
+    if not np.all(np.isfinite(g)):
+        raise NotPositiveDefinite("gram matrix has non-finite entries")
     scale = float(np.linalg.norm(g))
     if float(np.linalg.norm(g - g.T)) > 1e-12 * max(scale, 1.0):
         raise NotSymmetric("gram matrix is not symmetric")

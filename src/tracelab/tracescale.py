@@ -50,6 +50,8 @@ class NormMatrix:
         q = np.array(self.Q, dtype=float)
         if q.shape != (self.space.dim, self.space.dim):
             raise DimensionMismatch("Q shape inconsistent with its space")
+        if not np.all(np.isfinite(q)):
+            raise NotPositiveDefinite("norm Gram has non-finite entries")
         if float(np.linalg.norm(q - q.T)) > 1e-10 * max(float(np.linalg.norm(q)), 1.0):
             raise NotSymmetric("norm Gram is not symmetric")
         try:
@@ -110,40 +112,21 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
-    """K[interior, bnd] and K[bnd, bnd]: how boundary values load the interior
-    and the boundary equations.  Both are rows of K's boundary columns, the
-    band's product with the boundary unit columns R'."""
-    bnd, interior = _partition(a)
-    cols = a.K @ np.ascontiguousarray(a.R.T)
-    kib, kbb = cols[interior], cols[bnd]
-    kib.setflags(write=False)
-    kbb.setflags(write=False)
-    return kib, kbb
-
-
-@lru_cache(maxsize=32)
 def _extension_matrix(a: Assembly) -> np.ndarray:
     """Minimal-energy extension of every boundary hat, as columns."""
-    bnd, interior = _partition(a)
-    z = np.zeros((a.mesh.n_nodes, bnd.size))
-    z[bnd, np.arange(bnd.size)] = 1.0
-    if interior.size:
-        z[interior] = _interior_solve(a, -_coupling(a)[0])
+    z = _extend(a, np.eye(a.M_b.shape[0]))
     z.setflags(write=False)
     return z
 
 
 @lru_cache(maxsize=32)
 def _schur(a: Assembly) -> np.ndarray:
-    """M_b S = M_b + K_bb + K_bi Z_i: the Schur complement of the combined
-    H1 Gram onto the boundary, from the stiffness blocks and the extension
-    matrix Z (K_ii Z_i = -K_ib), never from the Gram itself."""
-    _, interior = _partition(a)
-    kib, kbb = _coupling(a)
-    mbs = a.M_b + kbb
-    if interior.size:
-        mbs = mbs + kib.T @ _extension_matrix(a)[interior]
+    """M_b S = M_b + (K Z)_b: the Schur complement of the combined H1 Gram
+    onto the boundary, from the stiffness band and the extension matrix Z,
+    never from the Gram itself.  The boundary rows of K Z are K_bb + K_bi Z_i,
+    since Z is the identity on the boundary and K_ii Z_i = -K_ib."""
+    bnd, _ = _partition(a)
+    mbs = a.M_b + (a.K @ _extension_matrix(a))[bnd]
     mbs = 0.5 * (mbs + mbs.T)
     mbs.setflags(write=False)
     return mbs
@@ -202,13 +185,13 @@ def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     bnd, interior = _partition(a)
     z = np.zeros((a.mesh.n_nodes,) + g.shape[1:])
     z[bnd] = g
-    if interior.size:
-        z[interior] = _interior_solve(a, -_coupling(a)[0] @ g)
+    if interior.size:  # K_ii z_i = -K_ib g, and K_ib g = (K z)_i while z_i = 0
+        z[interior] = _interior_solve(a, -(a.K @ z)[interior])
     return z
 
 
 def robin_solve(a: Assembly, g) -> np.ndarray:
-    """Solve G z = R' M_b g: zero-load Robin problem with boundary data g.
+    """Solve G z = M_b g on the boundary rows: zero-load Robin problem with data g.
 
     ``g`` is one (nb,) vector or an (nb, k) block whose columns are solved
     together; the solution has shape (n_nodes,) or (n_nodes, k).  Solved by
@@ -224,17 +207,17 @@ def poisson_robin(a: Assembly, f) -> np.ndarray:
 
     ``f`` is one (n_nodes,) vector or an (n_nodes, k) block of sources; the
     solution has the same shape.  Solved by static condensation: y = K_ii^-1
-    b_i for the load b = M_dom f, then M_b S u_b = b_b - K_bi y on the
-    boundary, and u = y + Z u_b for the extension matrix Z.
+    b_i for the load b = M_dom f, then M_b S u_b = b_b - (K y)_b on the
+    boundary (y is zero there, so (K y)_b = K_bi y_i), and u = y + Z u_b for
+    the extension matrix Z.
     """
     f = _columns(f, a.mesh.n_nodes, "source")
     bnd, interior = _partition(a)
     load = a.M_dom @ f
     u = np.zeros_like(load)
-    rhs = load[bnd]
     if interior.size:
         u[interior] = _interior_solve(a, load[interior])
-        rhs = rhs - _coupling(a)[0].T @ u[interior]
+    rhs = load[bnd] - (a.K @ u)[bnd]
     return u + _extension_matrix(a) @ _schur_solve(a, rhs)
 
 
@@ -270,7 +253,7 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
         raise DimensionMismatch(f"green_residual pairs {z.shape} with {v.shape}")
     w = normal_derivative(a, z)
     lhs = np.sum(v * (a.K @ z), axis=0)
-    rhs = np.sum(w * (a.M_b @ (a.R @ v)), axis=0)
+    rhs = np.sum(w * (a.M_b @ v[a.mesh.boundary_nodes]), axis=0)
     scale = np.maximum(np.linalg.norm(z, axis=0) * np.linalg.norm(v, axis=0), 1.0)
     res = np.abs(lhs - rhs) / scale
     return float(res) if res.ndim == 0 else res
@@ -369,16 +352,23 @@ def _colquad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, mat @ x)
 
 
+def _colnorm(x: np.ndarray, q: NormMatrix) -> np.ndarray:
+    """``q.norm`` of every column of x."""
+    return np.sqrt(np.maximum(_colquad(x, q.Q), 0.0))
+
+
 def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
     """P = Lambda R projects onto the discrete-harmonic functions, H1-orthogonally.
 
-    P has rank nb, so every product goes through its n_nodes x nb factor.
+    R is the trace operator's 0/1 matrix.  P has rank nb, so every product
+    goes through its n_nodes x nb factor.
     """
     h1 = space_h1partial(a)
-    rl = a.R @ lam.mat
+    r = op_trace(a).mat
+    rl = r @ lam.mat
     rec.record("extension_trace_identity", rel_diff(rl, np.eye(rl.shape[0])))
-    rec.record("harmonic_projection", rel_diff(lam.mat @ (rl @ a.R), lam.mat @ a.R))
-    gp = (h1.gram @ lam.mat) @ a.R
+    rec.record("harmonic_projection", rel_diff(lam.mat @ (rl @ r), lam.mat @ r))
+    gp = (h1.gram @ lam.mat) @ r
     rec.record(
         "harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)
     )
@@ -397,7 +387,7 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
 
     z = harmonic_extension(a, g)
     rec.record("harmonic_two_path", _maxabs(z - lam.mat @ g))
-    rec.record("harmonic_projection", _maxabs(lam.mat @ (a.R @ z) - z))
+    rec.record("harmonic_projection", _maxabs(lam.mat @ z[a.mesh.boundary_nodes] - z))
     rec.record("robin_two_path", _maxabs(robin_solve(a, g) - gamma_star.mat @ g))
 
     u = poisson_robin(a, f)
@@ -420,7 +410,7 @@ def _pde_identities(rec: Recorder, a: Assembly, rng: np.random.Generator, sample
     g, v = draws[:nb], draws[nb:]
     rec.record("green_formula", _maxabs(green_residual(a, harmonic_extension(a, g), v)))
     zr = robin_solve(a, g)
-    rec.record("robin_boundary", _maxabs(normal_derivative(a, zr) + a.R @ zr - g))
+    rec.record("robin_boundary", _maxabs(normal_derivative(a, zr) + zr[a.mesh.boundary_nodes] - g))
 
 
 def suite_pde(
@@ -504,7 +494,7 @@ def suite_hhalf(
 
     rec = _recorder("hhalf", a)
     shrink = _s_spectrum(a).power(-0.5)
-    rec.record("proof_identity", rel_diff(shrink.mat, a.R @ lam.mat @ shrink.mat))
+    rec.record("proof_identity", rel_diff(shrink.mat, lam.mat[a.mesh.boundary_nodes] @ shrink.mat))
 
     z = _extension_matrix(a)
     if trials:
@@ -563,7 +553,7 @@ def suite_h1(
     gamma_star = oplab.adjoint(gamma)
 
     rec = _recorder("h1", a)
-    gg = a.R @ gamma_star.mat                      # trace o adjoint, on boundary L2
+    gg = gamma_star.mat[a.mesh.boundary_nodes]     # trace o adjoint, on boundary L2
     lhs = gg @ np.linalg.solve(eye + gg, eye)
     rhs = np.linalg.solve(eye + s_mat, eye)
     rec.record("resolvent_identity", rel_diff(lhs, rhs))
@@ -693,7 +683,7 @@ def _record_log_convexity(rec: Recorder, a: Assembly, g, grid) -> dict[str, floa
     """
     g = np.asarray(g, dtype=float)
     grid = sorted(float(t) for t in grid)
-    if any(t < 0.0 or t > 1.0 for t in grid):
+    if any(not 0.0 <= t <= 1.0 for t in grid):
         raise OrderOutOfRange("order grid must lie in [0, 1]")
     if float(np.linalg.norm(g)) == 0.0:
         raise ZeroVector("interpolation check needs a nonzero boundary vector")
@@ -705,6 +695,8 @@ def _record_log_convexity(rec: Recorder, a: Assembly, g, grid) -> dict[str, floa
         for j in range(i + 1, len(grid)):
             for k in range(j + 1, len(grid)):
                 t1, t, t2 = grid[i], grid[j], grid[k]
+                if t2 == t1:
+                    continue  # t1 = t = t2: the triple bounds nothing
                 theta = (t2 - t) / (t2 - t1)
                 bound = norms[i] ** theta * norms[k] ** (1.0 - theta)
                 if bound > 0.0:
@@ -745,22 +737,20 @@ def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int
     q_neg = hs_gram(a, -s)
     nb = q_pos.space.dim
 
-    dual_gram = a.M_b @ np.linalg.solve(q_pos.Q, a.M_b)
-    gram_residual = rel_diff(dual_gram, q_neg.Q)
+    qinv_mb = np.linalg.solve(q_pos.Q, a.M_b)  # the one solve with Q_s
+    gram_residual = rel_diff(a.M_b @ qinv_mb, q_neg.Q)
     rec.record("dual_gram", gram_residual)
 
-    for _ in range(probes):
-        g = rng.standard_normal(nb)
-        dual_norm = q_neg.norm(g)
-        h_star = np.linalg.solve(q_pos.Q, a.M_b @ g)
-        pairing = float(g @ a.M_b @ h_star)
-        rec.record(
-            "dual_attainment",
-            abs(pairing / max(q_pos.norm(h_star), _TINY) - dual_norm) / max(dual_norm, _TINY),
-        )
-        h = rng.standard_normal(nb)
-        val = float(g @ a.M_b @ h) / max(q_pos.norm(h), _TINY)
-        rec.record("dual_bound_excess", (val - dual_norm) / max(dual_norm, _TINY))
+    if probes:
+        # probe j draws g_j and then h_j, as the columns of g and h
+        g, h = rng.standard_normal((probes, 2, nb)).transpose(1, 2, 0)
+        dual_norm = _colnorm(g, q_neg)
+        h_star = qinv_mb @ g
+        attained = np.sum(g * (a.M_b @ h_star), axis=0) / np.maximum(_colnorm(h_star, q_pos), _TINY)
+        val = np.sum(g * (a.M_b @ h), axis=0) / np.maximum(_colnorm(h, q_pos), _TINY)
+        scale = np.maximum(dual_norm, _TINY)
+        rec.record("dual_attainment", np.max(np.abs(attained - dual_norm) / scale))
+        rec.record("dual_bound_excess", np.max((val - dual_norm) / scale))
     return gram_residual
 
 

@@ -202,7 +202,7 @@ class TestAssemble:
         assert np.abs(a.M_dom.dense() - np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0).max() <= 1e-16
         assert np.array_equal(a.M_b, np.eye(2))
         assert np.array_equal(a.K_b, np.zeros((2, 2)))
-        assert np.array_equal(a.R, np.eye(2))
+        assert np.array_equal(fem2d.op_trace(a).mat, np.eye(2))
 
     def test_interval_two_segments(self):
         a = asm("interval", 2)
@@ -210,8 +210,9 @@ class TestAssemble:
         assert np.abs(a.K.dense() - expected_k).max() <= 1e-15
         expected_m = np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 2.0]]) / 12.0
         assert np.abs(a.M_dom.dense() - expected_m).max() <= 1e-16
-        assert a.R.shape == (2, 3)
-        assert a.R[0, 0] == 1.0 and a.R[1, 2] == 1.0
+        r = fem2d.op_trace(a).mat
+        assert r.shape == (2, 3)
+        assert r[0, 0] == 1.0 and r[1, 2] == 1.0
 
     def test_square_measure_totals(self):
         a = asm("square", 1)
@@ -366,6 +367,24 @@ class TestRenumberedMesh:
         z = tracescale.harmonic_extension(a, g)
         assert np.abs(tracescale.harmonic_extension(b, g)[perm] - z).max() <= 1e-12 * max(np.abs(z).max(), 1.0)
 
+    @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_condensed_solvers_follow_the_permutation(self, case, seed):
+        # the Robin solvers and S read K's blocks off band products (K u)_b and K Z
+        mesh, perm = case
+        a = asm(mesh.kind, mesh.boundary_nodes.size // 4)
+        b = fem2d.assemble(renumbered(mesh, perm))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((mesh.boundary_nodes.size, 2))
+        f = rng.standard_normal((mesh.n_nodes, 2))
+        f_new = np.empty_like(f)
+        f_new[perm] = f
+        for new, old in (
+            (tracescale.robin_solve(b, g)[perm], tracescale.robin_solve(a, g)),
+            (tracescale.poisson_robin(b, f_new)[perm], tracescale.poisson_robin(a, f)),
+            (tracescale._s_operator(b).mat, tracescale._s_operator(a).mat),
+        ):
+            assert np.abs(new - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0)
+
 
 class TestSpaces:
     def test_builds_one_domain_space(self, monkeypatch):
@@ -398,7 +417,8 @@ class TestSpaces:
         a = asm(kind, n)
         h1 = fem2d.space_h1partial(a)
         ones = np.ones(a.mesh.n_nodes)
-        boundary_part = a.R.T @ a.M_b @ a.R @ ones
+        r = fem2d.op_trace(a).mat
+        boundary_part = r.T @ a.M_b @ r @ ones
         assert np.abs(h1.gram @ ones - boundary_part).max() <= 1e-14
         assert np.abs(boundary_part).max() > 0.0
 
@@ -425,7 +445,6 @@ class TestSpaces:
             M_dom=good.M_dom,
             M_b=good.M_b,
             K_b=good.K_b,
-            R=good.R,
         )
         with pytest.raises(GramNotPD):
             fem2d.space_h1partial(bad)
@@ -449,7 +468,7 @@ class TestOperators:
     def test_trace_matrix_and_constants(self):
         a = asm("square", 2)
         tr = fem2d.op_trace(a)
-        assert np.array_equal(tr.mat, a.R)
+        assert np.array_equal(tr.mat, np.eye(a.mesh.n_nodes)[a.mesh.boundary_nodes])
         ones = np.ones(a.mesh.n_nodes)
         assert np.array_equal(tr.apply(ones), np.ones(a.mesh.boundary_nodes.size))
 

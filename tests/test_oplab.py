@@ -99,6 +99,12 @@ class TestMakeSpace:
         with pytest.raises(NotSymmetric):
             oplab.make_space(2, [[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        # a NaN passes the symmetry test, and Cholesky does not raise on it
+        with pytest.raises(NotPositiveDefinite):
+            oplab.make_space(2, [[bad, 0.0], [0.0, 1.0]])
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionMismatch):
             oplab.make_space(3, np.eye(2))

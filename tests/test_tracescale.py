@@ -102,7 +102,7 @@ class TestRobinSolve:
             g = rng.standard_normal(a.mesh.boundary_nodes.size)
             z = tracescale.robin_solve(a, g)
             w = tracescale.normal_derivative(a, z)
-            assert np.abs(w + a.R @ z - g).max() <= 1e-10 * max(np.abs(g).max(), 1.0)
+            assert np.abs(w + z[a.mesh.boundary_nodes] - g).max() <= 1e-10 * max(np.abs(g).max(), 1.0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -149,7 +149,8 @@ class TestPoissonRobin:
 
 def dense_g_solve(a, rhs):
     """G^-1 rhs for the combined H1 Gram G = K + R' M_b R, by a plain dense solve."""
-    return np.linalg.solve(a.K.dense() + a.R.T @ a.M_b @ a.R, rhs)
+    r = fem2d.op_trace(a).mat
+    return np.linalg.solve(a.K.dense() + r.T @ a.M_b @ r, rhs)
 
 
 class TestStaticCondensation:
@@ -159,7 +160,7 @@ class TestStaticCondensation:
         g = rng.standard_normal((a.mesh.boundary_nodes.size, 3))
         f = rng.standard_normal((a.mesh.n_nodes, 3))
         for got, ref in (
-            (tracescale.robin_solve(a, g), dense_g_solve(a, a.R.T @ a.M_b @ g)),
+            (tracescale.robin_solve(a, g), dense_g_solve(a, fem2d.op_trace(a).mat.T @ a.M_b @ g)),
             (tracescale.poisson_robin(a, f), dense_g_solve(a, a.M_dom.dense() @ f)),
         ):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -210,7 +211,7 @@ class TestNormalDerivative:
         for _ in range(10):
             v = rng.standard_normal(a.mesh.n_nodes)
             lhs = v @ a.K.dense() @ z
-            rhs = (a.R @ v) @ a.M_b @ w
+            rhs = v[a.mesh.boundary_nodes] @ a.M_b @ w
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_non_harmonic_rejected(self):
@@ -341,13 +342,13 @@ class TestProjectionIdentities:
         for _ in range(5):
             g = rng.standard_normal(a.mesh.boundary_nodes.size)
             z = tracescale.harmonic_extension(a, g)
-            assert np.abs(a.R @ z - g).max() <= 1e-10 * max(np.abs(g).max(), 1.0)
+            assert np.abs(z[a.mesh.boundary_nodes] - g).max() <= 1e-10 * max(np.abs(g).max(), 1.0)
 
     def test_extension_of_trace_projects(self, rng):
         a = asm("square", 4)
         h1 = fem2d.space_h1partial(a)
         lam = oplab.pinv(fem2d.op_trace(a))
-        proj = lam.mat @ a.R
+        proj = lam.mat @ fem2d.op_trace(a).mat
         assert np.abs(proj @ proj - proj).max() <= 1e-10
         gp = h1.gram @ proj
         assert np.abs(gp - gp.T).max() <= 1e-10
@@ -451,6 +452,12 @@ class TestNormMatrixValidation:
         sp, _ = fem2d.boundary_spaces(asm("interval", 1))
         with pytest.raises(DimensionMismatch):
             tracescale.NormMatrix(space=sp, s=0.0, Q=np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
+        with pytest.raises(NotPositiveDefinite):
+            tracescale.NormMatrix(space=sp, s=0.0, Q=np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_norm_evaluation(self):
         sp, _ = fem2d.boundary_spaces(asm("interval", 1))
@@ -647,7 +654,8 @@ class TestSuiteHhalf:
         # K-block twin; the closed-form energy, which reads no G, still holds
         a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached object holds the true Gram
         def halved(asm_):
-            g = asm_.K.dense() + 0.5 * asm_.R.T @ asm_.M_b @ asm_.R
+            g = asm_.K.dense()
+            g[np.ix_(asm_.mesh.boundary_nodes, asm_.mesh.boundary_nodes)] += 0.5 * asm_.M_b
             return oplab.make_space(asm_.mesh.n_nodes, g)
 
         monkeypatch.setattr(fem2d, "space_h1partial", halved)
@@ -699,7 +707,7 @@ class TestTracePinv:
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so _trace_pinv runs
         lam = tracescale._trace_pinv(a)
         assert len(refs) == 1 and refs[0]() is None
-        assert np.abs(a.R @ lam.mat - np.eye(16)).max() <= 1e-12
+        assert np.abs(lam.mat[a.mesh.boundary_nodes] - np.eye(16)).max() <= 1e-12
 
 
 class TestSuiteH1:
@@ -715,7 +723,7 @@ class TestSuiteH1:
         a = asm("interval", 1)
         s_mat = np.array([[2.0, -1.0], [-1.0, 2.0]])
         gamma = fem2d.op_trace(a)
-        gg = a.R @ oplab.adjoint(gamma).mat
+        gg = oplab.adjoint(gamma).mat[a.mesh.boundary_nodes]
         lhs = gg @ np.linalg.inv(np.eye(2) + gg)
         expected = np.linalg.inv(np.eye(2) + s_mat)
         assert np.abs(lhs - expected).max() <= 1e-13
@@ -877,6 +885,19 @@ class TestInterpolation:
         with pytest.raises(OrderOutOfRange):
             tracescale.interpolation_check(asm("interval", 1), [1.0, 0.0], [0.0, 1.5])
 
+    def test_nan_order_rejected(self):
+        with pytest.raises(OrderOutOfRange):
+            tracescale.interpolation_check(asm("interval", 1), [1.0, 0.0], [0.0, float("nan"), 1.0])
+
+    def test_coincident_orders(self):
+        a = asm("interval", 1)
+        rep = tracescale.interpolation_check(a, [1.0, 0.0], [0.5, 0.5, 0.5])
+        assert rep.passed and "log_convexity_excess" not in rep.residuals
+        assert rep.constants == {"norm_t_0.5": pytest.approx(np.sqrt(3.0))}
+        # a repeated endpoint still bounds the order between
+        rep = tracescale.interpolation_check(a, [1.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0])
+        assert rep.passed and rep.residuals["log_convexity_excess"] <= 1e-14
+
     def test_suite_wrapper(self):
         rep = tracescale.suite_interp(asm("square", 4), trials=20, seed=0)
         assert rep.passed
@@ -907,6 +928,31 @@ class TestDuality:
         assert rep.passed
         for s in ("0.25", "0.5", "0.75", "1"):
             assert f"gram_residual_s_{s}" in rep.constants
+
+    def test_one_solve_per_order(self, monkeypatch):
+        # the probes of an order share one Q_s^-1 M_b, however many there are
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kw):
+            calls.append(args[0].shape)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rep = tracescale.suite_dual(fem2d.assemble(fem2d.gen_mesh("square", 4)))
+        assert rep.passed and len(calls) <= 4
+
+    def test_nan_probe_raises(self, monkeypatch):
+        colnorm = tracescale._colnorm
+
+        def poisoned(x, q):
+            out = colnorm(x, q)
+            out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(tracescale, "_colnorm", poisoned)
+        with pytest.raises(NonFiniteResidual, match=r"dual:square:4 residual 'dual_\w+'"):
+            tracescale.duality_check(asm("square", 4), 0.5)
 
 
 class TestRefinementStability:
