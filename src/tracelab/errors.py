@@ -46,6 +46,10 @@ class NoConvergence(TracelabError):
         self.off_norm = off_norm
 
 
+class NonFiniteInput(TracelabError):
+    """A kernel received a matrix with NaN or infinite entries."""
+
+
 # -- mesh / assembly layer -------------------------------------------------
 
 class BadParameter(TracelabError):

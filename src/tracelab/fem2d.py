@@ -99,6 +99,17 @@ class Band:
             out[d:] += v[col] * x[:-d]
         return out
 
+    def rows(self, idx: np.ndarray, x) -> np.ndarray:
+        """``(self @ x)[idx]``, summed in the same order, without the other rows."""
+        x = np.asarray(x, dtype=float)
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        out = self.diags[0][idx][col] * x[idx]
+        for d, v in zip(self.offsets[1:], self.diags[1:]):
+            up, down = idx < v.size, idx >= d
+            out[up] += v[idx[up]][col] * x[idx[up] + d]
+            out[down] += v[idx[down] - d][col] * x[idx[down] - d]
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Assembly:

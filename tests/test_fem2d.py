@@ -302,6 +302,15 @@ class TestBands:
                 assert got.shape == ref.shape
                 assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_rows_equal_product_rows_bitwise(self, kind, n, rng):
+        a = asm(kind, n)
+        # the boundary, then interior and repeated rows
+        idx = np.concatenate([a.mesh.boundary_nodes, rng.integers(0, a.mesh.n_nodes, 7)])
+        for band in (a.K, a.M_dom):
+            for x in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 5))):
+                assert np.array_equal(band.rows(idx, x), (band @ x)[idx])
+
     @pytest.mark.parametrize(
         "kind,n,k_offsets,m_offsets",
         [
@@ -357,6 +366,14 @@ class TestRenumberedMesh:
             expected[np.ix_(perm, perm)] = orig.dense()
             assert np.array_equal(new.dense(), expected)
         assert np.array_equal(b.M_b, a.M_b) and np.array_equal(b.K_b, a.K_b)
+
+    @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_boundary_rows_of_wide_bands(self, case, seed):
+        mesh, perm = case
+        b = fem2d.assemble(renumbered(mesh, perm))
+        x = np.random.default_rng(seed).standard_normal((mesh.n_nodes, 3))
+        for band in (b.K, b.M_dom):
+            assert np.array_equal(band.rows(b.mesh.boundary_nodes, x), (band @ x)[b.mesh.boundary_nodes])
 
     @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_harmonic_extension_follows_the_permutation(self, case, seed):

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from tracelab import kernels
-from tracelab.errors import NoConvergence, NotSymmetric, TracelabError
+from tracelab.errors import NoConvergence, NonFiniteInput, NotSymmetric, TracelabError
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -96,19 +96,78 @@ class TestJacobiSvd:
         assert np.abs(u @ np.diag(s) @ vt).max() == 0.0
 
 
-class TestRoundRobin:
+class TestOddEven:
     @pytest.mark.parametrize("n", [*range(1, 12), 31, 64])
-    def test_every_pair_once_disjoint_steps(self, n):
-        steps = kernels._round_robin(n)
-        assert len(steps) == (0 if n == 1 else n - 1 + n % 2)
-        seen = []
-        for p, q, pq, qp in steps:
-            assert np.all(p < q)
-            assert len(set(pq.tolist())) == pq.size  # disjoint pairs
-            assert pq.tolist() == [*p.tolist(), *q.tolist()]
-            assert qp.tolist() == [*q.tolist(), *p.tolist()]
-            seen.extend(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    def test_every_pair_meets_once_per_sweep(self, n):
+        # row 0 holds column positions, row 1 the original index now in each column
+        cols = np.vstack([np.arange(n, dtype=float)] * 2)
+        firsts = []
+        for sweep in range(2):
+            steps = kernels._odd_even(n, sweep)
+            assert len(steps) == {1: 0, 2: 1}.get(n, n)
+            met = []
+            for f in steps:
+                where, who = kernels._pairs(cols, f)
+                # disjoint neighbour pairs (f, f+1), (f+2, f+3), ...: all that fit in n columns
+                assert where.real.tolist() == list(range(f, n - 1, 2)) and np.all(where.imag == where.real + 1)
+                met += [tuple(sorted((int(p), int(q)))) for p, q in zip(who.real, who.imag)]
+                # an unrotated turn is the bare swap; put the positions back
+                kernels._turn(kernels._pairs(cols, f), kernels._phase(np.zeros(where.size)))
+                cols[0] = np.arange(n)
+                firsts.append(f)
+            assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        if n > 2:  # f alternates across the sweep boundary too
+            assert all(f != g for f, g in zip(firsts, firsts[1:]))
+
+
+class TestIdleSteps:
+    # the odd-even schedule moves columns only through the swaps, so a step
+    # that rotates nothing must still swap its pairs, or pairs never meet
+
+    def test_svd_whose_first_steps_are_orthogonal(self):
+        # columns e0, e1, e0 + e2, e3: every neighbour pair is orthogonal, e0 and e0 + e2 are not
+        m = np.eye(4)
+        m[0, 2] = 1.0
+        u, s, vt = kernels.jacobi_svd(m)
+        golden = (1.0 + np.sqrt(5.0)) / 2.0
+        assert np.abs(s - [golden, 1.0, 1.0, golden - 1.0]).max() <= 1e-15
+        assert np.abs(u @ np.diag(s) @ vt - m).max() <= 1e-15
+
+    def test_eigh_whose_neighbour_entries_vanish(self):
+        a = np.diag([2.0, 3.0, 4.0, 5.0])
+        a[0, 2] = a[2, 0] = 1.0
+        vals, vecs = kernels.jacobi_eigh(a)
+        assert np.abs(vals - np.linalg.eigvalsh(a)).max() <= 1e-14
+        assert np.abs(vecs @ np.diag(vals) @ vecs.T - a).max() <= 1e-14
+
+
+class TestNonFiniteInput:
+    BAD = [float("nan"), float("inf"), -float("inf")]
+
+    def test_is_a_tracelab_error(self):
+        assert issubclass(NonFiniteInput, TracelabError)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_eigh(self, bad):
+        # a symmetric infinite pair once passed the stopping test before any sweep
+        with pytest.raises(NonFiniteInput):
+            kernels.jacobi_eigh(np.array([[1.0, bad], [bad, 2.0]]))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (3, 5)])
+    def test_svd(self, bad, shape):
+        m = np.ones(shape)
+        m[1, 2] = bad
+        with pytest.raises(NonFiniteInput):
+            kernels.jacobi_svd(m, max_sweeps=1)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gen_eigh(self, bad):
+        a = np.array([[2.0, bad], [bad, 1.0]])
+        with pytest.raises(NonFiniteInput):
+            kernels.gen_eigh(a, np.eye(2))
+        with pytest.raises(NonFiniteInput):
+            kernels.gen_eigh(np.eye(2), a)
 
 
 class TestNoConvergence:

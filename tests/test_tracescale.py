@@ -21,6 +21,7 @@ from tracelab.errors import (
     OrderOutOfRange,
     ZeroVector,
 )
+from tracelab.report import Recorder
 
 from conftest import asm
 
@@ -902,6 +903,43 @@ class TestInterpolation:
         rep = tracescale.suite_interp(asm("square", 4), trials=20, seed=0)
         assert rep.passed
         assert rep.constants["trials"] == 20.0
+
+    def test_suite_checks_the_per_trial_stream_as_one_block(self, monkeypatch):
+        a = asm("square", 4)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        blocks = []
+        record = tracescale._record_log_convexity
+
+        def spy(rec, a, g, grid):
+            blocks.append(g)
+            return record(rec, a, g, grid)
+
+        monkeypatch.setattr(tracescale, "_record_log_convexity", spy)
+        tracescale.suite_interp(a, trials=20, seed=5, grid=grid)
+        assert len(blocks) == 1 and blocks[0].shape == (16, 20)
+        # trial j is the j-th draw of one vector per trial, and its norms are interpolation_check's
+        rng = np.random.default_rng(5)
+        single = [rng.standard_normal(16) for _ in range(20)]
+        assert np.array_equal(blocks[0], np.column_stack(single))
+        norms = record(Recorder("interp"), a, blocks[0], grid)
+        for j, g in enumerate(single):
+            for name, value in tracescale.interpolation_check(a, g, grid).constants.items():
+                assert norms[float(name.removeprefix("norm_t_"))][j] == pytest.approx(value, rel=1e-14)
+
+    def test_no_trials(self):
+        rep = tracescale.suite_interp(asm("square", 4), trials=0)
+        assert rep.passed and rep.residuals == {}
+
+    def test_zero_column_in_block_rejected(self):
+        rec = Recorder("interp", "interval")
+        g = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 1.0]])
+        with pytest.raises(ZeroVector):
+            tracescale._record_log_convexity(rec, asm("interval", 1), g, [0.0, 0.5, 1.0])
+        assert rec.worst == {}
+
+    def test_one_vector_api(self):
+        with pytest.raises(DimensionMismatch):
+            tracescale.interpolation_check(asm("interval", 1), np.ones((2, 2)), [0.0, 1.0])
 
 
 class TestDuality:
