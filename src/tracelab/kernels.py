@@ -5,11 +5,24 @@ so library routines stay available as cross-checking oracles in the tests.
 Both kernels order a sweep by the odd-even schedule, which Luk & Park (1989)
 show equivalent to the round-robin of Brent & Luk (1985): each step rotates
 the neighbour columns (f + 2i, f + 2i + 1), f alternating 0, 1, and then
-swaps them, so n steps bring every two original columns together once.  On
-the complex column z = p + iq, rotate-and-swap is the product conj(z) (s + ic):
-two in-place ufunc calls on a complex view, with no gathers or scatters.  The
-SVD first reduces a tall input by a column-pivoted QR (Drmač & Veselić 2008)
-and rotates only the square triangular factor.  A kernel raises
+swaps them, so n steps bring every two original columns together once.
+
+A matrix being rotated lives in a flat buffer whose rows sit on an even
+stride (n, or n + 1 for odd n), plus one spare pair.  Viewed as complex from
+element f, the buffer holds every pair of step parity f as z = p + iq, so a
+step turns all its pairs with one in-place multiply over a contiguous view:
+z *= (t - i) / hypot(t, 1) is the rotation by tangent t, the swap, and a
+negation of the new q column.  That negation is a +-1 diagonal similarity:
+it only flips the sign of later tangents, so values are as without it and
+vectors differ in column signs only.  The slots past the real pairs (the pad
+column of odd n, and at parity 1 the pair that wraps from one row into the
+next) get the phase 1 and stay as they are.  Each kernel first scales its
+input by the power of two that brings max|a| into [1/2, 1), so that no
+square or product overflows or underflows, and scales the values back;
+the scaling is exact, so on inputs of ordinary size nothing moves.
+
+The SVD first reduces a tall input by a column-pivoted QR (Drmač & Veselić
+2008) and rotates only the square triangular factor.  A kernel raises
 NonFiniteInput on a NaN or infinite input before any work, and NoConvergence
 when it uses up ``max_sweeps``, rather than return an unconverged result.
 The rank rule and the pseudo-inverse read an SVD the caller already holds.
@@ -21,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import qr, solve_triangular
 
-from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotSymmetric
+from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotPositiveDefinite, NotSymmetric
 
 # Machine epsilon for float64; rank decisions key off this.
 EPS = np.finfo(float).eps
@@ -35,6 +48,11 @@ def _finite(m, kernel: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteInput(f"{kernel} input has NaN or infinite entries")
     return m
+
+
+def _exponent(m: np.ndarray) -> int:
+    """e with max|m| in [2^(e-1), 2^e); 0 for an empty or zero m."""
+    return int(np.frexp(np.abs(m).max(initial=0.0))[1])
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -52,40 +70,55 @@ def _odd_even(n: int, sweep: int) -> list[int]:
     return [f for f in ((sweep * n + j) % 2 for j in range(n)) if n - f >= 2]
 
 
-def _pairs(a: np.ndarray, f: int) -> np.ndarray:
-    """The column pairs (p, q) of step f of the C-ordered a, as complex z = a[:, p] + i a[:, q]."""
-    return a[:, f : f + 2 * ((a.shape[1] - f) // 2)].view(np.complex128)
+class _Flat:
+    """A zeroed rows x cols matrix stored for whole-parity column turns.
+
+    ``flat`` holds the rows on an even ``stride`` and one spare pair after
+    them; ``mat`` is the matrix view.  ``slots[f]`` views ``flat`` as complex
+    from element f, so slot (r, j) is mat[r, f + 2j] + i mat[r, f + 2j + 1]
+    for the ``(cols - f) // 2`` real pairs j; a slot after them holds the pad
+    column or, at f = 1, the last entry of row r and the first of row r + 1.
+    """
+
+    def __init__(self, rows: int, cols: int) -> None:
+        self.stride = cols + cols % 2
+        size = rows * self.stride
+        self.flat = np.zeros(size + 2)
+        self.mat = self.flat[:size].reshape(rows, self.stride)[:, :cols]
+        self.slots = [self.flat[f : f + size].view(np.complex128).reshape(rows, -1) for f in (0, 1)]
+
+    def pair_entries(self, f: int) -> list[np.ndarray]:
+        """Strided views of the entries pp, qq, pq and qp of a square matrix's step-f pairs (p, q)."""
+        d, k = self.stride + 1, (self.mat.shape[1] - f) // 2
+        return [self.flat[f * d + o : f * d + o + 2 * d * k : 2 * d] for o in (0, d, 1, d - 1)]
 
 
-def _entries(a: np.ndarray, f: int) -> tuple[np.ndarray, ...]:
-    """The entries pp, qq, pq and qp of step f's pairs of the square a, as strided views."""
-    n = a.shape[0]
-    flat, d, k = a.reshape(-1), n + 1, (n - f) // 2
-    return tuple(flat[i : i + 2 * d * k : 2 * d] for i in (f * d, f * d + d, f * d + 1, f * d + n))
+def _phases(stride: int) -> list[np.ndarray]:
+    """Per-parity phase rows of a turn, 1 everywhere: slots past the real pairs must keep it."""
+    return [np.ones(stride // 2, dtype=np.complex128) for _ in (0, 1)]
 
 
-def _phase(t: np.ndarray) -> np.ndarray:
-    """s + ic for the rotations with tangents t: c = 1/sqrt(1 + t^2), s = t c."""
-    return (t + 1j) / np.hypot(t, 1.0)
+def _set_phase(phase: np.ndarray, t: np.ndarray) -> None:
+    """Phase of the turn by tangents t into the first t.size slots: (t - i) / hypot(t, 1).
+
+    Times z = p + iq that is p, q <- s p + c q, s q - c p, with c = 1/sqrt(1 + t^2),
+    s = t c: the rotation, the swap and a negation of the new q.
+    """
+    phase[: t.size] = (t - 1j) / np.hypot(t, 1.0)
 
 
-def _turn(z: np.ndarray, phase: np.ndarray) -> None:
-    """In place, rotate then swap each pair z = p + iq: p, q <- s p + c q, c p - s q."""
-    np.conjugate(z, out=z)
-    z *= phase
-
-
-def _tangent(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, rotate: np.ndarray) -> np.ndarray:
+def _tangent(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: np.ndarray) -> np.ndarray:
     """tan of the smaller Jacobi angle that annihilates apq in [[app, apq], [apq, aqq]].
 
     The root of t^2 + 2 zeta t - 1 = 0, zeta = (aqq - app) / (2 apq), of least
     magnitude, written without the quotient zeta so that nothing overflows;
-    0 (no rotation) where ``rotate`` is False, which it must be where apq = 0.
+    0 (no rotation) where ``skip`` is True, which it must be where apq = 0.
     """
     d = aqq - app
     two = 2.0 * apq
     den = d + np.copysign(np.hypot(d, two), d)
-    return np.divide(two, den, out=np.zeros_like(den), where=rotate)
+    den[skip] = np.inf
+    return two / den
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
@@ -106,40 +139,43 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
         raise DimensionMismatch(f"square matrix expected, got {a.shape}")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max(initial=0.0)))):
         raise NotSymmetric("jacobi_eigh requires a symmetric matrix")
-
-    ref = float(np.linalg.norm(a))
-    if n == 1 or ref == 0.0:
+    if n == 1 or not a.any():
         order = np.argsort(np.diag(a))
         return np.diag(a)[order], np.eye(n)[:, order]
 
-    # w and its transpose alternate between two buffers; views of both are made once
-    bufs, v = (a.copy(), np.empty((n, n))), np.eye(n)
-    pairs = [[_pairs(x, f) for f in (0, 1)] for x in (*bufs, v)]
-    entries = [[_entries(x, f) for f in (0, 1)] for x in bufs]
+    # w and its transpose alternate between two buffers
+    e = _exponent(a)
+    bufs, v = (_Flat(n, n), _Flat(n, n)), _Flat(n, n)
+    bufs[0].mat[...] = np.ldexp(a, -e)
+    np.fill_diagonal(v.mat, 1.0)
+    ref = float(np.linalg.norm(bufs[0].mat))
+    phases = _phases(v.stride)
+    entries = [[x.pair_entries(f) for f in (0, 1)] for x in bufs]
     b = sweeps = 0
-    while (off := _offdiag_norm(bufs[b])) > tol * ref:
+    while (off := _offdiag_norm(bufs[b].mat)) > tol * ref:
         if sweeps == max_sweeps:
-            raise NoConvergence("jacobi_eigh", sweeps, off)
+            raise NoConvergence("jacobi_eigh", sweeps, float(np.ldexp(off, e)))
         for f in _odd_even(n, sweeps):
             app, aqq, apq, _ = entries[b][f]
-            t = _tangent(app, aqq, apq, np.abs(apq) > _SKIP)
-            # stable closed forms for the rotated and swapped 2x2 blocks
+            t = _tangent(app, aqq, apq, np.abs(apq) <= _SKIP)
+            # stable closed forms for the turned 2x2 blocks
             tpq = t * apq
             new_p, new_q = aqq + tpq, app - tpq
-            phase = _phase(t)
-            _turn(pairs[b][f], phase)
-            _turn(pairs[2][f], phase)
-            # w H with H symmetric, so its transpose is H w; turned again, H w H
-            np.copyto(bufs[1 - b], bufs[b].T)
+            phase = phases[f]
+            _set_phase(phase, t)
+            bufs[b].slots[f] *= phase
+            v.slots[f] *= phase
+            # w H with H H^T = I, so its transpose is H^T w; turned again, H^T w H
+            np.copyto(bufs[1 - b].mat, bufs[b].mat.T)
             b = 1 - b
-            _turn(pairs[b][f], phase)
+            bufs[b].slots[f] *= phase
             app, aqq, apq, aqp = entries[b][f]
             app[...], aqq[...], apq[...], aqp[...] = new_p, new_q, 0.0, 0.0
         sweeps += 1
 
-    vals = np.diag(bufs[b]).copy()
+    vals = np.ldexp(np.diag(bufs[b].mat), e)
     order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    return vals[order], v.mat[:, order]
 
 
 def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
@@ -162,34 +198,41 @@ def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     if rows < cols:
         ut, s, vt = jacobi_svd(m.T, tol=tol, max_sweeps=max_sweeps)
         return vt.T, s, ut.T
+    e = _exponent(m)
     if rows > cols > 0:
-        q, r, piv = qr(m, mode="economic", pivoting=True)
+        q, r, piv = qr(np.ldexp(m, -e), mode="economic", pivoting=True)
         ur, s, rvt = jacobi_svd(r, tol=tol, max_sweeps=max_sweeps)
         vt = np.empty_like(rvt)
         vt[:, piv] = rvt
-        return q @ ur, s, vt
+        return q @ ur, np.ldexp(s, e), vt
 
     # u above v: one column turn rotates both
-    uv = np.vstack([m, np.eye(cols)])
-    u = uv[:rows]
-    pairs = [_pairs(uv, f) for f in (0, 1)]
-    columns = [(z.real, z.imag) for z in (_pairs(u, f) for f in (0, 1))]
+    uv = _Flat(rows + cols, cols)
+    uv.mat[:rows] = np.ldexp(m, -e)
+    np.fill_diagonal(uv.mat[rows:], 1.0)
+    u = uv.mat[:rows]
+    phases = _phases(uv.stride)
+    # the u rows of each parity's slots as (rows, slot, p|q) floats, and their real pairs
+    blocks = [uv.flat[f : f + rows * uv.stride].reshape(rows, -1, 2) for f in (0, 1)]
+    pairs = [(x[:, : (cols - f) // 2, 0], x[:, : (cols - f) // 2, 1]) for f, x in enumerate(blocks)]
     for sweep in range(max_sweeps):
         rotated = False
         for f in _odd_even(cols, sweep):
-            xp, xq = columns[f]
-            npp = np.einsum("ij,ij->j", xp, xp)
-            nqq = np.einsum("ij,ij->j", xq, xq)
+            xp, xq = pairs[f]
+            k = xp.shape[1]
+            norms = np.einsum("ijk,ijk->jk", blocks[f], blocks[f])
+            npp, nqq = norms[:k, 0], norms[:k, 1]
             npq = np.einsum("ij,ij->j", xp, xq)
-            # negated so that a NaN pair counts as unconverged
-            rotate = ~(np.abs(npq) <= tol * np.sqrt(npp * nqq))
-            rotated = rotated or bool(rotate.any())
+            # a NaN pair is not skipped, so it counts as unconverged
+            skip = np.abs(npq) <= tol * np.sqrt(npp * nqq)
+            rotated = rotated or not skip.all()
             # an orthogonal pair gets t = 0, the bare swap the schedule needs
-            _turn(pairs[f], _phase(_tangent(npp, nqq, npq, rotate)))
+            _set_phase(phases[f], _tangent(npp, nqq, npq, skip))
+            uv.slots[f] *= phases[f]
         if not rotated:
             break
     else:
-        raise NoConvergence("jacobi_svd", max_sweeps, _offdiag_norm(u.T @ u))
+        raise NoConvergence("jacobi_svd", max_sweeps, float(np.ldexp(_offdiag_norm(u.T @ u), 2 * e)))
 
     sigma = np.linalg.norm(u, axis=0)
     order = np.argsort(-sigma, kind="stable")
@@ -197,7 +240,7 @@ def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     nonzero = sigma > 0.0
     u[:, nonzero] = u[:, nonzero] / sigma[nonzero]
     u[:, ~nonzero] = 0.0
-    return u, sigma, uv[rows:, order].T
+    return u, np.ldexp(sigma, e), uv.mat[rows:, order].T
 
 
 def rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
@@ -225,9 +268,16 @@ def gen_eigh(a: np.ndarray, b: np.ndarray):
 
     Cholesky reduction to standard form, then jacobi_eigh.  Returns
     ``(w, x)`` with eigenvalues ascending and x.T @ b @ x == identity.
+    Raises DimensionMismatch unless a and b are square of one shape, and
+    NotPositiveDefinite when the Cholesky factorization of b fails.
     """
     a, b = _finite(a, "gen_eigh"), _finite(b, "gen_eigh")
-    low = np.linalg.cholesky(b)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
+        raise DimensionMismatch(f"gen_eigh needs square a and b of one shape, got {a.shape} and {b.shape}")
+    try:
+        low = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"gen_eigh: Cholesky of b failed ({exc})") from exc
     # c = L^-1 a L^-T, symmetrized against rounding drift
     tmp = solve_triangular(low, a, lower=True)
     c = solve_triangular(low, tmp.T, lower=True).T

@@ -5,6 +5,7 @@ matrix from it.  Tolerances are those of test_kernels.py.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -122,3 +123,89 @@ def test_svd_tall_qr_route(rows, cols, seed):
     rows = max(rows, cols + 1)
     m = rng.standard_normal((rows, cols)) * np.logspace(0, -6, cols)
     check_svd(m, *kernels.jacobi_svd(m))
+
+
+def _exact_shift(a, k):
+    """k clamped so that 2^k a keeps every bit of a: no nonzero entry turns subnormal or overflows."""
+    nonzero = np.abs(a[a != 0.0])
+    if nonzero.size == 0:
+        return k
+    lo, hi = np.frexp(nonzero.min())[1], np.frexp(nonzero.max())[1]
+    return int(np.clip(k, -1021 - lo, 1024 - hi))
+
+
+shifts = st.integers(-1000, 1000)
+
+
+@given(kind=kinds, n=sizes, seed=seeds, k=shifts)
+@example(kind="gaussian", n=64, seed=0, k=-1000)
+@example(kind="gaussian", n=65, seed=0, k=1000)
+@example(kind="graded", n=33, seed=1, k=-1000)
+@example(kind="repeated", n=2, seed=2, k=1000)
+def test_eigh_scales_exactly(kind, n, seed, k):
+    a = symmetric(kind, n, seed)
+    k = _exact_shift(a, k)
+    big = np.ldexp(a, k)
+    assert np.array_equal(np.ldexp(big, -k), a)
+    vals, vecs = kernels.jacobi_eigh(a)
+    big_vals, big_vecs = kernels.jacobi_eigh(big)
+    assert np.array_equal(big_vals, np.ldexp(vals, k))
+    assert np.array_equal(big_vecs, vecs)
+
+
+@given(kind=kinds, rows=sizes, cols=sizes, seed=seeds, k=shifts)
+@example(kind="gaussian", rows=64, cols=64, seed=0, k=-1000)
+@example(kind="gaussian", rows=63, cols=63, seed=0, k=1000)
+@example(kind="graded", rows=289, cols=64, seed=1, k=-1000)
+@example(kind="gaussian", rows=81, cols=33, seed=2, k=1000)
+@example(kind="repeated", rows=32, cols=81, seed=3, k=-517)
+def test_svd_scales_exactly(kind, rows, cols, seed, k):
+    # the rotated square is min(rows, cols) wide, so the draws cover odd and even stacked widths
+    m = general(kind, rows, cols, seed)
+    k = _exact_shift(m, k)
+    big = np.ldexp(m, k)
+    assert np.array_equal(np.ldexp(big, -k), m)
+    u, s, vt = kernels.jacobi_svd(m)
+    big_u, big_s, big_vt = kernels.jacobi_svd(big)
+    assert np.array_equal(big_s, np.ldexp(s, k))
+    assert np.array_equal(big_u, u) and np.array_equal(big_vt, vt)
+
+
+MAGNITUDES = [1e-305, 1e-160, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("scale", MAGNITUDES)
+def test_eigh_far_from_one_matches_lapack(scale):
+    # unscaled, 1e-305 fell under the rotation skip and 1e160 overflowed the stopping norm
+    a = np.array([[1.0, 1.0], [1.0, 0.0]]) * scale
+    vals, vecs = kernels.jacobi_eigh(a)
+    ref = np.linalg.eigvalsh(a)
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(vecs.T @ vecs - np.eye(2)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("scale", MAGNITUDES)
+@pytest.mark.parametrize("m", [[[1.0, 1.0], [1.0, -1.0]], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
+def test_svd_far_from_one_matches_lapack(scale, m):
+    # unscaled, the squared column norms underflowed (wrong or zero values) or overflowed (NoConvergence)
+    m = np.array(m) * scale
+    u, s, vt = kernels.jacobi_svd(m)
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.abs(s - ref).max() <= 1e-13 * ref.max()
+    assert np.abs(u.T @ u - np.eye(2)).max() <= 1e-13 and np.abs(vt @ vt.T - np.eye(2)).max() <= 1e-13
+
+
+@given(kind=kinds, n=st.integers(1, 24), seed=seeds, scale=st.sampled_from(MAGNITUDES))
+def test_eigh_far_from_one_drawn(kind, n, seed, scale):
+    a = symmetric(kind, n, seed) * scale
+    vals, _ = kernels.jacobi_eigh(a)
+    ref = np.linalg.eigvalsh(a)
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max(initial=0.0)
+
+
+@given(kind=kinds, rows=st.integers(1, 24), cols=st.integers(1, 24), seed=seeds, scale=st.sampled_from(MAGNITUDES))
+def test_svd_far_from_one_drawn(kind, rows, cols, seed, scale):
+    m = general(kind, rows, cols, seed) * scale
+    _, s, _ = kernels.jacobi_svd(m)
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.abs(s - ref).max() <= 1e-13 * ref.max()

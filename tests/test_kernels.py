@@ -9,7 +9,14 @@ import pytest
 import scipy.linalg
 
 from tracelab import kernels
-from tracelab.errors import NoConvergence, NonFiniteInput, NotSymmetric, TracelabError
+from tracelab.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NonFiniteInput,
+    NotPositiveDefinite,
+    NotSymmetric,
+    TracelabError,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -97,25 +104,37 @@ class TestJacobiSvd:
 
 
 class TestOddEven:
-    @pytest.mark.parametrize("n", [*range(1, 12), 31, 64])
+    @pytest.mark.parametrize("n", [*range(1, 12), 31, 33, 64, 65])
     def test_every_pair_meets_once_per_sweep(self, n):
-        # row 0 holds column positions, row 1 the original index now in each column
-        cols = np.vstack([np.arange(n, dtype=float)] * 2)
+        # row 0 holds the column labels 1..n, row 1 the label of the original
+        # column now in each place; a bare swap negates one column of the pair,
+        # so labels are read by absolute value
+        x = kernels._Flat(2, n)
+        labels = np.arange(1.0, n + 1)
+        x.mat[1] = labels
+        phases = kernels._phases(x.stride)
         firsts = []
         for sweep in range(2):
             steps = kernels._odd_even(n, sweep)
             assert len(steps) == {1: 0, 2: 1}.get(n, n)
             met = []
             for f in steps:
-                where, who = kernels._pairs(cols, f)
+                x.mat[0] = labels
+                k = (n - f) // 2
+                where, who = x.slots[f][:, :k]
                 # disjoint neighbour pairs (f, f+1), (f+2, f+3), ...: all that fit in n columns
-                assert where.real.tolist() == list(range(f, n - 1, 2)) and np.all(where.imag == where.real + 1)
-                met += [tuple(sorted((int(p), int(q)))) for p, q in zip(who.real, who.imag)]
-                # an unrotated turn is the bare swap; put the positions back
-                kernels._turn(kernels._pairs(cols, f), kernels._phase(np.zeros(where.size)))
-                cols[0] = np.arange(n)
+                assert where.real.tolist() == list(range(f + 1, n, 2)) and np.all(where.imag == where.real + 1)
+                met += [tuple(sorted((int(abs(p)), int(abs(q))))) for p, q in zip(who.real, who.imag)]
+                # an unrotated turn is the bare swap
+                kernels._set_phase(phases[f], np.zeros(k))
+                x.slots[f] *= phases[f]
+                # the pad column, the row-wrap pair and the spare pair kept their entries
+                assert np.array_equal(x.mat[0, :f], labels[:f])
+                assert np.array_equal(x.mat[0, f + 2 * k :], labels[f + 2 * k :])
+                assert np.all(x.flat[:-2].reshape(2, -1)[:, n:] == 0.0) and np.all(x.flat[-2:] == 0.0)
+                assert sorted(np.abs(x.mat[1])) == labels.tolist()
                 firsts.append(f)
-            assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+            assert sorted(met) == [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
         if n > 2:  # f alternates across the sweep boundary too
             assert all(f != g for f, g in zip(firsts, firsts[1:]))
 
@@ -247,6 +266,17 @@ class TestGenEigh:
         b = m @ m.T + n * np.eye(n)
         vals, vecs = kernels.gen_eigh(a, b)
         assert np.abs(vecs.T @ b @ vecs - np.eye(n)).max() <= 1e-11
+
+    @pytest.mark.parametrize("b", [np.diag([1.0, -1.0]), np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_b_not_positive_definite(self, b):
+        # numpy's LinAlgError would escape the CLI's error handling
+        with pytest.raises(NotPositiveDefinite):
+            kernels.gen_eigh(np.eye(2), b)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (2, 2)), ((2, 2), (3, 2)), ((2, 2), (3, 3)), ((4,), (2, 2))])
+    def test_shapes_rejected(self, a_shape, b_shape):
+        with pytest.raises(DimensionMismatch):
+            kernels.gen_eigh(np.ones(a_shape), np.eye(*b_shape))
 
 
 def test_rank_cutoff_scales_with_sigma():

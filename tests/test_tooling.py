@@ -1,11 +1,13 @@
 """Tooling guards.
 
 The benchmark's span tracer names functions of tracelab, so a rename must
-not break it silently; and importing tracelab must not pull in scipy.sparse.
+not break it silently; importing tracelab must not pull in scipy.sparse;
+and tools/report_drift.py must say which reported number moved, and by how much.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +47,50 @@ def test_import_leaves_scipy_sparse_out():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+DRIFT_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_drift.py"
+
+
+def _tiny_report(hhalf_cmax):
+    def cell(suite, mesh, n, residuals, constants):
+        tols = {name: 1e-10 for name in residuals}
+        verdicts = {name: True for name in residuals}
+        return dict(suite=suite, mesh=mesh, n=n, residuals=residuals, constants=constants,
+                    tolerances=tols, verdicts=verdicts, passed=True)
+
+    return {
+        "config": {"seed": 0},
+        "results": [
+            cell("hhalf", "square", 2, {"quotient_schur": 1e-15}, {"quotient_cmin": 0.5, "quotient_cmax": hhalf_cmax}),
+            cell("h1", "square", 2, {"grow": 2e-16}, {"h1_cmin": 0.25}),
+        ],
+        "verdict": "pass",
+    }
+
+
+def _drift(tmp_path, report_a, report_b):
+    paths = []
+    for name, report in (("a", report_a), ("b", report_b)):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "report.json")
+        paths[-1].write_text(json.dumps(report))
+    return subprocess.run([sys.executable, str(DRIFT_PATH), *map(str, paths)], capture_output=True, text=True)
+
+
+def test_report_drift_identical_ignores_config(tmp_path):
+    other = _tiny_report(2.0)
+    other["config"] = {"seed": 1, "out_dir": "elsewhere"}
+    out = _drift(tmp_path, _tiny_report(2.0), other)
+    assert out.returncode == 0 and out.stdout.strip() == "identical"
+
+
+def test_report_drift_names_the_moved_constant(tmp_path):
+    out = _drift(tmp_path, _tiny_report(2.0), _tiny_report(2.0 + 3e-12))
+    assert out.returncode == 1
+    lines = out.stdout.strip().splitlines()
+    # one suite, one kind, the largest absolute and relative move, both the perturbed constant
+    assert len(lines) == 2 and all(line.startswith("hhalf constants largest ") for line in lines)
+    assert all("quotient_cmax at hhalf:square:2" in line for line in lines)
+    absolute, relative = (float(line.split("move ")[1].split(":")[0]) for line in lines)
+    assert absolute == pytest.approx(3e-12, rel=1e-3) and relative == pytest.approx(1.5e-12, rel=1e-3)
