@@ -7,7 +7,6 @@ from .fem2d import Assembly, Mesh, assemble, dump_mesh, gen_mesh, space_h1partia
 from .oplab import InnerSpace, Operator, adjoint, douglas_factor, frac_power, make_space, pinv
 from .report import SuiteReport
 from .tracescale import (
-    NormMatrix,
     duality_check,
     equivalence_constants,
     green_residual,
@@ -26,7 +25,6 @@ __all__ = [
     "Assembly",
     "InnerSpace",
     "Mesh",
-    "NormMatrix",
     "Operator",
     "SuiteReport",
     "adjoint",

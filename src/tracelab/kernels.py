@@ -137,7 +137,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"square matrix expected, got {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max(initial=0.0)))):
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * float(np.abs(a).max(initial=0.0))):
         raise NotSymmetric("jacobi_eigh requires a symmetric matrix")
     if n == 1 or not a.any():
         order = np.argsort(np.diag(a))

@@ -125,14 +125,6 @@ class Operator:
             raise DimensionMismatch("sum requires identical spaces")
         return Operator(self.domain, self.codomain, self.mat + other.mat)
 
-    def __sub__(self, other: "Operator") -> "Operator":
-        if not (self.domain.matches(other.domain) and self.codomain.matches(other.codomain)):
-            raise DimensionMismatch("difference requires identical spaces")
-        return Operator(self.domain, self.codomain, self.mat - other.mat)
-
-    def __rmul__(self, scalar: float) -> "Operator":
-        return Operator(self.domain, self.codomain, float(scalar) * self.mat)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:

@@ -4,23 +4,23 @@ verification suites that exercise them.
 Everything is built from one Assembly: the trace map, its minimal-energy
 extension (a Schur-complement solve), the Robin solvers, the weak normal
 derivative, and the family of boundary Grams Q_s = M_b (I + S)^(2s) where
-S is the extension's energy operator on boundary L2.
+S is the extension's energy operator on boundary L2.  Every SPD boundary
+Gram (each Q_s, the Schur complement M_b S and the comparison Grams of the
+suites) is an ``oplab.InnerSpace``: validated and Cholesky-factored once by
+``oplab.make_space``, and every solve with it goes through that factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded, solve
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
 
 from . import oplab
 from .errors import (
     DimensionMismatch,
     NotHarmonic,
-    NotPositiveDefinite,
-    NotSymmetric,
     OrderOutOfRange,
     SolveFailure,
     ZeroVector,
@@ -32,38 +32,6 @@ from .report import Recorder, SuiteReport
 
 _TINY = 1e-300
 HARMONIC_GATE = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class NormMatrix:
-    """Gram matrix of one member of the boundary norm scale.
-
-    ``space`` is the ambient boundary-L2 coefficient space, ``s`` the order
-    in [-1, 1], and ``Q`` the SPD matrix with |g|_s^2 = g' Q g.
-    """
-
-    space: oplab.InnerSpace
-    s: float
-    Q: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.array(self.Q, dtype=float)
-        if q.shape != (self.space.dim, self.space.dim):
-            raise DimensionMismatch("Q shape inconsistent with its space")
-        if not np.all(np.isfinite(q)):
-            raise NotPositiveDefinite("norm Gram has non-finite entries")
-        if float(np.linalg.norm(q - q.T)) > 1e-10 * max(float(np.linalg.norm(q)), 1.0):
-            raise NotSymmetric("norm Gram is not symmetric")
-        try:
-            np.linalg.cholesky(q)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("norm Gram is not positive definite") from exc
-        q.setflags(write=False)
-        object.__setattr__(self, "Q", q)
-
-    def norm(self, g) -> float:
-        g = np.asarray(g, dtype=float)
-        return float(np.sqrt(max(g @ self.Q @ g, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +88,27 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _schur(a: Assembly) -> np.ndarray:
+def _schur(a: Assembly) -> oplab.InnerSpace:
     """M_b S = M_b + (K Z)_b: the Schur complement of the combined H1 Gram
     onto the boundary, from the stiffness band and the extension matrix Z,
     never from the Gram itself.  The boundary rows of K Z are K_bb + K_bi Z_i,
-    since Z is the identity on the boundary and K_ii Z_i = -K_ib."""
+    since Z is the identity on the boundary and K_ii Z_i = -K_ib.  As a space,
+    so its one Cholesky factor serves every Robin and Poisson-Robin solve."""
     bnd, _ = _partition(a)
     mbs = a.M_b + a.K.rows(bnd, _extension_matrix(a))
-    mbs = 0.5 * (mbs + mbs.T)
-    mbs.setflags(write=False)
-    return mbs
+    return oplab.make_space(bnd.size, 0.5 * (mbs + mbs.T))
 
 
 def _schur_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
     """(M_b S)^-1 rhs for one vector or a block of boundary right-hand sides."""
-    return solve(_schur(a), rhs, assume_a="pos")
+    return cho_solve((_schur(a).chol, True), rhs)
 
 
 @lru_cache(maxsize=32)
 def _s_operator(a: Assembly) -> Operator:
     """S on boundary L2, from the Schur complement: S = M_b^-1 (M_b S)."""
     l2bnd, _ = boundary_spaces(a)
-    return Operator(l2bnd, l2bnd, cho_solve((l2bnd.chol, True), _schur(a)))
+    return Operator(l2bnd, l2bnd, cho_solve((l2bnd.chol, True), _schur(a).gram))
 
 
 @lru_cache(maxsize=32)
@@ -264,10 +231,10 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _hs_gram_cached(a: Assembly, s: float) -> NormMatrix:
+def _hs_gram_cached(a: Assembly, s: float) -> oplab.InnerSpace:
     l2bnd, _ = boundary_spaces(a)
     if s == 0.0:
-        return NormMatrix(space=l2bnd, s=0.0, Q=a.M_b)
+        return l2bnd
     two_s = 2.0 * s
     if two_s.is_integer() and two_s > 0:
         # integer powers stay exact products, no eigendecomposition rounding
@@ -275,16 +242,17 @@ def _hs_gram_cached(a: Assembly, s: float) -> NormMatrix:
     else:
         p_mat = _s_spectrum(a).power(two_s).mat
     q = a.M_b @ p_mat
-    q = 0.5 * (q + q.T)
-    return NormMatrix(space=l2bnd, s=s, Q=q)
+    return oplab.make_space(l2bnd.dim, 0.5 * (q + q.T))
 
 
-def hs_gram(a: Assembly, s: float) -> NormMatrix:
-    """Gram of the order-s boundary norm: Q_s = M_b (I + S)^(2s).
+def hs_gram(a: Assembly, s: float) -> oplab.InnerSpace:
+    """The order-s boundary norm as a space: its Gram is Q_s = M_b (I + S)^(2s).
 
     |g|_s equals the boundary-L2 norm of (I + S)^s g.  Order 0 returns the
-    boundary mass matrix itself, positive integer 2s an exact matrix power,
-    and any other order a power of the one cached decomposition of I + S.
+    boundary L2 space of ``boundary_spaces`` itself, positive integer 2s an
+    exact matrix power, and any other order a power of the one cached
+    decomposition of I + S.  Each space is cached per (assembly, order), so
+    its Cholesky factor is taken once.
     """
     s = float(s)
     if not -1.0 <= s <= 1.0:
@@ -292,15 +260,16 @@ def hs_gram(a: Assembly, s: float) -> NormMatrix:
     return _hs_gram_cached(a, s)
 
 
-def equivalence_constants(qa: NormMatrix, qb: NormMatrix) -> tuple[float, float]:
-    """Tight two-sided comparison constants between two norm Grams.
+def equivalence_constants(qa: oplab.InnerSpace, qb: oplab.InnerSpace) -> tuple[float, float]:
+    """Tight two-sided comparison constants between the norms of two spaces.
 
     Returns (c_min, c_max) with c_min |g|_b <= |g|_a <= c_max |g|_b for all
-    g, attained by the extremal generalized eigenvectors (verified).
+    g, from the generalized eigenproblem of the two Grams, and attained by
+    the extremal generalized eigenvectors (verified).
     """
-    if qa.space.dim != qb.space.dim:
+    if qa.dim != qb.dim:
         raise DimensionMismatch("norm Grams live on different dimensions")
-    w, x = gen_eigh(qa.Q, qb.Q)
+    w, x = gen_eigh(qa.gram, qb.gram)
     c_min = float(np.sqrt(max(w[0], 0.0)))
     c_max = float(np.sqrt(max(w[-1], 0.0)))
     for col, c in ((x[:, 0], c_min), (x[:, -1], c_max)):
@@ -352,9 +321,9 @@ def _colquad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, mat @ x)
 
 
-def _colnorm(x: np.ndarray, q: NormMatrix) -> np.ndarray:
-    """``q.norm`` of every column of x."""
-    return np.sqrt(np.maximum(_colquad(x, q.Q), 0.0))
+def _colnorm(x: np.ndarray, q: oplab.InnerSpace) -> np.ndarray:
+    """The norm of ``q`` of every column of x."""
+    return np.sqrt(np.maximum(_colquad(x, q.gram), 0.0))
 
 
 def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
@@ -500,16 +469,15 @@ def suite_hhalf(
     if trials:
         # one draw per trial, as columns; the extension energy goes through G
         g = rng.standard_normal((trials, nb)).T
-        total = _colquad(g, q_half.Q)
+        total = _colquad(g, q_half.gram)
         split = total - _colquad(g, a.M_b) - _colquad(z @ g, h1.gram)
         rec.record("energy_split", _maxabs(np.abs(split) / np.maximum(total, _TINY)))
 
     xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
-    rec.record("x_trace_energy", abs(float(xb @ q_half.Q @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
+    rec.record("x_trace_energy", abs(float(xb @ q_half.gram @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
 
     quot = a.M_b + lam.mat.T @ h1.gram @ lam.mat
-    quot = 0.5 * (quot + quot.T)
-    c_min, c_max = equivalence_constants(q_half, NormMatrix(space=l2bnd, s=0.5, Q=quot))
+    c_min, c_max = equivalence_constants(q_half, oplab.make_space(nb, 0.5 * (quot + quot.T)))
 
     constants = {"quotient_cmin": c_min, "quotient_cmax": c_max}
     if a.mesh.kind == "interval":
@@ -522,7 +490,7 @@ def suite_hhalf(
                 "s_01": float(s_mat[0, 1]),
                 "s_10": float(s_mat[1, 0]),
                 "s_11": float(s_mat[1, 1]),
-                "split_total": float(g0 @ q_half.Q @ g0),
+                "split_total": float(g0 @ q_half.gram @ g0),
                 "split_l2": float(g0 @ a.M_b @ g0),
                 "split_extension": float(ext0 @ h1.gram @ ext0),
             }
@@ -545,7 +513,7 @@ def suite_h1(
     """Order-1 characterization: resolvent identity, the scale-vs-boundary-FEM
     comparison, and the two mutually inverse bridge operators.
     """
-    l2bnd, _ = boundary_spaces(a)
+    l2bnd, h1bnd = boundary_spaces(a)
     nb = l2bnd.dim
     eye = np.eye(nb)
     s_mat = _s_operator(a).mat
@@ -555,18 +523,17 @@ def suite_h1(
     rec = _recorder("h1", a)
     gg = gamma_star.mat[a.mesh.boundary_nodes]     # trace o adjoint, on boundary L2
     lhs = gg @ np.linalg.solve(eye + gg, eye)
-    rhs = np.linalg.solve(eye + s_mat, eye)
-    rec.record("resolvent_identity", rel_diff(lhs, rhs))
+    resolvent = np.linalg.solve(eye + s_mat, eye)
+    rec.record("resolvent_identity", rel_diff(lhs, resolvent))
 
-    q_one = hs_gram(a, 1.0)
-    h1_cmin, h1_cmax = equivalence_constants(q_one, NormMatrix(space=l2bnd, s=1.0, Q=a.M_b + a.K_b))
+    h1_cmin, h1_cmax = equivalence_constants(hs_gram(a, 1.0), h1bnd)
 
     _, v_embed = op_embed_boundary(a)
     vsv = oplab.adjoint(v_embed) @ v_embed          # M_b^-1 (M_b + K_b) on boundary L2
     grow = oplab.spectral(oplab.identity(l2bnd) + vsv)
     half = grow.power(0.5).mat
     bridge_t = (eye + s_mat) @ grow.power(-0.5).mat
-    bridge_s = half @ np.linalg.solve(eye + s_mat, eye)
+    bridge_s = half @ resolvent
     rec.record("ts_left", rel_diff(bridge_t @ bridge_s, eye))
     rec.record("ts_right", rel_diff(bridge_s @ bridge_t, eye))
 
@@ -576,11 +543,7 @@ def suite_h1(
         return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
 
     semi = half.T @ a.M_b @ half
-    semi = 0.5 * (semi + semi.T)
-    semi_cmin, semi_cmax = equivalence_constants(
-        NormMatrix(space=l2bnd, s=1.0, Q=semi),
-        NormMatrix(space=l2bnd, s=1.0, Q=a.M_b + a.K_b),
-    )
+    semi_cmin, semi_cmax = equivalence_constants(oplab.make_space(nb, 0.5 * (semi + semi.T)), h1bnd)
 
     constants = {
         "h1_cmin": h1_cmin,
@@ -740,10 +703,10 @@ def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int
     rng = np.random.default_rng(seed)
     q_pos = hs_gram(a, s)
     q_neg = hs_gram(a, -s)
-    nb = q_pos.space.dim
+    nb = q_pos.dim
 
-    qinv_mb = np.linalg.solve(q_pos.Q, a.M_b)  # the one solve with Q_s
-    gram_residual = rel_diff(a.M_b @ qinv_mb, q_neg.Q)
+    qinv_mb = cho_solve((q_pos.chol, True), a.M_b)  # the one solve with Q_s, by its own factor
+    gram_residual = rel_diff(a.M_b @ qinv_mb, q_neg.gram)
     rec.record("dual_gram", gram_residual)
 
     if probes:

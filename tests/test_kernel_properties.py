@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracelab import kernels
+from tracelab.errors import NotSymmetric
 
 KINDS = ("gaussian", "repeated", "clustered", "graded", "zero")
 sizes = st.integers(1, 64)
@@ -151,6 +152,22 @@ def test_eigh_scales_exactly(kind, n, seed, k):
     big_vals, big_vecs = kernels.jacobi_eigh(big)
     assert np.array_equal(big_vals, np.ldexp(vals, k))
     assert np.array_equal(big_vecs, vecs)
+
+
+@given(kind=kinds, n=st.integers(2, 64), seed=seeds, k=shifts, skew=st.floats(1e-11, 1.0))
+@example(kind="zero", n=2, seed=0, k=-1000, skew=1e-11)
+@example(kind="gaussian", n=64, seed=0, k=1000, skew=1e-11)
+def test_eigh_rejects_scaled_asymmetry(kind, n, seed, k, skew):
+    # one entry off its mirror by skew * max|a|: rejected at every power-of-two scale
+    a = symmetric(kind, n, seed)
+    i, j = np.random.default_rng(seed).choice(n, 2, replace=False)
+    a[i, j] += skew * max(float(np.abs(a).max()), 1.0)
+    k = _exact_shift(a, k)
+    big = np.ldexp(a, k)
+    assert np.array_equal(np.ldexp(big, -k), a)
+    for m in (a, big):
+        with pytest.raises(NotSymmetric):
+            kernels.jacobi_eigh(m)
 
 
 @given(kind=kinds, rows=sizes, cols=sizes, seed=seeds, k=shifts)

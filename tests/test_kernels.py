@@ -62,6 +62,17 @@ class TestJacobiEigh:
         with pytest.raises(NotSymmetric):
             kernels.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("a", [[[0.0, 1e-13], [0.0, 0.0]], [[1e-14, 2e-13], [-3e-13, 5e-14]]])
+    def test_rejects_small_asymmetric(self, a):
+        # the symmetry tolerance is relative to max|a| with no absolute floor
+        with pytest.raises(NotSymmetric):
+            kernels.jacobi_eigh(np.array(a))
+
+    def test_zero_matrix(self):
+        vals, vecs = kernels.jacobi_eigh(np.zeros((3, 3)))
+        assert np.array_equal(vals, np.zeros(3))
+        assert np.array_equal(vecs, np.eye(3))
+
     def test_1x1(self):
         vals, vecs = kernels.jacobi_eigh(np.array([[4.5]]))
         assert vals[0] == 4.5

@@ -1,8 +1,9 @@
 """Tooling guards.
 
 The benchmark's span tracer names functions of tracelab, so a rename must
-not break it silently; importing tracelab must not pull in scipy.sparse;
-and tools/report_drift.py must say which reported number moved, and by how much.
+not break it silently; every name tracelab exports must resolve; importing
+tracelab must not pull in scipy.sparse; and tools/report_drift.py must say
+which reported number moved, and by how much.
 """
 
 import importlib
@@ -47,6 +48,16 @@ def test_import_leaves_scipy_sparse_out():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    import tracelab
+
+    for name in tracelab.__all__:
+        assert hasattr(tracelab, name), f"tracelab.{name}"
+    namespace = {}
+    exec("from tracelab import *", namespace)
+    assert set(tracelab.__all__) <= set(namespace)
 
 
 DRIFT_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_drift.py"

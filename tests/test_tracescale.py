@@ -16,8 +16,6 @@ from tracelab.errors import (
     DimensionMismatch,
     NonFiniteResidual,
     NotHarmonic,
-    NotPositiveDefinite,
-    NotSymmetric,
     OrderOutOfRange,
     ZeroVector,
 )
@@ -165,6 +163,23 @@ class TestStaticCondensation:
             (tracescale.poisson_robin(a, f), dense_g_solve(a, a.M_dom.dense() @ f)),
         ):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_schur_complement_factored_once(self, monkeypatch, rng):
+        # every Robin and Poisson-Robin solve on one assembly reuses the one factor of M_b S
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))
+        nb = a.mesh.boundary_nodes.size
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def counted(x, *args, **kw):
+            shapes.append(np.shape(x))
+            return cholesky(x, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        tracescale.robin_solve(a, rng.standard_normal(nb))
+        tracescale.robin_solve(a, rng.standard_normal((nb, 3)))
+        tracescale.poisson_robin(a, rng.standard_normal(a.mesh.n_nodes))
+        assert shapes.count((nb, nb)) == 1
 
     @pytest.mark.parametrize(
         "run",
@@ -380,22 +395,22 @@ class TestHsGram:
     def test_order_zero_is_boundary_mass(self):
         a = asm("square", 4)
         q = tracescale.hs_gram(a, 0.0)
-        assert q.s == 0.0
-        assert np.array_equal(q.Q, a.M_b)
+        assert q is fem2d.boundary_spaces(a)[0]
+        assert np.array_equal(q.gram, a.M_b)
 
     def test_interval_s_operator_exact(self):
         q = tracescale.hs_gram(asm("interval", 1), 0.5)
-        assert np.array_equal(q.Q, [[3.0, -1.0], [-1.0, 3.0]])
+        assert np.array_equal(q.gram, [[3.0, -1.0], [-1.0, 3.0]])
 
     def test_interval_s_operator_refined(self):
         q = tracescale.hs_gram(asm("interval", 5), 0.5)
-        assert np.abs(q.Q - [[3.0, -1.0], [-1.0, 3.0]]).max() <= 1e-12
+        assert np.abs(q.gram - [[3.0, -1.0], [-1.0, 3.0]]).max() <= 1e-12
 
     def test_interval_half_order_norm(self):
         a = asm("interval", 1)
         q = tracescale.hs_gram(a, 0.5)
         g = np.array([1.0, 0.0])
-        assert g @ q.Q @ g == pytest.approx(3.0, abs=1e-13)
+        assert g @ q.gram @ g == pytest.approx(3.0, abs=1e-13)
         # split: 1 from the boundary mass, 2 from the extension energy
         z = tracescale.harmonic_extension(a, g)
         h1 = fem2d.space_h1partial(a)
@@ -405,13 +420,13 @@ class TestHsGram:
     def test_interval_negative_half_is_resolvent(self):
         q = tracescale.hs_gram(asm("interval", 1), -0.5)
         expected = np.linalg.inv(np.array([[3.0, -1.0], [-1.0, 3.0]]))
-        assert np.abs(q.Q - expected).max() <= 1e-14
+        assert np.abs(q.gram - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("s", [-1.0, -0.3, 0.25, 0.7, 1.0])
     def test_symmetric_positive_definite(self, s):
         q = tracescale.hs_gram(asm("square", 4), s)
-        assert np.array_equal(q.Q, q.Q.T)
-        assert np.linalg.eigvalsh(q.Q).min() > 0.0
+        assert np.array_equal(q.gram, q.gram.T)
+        assert np.linalg.eigvalsh(q.gram).min() > 0.0
 
     @pytest.mark.parametrize("kind", ["square", "lshape"])
     @pytest.mark.parametrize("s", [-1.0, -0.75, -0.5, -0.3, 0.25, 0.7])
@@ -424,7 +439,7 @@ class TestHsGram:
         w, v = scipy.linalg.eigh(0.5 * (grown + grown.T), a.M_b)
         mv = a.M_b @ v
         expected = (mv * w ** (2.0 * s)) @ mv.T
-        assert oplab.rel_diff(tracescale.hs_gram(a, s).Q, expected) <= 1e-11
+        assert oplab.rel_diff(tracescale.hs_gram(a, s).gram, expected) <= 1e-11
 
     @pytest.mark.parametrize("s", [-1.5, 1.2])
     def test_order_range(self, s):
@@ -438,35 +453,6 @@ class TestHsGram:
             assert h1bnd.norm(np.ones(4 * n)) == pytest.approx(2.0, abs=1e-12)
 
 
-class TestNormMatrixValidation:
-    def test_asymmetric_rejected(self):
-        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
-        with pytest.raises(NotSymmetric):
-            tracescale.NormMatrix(space=sp, s=0.0, Q=np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_indefinite_rejected(self):
-        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
-        with pytest.raises(NotPositiveDefinite):
-            tracescale.NormMatrix(space=sp, s=0.0, Q=np.diag([1.0, -1.0]))
-
-    def test_wrong_shape_rejected(self):
-        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
-        with pytest.raises(DimensionMismatch):
-            tracescale.NormMatrix(space=sp, s=0.0, Q=np.eye(3))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
-        with pytest.raises(NotPositiveDefinite):
-            tracescale.NormMatrix(space=sp, s=0.0, Q=np.array([[bad, 0.0], [0.0, 1.0]]))
-
-    def test_norm_evaluation(self):
-        sp, _ = fem2d.boundary_spaces(asm("interval", 1))
-        q = tracescale.NormMatrix(space=sp, s=0.0, Q=np.diag([4.0, 9.0]))
-        assert q.norm([1.0, 0.0]) == pytest.approx(2.0)
-        assert q.norm([0.0, 2.0]) == pytest.approx(6.0)
-
-
 class TestEquivalenceConstants:
     def test_equal_grams(self):
         q = tracescale.hs_gram(asm("square", 2), 0.5)
@@ -477,8 +463,7 @@ class TestEquivalenceConstants:
     def test_scaled_gram(self):
         a = asm("square", 2)
         q = tracescale.hs_gram(a, 0.5)
-        sp = q.space
-        q4 = tracescale.NormMatrix(space=sp, s=0.5, Q=4.0 * q.Q)
+        q4 = oplab.make_space(q.dim, 4.0 * q.gram)
         c_min, c_max = tracescale.equivalence_constants(q4, q)
         assert c_min == pytest.approx(2.0, abs=1e-12)
         assert c_max == pytest.approx(2.0, abs=1e-12)
@@ -503,7 +488,7 @@ class TestEquivalenceConstants:
             ratio = qa.norm(g) / qb.norm(g)
             assert c_min - 1e-8 <= ratio <= c_max + 1e-8
         # the extremes are attained by the generalized eigenvectors
-        _, vecs = scipy.linalg.eigh(qa.Q, qb.Q)
+        _, vecs = scipy.linalg.eigh(qa.gram, qb.gram)
         assert qa.norm(vecs[:, 0]) / qb.norm(vecs[:, 0]) == pytest.approx(c_min, rel=1e-9)
         assert qa.norm(vecs[:, -1]) / qb.norm(vecs[:, -1]) == pytest.approx(c_max, rel=1e-9)
 
@@ -567,7 +552,7 @@ class TestSuitePde:
 
             return counted
 
-        for name in ("cho_solve", "cho_solve_banded", "solve"):
+        for name in ("cho_solve", "cho_solve_banded"):
             monkeypatch.setattr(tracescale, name, counting(getattr(tracescale, name)))
         counts = []
         for trials, samples in ((2, 3), (7, 11)):
@@ -691,7 +676,7 @@ class TestSuiteHhalf:
         for n in (2, 8):
             a = asm(kind, n)
             x = a.mesh.nodes[a.mesh.boundary_nodes, 0]
-            assert x @ tracescale.hs_gram(a, 0.5).Q @ x == pytest.approx(exact, rel=1e-13)
+            assert x @ tracescale.hs_gram(a, 0.5).gram @ x == pytest.approx(exact, rel=1e-13)
 
 
 class TestTracePinv:
@@ -968,17 +953,21 @@ class TestDuality:
             assert f"gram_residual_s_{s}" in rep.constants
 
     def test_one_solve_per_order(self, monkeypatch):
-        # the probes of an order share one Q_s^-1 M_b, however many there are
-        calls = []
-        solve = np.linalg.solve
+        # the probes of an order share one Q_s^-1 M_b, solved by Q_s's own Cholesky factor
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))
+        orders = (0.25, 0.5, 0.75, 1.0)
+        factors = []
+        cho_solve = tracescale.cho_solve
 
-        def counted(*args, **kw):
-            calls.append(args[0].shape)
-            return solve(*args, **kw)
+        def counted(c_and_lower, b, **kw):
+            factors.append(c_and_lower[0])
+            return cho_solve(c_and_lower, b, **kw)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        rep = tracescale.suite_dual(fem2d.assemble(fem2d.gen_mesh("square", 4)))
-        assert rep.passed and len(calls) <= 4
+        monkeypatch.setattr(tracescale, "cho_solve", counted)
+        assert tracescale.suite_dual(a, orders=orders).passed
+        for s in orders:
+            chol = tracescale.hs_gram(a, s).chol
+            assert sum(f is chol for f in factors) == 1
 
     def test_nan_probe_raises(self, monkeypatch):
         colnorm = tracescale._colnorm
