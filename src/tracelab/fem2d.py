@@ -2,12 +2,15 @@
 boundary-aware H1 geometry.
 
 Three mesh kinds: the unit interval, the unit square, and the L-shape
-(unit square minus its upper-right quarter).  Assembly produces the
-domain stiffness and mass as their few nonzero diagonals (``Band``) and
-dense arclength mass/stiffness matrices for the boundary polygon.  The
-trace is the index array ``mesh.boundary_nodes``; only ``op_trace`` makes
-it a 0/1 matrix, and only the operator-algebra twins (``space_h1partial``,
-``op_trace``, ``op_embed_domain``) make arrays of n_nodes columns.
+(unit square minus its upper-right quarter).  Both 2-d kinds come from one
+masked grid, and their boundary loop is read off the element skeleton: the
+triangle sides that belong to one triangle, chained counterclockwise.
+Assembly produces the domain stiffness and mass as their few nonzero
+diagonals (``Band``) and dense arclength mass/stiffness matrices for the
+boundary polygon.  The trace is the index array ``mesh.boundary_nodes``;
+only ``op_trace`` makes it a 0/1 matrix, and only the operator-algebra
+twins (``space_h1partial``, ``op_trace``, ``op_embed_domain``) make arrays
+of n_nodes columns.
 """
 
 from __future__ import annotations
@@ -32,22 +35,30 @@ def _frozen(arr, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """kind, node coordinates, element connectivity, and the boundary trace.
+    """kind, refinement n (h = 1/n), node coordinates, element connectivity,
+    and the boundary trace.
 
-    boundary_nodes is ordered: a closed loop for 2-d kinds (wrap implied),
-    the two endpoints for the interval.  boundary_edges holds consecutive
-    loop pairs; it is empty for the interval.
+    boundary_nodes is ordered: for the 2-d kinds the counterclockwise loop
+    read off the element skeleton (wrap implied), for the interval its two
+    endpoints.  The loop is stored once; ``boundary_edges`` derives its
+    consecutive pairs from it.
     """
 
     kind: str
+    refinement: int
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
-    boundary_edges: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
+
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        """The consecutive loop pairs, the last closing the loop; none for the interval."""
+        loop = self.boundary_nodes[: 0 if self.kind == "interval" else None]
+        return _frozen(np.column_stack([loop, np.roll(loop, -1)]), np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,109 +145,60 @@ def _interval_mesh(n: int) -> Mesh:
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return Mesh(
         kind="interval",
+        refinement=n,
         nodes=_frozen(xs, float),
         elements=_frozen(elements, np.intp),
         boundary_nodes=_frozen([0, n], np.intp),
-        boundary_edges=_frozen(np.empty((0, 2)), np.intp),
     )
 
 
-def _grid_triangles(cells, idx) -> np.ndarray:
-    tris = []
-    for i, j in cells:
-        a = idx(i, j)
-        b = idx(i + 1, j)
-        c = idx(i + 1, j + 1)
-        d = idx(i, j + 1)
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-    return np.asarray(tris, dtype=np.intp)
+def _boundary_loop(tris: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The boundary of a triangulation as one closed loop of node indices.
+
+    The boundary sides are the triangle sides that belong to exactly one
+    triangle, each taken in its triangle's vertex order, so counterclockwise
+    elements give a counterclockwise loop.  It starts at the lowest boundary
+    node.  Raises BadParameter unless the sides form one simple closed loop.
+    """
+    sides = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = sides.min(axis=1) * n_nodes + sides.max(axis=1)
+    _, which, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    tail, head = sides[counts[which] == 1].T.tolist()
+    nxt = dict(zip(tail, head))
+    # leaving and entering each node once, the sides form disjoint cycles;
+    # they are one loop when the cycle through the lowest node holds them all
+    if len(nxt) == len(tail) >= 3 and set(head) == nxt.keys():
+        loop = [min(nxt)]
+        for _ in range(len(tail) - 1):
+            loop.append(nxt[loop[-1]])
+        if len(set(loop)) == len(tail):
+            return np.asarray(loop, dtype=np.intp)
+    raise BadParameter("the element boundary is not one simple closed loop")
 
 
-def _close_loop(loop: list[int]) -> np.ndarray:
-    pairs = [(loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))]
-    return np.asarray(pairs, dtype=np.intp)
+def _grid_mesh(kind: str, n: int) -> Mesh:
+    """The unit square's uniform grid at h = 1/n, cut into two triangles per cell.
 
-
-def _square_mesh(n: int) -> Mesh:
+    For the lshape the grid loses its nodes in the open quarter x, y > 1/2; a
+    cell is kept when all four of its corners are.  Nodes are numbered row by
+    row from the origin, the cells likewise.
+    """
     side = n + 1
-    ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="xy")
-    nodes = np.column_stack([ii.ravel() / n, jj.ravel() / n])
-
-    def idx(i: int, j: int) -> int:
-        return j * side + i
-
-    cells = [(i, j) for j in range(n) for i in range(n)]
-    tris = _grid_triangles(cells, idx)
-
-    loop = [idx(i, 0) for i in range(n + 1)]
-    loop += [idx(n, j) for j in range(1, n + 1)]
-    loop += [idx(i, n) for i in range(n - 1, -1, -1)]
-    loop += [idx(0, j) for j in range(n - 1, 0, -1)]
+    j, i = np.divmod(np.arange(side * side), side)
+    keep = np.ones(side * side, dtype=bool) if kind == "square" else (2 * i <= n) | (2 * j <= n)
+    corner = np.arange(n * side).reshape(n, side)[:, :n].ravel()  # lower-left node of each cell
+    quads = corner[:, None] + np.array([0, 1, side + 1, side])   # counterclockwise corners
+    number = np.cumsum(keep) - 1  # of each kept grid node, among the kept ones
+    quads = number[quads[keep[quads].all(axis=1)]]
+    tris = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    nodes = np.column_stack([i / n, j / n])[keep]
     return Mesh(
-        kind="square",
+        kind=kind,
+        refinement=n,
         nodes=_frozen(nodes, float),
         elements=_frozen(tris, np.intp),
-        boundary_nodes=_frozen(loop, np.intp),
-        boundary_edges=_frozen(_close_loop(loop), np.intp),
+        boundary_nodes=_frozen(_boundary_loop(tris, nodes.shape[0]), np.intp),
     )
-
-
-def _lshape_mesh(n: int) -> Mesh:
-    if n % 2 != 0:
-        raise BadParameter("lshape needs an even refinement")
-    half = n // 2
-    # keep grid nodes outside the open removed quadrant x>1/2, y>1/2
-    grid_to_compact: dict[tuple[int, int], int] = {}
-    coords = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            if i <= half or j <= half:
-                grid_to_compact[(i, j)] = len(coords)
-                coords.append((i / n, j / n))
-
-    def idx(i: int, j: int) -> int:
-        return grid_to_compact[(i, j)]
-
-    cells = [
-        (i, j)
-        for j in range(n)
-        for i in range(n)
-        if not (i >= half and j >= half)
-    ]
-    tris = _grid_triangles(cells, idx)
-
-    loop = [idx(i, 0) for i in range(n + 1)]
-    loop += [idx(n, j) for j in range(1, half + 1)]
-    loop += [idx(i, half) for i in range(n - 1, half - 1, -1)]
-    loop += [idx(half, j) for j in range(half + 1, n + 1)]
-    loop += [idx(i, n) for i in range(half - 1, -1, -1)]
-    loop += [idx(0, j) for j in range(n - 1, 0, -1)]
-    return Mesh(
-        kind="lshape",
-        nodes=_frozen(coords, float),
-        elements=_frozen(tris, np.intp),
-        boundary_nodes=_frozen(loop, np.intp),
-        boundary_edges=_frozen(_close_loop(loop), np.intp),
-    )
-
-
-def _edge_keys(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
-    """One integer per undirected edge: min * n_nodes + max."""
-    pairs = np.sort(pairs, axis=1)
-    return pairs[:, 0] * n_nodes + pairs[:, 1]
-
-
-def _validate_mesh(mesh: Mesh) -> None:
-    # 2-d: every loop edge must belong to exactly one triangle, and vice versa
-    if mesh.kind == "interval":
-        return
-    tris = mesh.elements
-    sides = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys, counts = np.unique(_edge_keys(sides, mesh.n_nodes), return_counts=True)
-    loop = np.unique(_edge_keys(mesh.boundary_edges, mesh.n_nodes))
-    if not np.array_equal(keys[counts == 1], loop):
-        raise BadParameter("boundary loop disagrees with the element skeleton")
 
 
 def gen_mesh(kind: str, n: int) -> Mesh:
@@ -248,14 +210,9 @@ def gen_mesh(kind: str, n: int) -> Mesh:
     if n < 1:
         raise BadParameter(f"refinement must be >= 1, got {n}")
     n = int(n)
-    if kind == "interval":
-        mesh = _interval_mesh(n)
-    elif kind == "square":
-        mesh = _square_mesh(n)
-    else:
-        mesh = _lshape_mesh(n)
-    _validate_mesh(mesh)
-    return mesh
+    if kind == "lshape" and n % 2:
+        raise BadParameter("lshape needs an even refinement")
+    return _interval_mesh(n) if kind == "interval" else _grid_mesh(kind, n)
 
 
 _SEG_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])

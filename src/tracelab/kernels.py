@@ -32,9 +32,9 @@ Intended scale is desk-size dense matrices (a few hundred rows).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import qr
 
-from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotSymmetric
 
 # Machine epsilon for float64; rank decisions key off this.
 EPS = np.finfo(float).eps
@@ -262,26 +262,3 @@ def pinv_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
     r = svd_rank((u.shape[0], vt.shape[1]), s)
     return vt[:r].T @ (u[:, :r] / s[:r]).T, r
 
-
-def gen_eigh(a: np.ndarray, b: np.ndarray):
-    """Generalized symmetric eigenproblem a x = lam b x with b positive definite.
-
-    Cholesky reduction to standard form, then jacobi_eigh.  Returns
-    ``(w, x)`` with eigenvalues ascending and x.T @ b @ x == identity.
-    Raises DimensionMismatch unless a and b are square of one shape, and
-    NotPositiveDefinite when the Cholesky factorization of b fails.
-    """
-    a, b = _finite(a, "gen_eigh"), _finite(b, "gen_eigh")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise DimensionMismatch(f"gen_eigh needs square a and b of one shape, got {a.shape} and {b.shape}")
-    try:
-        low = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"gen_eigh: Cholesky of b failed ({exc})") from exc
-    # c = L^-1 a L^-T, symmetrized against rounding drift
-    tmp = solve_triangular(low, a, lower=True)
-    c = solve_triangular(low, tmp.T, lower=True).T
-    c = 0.5 * (c + c.T)
-    w, y = jacobi_eigh(c)
-    x = solve_triangular(low.T, y, lower=False)
-    return w, x

@@ -201,11 +201,9 @@ def spectral(a: Operator, tol: float = 1e-10) -> SpectralDecomposition:
     gs = a.domain.gram @ a.mat
     if float(np.linalg.norm(gs - gs.T)) > tol * max(float(np.linalg.norm(gs)), 1.0):
         raise NotSelfAdjoint("operator is not self-adjoint in its space")
-    low = a.domain.chol
-    sym = solve_triangular(low, (low.T @ a.mat).T, lower=True).T
-    sym = 0.5 * (sym + sym.T)
-    vals, q = kernels.jacobi_eigh(sym)
-    vecs = solve_triangular(low.T, q, lower=False)
+    sym = to_euclidean(a)
+    vals, q = kernels.jacobi_eigh(0.5 * (sym + sym.T))
+    vecs = solve_triangular(a.domain.chol.T, q, lower=False)
     return SpectralDecomposition(space=a.domain, eigenvalues=vals, vectors=_frozen(vecs))
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded, solve_triangular
 
-from . import oplab
+from . import kernels, oplab
 from .errors import (
     DimensionMismatch,
     NotHarmonic,
@@ -26,7 +26,7 @@ from .errors import (
     ZeroVector,
 )
 from .fem2d import Assembly, boundary_spaces, op_embed_boundary, op_trace, space_h1partial
-from .kernels import gen_eigh, jacobi_svd
+from .kernels import jacobi_svd
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
 
@@ -265,11 +265,16 @@ def equivalence_constants(qa: oplab.InnerSpace, qb: oplab.InnerSpace) -> tuple[f
 
     Returns (c_min, c_max) with c_min |g|_b <= |g|_a <= c_max |g|_b for all
     g, from the generalized eigenproblem of the two Grams, and attained by
-    the extremal generalized eigenvectors (verified).
+    the extremal generalized eigenvectors (verified).  The problem is reduced
+    with qb's stored Cholesky factor L, so no Gram is factored again.
     """
     if qa.dim != qb.dim:
         raise DimensionMismatch("norm Grams live on different dimensions")
-    w, x = gen_eigh(qa.gram, qb.gram)
+    low = qb.chol
+    # the Gram of qa in qb's orthonormal coordinates, L^-1 qa L^-T, symmetrized
+    sym = solve_triangular(low, solve_triangular(low, qa.gram, lower=True).T, lower=True).T
+    w, y = kernels.jacobi_eigh(0.5 * (sym + sym.T))
+    x = solve_triangular(low.T, y, lower=False)
     c_min = float(np.sqrt(max(w[0], 0.0)))
     c_max = float(np.sqrt(max(w[-1], 0.0)))
     for col, c in ((x[:, 0], c_min), (x[:, -1], c_max)):
@@ -284,15 +289,8 @@ def equivalence_constants(qa: oplab.InnerSpace, qb: oplab.InnerSpace) -> tuple[f
 # verification suites
 
 
-def _refinement(a: Assembly) -> int:
-    if a.mesh.kind == "interval":
-        return a.mesh.elements.shape[0]
-    # structured meshes: boundary has 4n edges
-    return a.mesh.boundary_nodes.size // 4
-
-
 def _recorder(suite: str, a: Assembly) -> Recorder:
-    return Recorder(suite, a.mesh.kind, _refinement(a))
+    return Recorder(suite, a.mesh.kind, a.mesh.refinement)
 
 
 PDE_TOLS: dict[str, float] = {

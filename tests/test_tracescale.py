@@ -453,6 +453,11 @@ class TestHsGram:
             assert h1bnd.norm(np.ones(4 * n)) == pytest.approx(2.0, abs=1e-12)
 
 
+def random_spd_space(rng, n):
+    m = rng.standard_normal((n, n))
+    return oplab.make_space(n, m @ m.T + n * np.eye(n))
+
+
 class TestEquivalenceConstants:
     def test_equal_grams(self):
         q = tracescale.hs_gram(asm("square", 2), 0.5)
@@ -491,6 +496,24 @@ class TestEquivalenceConstants:
         _, vecs = scipy.linalg.eigh(qa.gram, qb.gram)
         assert qa.norm(vecs[:, 0]) / qb.norm(vecs[:, 0]) == pytest.approx(c_min, rel=1e-9)
         assert qa.norm(vecs[:, -1]) / qb.norm(vecs[:, -1]) == pytest.approx(c_max, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_matches_scipy(self, rng, n):
+        for _ in range(8):
+            qa, qb = random_spd_space(rng, n), random_spd_space(rng, n)
+            c_min, c_max = tracescale.equivalence_constants(qa, qb)
+            ref = scipy.linalg.eigh(qa.gram, qb.gram, eigvals_only=True)
+            tol = 1e-11 * max(np.abs(ref).max(), 1.0)
+            assert abs(c_min**2 - ref[0]) <= tol
+            assert abs(c_max**2 - ref[-1]) <= tol
+
+    def test_b_orthonormal_vectors(self, rng):
+        # scipy's extreme eigenvectors have unit qb-norm, so their qa-norms are the constants
+        qa, qb = random_spd_space(rng, 5), random_spd_space(rng, 5)
+        c_min, c_max = tracescale.equivalence_constants(qa, qb)
+        _, vecs = scipy.linalg.eigh(qa.gram, qb.gram)
+        assert qa.norm(vecs[:, 0]) == pytest.approx(c_min, rel=1e-10)
+        assert qa.norm(vecs[:, -1]) == pytest.approx(c_max, rel=1e-10)
 
     def test_dimension_mismatch(self):
         qa = tracescale.hs_gram(asm("square", 2), 0.0)
