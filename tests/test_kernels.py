@@ -1,16 +1,21 @@
 """Spectral kernels checked against numpy factorizations.
 
 The kernels are self-contained on purpose; numpy's LAPACK routines only
-appear here, as independent oracles.
+appear here, as independent oracles.  The generalized eigenproblem of two
+Grams is no kernel of its own: equivalence_constants reduces it with the
+Cholesky factor stored by make_space and hands the result to jacobi_eigh,
+so its input checks are exercised here through that path.
 """
 
 import numpy as np
 import pytest
 
-from tracelab import kernels
+from tracelab import kernels, oplab, tracescale
 from tracelab.errors import (
+    DimensionMismatch,
     NoConvergence,
     NonFiniteInput,
+    NotPositiveDefinite,
     NotSymmetric,
     TracelabError,
 )
@@ -19,6 +24,12 @@ from tracelab.errors import (
 def random_symmetric(rng, n, scale=1.0):
     m = rng.standard_normal((n, n))
     return scale * (m + m.T) / 2.0
+
+
+def generalized_constants(a, b):
+    """The generalized problem a x = lam b x as the package solves it."""
+    a, b = np.asarray(a), np.asarray(b)
+    return tracescale.equivalence_constants(oplab.make_space(a.shape[0], a), oplab.make_space(b.shape[0], b))
 
 
 class TestJacobiEigh:
@@ -188,6 +199,19 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteInput):
             kernels.jacobi_svd(m, max_sweeps=1)
 
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gen_eigh(self, bad, monkeypatch):
+        # a non-finite Gram is refused when its space is built, before any kernel sees it
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a non-finite Gram reached jacobi_eigh")
+
+        monkeypatch.setattr(kernels, "jacobi_eigh", no_kernel)
+        a = np.array([[2.0, bad], [bad, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            generalized_constants(a, np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            generalized_constants(np.eye(2), a)
+
 
 class TestNoConvergence:
     def test_is_a_tracelab_error(self):
@@ -243,6 +267,21 @@ class TestPinv:
         assert rank == 0
         assert np.all(p == 0.0)
         assert p.shape == (5, 2)
+
+
+class TestGenEigh:
+    @pytest.mark.parametrize("b", [np.diag([1.0, -1.0]), np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_b_not_positive_definite(self, b):
+        # numpy's LinAlgError would escape the CLI's error handling
+        with pytest.raises(NotPositiveDefinite):
+            generalized_constants(np.eye(2), b)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3), (2, 2)), ((2, 2), (3, 2)), ((2, 2), (3, 3)), ((4,), (2, 2))])
+    def test_shapes_rejected(self, a_shape, b_shape):
+        # a is a Gram too now, so its square cases are positive definite
+        a = np.eye(*a_shape) if len(a_shape) == 2 else np.ones(a_shape)
+        with pytest.raises(DimensionMismatch):
+            generalized_constants(a, np.eye(*b_shape))
 
 
 def test_rank_cutoff_scales_with_sigma():
