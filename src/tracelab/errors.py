@@ -47,7 +47,7 @@ class NoConvergence(TracelabError):
 
 
 class NonFiniteInput(TracelabError):
-    """A kernel received a matrix with NaN or infinite entries."""
+    """A kernel or solver received NaN or infinite input."""
 
 
 # -- mesh / assembly layer -------------------------------------------------

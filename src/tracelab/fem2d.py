@@ -121,6 +121,29 @@ class Band:
             out[down] += v[idx[down] - d][col] * x[idx[down] - d]
         return out
 
+    def from_support(self, support: np.ndarray, x, rows: np.ndarray) -> np.ndarray:
+        """``(self @ z)[rows]`` for the z that is ``x`` on ``support`` and zero elsewhere.
+
+        ``support`` and ``rows`` each hold distinct indices.  Reads only
+        ``x``: each row sums the terms of ``__matmul__`` that touch the
+        support, in the same order, and the terms it leaves out are exact
+        zeros, so for finite ``x`` the result equals the full product's rows.
+        """
+        x = np.asarray(x, dtype=float)
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        pos = np.full(self.diags[0].size, -1)
+        pos[rows] = np.arange(rows.size)
+        out = np.zeros((rows.size,) + x.shape[1:])
+        hit = pos[support] >= 0
+        out[pos[support[hit]]] = self.diags[0][support[hit]][col] * x[hit]
+        for d, v in zip(self.offsets[1:], self.diags[1:]):
+            # (self @ z)[i] gains v[i] z[i + d] and then v[i - d] z[i - d]
+            for i, coef in ((support - d, support - d), (support + d, support)):
+                hit = (i >= 0) & (i < pos.size)
+                hit[hit] = pos[i[hit]] >= 0
+                out[pos[i[hit]]] += v[coef[hit]][col] * x[hit]
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Assembly:

@@ -15,11 +15,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded, solve_triangular
+from scipy.linalg import cho_solve, cholesky_banded, solve_triangular
+from scipy.linalg.blas import dgemm, dtrsm
 
 from . import kernels, oplab
 from .errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NotHarmonic,
     OrderOutOfRange,
     SolveFailure,
@@ -47,13 +49,19 @@ def _partition(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _interior_chol(a: Assembly) -> np.ndarray:
-    """Banded Cholesky factor of the interior stiffness block K_ii.
+    """Cholesky factor L of the interior stiffness block K_ii, as dense blocks.
 
-    Stored in the lower form of ``scipy.linalg.cholesky_banded``: row d
-    holds the d-th subdiagonal, so the shape is (bw + 1, n_interior) for
-    the interior bandwidth bw.  The band is filled from the nonzero
-    diagonals of K, whose offsets come from the element connectivity;
-    Cholesky fill stays inside it, so no n_interior^2 array is made.
+    The factor is taken by ``cholesky_banded`` (LAPACK dpbtrf) on the band of
+    K_ii, filled from the nonzero diagonals of K, whose offsets come from the
+    element connectivity; Cholesky fill stays inside it, so no n_interior^2
+    array is made.  With blocks of b = bw + 1 rows for the interior bandwidth
+    bw, L is block-bidiagonal: a lower-triangular diagonal block L_kk and a
+    coupling block L_{k+1,k}, nonzero only in its strict upper triangle.
+    Block column k is stored as ``blocks[k] = [L_kk; L_{k+1,k}]``, so the
+    result has shape (n_blocks, 2b, b); the interior is padded to whole
+    blocks with the identity.  The band is copied in through a skewed view
+    (subdiagonal d of column c is row c + d) and dropped, so the blocks are
+    the one copy of the factor.
     """
     _, interior = _partition(a)
     pos = np.full(a.mesh.n_nodes, -1)
@@ -66,17 +74,54 @@ def _interior_chol(a: Assembly) -> np.ndarray:
         cols.append(pos[i][keep])
         vals.append(v[keep])
     rows = np.concatenate(rows)
-    ab = np.zeros((int(rows.max()) + 1, interior.size))
+    b = int(rows.max()) + 1
+    ab = np.zeros((b, interior.size), order="F")
     ab[rows, np.concatenate(cols)] = np.concatenate(vals)
     try:
-        return cholesky_banded(ab, lower=True)
+        ab = cholesky_banded(ab, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure("interior stiffness block is singular") from exc
+    n_blocks, tail = divmod(interior.size, b)
+    blocks = np.zeros((n_blocks + (tail > 0), 2 * b, b))
+    st = blocks.strides
+    skew = np.lib.stride_tricks.as_strided(blocks, (blocks.shape[0], b, b), (st[0], st[1], st[1] + st[2]))
+    skew[:n_blocks] = ab[:, : n_blocks * b].reshape(b, n_blocks, b).transpose(1, 0, 2)
+    if tail:
+        skew[n_blocks, :, :tail] = ab[:, n_blocks * b :]
+        pad = np.arange(tail, b)
+        blocks[n_blocks, pad, pad] = 1.0
+    blocks.setflags(write=False)
+    return blocks
 
 
 def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
-    """K_ii^-1 rhs for one vector or a block of interior right-hand sides."""
-    return cho_solve_banded((_interior_chol(a), True), rhs)
+    """K_ii^-1 rhs for one vector or a block of interior right-hand sides.
+
+    Forward and then backward block substitution with the blocks of
+    ``_interior_chol``, over one copy of the right-hand side: its transpose,
+    in Fortran order and padded to whole blocks, so block row k is a
+    contiguous column block.  Each block row is one dgemm update from
+    its neighbour and one in-place dtrsm with the diagonal block.
+    """
+    blocks = _interior_chol(a)
+    b = blocks.shape[2]
+    n = rhs.shape[0]
+    cols = rhs.reshape(n, -1)
+    w = np.zeros((cols.shape[1], blocks.shape[0] * b), order="F")
+    w[:, :n] = cols.T
+    # zero columns need no solve, and the BLAS wrappers refuse them
+    row = [w[:, k * b : (k + 1) * b] for k in range(blocks.shape[0])] if w.size else []
+    # row k holds a block of rhs rows transposed, so each solve with L_kk is
+    # a right solve with its transpose, the upper triangle blocks[k, :b].T
+    for k in range(len(row)):  # L y = rhs
+        if k:
+            dgemm(-1.0, row[k - 1], blocks[k - 1, b:].T, beta=1.0, c=row[k], overwrite_c=True)
+        dtrsm(1.0, blocks[k, :b].T, row[k], side=1, overwrite_b=True)
+    for k in reversed(range(len(row))):  # L' x = y
+        if k + 1 < len(row):
+            dgemm(-1.0, row[k + 1], blocks[k, b:].T, beta=1.0, c=row[k], trans_b=True, overwrite_c=True)
+        dtrsm(1.0, blocks[k, :b].T, row[k], side=1, trans_a=True, overwrite_b=True)
+    return w[:, :n].T.reshape(rhs.shape)
 
 
 @lru_cache(maxsize=32)
@@ -129,10 +174,12 @@ def _trace_pinv(a: Assembly) -> Operator:
 
 
 def _columns(x, rows: int, what: str) -> np.ndarray:
-    """``x`` as floats, checked to be a (rows,) vector or a (rows, k) block."""
+    """``x`` as floats, checked to be a finite (rows,) vector or (rows, k) block."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] != rows:
         raise DimensionMismatch(f"expected {rows} {what} values per column, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} values must be finite")
     return x
 
 
@@ -152,8 +199,9 @@ def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     bnd, interior = _partition(a)
     z = np.zeros((a.mesh.n_nodes,) + g.shape[1:])
     z[bnd] = g
-    if interior.size:  # K_ii z_i = -K_ib g, and K_ib g = (K z)_i while z_i = 0
-        z[interior] = _interior_solve(a, -(a.K @ z)[interior])
+    if interior.size:  # K_ii z_i = -K_ib g, read off the interior rows of K times g on the boundary
+        rhs = a.K.from_support(bnd, g, interior)
+        z[interior] = _interior_solve(a, np.negative(rhs, out=rhs))
     return z
 
 

@@ -325,6 +325,23 @@ class TestBands:
             for x in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 5))):
                 assert np.array_equal(band.rows(idx, x), (band @ x)[idx])
 
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_from_support_equals_product_rows_bitwise(self, kind, n, rng):
+        a = asm(kind, n)
+        nn, bnd = a.mesh.n_nodes, a.mesh.boundary_nodes
+        interior = np.setdiff1d(np.arange(nn), bnd)
+        # the boundary loop onto the interior, as harmonic_extension uses it, then
+        # a scattered support onto rows that overlap it, in no particular order
+        some = rng.permutation(nn)[: nn // 3]
+        for support, rows in ((bnd, interior), (some, rng.permutation(nn)[: nn // 2]), (some, np.arange(nn))):
+            for band in (a.K, a.M_dom):
+                for x in (rng.standard_normal(support.size), rng.standard_normal((support.size, 5))):
+                    z = np.zeros((nn,) + x.shape[1:])
+                    z[support] = x
+                    got = band.from_support(support, x, rows)
+                    assert got.shape == (rows.size,) + x.shape[1:]
+                    assert got.tobytes() == (band @ z)[rows].tobytes()
+
     @pytest.mark.parametrize(
         "kind,n,k_offsets,m_offsets",
         [

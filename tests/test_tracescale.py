@@ -10,10 +10,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracelab import fem2d, kernels, oplab, tracescale
 from tracelab.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NonFiniteResidual,
     NotHarmonic,
     OrderOutOfRange,
@@ -324,6 +327,29 @@ class TestBlockSolvers:
         with pytest.raises(DimensionMismatch):
             tracescale.green_residual(a, z[:, 0], np.ones((nn, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_non_finite_input_rejected(self, kind, n, bad, rng):
+        a = asm(kind, n)
+        nb, nn = a.mesh.boundary_nodes.size, a.mesh.n_nodes
+        z = tracescale.harmonic_extension(a, rng.standard_normal((nb, 3)))
+        v = rng.standard_normal((nn, 3))
+        # each call with the index of the argument that gets one bad entry
+        calls = [
+            (tracescale.harmonic_extension, [rng.standard_normal((nb, 3))], 0),
+            (tracescale.robin_solve, [rng.standard_normal((nb, 3))], 0),
+            (tracescale.poisson_robin, [rng.standard_normal((nn, 3))], 0),
+            (tracescale.normal_derivative, [z.copy()], 0),
+            (tracescale.green_residual, [z.copy(), v.copy()], 0),
+            (tracescale.green_residual, [z.copy(), v.copy()], 1),
+        ]
+        for solve, args, which in calls:
+            args[which][1, 2] = bad
+            with pytest.raises(NonFiniteInput):
+                solve(a, *args)
+            with pytest.raises(NonFiniteInput):
+                solve(a, *(arg[:, 2] for arg in args))
+
 
 class TestGreenResidual:
     def test_constant_z(self, rng):
@@ -373,22 +399,126 @@ class TestProjectionIdentities:
         assert np.abs(proj @ z - z).max() <= 1e-8
 
 
+def interior_band(a):
+    """K_ii in the lower band form of ``scipy.linalg.cholesky_banded``, from the dense K."""
+    interior = np.setdiff1d(np.arange(a.mesh.n_nodes), a.mesh.boundary_nodes)
+    kii = a.K.dense()[np.ix_(interior, interior)]
+    bw = max(d for d in range(kii.shape[0]) if np.diagonal(kii, -d).any())
+    ab = np.zeros((bw + 1, kii.shape[0]))
+    for d in range(bw + 1):
+        ab[d, : kii.shape[0] - d] = np.diagonal(kii, -d)
+    return kii, ab
+
+
+def banded_solve(a, rhs):
+    """K_ii^-1 rhs by LAPACK's banded Cholesky solve: the oracle of the block substitution."""
+    _, ab = interior_band(a)
+    return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(ab, lower=True), True), rhs)
+
+
+def factor_from_blocks(blocks):
+    """The padded lower factor L laid out by ``_interior_chol``'s blocks."""
+    n_blocks, _, b = blocks.shape
+    low = np.zeros(((n_blocks + 1) * b, n_blocks * b))
+    for k in range(n_blocks):
+        low[k * b : (k + 2) * b, k * b : (k + 1) * b] = blocks[k]
+    return low[: n_blocks * b]
+
+
+# (kind, n): one block (an interior smaller than, or as large as, a block), an
+# interior of whole blocks, and interiors that end in a partial block
+SOLVE_MESHES = [
+    ("interval", 2), ("square", 2), ("interval", 5), ("interval", 8),
+    ("square", 3), ("lshape", 4), ("lshape", 6), ("square", 16),
+]
+
+
 class TestInteriorFactor:
     def test_banded_shape_square(self):
-        # the interior of the 17 x 17 grid is 15 x 15: K_ii has bandwidth 15
+        # the interior of the 17 x 17 grid is 15 x 15: K_ii has bandwidth 15, so
+        # blocks of 16 rows, and 225 = 14 * 16 + 1 rows make 15 block columns
         a = fem2d.assemble(fem2d.gen_mesh("square", 16))
-        assert tracescale._interior_chol(a).shape == (16, 225)
+        assert tracescale._interior_chol(a).shape == (15, 32, 16)
 
     @pytest.mark.parametrize("kind,n", [("interval", 2), ("interval", 8), ("square", 4), ("lshape", 8)])
     def test_factor_reproduces_interior_block(self, kind, n):
         a = asm(kind, n)
-        interior = np.setdiff1d(np.arange(a.mesh.n_nodes), a.mesh.boundary_nodes)
-        band = tracescale._interior_chol(a)
-        low = np.zeros((interior.size, interior.size))
-        for d in range(band.shape[0]):
-            low += np.diag(band[d, : interior.size - d], -d)
-        kii = a.K.dense()[np.ix_(interior, interior)]
+        blocks = tracescale._interior_chol(a)
+        kii, ab = interior_band(a)
+        ni, b = kii.shape[0], blocks.shape[2]
+        assert b == ab.shape[0]
+        low = factor_from_blocks(blocks)
+        # block-bidiagonal and lower triangular: each coupling block is strictly upper
+        assert np.array_equal(low, np.tril(low))
+        for k in range(blocks.shape[0]):
+            assert np.array_equal(blocks[k, b:], np.triu(blocks[k, b:], 1))
+        # padded to whole blocks with the identity
+        assert np.array_equal(low[ni:, ni:], np.eye(low.shape[0] - ni))
+        assert not low[ni:, :ni].any()
+        low = low[:ni, :ni]
         assert np.abs(low @ low.T - kii).max() <= 1e-13 * np.abs(kii).max()
+
+    def test_factor_is_one_read_only_copy(self):
+        blocks = tracescale._interior_chol(asm("square", 8))
+        assert not blocks.flags.writeable
+        assert blocks.base is None
+
+
+class TestInteriorSolve:
+    @pytest.mark.parametrize("kind,n", SOLVE_MESHES)
+    @pytest.mark.parametrize("cols", [None, 1, 9, 0])
+    def test_matches_banded_oracle(self, kind, n, cols, rng):
+        a = asm(kind, n)
+        ni = interior_band(a)[0].shape[0]
+        rhs = rng.standard_normal(ni if cols is None else (ni, cols))
+        kept = rhs.copy()
+        got = tracescale._interior_solve(a, rhs)
+        ref = banded_solve(a, rhs)
+        assert got.shape == rhs.shape
+        assert np.array_equal(rhs, kept)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=1.0)
+
+    def test_meshes_cover_the_block_layouts(self):
+        layouts = set()
+        for kind, n in SOLVE_MESHES:
+            a = asm(kind, n)
+            ni = a.mesh.n_nodes - a.mesh.boundary_nodes.size
+            n_blocks, _, b = tracescale._interior_chol(a).shape
+            assert n_blocks == -(-ni // b)
+            layouts.add("one block" if ni <= b else "whole blocks" if ni % b == 0 else "partial block")
+        assert layouts == {"one block", "whole blocks", "partial block"}
+
+    @given(
+        kind_n=st.sampled_from([("interval", n) for n in range(2, 12)] + [("square", n) for n in range(2, 12)]
+                               + [("lshape", n) for n in (4, 6, 8, 10)]),
+        cols=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_banded_oracle(self, kind_n, cols, seed):
+        a = asm(*kind_n)
+        rhs = np.random.default_rng(seed).standard_normal((interior_band(a)[0].shape[0], cols))
+        got = tracescale._interior_solve(a, rhs)
+        ref = banded_solve(a, rhs)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=1.0)
+
+    def test_empty_populations(self):
+        a = asm("square", 4)
+        nb, nn = a.mesh.boundary_nodes.size, a.mesh.n_nodes
+        assert tracescale.harmonic_extension(a, np.zeros((nb, 0))).shape == (nn, 0)
+        assert tracescale.poisson_robin(a, np.zeros((nn, 0))).shape == (nn, 0)
+        assert tracescale.necas_constants(a, n_samples=0).passed
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_extension_makes_no_full_product(self, kind, n, rng, monkeypatch):
+        a = asm(kind, n)
+        g = rng.standard_normal((a.mesh.boundary_nodes.size, 3))
+        expected = tracescale.harmonic_extension(a, g)
+
+        def refuse(self, x):
+            raise AssertionError("full band product")
+
+        monkeypatch.setattr(fem2d.Band, "__matmul__", refuse)
+        assert np.array_equal(tracescale.harmonic_extension(a, g), expected)
 
 
 class TestHsGram:
@@ -566,23 +696,26 @@ class TestSuitePde:
     def test_solve_count_does_not_grow_with_samples(self, monkeypatch):
         a = asm("square", 4)
         tracescale.suite_pde(a, trials=1, identity_samples=1)  # fill the per-assembly caches
-        calls = []
+        calls = {"cho_solve": [], "_interior_solve": []}
 
-        def counting(original):
+        def counting(name, original):
             def counted(*args, **kw):
-                calls.append(args[1].shape)
+                calls[name].append(args[1].shape)
                 return original(*args, **kw)
 
             return counted
 
-        for name in ("cho_solve", "cho_solve_banded"):
-            monkeypatch.setattr(tracescale, name, counting(getattr(tracescale, name)))
+        for name in calls:
+            monkeypatch.setattr(tracescale, name, counting(name, getattr(tracescale, name)))
         counts = []
         for trials, samples in ((2, 3), (7, 11)):
-            calls.clear()
+            for made in calls.values():
+                made.clear()
             assert tracescale.suite_pde(a, trials=trials, identity_samples=samples, seed=4).passed
-            counts.append(len(calls))
+            counts.append({name: len(made) for name, made in calls.items()})
         assert counts[0] == counts[1]
+        # a count of 0 would mean the solvers no longer go through the patched names
+        assert counts[0]["_interior_solve"] > 0 and counts[0]["cho_solve"] > 0
 
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_same_stream_as_per_trial_draws(self, kind, n, monkeypatch):
