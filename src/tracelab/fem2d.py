@@ -100,15 +100,54 @@ class Band:
             out[i, i + d] = out[i + d, i] = v
         return out
 
+    def __add__(self, other: Band) -> Band:
+        """The sum, over the union of both bands' offsets."""
+        if not isinstance(other, Band):
+            return NotImplemented
+        sums: dict[int, np.ndarray] = {}
+        for d, v in zip(self.offsets + other.offsets, self.diags + other.diags):
+            sums[d] = sums[d] + v if d in sums else v
+        offsets = sorted(sums)
+        return Band(offsets=tuple(offsets), diags=tuple(_frozen(sums[d], float) for d in offsets))
+
     def __matmul__(self, x) -> np.ndarray:
-        """The product with one vector or with a block of columns."""
+        """The product with one vector or with a block of columns.
+
+        Each off-diagonal term is formed in one reused temporary and then
+        added, so the sums are those of ``out[:-d] += v * x[d:]``.
+        """
         x = np.asarray(x, dtype=float)
         col = (slice(None),) + (None,) * (x.ndim - 1)
         out = self.diags[0][col] * x
+        if len(self.offsets) > 1:
+            tmp = np.empty_like(x[self.offsets[1] :])  # the longest off-diagonal term
         for d, v in zip(self.offsets[1:], self.diags[1:]):
-            out[:-d] += v[col] * x[d:]
-            out[d:] += v[col] * x[:-d]
+            term = tmp[: x.shape[0] - d]
+            out[:-d] += np.multiply(v[col], x[d:], out=term)
+            out[d:] += np.multiply(v[col], x[:-d], out=term)
         return out
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the block ``self[rows][:, cols]``, as (row position,
+        column position, value) arrays, diagonal by diagonal.
+
+        ``rows`` and ``cols`` each hold distinct indices; a position is an
+        index into them.  Entries off the band are zero and are not listed.
+        """
+        size = self.diags[0].size
+        rpos, cpos = np.full(size, -1), np.full(size, -1)
+        rpos[rows] = np.arange(rows.size)
+        cpos[cols] = np.arange(cols.size)
+        out_r, out_c, out_v = [], [], []
+        for d, v in zip(self.offsets, self.diags):
+            i = np.arange(v.size)
+            # v[i] sits at (i, i + d) and at (i + d, i); the diagonal once
+            for r, c in ((i, i + d), (i + d, i))[: 1 if d == 0 else 2]:
+                keep = (rpos[r] >= 0) & (cpos[c] >= 0) & (v != 0.0)
+                out_r.append(rpos[r[keep]])
+                out_c.append(cpos[c[keep]])
+                out_v.append(v[keep])
+        return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v)
 
     def rows(self, idx: np.ndarray, x) -> np.ndarray:
         """``(self @ x)[idx]``, summed in the same order, without the other rows."""

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky_banded, solve_triangular
-from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.blas import dgemm, dsyrk, dtrsm
 
 from . import kernels, oplab
 from .errors import (
@@ -64,19 +64,12 @@ def _interior_chol(a: Assembly) -> np.ndarray:
     the one copy of the factor.
     """
     _, interior = _partition(a)
-    pos = np.full(a.mesh.n_nodes, -1)
-    pos[interior] = np.arange(interior.size)
-    rows, cols, vals = [], [], []
-    for d, v in zip(a.K.offsets, a.K.diags):
-        i = np.arange(v.size)
-        keep = (pos[i] >= 0) & (pos[i + d] >= 0) & (v != 0.0)
-        rows.append(pos[i + d][keep] - pos[i][keep])
-        cols.append(pos[i][keep])
-        vals.append(v[keep])
-    rows = np.concatenate(rows)
+    r, c, v = a.K.entries(interior, interior)
+    lower = r >= c
+    rows = r[lower] - c[lower]
     b = int(rows.max()) + 1
     ab = np.zeros((b, interior.size), order="F")
-    ab[rows, np.concatenate(cols)] = np.concatenate(vals)
+    ab[rows, c[lower]] = v[lower]
     try:
         ab = cholesky_banded(ab, overwrite_ab=True, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -102,6 +95,8 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
     in Fortran order and padded to whole blocks, so block row k is a
     contiguous column block.  Each block row is one dgemm update from
     its neighbour and one in-place dtrsm with the diagonal block.
+    ``_schur`` runs the forward half alone, on K_ib, one block row at a
+    time.
     """
     blocks = _interior_chol(a)
     b = blocks.shape[2]
@@ -126,7 +121,9 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _extension_matrix(a: Assembly) -> np.ndarray:
-    """Minimal-energy extension of every boundary hat, as columns."""
+    """Minimal-energy extension of every boundary hat, as columns: the Z of
+    ``poisson_robin`` and of the extension side of ``energy_split``.  M_b S
+    does not use it, so the scale and its checks share no work with Z."""
     z = _extend(a, np.eye(a.M_b.shape[0]))
     z.setflags(write=False)
     return z
@@ -134,14 +131,38 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _schur(a: Assembly) -> oplab.InnerSpace:
-    """M_b S = M_b + (K Z)_b: the Schur complement of the combined H1 Gram
-    onto the boundary, from the stiffness band and the extension matrix Z,
-    never from the Gram itself.  The boundary rows of K Z are K_bb + K_bi Z_i,
-    since Z is the identity on the boundary and K_ii Z_i = -K_ib.  As a space,
-    so its one Cholesky factor serves every Robin and Poisson-Robin solve."""
-    bnd, _ = _partition(a)
-    mbs = a.M_b + a.K.rows(bnd, _extension_matrix(a))
-    return oplab.make_space(bnd.size, 0.5 * (mbs + mbs.T))
+    """M_b S = M_b + K_bb - K_bi K_ii^-1 K_ib: the Schur complement of the
+    combined H1 Gram onto the boundary, from the stiffness band and the
+    blocks of ``_interior_chol``, never from the Gram or the extension
+    matrix.  With K_ii = L L' it is M_b + K_bb - W'W for W = L^-1 K_ib, the
+    forward half of ``_interior_solve``.  Block row k of W needs only row
+    k - 1, so each one is made from K_ib's nonzeros (read off the band once),
+    added into the nb x nb result with one dsyrk, and dropped: no n_nodes x
+    nb array is made.  As a space, so its one Cholesky factor serves every
+    Robin and Poisson-Robin solve."""
+    bnd, interior = _partition(a)
+    mbs = np.array(a.M_b, order="F")
+    i, j, v = a.K.entries(bnd, bnd)
+    mbs[i, j] += v
+    if interior.size:
+        blocks = _interior_chol(a)
+        b = blocks.shape[2]
+        i, j, v = a.K.entries(interior, bnd)
+        order = np.argsort(i, kind="stable")
+        i, j, v = i[order], j[order], v[order]
+        ends = np.searchsorted(i, b * np.arange(1, blocks.shape[0] + 1))
+        # block row k of W, transposed as in _interior_solve, and row k - 1
+        row, prev = np.zeros((bnd.size, b), order="F"), np.zeros((bnd.size, b), order="F")
+        start = 0
+        for k, end in enumerate(ends):
+            row[:] = 0.0
+            row[j[start:end], i[start:end] - k * b] = v[start:end]
+            if k:
+                row = dgemm(-1.0, prev, blocks[k - 1, b:].T, beta=1.0, c=row, overwrite_c=True)
+            row = dtrsm(1.0, blocks[k, :b].T, row, side=1, overwrite_b=True)
+            mbs = dsyrk(-1.0, row, beta=1.0, c=mbs, overwrite_c=True)  # upper triangle only
+            row, prev, start = prev, row, end
+    return oplab.make_space(bnd.size, np.triu(mbs) + np.triu(mbs, 1).T)
 
 
 def _schur_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
@@ -607,9 +628,21 @@ NECAS_TOLS: dict[str, float] = {
 }
 
 
-def _running_max(values: np.ndarray) -> float:
-    """max(0, v_1, v_2, ...) taken left to right, so a NaN sample is passed over."""
-    worst = 0.0
+NECAS_BLOCK = 64  # most samples solved as one block of columns
+
+
+def _block_widths(n: int) -> list[int]:
+    """The widths of the fewest blocks of at most NECAS_BLOCK columns that
+    hold n columns, as equal as they can be, the wider ones first."""
+    if not n:
+        return []
+    count = -(-n // NECAS_BLOCK)
+    width, wider = divmod(n, count)
+    return [width + 1] * wider + [width] * (count - wider)
+
+
+def _running_max(values: np.ndarray, worst: float = 0.0) -> float:
+    """max(worst, v_1, v_2, ...) taken left to right, so a NaN sample is passed over."""
     for v in values.tolist():
         worst = max(worst, v)
     return worst
@@ -629,52 +662,59 @@ def necas_constants(
     rough and a smoothed boundary population.  Also the source-to-flux
     ratio for the zero-trace source problem.
 
-    Sample j draws its boundary data g_j and then its source f_j.  Each
-    population is solved as one block of n_samples columns: one extension
-    and one flux solve per boundary population, and one interior solve for
-    the sources.  A sample whose ratio is not finite counts as a failure.
+    Sample j draws its boundary data g_j and then its source f_j.  The
+    samples are taken in blocks of at most NECAS_BLOCK columns, each drawing
+    its rows of the one stream in turn, so memory does not grow with
+    n_samples.  Per block: one extension and one flux solve per boundary
+    population, with the smoothed data (I + S)^-1 g solved through the
+    stored factor of Q_{1/2} = M_b (I + S), and one interior solve for the
+    sources.  A sample whose ratio is not finite counts as a failure.
     """
     rng = np.random.default_rng(seed)
     l2bnd, h1bnd = boundary_spaces(a)
     bnd, interior = _partition(a)
     nb = l2bnd.dim
-    eye_s = np.eye(nb) + _s_operator(a).mat
+    q_half = hs_gram(a, 0.5)
+    h1_dom = a.K + a.M_dom
 
     def harmonic_ratios(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = harmonic_extension(a, g)
         w = normal_derivative(a, u)
-        dom_sq = np.einsum("ij,ij->j", u, a.K @ u + a.M_dom @ u)
+        dom_sq = np.einsum("ij,ij->j", u, h1_dom @ u)
         flux_sq = _colquad(w, a.M_b)
         trace_sq = _colquad(g, h1bnd.gram)
         r1 = np.sqrt(trace_sq) / np.sqrt(dom_sq + flux_sq)
         r2 = np.sqrt(flux_sq) / np.sqrt(dom_sq + trace_sq)
         return r1, r2
 
-    draws = rng.standard_normal((n_samples, nb + a.mesh.n_nodes)).T
-    g_rough, f = draws[:nb], draws[nb:]
     failures = 0
-    constants = {}
-    for name, g in (("rough", g_rough), ("smooth", np.linalg.solve(eye_s, g_rough))):
-        r1, r2 = harmonic_ratios(g)
-        failures += int(np.count_nonzero(~(np.isfinite(r1) & np.isfinite(r2))))
-        constants[f"trace_{name}_max"] = _running_max(r1)
-        constants[f"flux_{name}_max"] = _running_max(r2)
+    worst = dict.fromkeys(
+        ("trace_rough_max", "flux_rough_max", "trace_smooth_max", "flux_smooth_max", "rellich_max"), 0.0
+    )
+    for width in _block_widths(n_samples):
+        draws = rng.standard_normal((width, nb + a.mesh.n_nodes)).T
+        g_rough, f = draws[:nb], draws[nb:]
+        g_smooth = cho_solve((q_half.chol, True), a.M_b @ g_rough)
+        for name, g in (("rough", g_rough), ("smooth", g_smooth)):
+            r1, r2 = harmonic_ratios(g)
+            failures += int(np.count_nonzero(~(np.isfinite(r1) & np.isfinite(r2))))
+            worst[f"trace_{name}_max"] = _running_max(r1, worst[f"trace_{name}_max"])
+            worst[f"flux_{name}_max"] = _running_max(r2, worst[f"flux_{name}_max"])
 
-    load = a.M_dom @ f
-    u0 = np.zeros_like(f)
-    if interior.size:
-        u0[interior] = _interior_solve(a, load[interior])
-    # weak flux of the source problem keeps the volume correction
-    w0 = cho_solve((l2bnd.chol, True), a.K.rows(bnd, u0) - load[bnd])
-    f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
-    sourced = f_norm > 0.0
-    ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]
-    failures += int(np.count_nonzero(~np.isfinite(ratio)))
-    constants["rellich_max"] = _running_max(ratio)
+        load = a.M_dom @ f
+        u0 = np.zeros_like(f)
+        if interior.size:
+            u0[interior] = _interior_solve(a, load[interior])
+        # weak flux of the source problem keeps the volume correction
+        w0 = cho_solve((l2bnd.chol, True), a.K.rows(bnd, u0) - load[bnd])
+        f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
+        sourced = f_norm > 0.0
+        ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]
+        failures += int(np.count_nonzero(~np.isfinite(ratio)))
+        worst["rellich_max"] = _running_max(ratio, worst["rellich_max"])
 
     r1_const, _ = harmonic_ratios(np.ones((nb, 1)))
-    constants["trace_const"] = float(r1_const[0])
-    constants["samples"] = float(n_samples)
+    constants = dict(worst, trace_const=float(r1_const[0]), samples=float(n_samples))
     rec = _recorder("necas", a)
     rec.record("sample_failures", failures)
     return rec.report(NECAS_TOLS, tolerances, constants)

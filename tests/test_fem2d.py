@@ -304,6 +304,17 @@ class TestAssemble:
             fem2d.assemble(bad)
 
 
+def looped_product(band, x):
+    """``band @ x`` with one fresh temporary per diagonal and direction: the
+    reference the product with its reused temporary must match bit for bit."""
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    out = band.diags[0][col] * x
+    for d, v in zip(band.offsets[1:], band.diags[1:]):
+        out[:-d] += v[col] * x[d:]
+        out[d:] += v[col] * x[:-d]
+    return out
+
+
 class TestBands:
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_products_match_dense(self, kind, n, rng):
@@ -315,6 +326,47 @@ class TestBands:
                 got = band @ x
                 assert got.shape == ref.shape
                 assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_product_equals_looped_product_bitwise(self, kind, n, rng):
+        # the reused temporary leaves every sum as the loop of fresh temporaries made it
+        a = asm(kind, n)
+        x = rng.standard_normal((a.mesh.n_nodes, 5))
+        for band in (a.K, a.M_dom, a.K + a.M_dom):
+            for arg in (x[:, 0], x, np.asfortranarray(x)):
+                got = band @ arg
+                assert got.shape == arg.shape
+                assert got.tobytes() == looped_product(band, arg).tobytes()
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [((0, 1, 5), (0, 1, 5)), ((0, 1, 5), (0, 1, 5, 6)), ((0, 2, 7), (0, 1, 3))],
+        ids=["equal", "nested", "disjoint"],
+    )
+    def test_sum_matches_dense(self, left, right, rng):
+        size = 12
+        bands = [
+            fem2d.Band(offsets=offsets, diags=tuple(rng.standard_normal(size - d) for d in offsets))
+            for offsets in (left, right)
+        ]
+        total = bands[0] + bands[1]
+        assert total.offsets == tuple(sorted(set(left) | set(right)))
+        assert not any(v.flags.writeable for v in total.diags)
+        assert np.abs(total.dense() - (bands[0].dense() + bands[1].dense())).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_entries_fill_the_dense_block(self, kind, n, rng):
+        a = asm(kind, n)
+        nn, bnd = a.mesh.n_nodes, a.mesh.boundary_nodes
+        interior = np.setdiff1d(np.arange(nn), bnd)
+        for band in (a.K, a.M_dom):
+            dense = band.dense()
+            for rows, cols in ((interior, bnd), (bnd, bnd), (rng.permutation(nn)[: nn // 2], rng.permutation(nn))):
+                i, j, v = band.entries(rows, cols)
+                block = np.zeros((rows.size, cols.size))
+                block[i, j] = v
+                assert np.array_equal(block, dense[np.ix_(rows, cols)])
+                assert len(set(zip(i.tolist(), j.tolist()))) == v.size and v.all()
 
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_rows_equal_product_rows_bitwise(self, kind, n, rng):

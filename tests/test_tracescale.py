@@ -5,6 +5,7 @@ two-path comparisons (direct solve vs operator algebra) and the suite
 residual gates.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -521,6 +522,40 @@ class TestInteriorSolve:
         assert np.array_equal(tracescale.harmonic_extension(a, g), expected)
 
 
+def dense_schur(a):
+    """M_b + K_bb - K_bi K_ii^-1 K_ib from the dense K and a dense solve."""
+    bnd = a.mesh.boundary_nodes
+    interior = np.setdiff1d(np.arange(a.mesh.n_nodes), bnd)
+    k = a.K.dense()
+    kib = k[np.ix_(interior, bnd)]
+    return a.M_b + k[np.ix_(bnd, bnd)] - kib.T @ np.linalg.solve(k[np.ix_(interior, interior)], kib)
+
+
+class TestSchur:
+    @pytest.mark.parametrize("kind,n", SOLVE_MESHES + [("square", 1), ("interval", 1)])
+    def test_matches_dense_oracle(self, kind, n):
+        # every block layout of the factor, and meshes with no interior at all
+        a = asm(kind, n)
+        got = tracescale._schur(a).gram
+        ref = dense_schur(a)
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda a: tracescale._s_operator(a), lambda a: tracescale.necas_constants(a, n_samples=70)],
+        ids=["s_operator", "necas"],
+    )
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_makes_no_extension_matrix(self, kind, n, run, monkeypatch):
+        def refuse(a):
+            raise AssertionError("extension matrix built")
+
+        a = fem2d.assemble(fem2d.gen_mesh(kind, n))  # fresh, so nothing is cached
+        monkeypatch.setattr(tracescale, "_extension_matrix", refuse)
+        run(a)
+
+
 class TestHsGram:
     def test_order_zero_is_boundary_mass(self):
         a = asm("square", 4)
@@ -966,30 +1001,59 @@ class TestNecasConstants:
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_matches_sample_by_sample_reference(self, kind, n):
         a = asm(kind, n)
-        rep = tracescale.necas_constants(a, n_samples=30, seed=9)
-        expected = necas_reference(a, n_samples=30, seed=9)
-        assert set(rep.constants) == set(expected) | {"samples"}
-        for key, value in expected.items():
-            assert rep.constants[key] == pytest.approx(value, rel=1e-12), key
+        # one block, then three blocks: the draw order must run on across them
+        for n_samples in (30, 2 * tracescale.NECAS_BLOCK + 5):
+            rep = tracescale.necas_constants(a, n_samples=n_samples, seed=9)
+            expected = necas_reference(a, n_samples=n_samples, seed=9)
+            assert set(rep.constants) == set(expected) | {"samples"}
+            for key, value in expected.items():
+                assert rep.constants[key] == pytest.approx(value, rel=1e-12), (n_samples, key)
 
-    @pytest.mark.parametrize("columns", [[2], [1, 4]])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 133, 200, 1000])
+    def test_blocks_are_balanced(self, n):
+        widths = tracescale._block_widths(n)
+        assert sum(widths) == n
+        assert len(widths) == -(-n // tracescale.NECAS_BLOCK)
+        assert widths == sorted(widths, reverse=True)
+        assert all(w <= tracescale.NECAS_BLOCK for w in widths)
+        assert not widths or widths[0] - widths[-1] <= 1
+
+    # sample 2; samples 1 and 4; a sample in the second block of two
+    @pytest.mark.parametrize("columns", [[2], [1, 4], [tracescale.NECAS_BLOCK + 2]])
     def test_nan_sample_counts_one_failure_each(self, monkeypatch, columns):
+        n_samples = tracescale.NECAS_BLOCK + 6
+        width = n_samples // 2  # two equal blocks
         original = tracescale.normal_derivative
         calls = []
 
         def planted(a, z):
             w = original(a, z)
-            if not calls:  # the rough population's flux block
-                w[:, columns] = np.nan
+            block, population = divmod(len(calls), 2)
+            if population == 0 and block < 2:  # a block's rough population
+                w[:, [c - block * width for c in columns if c // width == block]] = np.nan
             calls.append(w.shape)
             return w
 
         monkeypatch.setattr(tracescale, "normal_derivative", planted)
-        rep = tracescale.necas_constants(asm("square", 4), n_samples=6, seed=0)
-        assert calls[0] == (16, 6)
+        rep = tracescale.necas_constants(asm("square", 4), n_samples=n_samples, seed=0)
+        # rough and smooth flux blocks of each sample block, then the constant data
+        assert calls == [(16, width)] * 4 + [(16, 1)]
         assert rep.residuals["sample_failures"] == float(len(columns))
         assert not rep.passed
         assert all(np.isfinite(v) for v in rep.constants.values())
+
+    def test_memory_does_not_grow_with_samples(self):
+        a = asm("square", 32)
+        tracescale.necas_constants(a, n_samples=1)  # the cached factors and spaces
+        peaks = []
+        for n_samples in (100, 400):
+            tracemalloc.start()
+            try:
+                tracescale.necas_constants(a, n_samples=n_samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_deterministic_in_seed(self):
         r1 = tracescale.necas_constants(asm("square", 2), n_samples=10, seed=5)
