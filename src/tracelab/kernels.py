@@ -21,10 +21,11 @@ input by the power of two that brings max|a| into [1/2, 1), so that no
 square or product overflows or underflows, and scales the values back;
 the scaling is exact, so on inputs of ordinary size nothing moves.
 
-The SVD first reduces a tall input by a column-pivoted QR (Drmač & Veselić
-2008) and rotates only the square triangular factor.  A kernel raises
-NonFiniteInput on a NaN or infinite input before any work, and NoConvergence
-when it uses up ``max_sweeps``, rather than return an unconverged result.
+The SVD first reduces a tall input by numpy's unpivoted QR (Drmač & Veselić
+2008 pivot its columns) and rotates only the square triangular factor.  A
+kernel raises NonFiniteInput on a NaN or infinite input before any work,
+and NoConvergence when it uses up ``max_sweeps``, rather than return an
+unconverged result.
 The rank rule and the pseudo-inverse read an SVD the caller already holds.
 Intended scale is desk-size dense matrices (a few hundred rows).
 """
@@ -32,7 +33,6 @@ Intended scale is desk-size dense matrices (a few hundred rows).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotSymmetric
 
@@ -185,7 +185,7 @@ def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     to the product of their norms, and swapped either way; a sweep that
     rotates nothing ends the iteration, and NoConvergence is raised if none
     of ``max_sweeps`` sweeps does.  A tall input is first reduced to R of
-    ``m P = Q R``, a wide one is transposed.
+    ``m = Q R``, a wide one is transposed.
 
     Returns ``(u, s, vt)`` with ``m == u @ diag(s) @ vt`` up to rounding,
     singular values descending.  Columns of ``u`` belonging to zero singular
@@ -200,10 +200,8 @@ def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
         return vt.T, s, ut.T
     e = _exponent(m)
     if rows > cols > 0:
-        q, r, piv = qr(np.ldexp(m, -e), mode="economic", pivoting=True)
-        ur, s, rvt = jacobi_svd(r, tol=tol, max_sweeps=max_sweeps)
-        vt = np.empty_like(rvt)
-        vt[:, piv] = rvt
+        q, r = np.linalg.qr(np.ldexp(m, -e))
+        ur, s, vt = jacobi_svd(r, tol=tol, max_sweeps=max_sweeps)
         return q @ ur, np.ldexp(s, e), vt
 
     # u above v: one column turn rotates both

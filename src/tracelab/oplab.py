@@ -6,6 +6,8 @@ and the identity suites below are all taken with respect to these weighted
 products.  Weighted problems reduce to Euclidean ones through the Cholesky
 change of coordinates x -> L' x with G = L L'.  Each operator's SVD in those
 coordinates is taken once and kept on the operator; its pinv, norm and rank all read it.
+Every solve with L, L' or G is a block substitution with the space's stored
+factor (``InnerSpace.lower_solve`` and ``InnerSpace.solve``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.random import default_rng
 
 from . import kernels
 from .errors import (
@@ -29,6 +31,28 @@ from .errors import (
 from .report import Recorder, SuiteReport
 
 _TINY = 1e-300
+
+# rows of the diagonal blocks of a Cholesky factor that a solve applies by matmul
+SOLVE_BLOCK = 64
+
+
+def tril_inv(low: np.ndarray) -> np.ndarray:
+    """The inverse of a nonsingular lower-triangular matrix, itself exactly lower triangular.
+
+    By halves, [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], down
+    to blocks of 32 rows or fewer that np.linalg.inv takes whole: its LU
+    works through the zero triangle too, which at 256 rows costs several
+    times the halving.
+    """
+    n = low.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    out = np.zeros((n, n))
+    out[:h, :h] = tril_inv(low[:h, :h])
+    out[h:, h:] = tril_inv(low[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (low[h:, :h] @ out[:h, :h]))
+    return out
 
 
 def _frozen(arr) -> np.ndarray:
@@ -62,6 +86,44 @@ class InnerSpace:
     def norm(self, x) -> float:
         # via the factor so the result is never negative under rounding
         return float(np.linalg.norm(self.chol.T @ np.asarray(x)))
+
+    @cached_property
+    def _diag_inv(self) -> tuple[np.ndarray, ...]:
+        """The inverse of each diagonal block of ``chol``, SOLVE_BLOCK rows or fewer:
+        taken once per space, so no solve factors or inverts anything."""
+        return tuple(
+            _frozen(tril_inv(self.chol[s : s + SOLVE_BLOCK, s : s + SOLVE_BLOCK]))
+            for s in range(0, self.dim, SOLVE_BLOCK)
+        )
+
+    def lower_solve(self, rhs, trans: bool = False) -> np.ndarray:
+        """L^-1 rhs, or L'^-1 rhs with ``trans``, for one (dim,) vector or a
+        (dim, k) block of columns; ``rhs`` is left as it is.
+
+        Block substitution over the diagonal blocks of L: each block row is
+        one product with the rows already solved and one with the block's
+        stored inverse.
+        """
+        x = np.array(rhs, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise DimensionMismatch(f"right-hand side of shape {x.shape} for a space of dim {self.dim}")
+        low = self.chol
+        blocks = list(zip(range(0, self.dim, SOLVE_BLOCK), self._diag_inv))
+        for s, inv in reversed(blocks) if trans else blocks:
+            e = s + inv.shape[0]
+            if trans:
+                if e < self.dim:
+                    x[s:e] -= low[e:, s:e].T @ x[e:]
+                x[s:e] = inv.T @ x[s:e]
+            else:
+                if s:
+                    x[s:e] -= low[s:e, :s] @ x[:s]
+                x[s:e] = inv @ x[s:e]
+        return x
+
+    def solve(self, rhs) -> np.ndarray:
+        """gram^-1 rhs, as L'^-1 L^-1 rhs, for one vector or a block of columns."""
+        return self.lower_solve(self.lower_solve(rhs), trans=True)
 
 
 def make_space(dim: int, gram) -> InnerSpace:
@@ -161,20 +223,17 @@ def identity(space: InnerSpace) -> Operator:
 
 def adjoint(a: Operator) -> Operator:
     """Weighted adjoint: mat = G_dom^-1 mat' G_cod."""
-    rhs = a.mat.T @ a.codomain.gram
-    low = a.domain.chol
-    out = solve_triangular(low.T, solve_triangular(low, rhs, lower=True), lower=False)
-    return Operator(a.codomain, a.domain, out)
+    return Operator(a.codomain, a.domain, a.domain.solve(a.mat.T @ a.codomain.gram))
 
 
 def to_euclidean(a: Operator) -> np.ndarray:
     """Matrix of ``a`` in the orthonormal coordinates L' x of both spaces."""
     top = a.codomain.chol.T @ a.mat
-    return solve_triangular(a.domain.chol, top.T, lower=True).T
+    return a.domain.lower_solve(top.T).T
 
 
 def from_euclidean(mat_e: np.ndarray, domain: InnerSpace, codomain: InnerSpace) -> Operator:
-    mat = solve_triangular(codomain.chol, mat_e, lower=True, trans="T") @ domain.chol.T
+    mat = codomain.lower_solve(mat_e, trans=True) @ domain.chol.T
     return Operator(domain, codomain, mat)
 
 
@@ -203,7 +262,7 @@ def spectral(a: Operator, tol: float = 1e-10) -> SpectralDecomposition:
         raise NotSelfAdjoint("operator is not self-adjoint in its space")
     sym = to_euclidean(a)
     vals, q = kernels.jacobi_eigh(0.5 * (sym + sym.T))
-    vecs = solve_triangular(a.domain.chol.T, q, lower=False)
+    vecs = a.domain.lower_solve(q, trans=True)
     return SpectralDecomposition(space=a.domain, eigenvalues=vals, vectors=_frozen(vecs))
 
 
@@ -433,7 +492,7 @@ def identity_suite(
     both injective and non-injective adjoints occur.  A small population may
     draw no injective adjoint; its report then lists no ``item5`` gate.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     rec = Recorder("oplab")
     for _ in range(trials):
         ncols, nrows, rank = _draw_shapes(rng, dim_cap)
@@ -480,7 +539,7 @@ def douglas_suite(
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """Factor-through checks on random pairs with nested ranges (a = b @ m)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     rec = Recorder("oplab")
     for _ in range(pairs):
         k = int(rng.integers(1, dim_cap + 1))

@@ -15,8 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky_banded, solve_triangular
-from scipy.linalg.blas import dgemm, dsyrk, dtrsm
+from numpy.random import default_rng
 
 from . import kernels, oplab
 from .errors import (
@@ -43,46 +42,50 @@ HARMONIC_GATE = 1e-8
 @lru_cache(maxsize=32)
 def _partition(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
     bnd = a.mesh.boundary_nodes
-    interior = np.setdiff1d(np.arange(a.mesh.n_nodes), bnd)
-    return bnd, interior
+    inside = np.ones(a.mesh.n_nodes, dtype=bool)
+    inside[bnd] = False
+    return bnd, np.flatnonzero(inside)
 
 
 @lru_cache(maxsize=32)
 def _interior_chol(a: Assembly) -> np.ndarray:
-    """Cholesky factor L of the interior stiffness block K_ii, as dense blocks.
+    """Block Cholesky factor L of the interior stiffness block K_ii, as dense blocks.
 
-    The factor is taken by ``cholesky_banded`` (LAPACK dpbtrf) on the band of
-    K_ii, filled from the nonzero diagonals of K, whose offsets come from the
-    element connectivity; Cholesky fill stays inside it, so no n_interior^2
-    array is made.  With blocks of b = bw + 1 rows for the interior bandwidth
-    bw, L is block-bidiagonal: a lower-triangular diagonal block L_kk and a
-    coupling block L_{k+1,k}, nonzero only in its strict upper triangle.
-    Block column k is stored as ``blocks[k] = [L_kk; L_{k+1,k}]``, so the
-    result has shape (n_blocks, 2b, b); the interior is padded to whole
-    blocks with the identity.  The band is copied in through a skewed view
-    (subdiagonal d of column c is row c + d) and dropped, so the blocks are
-    the one copy of the factor.
+    With blocks of b = bw + 1 rows for the interior bandwidth bw (the
+    offsets of K's nonzero diagonals, from the element connectivity), K_ii
+    is block tridiagonal and L block bidiagonal: a lower-triangular
+    diagonal block L_kk and a coupling block L_{k+1,k}, nonzero only in its
+    strict upper triangle, as K_{k+1,k} is.  Block column k is filled from
+    K's band entries and factored in place: L_kk is the Cholesky factor of
+    the pivot block K_kk - L_{k,k-1} L_{k,k-1}', and L_{k+1,k} = K_{k+1,k}
+    L_kk^-T.  It is stored as ``blocks[k] = [L_kk^-1; L_{k+1,k}]``, the
+    diagonal block inverted once here so that every solve is matmuls, so
+    the result has shape (n_blocks, 2b, b); the interior is padded to whole
+    blocks with the identity.  No n_interior^2 array is made.  A pivot
+    block that is not positive definite raises SolveFailure.
     """
     _, interior = _partition(a)
     r, c, v = a.K.entries(interior, interior)
-    lower = r >= c
-    rows = r[lower] - c[lower]
-    b = int(rows.max()) + 1
-    ab = np.zeros((b, interior.size), order="F")
-    ab[rows, c[lower]] = v[lower]
-    try:
-        ab = cholesky_banded(ab, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure("interior stiffness block is singular") from exc
-    n_blocks, tail = divmod(interior.size, b)
-    blocks = np.zeros((n_blocks + (tail > 0), 2 * b, b))
-    st = blocks.strides
-    skew = np.lib.stride_tricks.as_strided(blocks, (blocks.shape[0], b, b), (st[0], st[1], st[1] + st[2]))
-    skew[:n_blocks] = ab[:, : n_blocks * b].reshape(b, n_blocks, b).transpose(1, 0, 2)
-    if tail:
-        skew[n_blocks, :, :tail] = ab[:, n_blocks * b :]
-        pad = np.arange(tail, b)
-        blocks[n_blocks, pad, pad] = 1.0
+    b = int((r - c).max(initial=0)) + 1
+    n_blocks = -(-interior.size // b)
+    # K_kk whole and K_{k+1,k}, each entry in block column c // b
+    col = c // b
+    below = r // b >= col
+    col, r, c, v = col[below], r[below], c[below], v[below]
+    blocks = np.zeros((n_blocks, 2 * b, b))
+    blocks[col, r - col * b, c - col * b] = v
+    pad = np.arange(interior.size - (n_blocks - 1) * b, b)
+    blocks[-1, pad, pad] = 1.0
+    for k in range(n_blocks):
+        diag, coupling = blocks[k, :b], blocks[k, b:]
+        if k:
+            diag -= blocks[k - 1, b:] @ blocks[k - 1, b:].T
+        try:
+            low = np.linalg.cholesky(diag)
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"pivot block {k} of the interior stiffness block is not positive definite") from exc
+        diag[...] = oplab.tril_inv(low)
+        coupling[...] = coupling @ diag.T
     blocks.setflags(write=False)
     return blocks
 
@@ -91,32 +94,28 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
     """K_ii^-1 rhs for one vector or a block of interior right-hand sides.
 
     Forward and then backward block substitution with the blocks of
-    ``_interior_chol``, over one copy of the right-hand side: its transpose,
-    in Fortran order and padded to whole blocks, so block row k is a
-    contiguous column block.  Each block row is one dgemm update from
-    its neighbour and one in-place dtrsm with the diagonal block.
+    ``_interior_chol``, over one copy of the right-hand side padded to
+    whole blocks.  Each block row is one product with its neighbour's
+    coupling block and one with the stored inverse of its diagonal block.
     ``_schur`` runs the forward half alone, on K_ib, one block row at a
     time.
     """
     blocks = _interior_chol(a)
-    b = blocks.shape[2]
+    n_blocks, b = blocks.shape[0], blocks.shape[2]
     n = rhs.shape[0]
     cols = rhs.reshape(n, -1)
-    w = np.zeros((cols.shape[1], blocks.shape[0] * b), order="F")
-    w[:, :n] = cols.T
-    # zero columns need no solve, and the BLAS wrappers refuse them
-    row = [w[:, k * b : (k + 1) * b] for k in range(blocks.shape[0])] if w.size else []
-    # row k holds a block of rhs rows transposed, so each solve with L_kk is
-    # a right solve with its transpose, the upper triangle blocks[k, :b].T
-    for k in range(len(row)):  # L y = rhs
+    w = np.zeros((n_blocks, b, cols.shape[1]))
+    flat = w.reshape(n_blocks * b, cols.shape[1])
+    flat[:n] = cols
+    for k in range(n_blocks):  # L y = rhs
         if k:
-            dgemm(-1.0, row[k - 1], blocks[k - 1, b:].T, beta=1.0, c=row[k], overwrite_c=True)
-        dtrsm(1.0, blocks[k, :b].T, row[k], side=1, overwrite_b=True)
-    for k in reversed(range(len(row))):  # L' x = y
-        if k + 1 < len(row):
-            dgemm(-1.0, row[k + 1], blocks[k, b:].T, beta=1.0, c=row[k], trans_b=True, overwrite_c=True)
-        dtrsm(1.0, blocks[k, :b].T, row[k], side=1, trans_a=True, overwrite_b=True)
-    return w[:, :n].T.reshape(rhs.shape)
+            w[k] -= blocks[k - 1, b:] @ w[k - 1]
+        w[k] = blocks[k, :b] @ w[k]
+    for k in reversed(range(n_blocks)):  # L' x = y
+        if k + 1 < n_blocks:
+            w[k] -= blocks[k, b:].T @ w[k + 1]
+        w[k] = blocks[k, :b].T @ w[k]
+    return flat[:n].reshape(rhs.shape)
 
 
 @lru_cache(maxsize=32)
@@ -137,44 +136,52 @@ def _schur(a: Assembly) -> oplab.InnerSpace:
     matrix.  With K_ii = L L' it is M_b + K_bb - W'W for W = L^-1 K_ib, the
     forward half of ``_interior_solve``.  Block row k of W needs only row
     k - 1, so each one is made from K_ib's nonzeros (read off the band once),
-    added into the nb x nb result with one dsyrk, and dropped: no n_nodes x
-    nb array is made.  As a space, so its one Cholesky factor serves every
-    Robin and Poisson-Robin solve."""
+    its product with itself added into W'W, and dropped: no n_nodes x nb
+    array is made.  A boundary node's column of W is zero above the first
+    block row of K_ib that reaches it, so W'W is summed with the boundary
+    renumbered in that order, and block row k is a product over only the
+    columns reached by then.  As a space, so its one Cholesky factor serves
+    every Robin and Poisson-Robin solve."""
     bnd, interior = _partition(a)
-    mbs = np.array(a.M_b, order="F")
+    mbs = np.array(a.M_b)
     i, j, v = a.K.entries(bnd, bnd)
     mbs[i, j] += v
     if interior.size:
         blocks = _interior_chol(a)
-        b = blocks.shape[2]
+        n_blocks, b = blocks.shape[0], blocks.shape[2]
         i, j, v = a.K.entries(interior, bnd)
         order = np.argsort(i, kind="stable")
         i, j, v = i[order], j[order], v[order]
-        ends = np.searchsorted(i, b * np.arange(1, blocks.shape[0] + 1))
-        # block row k of W, transposed as in _interior_solve, and row k - 1
-        row, prev = np.zeros((bnd.size, b), order="F"), np.zeros((bnd.size, b), order="F")
-        start = 0
-        for k, end in enumerate(ends):
-            row[:] = 0.0
-            row[j[start:end], i[start:end] - k * b] = v[start:end]
+        ends = np.searchsorted(i, b * np.arange(1, n_blocks + 1))
+        # renumber the boundary by the block row that first reaches each node;
+        # block row k of W is zero past the first reached[k] renumbered columns
+        first = np.full(bnd.size, n_blocks)
+        cols, at = np.unique(j, return_index=True)
+        first[cols] = i[at] // b
+        perm = np.argsort(first, kind="stable")
+        reached = np.searchsorted(first[perm], np.arange(n_blocks), side="right")
+        pos = np.empty_like(perm)
+        pos[perm] = np.arange(bnd.size)
+        j = pos[j]
+        wtw = np.zeros_like(mbs)
+        prev, start = np.zeros((b, 0)), 0
+        for k, (end, width) in enumerate(zip(ends, reached)):  # prev <- block row k of W
+            row = np.zeros((b, width))
+            row[i[start:end] - k * b, j[start:end]] = v[start:end]
             if k:
-                row = dgemm(-1.0, prev, blocks[k - 1, b:].T, beta=1.0, c=row, overwrite_c=True)
-            row = dtrsm(1.0, blocks[k, :b].T, row, side=1, overwrite_b=True)
-            mbs = dsyrk(-1.0, row, beta=1.0, c=mbs, overwrite_c=True)  # upper triangle only
-            row, prev, start = prev, row, end
+                row[:, : prev.shape[1]] -= blocks[k - 1, b:] @ prev
+            prev = blocks[k, :b] @ row
+            wtw[:width, :width] += prev.T @ prev
+            start = end
+        mbs -= wtw[np.ix_(pos, pos)]
     return oplab.make_space(bnd.size, np.triu(mbs) + np.triu(mbs, 1).T)
-
-
-def _schur_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
-    """(M_b S)^-1 rhs for one vector or a block of boundary right-hand sides."""
-    return cho_solve((_schur(a).chol, True), rhs)
 
 
 @lru_cache(maxsize=32)
 def _s_operator(a: Assembly) -> Operator:
     """S on boundary L2, from the Schur complement: S = M_b^-1 (M_b S)."""
     l2bnd, _ = boundary_spaces(a)
-    return Operator(l2bnd, l2bnd, cho_solve((l2bnd.chol, True), _schur(a).gram))
+    return Operator(l2bnd, l2bnd, l2bnd.solve(_schur(a).gram))
 
 
 @lru_cache(maxsize=32)
@@ -235,7 +242,7 @@ def robin_solve(a: Assembly, g) -> np.ndarray:
     boundary values solve M_b S z_b = M_b g, so z = harmonic_extension(S^-1 g).
     """
     g = _columns(g, a.M_b.shape[0], "boundary")
-    return _extend(a, _schur_solve(a, a.M_b @ g))
+    return _extend(a, _schur(a).solve(a.M_b @ g))
 
 
 def poisson_robin(a: Assembly, f) -> np.ndarray:
@@ -254,7 +261,7 @@ def poisson_robin(a: Assembly, f) -> np.ndarray:
     if interior.size:
         u[interior] = _interior_solve(a, load[interior])
     rhs = load[bnd] - a.K.rows(bnd, u)
-    return u + _extension_matrix(a) @ _schur_solve(a, rhs)
+    return u + _extension_matrix(a) @ _schur(a).solve(rhs)
 
 
 def normal_derivative(a: Assembly, z) -> np.ndarray:
@@ -274,7 +281,7 @@ def normal_derivative(a: Assembly, z) -> np.ndarray:
         if np.any(np.linalg.norm(flux[interior], axis=0) > gate):
             raise NotHarmonic("interior residual exceeds the harmonicity gate")
     l2bnd, _ = boundary_spaces(a)
-    return cho_solve((l2bnd.chol, True), flux[bnd])
+    return l2bnd.solve(flux[bnd])
 
 
 def green_residual(a: Assembly, z, v) -> float | np.ndarray:
@@ -339,11 +346,10 @@ def equivalence_constants(qa: oplab.InnerSpace, qb: oplab.InnerSpace) -> tuple[f
     """
     if qa.dim != qb.dim:
         raise DimensionMismatch("norm Grams live on different dimensions")
-    low = qb.chol
     # the Gram of qa in qb's orthonormal coordinates, L^-1 qa L^-T, symmetrized
-    sym = solve_triangular(low, solve_triangular(low, qa.gram, lower=True).T, lower=True).T
+    sym = qb.lower_solve(qb.lower_solve(qa.gram).T).T
     w, y = kernels.jacobi_eigh(0.5 * (sym + sym.T))
-    x = solve_triangular(low.T, y, lower=False)
+    x = qb.lower_solve(y, trans=True)
     c_min = float(np.sqrt(max(w[0], 0.0)))
     c_max = float(np.sqrt(max(w[-1], 0.0)))
     for col, c in ((x[:, 0], c_min), (x[:, -1], c_max)):
@@ -429,7 +435,7 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
     u = poisson_robin(a, f)
     # the twin G^-1 M_dom, adjoint of the embedding H1 -> L2(domain), goes through
     # the Gram's own factor and the dense mass: no band product shared with the solver
-    rec.record("poisson_two_path", _maxabs(u - cho_solve((h1.chol, True), a.M_dom.dense() @ f)))
+    rec.record("poisson_two_path", _maxabs(u - h1.solve(a.M_dom.dense() @ f)))
     lhs = np.sum(f * (a.M_dom @ poisson_robin(a, f2)), axis=0)
     rhs = np.sum(f2 * (a.M_dom @ u), axis=0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
@@ -463,7 +469,7 @@ def suite_pde(
     with one call and solved as blocks of columns; the dense twins of the
     trial phase are freed before the identity population is drawn.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lam = _trace_pinv(a)
     rec = _recorder("pde", a)
     _pde_projection(rec, a, lam)
@@ -521,7 +527,7 @@ def suite_hhalf(
     constants genuinely compare two code paths (they sit at 1 in exact
     arithmetic).
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     h1 = space_h1partial(a)
     l2bnd, _ = boundary_spaces(a)
     nb = l2bnd.dim
@@ -670,7 +676,7 @@ def necas_constants(
     stored factor of Q_{1/2} = M_b (I + S), and one interior solve for the
     sources.  A sample whose ratio is not finite counts as a failure.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     l2bnd, h1bnd = boundary_spaces(a)
     bnd, interior = _partition(a)
     nb = l2bnd.dim
@@ -694,7 +700,7 @@ def necas_constants(
     for width in _block_widths(n_samples):
         draws = rng.standard_normal((width, nb + a.mesh.n_nodes)).T
         g_rough, f = draws[:nb], draws[nb:]
-        g_smooth = cho_solve((q_half.chol, True), a.M_b @ g_rough)
+        g_smooth = q_half.solve(a.M_b @ g_rough)
         for name, g in (("rough", g_rough), ("smooth", g_smooth)):
             r1, r2 = harmonic_ratios(g)
             failures += int(np.count_nonzero(~(np.isfinite(r1) & np.isfinite(r2))))
@@ -706,7 +712,7 @@ def necas_constants(
         if interior.size:
             u0[interior] = _interior_solve(a, load[interior])
         # weak flux of the source problem keeps the volume correction
-        w0 = cho_solve((l2bnd.chol, True), a.K.rows(bnd, u0) - load[bnd])
+        w0 = l2bnd.solve(a.K.rows(bnd, u0) - load[bnd])
         f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
         sourced = f_norm > 0.0
         ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]
@@ -786,12 +792,12 @@ def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int
     s = float(s)
     if not 0.0 < s <= 1.0:
         raise OrderOutOfRange(f"order {s} outside (0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     q_pos = hs_gram(a, s)
     q_neg = hs_gram(a, -s)
     nb = q_pos.dim
 
-    qinv_mb = cho_solve((q_pos.chol, True), a.M_b)  # the one solve with Q_s, by its own factor
+    qinv_mb = q_pos.solve(a.M_b)  # the one solve with Q_s, by its own factor
     gram_residual = rel_diff(a.M_b @ qinv_mb, q_neg.gram)
     rec.record("dual_gram", gram_residual)
 
@@ -833,7 +839,7 @@ def suite_interp(
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """interpolation_check over many random boundary vectors, worst case."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     nb = a.M_b.shape[0]
     rec = _recorder("interp", a)
     # trial j draws g_j, the j-th column

@@ -8,6 +8,8 @@ coordinates, so agreement is a real cross-check.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracelab import kernels, oplab
 from tracelab.errors import (
@@ -108,6 +110,85 @@ class TestMakeSpace:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionMismatch):
             oplab.make_space(3, np.eye(2))
+
+
+EPS = np.finfo(float).eps
+
+
+def graded_gram(rng, n, cond, decades):
+    """D A D: A has condition number ``cond`` exactly, D spans up to ``decades``
+    either way, in random order, so the factor's rows are graded."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    d = 10.0 ** (decades * rng.uniform(-1.0, 1.0, n))
+    g = d[:, None] * a * d[None, :]
+    return 0.5 * (g + g.T)
+
+
+def assert_solves_match_lapack(space, rhs, cond):
+    """lower_solve, its transpose and solve against LAPACK's trtrs and potrs.
+
+    Column by column, relative to the column's largest entry, the forward
+    error of a triangular or Cholesky solve is bounded by about n eps times
+    the condition number of the ungraded core, the bound used here.
+    """
+    kept = rhs.copy()
+    low = space.chol
+    cases = [
+        (space.lower_solve(rhs), scipy.linalg.solve_triangular(low, rhs, lower=True)),
+        (space.lower_solve(rhs, trans=True), scipy.linalg.solve_triangular(low, rhs, lower=True, trans="T")),
+        (space.solve(rhs), scipy.linalg.cho_solve((low, True), rhs)),
+    ]
+    assert np.array_equal(rhs, kept)
+    for got, ref in cases:
+        assert got.shape == rhs.shape
+        scale = np.abs(ref).max(axis=0, initial=0.0)
+        assert np.all(np.abs(got - ref) <= space.dim * EPS * cond * scale)
+
+
+class TestSolve:
+    # one block, a block short of, at and past the block size, and several blocks with a partial last one
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 289])
+    @pytest.mark.parametrize("cols", [None, 7, 0], ids=["vector", "block", "empty"])
+    def test_matches_lapack(self, n, cols, rng):
+        space = oplab.make_space(n, graded_gram(rng, n, 100.0, 0.0))
+        rhs = rng.standard_normal(n if cols is None else (n, cols))
+        assert_solves_match_lapack(space, rhs, 100.0)
+
+    @given(n=st.integers(1, 150), cond=st.sampled_from([1.0, 1e2, 1e4]), decades=st.sampled_from([0.0, 2.0, 6.0]),
+           cols=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_property_graded_grams(self, n, cond, decades, cols, seed):
+        rng = np.random.default_rng(seed)
+        space = oplab.make_space(n, graded_gram(rng, n, cond, decades))
+        assert_solves_match_lapack(space, rng.standard_normal((n, cols)), cond)
+
+    def test_factor_blocks_inverted_once(self, rng, monkeypatch):
+        space = random_weighted_space(rng, 150)
+        rhs = rng.standard_normal((150, 3))
+        first = space.solve(rhs)
+
+        def refuse(*args, **kw):
+            raise AssertionError("a solve factored or inverted again")
+
+        for name in ("inv", "cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert np.array_equal(space.solve(rhs), first)
+        assert len(space._diag_inv) == 3 and [b.shape[0] for b in space._diag_inv] == [64, 64, 22]
+
+    # a whole leaf, one row past it, and halvings down to uneven leaves
+    @pytest.mark.parametrize("n", [1, 32, 33, 64, 100, 256])
+    def test_tril_inv_matches_lapack(self, n, rng):
+        # graded rows make the leaf LU pivot, so its zero triangle is not kept for free
+        low = np.linalg.cholesky(graded_gram(rng, n, 100.0, 6.0))
+        got = oplab.tril_inv(low)
+        ref = scipy.linalg.solve_triangular(low, np.eye(n), lower=True)
+        assert np.array_equal(got, np.tril(got))
+        assert np.all(np.abs(got - ref) <= n * EPS * 100.0 * np.abs(ref).max(axis=0))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 2, 1)])
+    def test_wrong_rows_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            euclidean(3).solve(np.ones(shape))
 
 
 class TestAdjoint:

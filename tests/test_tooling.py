@@ -2,8 +2,9 @@
 
 The benchmark's span tracer names functions of tracelab, so a rename must
 not break it silently; every name tracelab exports must resolve; importing
-tracelab must not pull in scipy.sparse; and tools/report_drift.py must say
-which reported number moved, and by how much.
+tracelab must not pull in scipy.sparse, neither importing nor running it
+may pull in any of scipy, and a run imports nothing; and
+tools/report_drift.py must say which reported number moved, and by how much.
 """
 
 import importlib
@@ -48,6 +49,29 @@ def test_import_leaves_scipy_sparse_out():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_and_every_suite_leave_scipy_out(tmp_path):
+    # numpy alone runs tracelab; scipy is the tests' LAPACK oracle, and would cost
+    # start-up time and RSS.  It may load neither at import nor later in a run, and
+    # a run loads no module at all, so no import cost hides in the run time
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, tracelab\n"
+        "from tracelab import cli\n"
+        "args = ['--suite', ','.join(cli.SUITES), '--mesh', 'interval,square,lshape', '--n', '2,4',\n"
+        f"        '--trials', '3', '--out', {str(tmp_path)!r}]\n"
+        "config = cli.build_config(cli.make_parser().parse_args(args))\n"
+        "loaded = set(sys.modules)\n"
+        "code = cli.run(config)\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(code, scipy, sorted(set(sys.modules) - loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 [] []"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {r["suite"] for r in report["results"]} >= set(importlib.import_module("tracelab.cli").SUITES)
 
 
 def test_every_exported_name_resolves():

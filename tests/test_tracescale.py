@@ -5,6 +5,7 @@ two-path comparisons (direct solve vs operator algebra) and the suite
 residual gates.
 """
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -21,6 +22,7 @@ from tracelab.errors import (
     NonFiniteResidual,
     NotHarmonic,
     OrderOutOfRange,
+    SolveFailure,
     ZeroVector,
 )
 from tracelab.report import Recorder
@@ -418,11 +420,15 @@ def banded_solve(a, rhs):
 
 
 def factor_from_blocks(blocks):
-    """The padded lower factor L laid out by ``_interior_chol``'s blocks."""
+    """The padded lower factor L laid out by ``_interior_chol``'s blocks, each
+    stored inverse diagonal block inverted back by LAPACK's triangular solve."""
     n_blocks, _, b = blocks.shape
     low = np.zeros(((n_blocks + 1) * b, n_blocks * b))
     for k in range(n_blocks):
-        low[k * b : (k + 2) * b, k * b : (k + 1) * b] = blocks[k]
+        low[k * b : (k + 1) * b, k * b : (k + 1) * b] = scipy.linalg.solve_triangular(
+            blocks[k, :b], np.eye(b), lower=True
+        )
+        low[(k + 1) * b : (k + 2) * b, k * b : (k + 1) * b] = blocks[k, b:]
     return low[: n_blocks * b]
 
 
@@ -449,15 +455,37 @@ class TestInteriorFactor:
         ni, b = kii.shape[0], blocks.shape[2]
         assert b == ab.shape[0]
         low = factor_from_blocks(blocks)
-        # block-bidiagonal and lower triangular: each coupling block is strictly upper
+        # block-bidiagonal and lower triangular: each stored inverse is lower
+        # triangular and each coupling block is strictly upper
         assert np.array_equal(low, np.tril(low))
         for k in range(blocks.shape[0]):
+            assert np.array_equal(blocks[k, :b], np.tril(blocks[k, :b]))
             assert np.array_equal(blocks[k, b:], np.triu(blocks[k, b:], 1))
         # padded to whole blocks with the identity
         assert np.array_equal(low[ni:, ni:], np.eye(low.shape[0] - ni))
         assert not low[ni:, :ni].any()
         low = low[:ni, :ni]
         assert np.abs(low @ low.T - kii).max() <= 1e-13 * np.abs(kii).max()
+
+    @pytest.mark.parametrize(
+        "scale,last", [(0.0, False), (-1.0, True)], ids=["singular-first-block", "indefinite-last-block"]
+    )
+    def test_pivot_block_not_positive_definite_raises(self, scale, last):
+        # scale 0: K = 0, so the first pivot block is singular; scale -1: only the
+        # last interior node's diagonal is negated, so only the last pivot block fails
+        a = asm("square", 8)
+        _, interior = tracescale._partition(a)
+        n_blocks = tracescale._interior_chol(a).shape[0]
+        if last:
+            diag = a.K.diags[0].copy()
+            diag[interior[-1]] *= scale
+            diags = (diag,) + a.K.diags[1:]
+        else:
+            diags = tuple(scale * d for d in a.K.diags)
+        bad = dataclasses.replace(a, K=fem2d.Band(offsets=a.K.offsets, diags=diags))
+        block = n_blocks - 1 if last else 0
+        with pytest.raises(SolveFailure, match=f"pivot block {block} "):
+            tracescale._interior_chol(bad)
 
     def test_factor_is_one_read_only_copy(self):
         blocks = tracescale._interior_chol(asm("square", 8))
@@ -731,7 +759,9 @@ class TestSuitePde:
     def test_solve_count_does_not_grow_with_samples(self, monkeypatch):
         a = asm("square", 4)
         tracescale.suite_pde(a, trials=1, identity_samples=1)  # fill the per-assembly caches
-        calls = {"cho_solve": [], "_interior_solve": []}
+        # the boundary solves go through InnerSpace.solve, the interior ones through _interior_solve
+        owners = {"solve": oplab.InnerSpace, "_interior_solve": tracescale}
+        calls = {name: [] for name in owners}
 
         def counting(name, original):
             def counted(*args, **kw):
@@ -740,8 +770,8 @@ class TestSuitePde:
 
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(tracescale, name, counting(name, getattr(tracescale, name)))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         counts = []
         for trials, samples in ((2, 3), (7, 11)):
             for made in calls.values():
@@ -750,7 +780,7 @@ class TestSuitePde:
             counts.append({name: len(made) for name, made in calls.items()})
         assert counts[0] == counts[1]
         # a count of 0 would mean the solvers no longer go through the patched names
-        assert counts[0]["_interior_solve"] > 0 and counts[0]["cho_solve"] > 0
+        assert counts[0]["_interior_solve"] > 0 and counts[0]["solve"] > 0
 
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_same_stream_as_per_trial_draws(self, kind, n, monkeypatch):
@@ -1176,18 +1206,18 @@ class TestDuality:
         # the probes of an order share one Q_s^-1 M_b, solved by Q_s's own Cholesky factor
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))
         orders = (0.25, 0.5, 0.75, 1.0)
-        factors = []
-        cho_solve = tracescale.cho_solve
+        spaces = []
+        solve = oplab.InnerSpace.solve
 
-        def counted(c_and_lower, b, **kw):
-            factors.append(c_and_lower[0])
-            return cho_solve(c_and_lower, b, **kw)
+        def counted(space, rhs):
+            spaces.append(space)
+            return solve(space, rhs)
 
-        monkeypatch.setattr(tracescale, "cho_solve", counted)
+        monkeypatch.setattr(oplab.InnerSpace, "solve", counted)
         assert tracescale.suite_dual(a, orders=orders).passed
         for s in orders:
-            chol = tracescale.hs_gram(a, s).chol
-            assert sum(f is chol for f in factors) == 1
+            q_s = tracescale.hs_gram(a, s)
+            assert sum(space is q_s for space in spaces) == 1
 
     def test_nan_probe_raises(self, monkeypatch):
         colnorm = tracescale._colnorm
