@@ -53,7 +53,7 @@ class NonFiniteInput(TracelabError):
 # -- mesh / assembly layer -------------------------------------------------
 
 class BadParameter(TracelabError):
-    """Invalid mesh kind or refinement parameter."""
+    """Invalid mesh kind or refinement, or a negative sample count of a suite."""
 
 
 class DegenerateElement(TracelabError):

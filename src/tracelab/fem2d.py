@@ -9,8 +9,7 @@ Assembly produces the domain stiffness and mass as their few nonzero
 diagonals (``Band``) and dense arclength mass/stiffness matrices for the
 boundary polygon.  The trace is the index array ``mesh.boundary_nodes``;
 only ``op_trace`` makes it a 0/1 matrix, and only the operator-algebra
-twins (``space_h1partial``, ``op_trace``, ``op_embed_domain``) make arrays
-of n_nodes columns.
+twins (``space_h1partial``, ``op_trace``) make arrays of n_nodes columns.
 """
 
 from __future__ import annotations
@@ -148,40 +147,6 @@ class Band:
                 out_c.append(cpos[c[keep]])
                 out_v.append(v[keep])
         return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v)
-
-    def rows(self, idx: np.ndarray, x) -> np.ndarray:
-        """``(self @ x)[idx]``, summed in the same order, without the other rows."""
-        x = np.asarray(x, dtype=float)
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        out = self.diags[0][idx][col] * x[idx]
-        for d, v in zip(self.offsets[1:], self.diags[1:]):
-            up, down = idx < v.size, idx >= d
-            out[up] += v[idx[up]][col] * x[idx[up] + d]
-            out[down] += v[idx[down] - d][col] * x[idx[down] - d]
-        return out
-
-    def from_support(self, support: np.ndarray, x, rows: np.ndarray) -> np.ndarray:
-        """``(self @ z)[rows]`` for the z that is ``x`` on ``support`` and zero elsewhere.
-
-        ``support`` and ``rows`` each hold distinct indices.  Reads only
-        ``x``: each row sums the terms of ``__matmul__`` that touch the
-        support, in the same order, and the terms it leaves out are exact
-        zeros, so for finite ``x`` the result equals the full product's rows.
-        """
-        x = np.asarray(x, dtype=float)
-        col = (slice(None),) + (None,) * (x.ndim - 1)
-        pos = np.full(self.diags[0].size, -1)
-        pos[rows] = np.arange(rows.size)
-        out = np.zeros((rows.size,) + x.shape[1:])
-        hit = pos[support] >= 0
-        out[pos[support[hit]]] = self.diags[0][support[hit]][col] * x[hit]
-        for d, v in zip(self.offsets[1:], self.diags[1:]):
-            # (self @ z)[i] gains v[i] z[i + d] and then v[i - d] z[i - d]
-            for i, coef in ((support - d, support - d), (support + d, support)):
-                hit = (i >= 0) & (i < pos.size)
-                hit[hit] = pos[i[hit]] >= 0
-                out[pos[i[hit]]] += v[coef[hit]][col] * x[hit]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,15 +338,6 @@ def op_trace(a: Assembly) -> Operator:
     r = np.zeros((l2bnd.dim, a.mesh.n_nodes))
     r[np.arange(l2bnd.dim), a.mesh.boundary_nodes] = 1.0
     return Operator(space_h1partial(a), l2bnd, r)
-
-
-def op_embed_domain(a: Assembly) -> Operator:
-    """Identity on coefficients, from the combined H1 space into domain L2.
-
-    The domain L2 space (Gram M_dom) is built afresh on every call: the map
-    is a reference for tests, and no suite reads it.
-    """
-    return Operator(space_h1partial(a), _space(a.M_dom.dense()), np.eye(a.mesh.n_nodes))
 
 
 def op_embed_boundary(a: Assembly) -> tuple[Operator, Operator]:

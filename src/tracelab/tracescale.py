@@ -19,6 +19,7 @@ from numpy.random import default_rng
 
 from . import kernels, oplab
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     NonFiniteInput,
     NotHarmonic,
@@ -119,10 +120,34 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
+    """K_ib, the one block of K that links the interior to the boundary, read
+    off the band once.
+
+    Returns (ring, c): ``ring`` the ascending interior positions whose row of
+    K_ib is nonzero (the interior nodes that touch the boundary), and ``c``
+    the dense block ``K[interior[ring]][:, bnd]``, ring.size x nb, read-only.
+    Every other row of K_ib is zero, so every K_ib and K_bi product is a
+    product with ``c``.
+    """
+    bnd, interior = _partition(a)
+    i, j, v = a.K.entries(interior, bnd)
+    touch = np.zeros(interior.size, dtype=bool)
+    touch[i] = True
+    ring = np.flatnonzero(touch)
+    c = np.zeros((ring.size, bnd.size))
+    c[np.searchsorted(ring, i), j] = v
+    for arr in (ring, c):
+        arr.setflags(write=False)
+    return ring, c
+
+
+@lru_cache(maxsize=32)
 def _extension_matrix(a: Assembly) -> np.ndarray:
     """Minimal-energy extension of every boundary hat, as columns: the Z of
-    ``poisson_robin`` and of the extension side of ``energy_split``.  M_b S
-    does not use it, so the scale and its checks share no work with Z."""
+    the extension side of ``energy_split`` and of the interval constants of
+    ``suite_hhalf``.  Neither M_b S nor a solver uses it, so the scale and
+    its checks share no work with Z."""
     z = _extend(a, np.eye(a.M_b.shape[0]))
     z.setflags(write=False)
     return z
@@ -135,8 +160,8 @@ def _schur(a: Assembly) -> oplab.InnerSpace:
     blocks of ``_interior_chol``, never from the Gram or the extension
     matrix.  With K_ii = L L' it is M_b + K_bb - W'W for W = L^-1 K_ib, the
     forward half of ``_interior_solve``.  Block row k of W needs only row
-    k - 1, so each one is made from K_ib's nonzeros (read off the band once),
-    its product with itself added into W'W, and dropped: no n_nodes x nb
+    k - 1, so each one is made from the rows of the ``_coupling`` block in
+    it, its product with itself added into W'W, and dropped: no n_nodes x nb
     array is made.  A boundary node's column of W is zero above the first
     block row of K_ib that reaches it, so W'W is summed with the boundary
     renumbered in that order, and block row k is a product over only the
@@ -149,30 +174,27 @@ def _schur(a: Assembly) -> oplab.InnerSpace:
     if interior.size:
         blocks = _interior_chol(a)
         n_blocks, b = blocks.shape[0], blocks.shape[2]
-        i, j, v = a.K.entries(interior, bnd)
-        order = np.argsort(i, kind="stable")
-        i, j, v = i[order], j[order], v[order]
-        ends = np.searchsorted(i, b * np.arange(1, n_blocks + 1))
+        ring, c = _coupling(a)
+        bounds = np.searchsorted(ring, b * np.arange(n_blocks + 1))
         # renumber the boundary by the block row that first reaches each node;
         # block row k of W is zero past the first reached[k] renumbered columns
         first = np.full(bnd.size, n_blocks)
-        cols, at = np.unique(j, return_index=True)
-        first[cols] = i[at] // b
+        rows, cols = np.nonzero(c)
+        np.minimum.at(first, cols, ring[rows] // b)
         perm = np.argsort(first, kind="stable")
         reached = np.searchsorted(first[perm], np.arange(n_blocks), side="right")
         pos = np.empty_like(perm)
         pos[perm] = np.arange(bnd.size)
-        j = pos[j]
         wtw = np.zeros_like(mbs)
-        prev, start = np.zeros((b, 0)), 0
-        for k, (end, width) in enumerate(zip(ends, reached)):  # prev <- block row k of W
+        prev = np.zeros((b, 0))
+        for k, width in enumerate(reached):  # prev <- block row k of W
+            lo, hi = bounds[k], bounds[k + 1]
             row = np.zeros((b, width))
-            row[i[start:end] - k * b, j[start:end]] = v[start:end]
+            row[ring[lo:hi] - k * b] = c[lo:hi, perm[:width]]
             if k:
                 row[:, : prev.shape[1]] -= blocks[k - 1, b:] @ prev
             prev = blocks[k, :b] @ row
             wtw[:width, :width] += prev.T @ prev
-            start = end
         mbs -= wtw[np.ix_(pos, pos)]
     return oplab.make_space(bnd.size, np.triu(mbs) + np.triu(mbs, 1).T)
 
@@ -227,9 +249,11 @@ def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     bnd, interior = _partition(a)
     z = np.zeros((a.mesh.n_nodes,) + g.shape[1:])
     z[bnd] = g
-    if interior.size:  # K_ii z_i = -K_ib g, read off the interior rows of K times g on the boundary
-        rhs = a.K.from_support(bnd, g, interior)
-        z[interior] = _interior_solve(a, np.negative(rhs, out=rhs))
+    if interior.size:  # K_ii z_i = -K_ib g, nonzero only on the ring
+        ring, c = _coupling(a)
+        rhs = np.zeros((interior.size,) + g.shape[1:])
+        rhs[ring] = -(c @ g)
+        z[interior] = _interior_solve(a, rhs)
     return z
 
 
@@ -251,8 +275,8 @@ def poisson_robin(a: Assembly, f) -> np.ndarray:
     ``f`` is one (n_nodes,) vector or an (n_nodes, k) block of sources; the
     solution has the same shape.  Solved by static condensation: y = K_ii^-1
     b_i for the load b = M_dom f, then M_b S u_b = b_b - (K y)_b on the
-    boundary (y is zero there, so (K y)_b = K_bi y_i), and u = y + Z u_b for
-    the extension matrix Z.
+    boundary (y is zero there, so (K y)_b = K_bi y_i, from ``_coupling``),
+    and u = y + harmonic_extension(u_b).
     """
     f = _columns(f, a.mesh.n_nodes, "source")
     bnd, interior = _partition(a)
@@ -260,8 +284,8 @@ def poisson_robin(a: Assembly, f) -> np.ndarray:
     u = np.zeros_like(load)
     if interior.size:
         u[interior] = _interior_solve(a, load[interior])
-    rhs = load[bnd] - a.K.rows(bnd, u)
-    return u + _extension_matrix(a) @ _schur(a).solve(rhs)
+    ring, c = _coupling(a)
+    return u + _extend(a, _schur(a).solve(load[bnd] - c.T @ u[interior[ring]]))
 
 
 def normal_derivative(a: Assembly, z) -> np.ndarray:
@@ -368,6 +392,13 @@ def _recorder(suite: str, a: Assembly) -> Recorder:
     return Recorder(suite, a.mesh.kind, a.mesh.refinement)
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise BadParameter for a negative sample count; a count of 0 draws nothing."""
+    for name, n in counts.items():
+        if n < 0:
+            raise BadParameter(f"{name} must be >= 0, got {n}")
+
+
 PDE_TOLS: dict[str, float] = {
     "harmonic_two_path": 1e-8,
     "robin_two_path": 1e-10,
@@ -469,6 +500,7 @@ def suite_pde(
     with one call and solved as blocks of columns; the dense twins of the
     trial phase are freed before the identity population is drawn.
     """
+    _check_counts(trials=trials, identity_samples=identity_samples)
     rng = default_rng(seed)
     lam = _trace_pinv(a)
     rec = _recorder("pde", a)
@@ -527,6 +559,7 @@ def suite_hhalf(
     constants genuinely compare two code paths (they sit at 1 in exact
     arithmetic).
     """
+    _check_counts(trials=trials)
     rng = default_rng(seed)
     h1 = space_h1partial(a)
     l2bnd, _ = boundary_spaces(a)
@@ -676,9 +709,11 @@ def necas_constants(
     stored factor of Q_{1/2} = M_b (I + S), and one interior solve for the
     sources.  A sample whose ratio is not finite counts as a failure.
     """
+    _check_counts(n_samples=n_samples)
     rng = default_rng(seed)
     l2bnd, h1bnd = boundary_spaces(a)
     bnd, interior = _partition(a)
+    ring, c = _coupling(a)
     nb = l2bnd.dim
     q_half = hs_gram(a, 0.5)
     h1_dom = a.K + a.M_dom
@@ -712,7 +747,7 @@ def necas_constants(
         if interior.size:
             u0[interior] = _interior_solve(a, load[interior])
         # weak flux of the source problem keeps the volume correction
-        w0 = l2bnd.solve(a.K.rows(bnd, u0) - load[bnd])
+        w0 = l2bnd.solve(c.T @ u0[interior[ring]] - load[bnd])
         f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
         sourced = f_norm > 0.0
         ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]
@@ -792,6 +827,7 @@ def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int
     s = float(s)
     if not 0.0 < s <= 1.0:
         raise OrderOutOfRange(f"order {s} outside (0, 1]")
+    _check_counts(probes=probes)
     rng = default_rng(seed)
     q_pos = hs_gram(a, s)
     q_neg = hs_gram(a, -s)
@@ -839,6 +875,7 @@ def suite_interp(
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """interpolation_check over many random boundary vectors, worst case."""
+    _check_counts(trials=trials)
     rng = default_rng(seed)
     nb = a.M_b.shape[0]
     rec = _recorder("interp", a)

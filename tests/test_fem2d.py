@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tracelab import fem2d, oplab, tracescale
 from tracelab.errors import BadParameter, DegenerateElement, GramNotPD
 
-from conftest import asm
+from conftest import asm, check_coupling, embed_domain
 
 DYADIC = [1, 2, 4, 8, 16, 32]
 AREA = {"interval": 1.0, "square": 1.0, "lshape": 0.75}
@@ -368,32 +368,6 @@ class TestBands:
                 assert np.array_equal(block, dense[np.ix_(rows, cols)])
                 assert len(set(zip(i.tolist(), j.tolist()))) == v.size and v.all()
 
-    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
-    def test_rows_equal_product_rows_bitwise(self, kind, n, rng):
-        a = asm(kind, n)
-        # the boundary, then interior and repeated rows
-        idx = np.concatenate([a.mesh.boundary_nodes, rng.integers(0, a.mesh.n_nodes, 7)])
-        for band in (a.K, a.M_dom):
-            for x in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 5))):
-                assert np.array_equal(band.rows(idx, x), (band @ x)[idx])
-
-    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
-    def test_from_support_equals_product_rows_bitwise(self, kind, n, rng):
-        a = asm(kind, n)
-        nn, bnd = a.mesh.n_nodes, a.mesh.boundary_nodes
-        interior = np.setdiff1d(np.arange(nn), bnd)
-        # the boundary loop onto the interior, as harmonic_extension uses it, then
-        # a scattered support onto rows that overlap it, in no particular order
-        some = rng.permutation(nn)[: nn // 3]
-        for support, rows in ((bnd, interior), (some, rng.permutation(nn)[: nn // 2]), (some, np.arange(nn))):
-            for band in (a.K, a.M_dom):
-                for x in (rng.standard_normal(support.size), rng.standard_normal((support.size, 5))):
-                    z = np.zeros((nn,) + x.shape[1:])
-                    z[support] = x
-                    got = band.from_support(support, x, rows)
-                    assert got.shape == (rows.size,) + x.shape[1:]
-                    assert got.tobytes() == (band @ z)[rows].tobytes()
-
     @pytest.mark.parametrize(
         "kind,n,k_offsets,m_offsets",
         [
@@ -450,13 +424,11 @@ class TestRenumberedMesh:
             assert np.array_equal(new.dense(), expected)
         assert np.array_equal(b.M_b, a.M_b) and np.array_equal(b.K_b, a.K_b)
 
-    @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
-    def test_boundary_rows_of_wide_bands(self, case, seed):
+    @given(case=renumbered_meshes())
+    def test_coupling_of_wide_bands(self, case):
+        # the ring is scattered over the interior, not the first and last grid rows
         mesh, perm = case
-        b = fem2d.assemble(renumbered(mesh, perm))
-        x = np.random.default_rng(seed).standard_normal((mesh.n_nodes, 3))
-        for band in (b.K, b.M_dom):
-            assert np.array_equal(band.rows(b.mesh.boundary_nodes, x), (band @ x)[b.mesh.boundary_nodes])
+        check_coupling(fem2d.assemble(renumbered(mesh, perm)))
 
     @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_harmonic_extension_follows_the_permutation(self, case, seed):
@@ -469,7 +441,7 @@ class TestRenumberedMesh:
 
     @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_condensed_solvers_follow_the_permutation(self, case, seed):
-        # the Robin solvers and S read K's blocks off band products (K u)_b and K Z
+        # the Robin solvers and S read K_ib off the renumbered band's ring block
         mesh, perm = case
         a = asm(mesh.kind, mesh.boundary_nodes.size // 4)
         b = fem2d.assemble(renumbered(mesh, perm))
@@ -505,7 +477,7 @@ class TestSpaces:
     def test_interval_combined_gram(self):
         a = asm("interval", 1)
         h1 = fem2d.space_h1partial(a)
-        l2dom = fem2d.op_embed_domain(a).codomain
+        l2dom = embed_domain(a).codomain
         l2bnd, h1bnd = fem2d.boundary_spaces(a)
         assert np.array_equal(h1.gram, [[2.0, -1.0], [-1.0, 2.0]])
         assert np.array_equal(l2bnd.gram, np.eye(2))
@@ -585,7 +557,7 @@ class TestOperators:
 
     def test_embed_domain_bound(self, rng):
         a = asm("square", 4)
-        emb = fem2d.op_embed_domain(a)
+        emb = embed_domain(a)
         assert np.array_equal(emb.mat, np.eye(a.mesh.n_nodes))
         g = emb.domain.gram
         c = np.sqrt(scipy.linalg.eigh(a.M_dom.dense(), g, eigvals_only=True).max())

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from tracelab import fem2d, kernels, oplab, tracescale
 from tracelab.errors import (
+    BadParameter,
     DimensionMismatch,
     NonFiniteInput,
     NonFiniteResidual,
@@ -27,7 +28,7 @@ from tracelab.errors import (
 )
 from tracelab.report import Recorder
 
-from conftest import asm
+from conftest import asm, check_coupling, embed_domain
 
 MESH_SAMPLE = [("interval", 8), ("square", 4), ("lshape", 4)]
 
@@ -133,7 +134,7 @@ class TestPoissonRobin:
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_agrees_with_embedding_adjoint(self, kind, n, rng):
         a = asm(kind, n)
-        estar = oplab.adjoint(fem2d.op_embed_domain(a))
+        estar = oplab.adjoint(embed_domain(a))
         for _ in range(5):
             f = rng.standard_normal(a.mesh.n_nodes)
             assert np.abs(tracescale.poisson_robin(a, f) - estar.apply(f)).max() <= 1e-10
@@ -571,8 +572,12 @@ class TestSchur:
 
     @pytest.mark.parametrize(
         "run",
-        [lambda a: tracescale._s_operator(a), lambda a: tracescale.necas_constants(a, n_samples=70)],
-        ids=["s_operator", "necas"],
+        [
+            lambda a: tracescale._s_operator(a),
+            lambda a: tracescale.necas_constants(a, n_samples=70),
+            lambda a: tracescale.poisson_robin(a, np.ones((a.mesh.n_nodes, 2))),
+        ],
+        ids=["s_operator", "necas", "poisson_robin"],
     )
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_makes_no_extension_matrix(self, kind, n, run, monkeypatch):
@@ -582,6 +587,44 @@ class TestSchur:
         a = fem2d.assemble(fem2d.gen_mesh(kind, n))  # fresh, so nothing is cached
         monkeypatch.setattr(tracescale, "_extension_matrix", refuse)
         run(a)
+
+
+class TestCoupling:
+    @pytest.mark.parametrize(
+        "kind,n", [(k, n) for k in ("interval", "square") for n in (1, 2, 8)] + [("lshape", 2), ("lshape", 8)]
+    )
+    def test_ring_block_is_k_ib(self, kind, n):
+        a = asm(kind, n)
+        check_coupling(a)
+        ring, c = tracescale._coupling(a)
+        assert tracescale._coupling(a)[1] is c  # read once per assembly
+        # empty exactly when there is no interior: n = 1, and the lshape at n = 2
+        assert (ring.size == 0) == (a.mesh.n_nodes == a.mesh.boundary_nodes.size)
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda a, n: tracescale.necas_constants(a, n_samples=n),
+            lambda a, n: tracescale.suite_pde(a, trials=n),
+            lambda a, n: tracescale.suite_pde(a, identity_samples=n),
+            lambda a, n: tracescale.suite_hhalf(a, trials=n),
+            lambda a, n: tracescale.suite_interp(a, trials=n),
+            lambda a, n: tracescale.duality_check(a, 0.5, probes=n),
+        ],
+        ids=["necas", "pde_trials", "pde_identity_samples", "hhalf", "interp", "dual"],
+    )
+    def test_negative_count_rejected_before_any_draw(self, run, monkeypatch):
+        a = asm("square", 2)
+        assert run(a, 0).passed  # a count of 0 draws nothing and is valid
+
+        def refuse(seed):
+            raise AssertionError("random stream opened")
+
+        monkeypatch.setattr(tracescale, "default_rng", refuse)
+        with pytest.raises(BadParameter, match="must be >= 0"):
+            run(a, -1)
 
 
 class TestHsGram:
