@@ -340,16 +340,6 @@ def op_trace(a: Assembly) -> Operator:
     return Operator(space_h1partial(a), l2bnd, r)
 
 
-def op_embed_boundary(a: Assembly) -> tuple[Operator, Operator]:
-    """The mutually inverse identity maps between boundary H1 and boundary L2.
-
-    Returns (u, v): u goes H1(boundary) -> L2(boundary), v the other way.
-    """
-    l2bnd, h1bnd = boundary_spaces(a)
-    nb = l2bnd.dim
-    return Operator(h1bnd, l2bnd, np.eye(nb)), Operator(l2bnd, h1bnd, np.eye(nb))
-
-
 def dump_mesh(mesh: Mesh, path: str | None = None) -> str:
     """Plain-text mesh dump: sections `nodes`, `elements`, `boundary`.
 

@@ -42,6 +42,10 @@ EPS = np.finfo(float).eps
 # Off-diagonal entries at or below this are zeroed without a rotation.
 _SKIP = 1e-300
 
+# the relative stopping tolerances of jacobi_eigh and jacobi_svd
+EIGH_TOL = 1e-13
+SVD_TOL = 1e-14
+
 
 def _finite(m, kernel: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
@@ -121,10 +125,10 @@ def _tangent(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: np.ndarray
     return two / den
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
+def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100):
     """Eigendecomposition of a symmetric matrix by odd-even Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius mass drops below ``tol`` times
+    Sweeps until the off-diagonal Frobenius mass drops below EIGH_TOL times
     the Frobenius norm of the input; raises NoConvergence if that takes more
     than ``max_sweeps`` sweeps.
 
@@ -152,7 +156,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     phases = _phases(v.stride)
     entries = [[x.pair_entries(f) for f in (0, 1)] for x in bufs]
     b = sweeps = 0
-    while (off := _offdiag_norm(bufs[b].mat)) > tol * ref:
+    while (off := _offdiag_norm(bufs[b].mat)) > EIGH_TOL * ref:
         if sweeps == max_sweeps:
             raise NoConvergence("jacobi_eigh", sweeps, float(np.ldexp(off, e)))
         for f in _odd_even(n, sweeps):
@@ -178,10 +182,10 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     return vals[order], v.mat[:, order]
 
 
-def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):
     """Thin SVD by one-sided (Hestenes) Jacobi orthogonalization.
 
-    A pair of columns is rotated unless it is orthogonal to ``tol`` relative
+    A pair of columns is rotated unless it is orthogonal to SVD_TOL relative
     to the product of their norms, and swapped either way; a sweep that
     rotates nothing ends the iteration, and NoConvergence is raised if none
     of ``max_sweeps`` sweeps does.  A tall input is first reduced to R of
@@ -196,12 +200,12 @@ def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
         raise DimensionMismatch("2-d array expected")
     rows, cols = m.shape
     if rows < cols:
-        ut, s, vt = jacobi_svd(m.T, tol=tol, max_sweeps=max_sweeps)
+        ut, s, vt = jacobi_svd(m.T, max_sweeps)
         return vt.T, s, ut.T
     e = _exponent(m)
     if rows > cols > 0:
         q, r = np.linalg.qr(np.ldexp(m, -e))
-        ur, s, vt = jacobi_svd(r, tol=tol, max_sweeps=max_sweeps)
+        ur, s, vt = jacobi_svd(r, max_sweeps)
         return q @ ur, np.ldexp(s, e), vt
 
     # u above v: one column turn rotates both
@@ -222,7 +226,7 @@ def jacobi_svd(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
             npp, nqq = norms[:k, 0], norms[:k, 1]
             npq = np.einsum("ij,ij->j", xp, xq)
             # a NaN pair is not skipped, so it counts as unconverged
-            skip = np.abs(npq) <= tol * np.sqrt(npp * nqq)
+            skip = np.abs(npq) <= SVD_TOL * np.sqrt(npp * nqq)
             rotated = rotated or not skip.all()
             # an orthogonal pair gets t = 0, the bare swap the schedule needs
             _set_phase(phases[f], _tangent(npp, nqq, npq, skip))

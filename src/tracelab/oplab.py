@@ -35,6 +35,11 @@ _TINY = 1e-300
 # rows of the diagonal blocks of a Cholesky factor that a solve applies by matmul
 SOLVE_BLOCK = 64
 
+# relative slack of spectral's symmetry check and of a negative eigenvalue
+# under a non-integer power, and of douglas_factor's range check
+SPECTRAL_TOL = 1e-10
+RANGE_TOL = 1e-8
+
 
 def tril_inv(low: np.ndarray) -> np.ndarray:
     """The inverse of a nonsingular lower-triangular matrix, itself exactly lower triangular.
@@ -79,9 +84,6 @@ class InnerSpace:
 
     def matches(self, other: "InnerSpace") -> bool:
         return self is other or (self.dim == other.dim and np.array_equal(self.gram, other.gram))
-
-    def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
 
     def norm(self, x) -> float:
         # via the factor so the result is never negative under rounding
@@ -200,14 +202,14 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    def power(self, t: float, tol: float = 1e-10) -> Operator:
+    def power(self, t: float) -> Operator:
         """The power V diag(lambda^t) V' G.  A non-integer power of a negative
         spectrum raises NegativeEigenvalue, a negative power of a singular one
         SolveFailure."""
         vals = self.eigenvalues.copy()
         scale = max(float(np.abs(vals).max()), 1.0)
         if float(t) != int(t):
-            if float(vals.min()) < -tol * scale:
+            if float(vals.min()) < -SPECTRAL_TOL * scale:
                 raise NegativeEigenvalue(f"min eigenvalue {vals.min():.3e} < 0")
             vals = np.clip(vals, 0.0, None)
         if t < 0 and float(vals.min()) <= kernels.EPS * scale * 1e3:
@@ -249,16 +251,16 @@ def pinv(a: Operator) -> Operator:
     return from_euclidean(inv_e, a.codomain, a.domain)
 
 
-def spectral(a: Operator, tol: float = 1e-10) -> SpectralDecomposition:
+def spectral(a: Operator) -> SpectralDecomposition:
     """Spectral decomposition of a self-adjoint endomorphism.
 
     Raises NotSelfAdjoint when G a.mat deviates from its transpose beyond
-    ``tol`` relative.
+    SPECTRAL_TOL relative.
     """
     if not a.domain.matches(a.codomain):
         raise DimensionMismatch("spectral decomposition needs an endomorphism")
     gs = a.domain.gram @ a.mat
-    if float(np.linalg.norm(gs - gs.T)) > tol * max(float(np.linalg.norm(gs)), 1.0):
+    if float(np.linalg.norm(gs - gs.T)) > SPECTRAL_TOL * max(float(np.linalg.norm(gs)), 1.0):
         raise NotSelfAdjoint("operator is not self-adjoint in its space")
     sym = to_euclidean(a)
     vals, q = kernels.jacobi_eigh(0.5 * (sym + sym.T))
@@ -266,24 +268,24 @@ def spectral(a: Operator, tol: float = 1e-10) -> SpectralDecomposition:
     return SpectralDecomposition(space=a.domain, eigenvalues=vals, vectors=_frozen(vecs))
 
 
-def frac_power(a: Operator, t: float, tol: float = 1e-10) -> Operator:
+def frac_power(a: Operator, t: float) -> Operator:
     """Real power a^t of a self-adjoint operator: SpectralDecomposition.power."""
-    return spectral(a, tol=tol).power(t, tol)
+    return spectral(a).power(t)
 
 
-def douglas_factor(a: Operator, b: Operator, tol: float = 1e-8) -> tuple[Operator, float]:
+def douglas_factor(a: Operator, b: Operator) -> tuple[Operator, float]:
     """Factor a = b @ c through b, with the minimal-norm factor.
 
     Requires range(a) inside range(b): checked numerically, RangeNotContained
-    beyond ``tol`` relative.  Returns (c, mu) where mu = |c|^2 is the least
+    beyond RANGE_TOL relative.  Returns (c, mu) where mu = |c|^2 is the least
     constant with a a* <= mu b b* in the codomain's quadratic order.
     """
     if not a.codomain.matches(b.codomain):
         raise DimensionMismatch("factorization needs a shared codomain")
     bp = pinv(b)
     leak = rel_diff(a.mat, (b @ bp).mat @ a.mat)
-    if leak > tol:
-        raise RangeNotContained(f"range residual {leak:.3e} exceeds {tol:.1e}")
+    if leak > RANGE_TOL:
+        raise RangeNotContained(f"range residual {leak:.3e} exceeds {RANGE_TOL:.1e}")
     c = bp @ a
     return c, op_norm(c) ** 2
 
@@ -390,18 +392,19 @@ def build_tb(a: Operator) -> tuple[Operator, Operator]:
 # ---------------------------------------------------------------------------
 # seeded fixtures and the mesh-free verification suites
 
+# fixtures draw dims 1..DIM_CAP, Grams of condition at most COND_CAP, and
+# operators whose relative singular-value gap at their rank is at least RANK_GAP
+DIM_CAP = 12
+COND_CAP = 1e4
+RANK_GAP = 1e-3
 
-def random_space(rng: np.random.Generator, dim: int, cond_cap: float = 1e4) -> InnerSpace:
-    """SPD Gram as M'M + I; resampled in the unlikely event cond exceeds cap."""
+
+def random_space(rng: np.random.Generator, dim: int) -> InnerSpace:
+    """SPD Gram M'M + I, redrawn until cond <= 1 + |M|_F^2 (about 1 + dim^2) clears COND_CAP."""
     for _ in range(64):
         m = rng.standard_normal((dim, dim))
-        g = m.T @ m + np.eye(dim)
-        # cond(g) <= 1 + |m|_F^2: only a Gram whose bound exceeds the cap needs the SVD
-        if 1.0 + float(np.sum(m * m)) <= cond_cap:
-            return make_space(dim, g)
-        _, s, _ = kernels.jacobi_svd(g)
-        if s[-1] > 0.0 and s[0] / s[-1] <= cond_cap:
-            return make_space(dim, g)
+        if 1.0 + float(np.sum(m * m)) <= COND_CAP:
+            return make_space(dim, m.T @ m + np.eye(dim))
     raise SolveFailure("could not draw a well-conditioned Gram")
 
 
@@ -410,13 +413,12 @@ def random_operator(
     domain: InnerSpace,
     codomain: InnerSpace,
     rank: int | None = None,
-    gap: float = 1e-3,
 ) -> Operator:
     """Random operator with standard normal entries.
 
     ``rank=None`` draws a full dense matrix; otherwise a product of thin
     normal factors.  Resampled until the relative spectral gap at the target
-    rank clears ``gap`` so rank decisions are never borderline.
+    rank clears RANK_GAP so rank decisions are never borderline.
     """
     full = min(domain.dim, codomain.dim)
     target = full if rank is None or rank >= full else max(rank, 0)
@@ -433,7 +435,7 @@ def random_operator(
         s = op.svd[1]
         if s[0] == 0.0:
             continue
-        if s[target - 1] / s[0] >= gap:
+        if s[target - 1] / s[0] >= RANK_GAP:
             return op
     raise SolveFailure("could not draw an operator with a clean rank gap")  # pragma: no cover
 
@@ -465,9 +467,8 @@ DOUGLAS_TOLS: dict[str, float] = {
 }
 
 
-def _draw_shapes(rng: np.random.Generator, dim_cap: int) -> tuple[int, int, int | None]:
-    m = int(rng.integers(1, dim_cap + 1))
-    n = int(rng.integers(1, dim_cap + 1))
+def _draw_shapes(rng: np.random.Generator) -> tuple[int, int, int | None]:
+    m, n = (int(rng.integers(1, DIM_CAP + 1)) for _ in range(2))
     full = min(m, n)
     # deterministic-by-seed mix: full rank, deficient, and zero operators
     roll = rng.random()
@@ -483,7 +484,6 @@ def _draw_shapes(rng: np.random.Generator, dim_cap: int) -> tuple[int, int, int 
 def identity_suite(
     trials: int = 100,
     seed: int = 0,
-    dim_cap: int = 12,
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """Worst-case residuals of the operator identities over random fixtures.
@@ -495,7 +495,7 @@ def identity_suite(
     rng = default_rng(seed)
     rec = Recorder("oplab")
     for _ in range(trials):
-        ncols, nrows, rank = _draw_shapes(rng, dim_cap)
+        ncols, nrows, rank = _draw_shapes(rng)
         dom = random_space(rng, ncols)
         cod = random_space(rng, nrows)
         a = random_operator(rng, dom, cod, rank=rank)
@@ -508,7 +508,7 @@ def identity_suite(
         rec.record("adjoint_involution", rel_diff(adjoint(adjoint(a)).mat, a.mat))
         rec.record("pinv_involution", rel_diff(pinv(b).mat, a.mat))
 
-        third = random_space(rng, int(rng.integers(1, dim_cap + 1)))
+        third = random_space(rng, int(rng.integers(1, DIM_CAP + 1)))
         c = random_operator(rng, third, dom)
         rec.record("adjoint_product", rel_diff(adjoint(a @ c).mat, (adjoint(c) @ adjoint(a)).mat))
 
@@ -529,22 +529,19 @@ def identity_suite(
 
         rec.record("factorization", rel_diff((smoothing @ t_bstar).mat, a.mat))
 
-    return rec.report(IDENTITY_TOLS, tolerances, {"trials": float(trials), "dim_cap": float(dim_cap)})
+    return rec.report(IDENTITY_TOLS, tolerances, {"trials": float(trials), "dim_cap": float(DIM_CAP)})
 
 
 def douglas_suite(
     pairs: int = 50,
     seed: int = 1,
-    dim_cap: int = 12,
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """Factor-through checks on random pairs with nested ranges (a = b @ m)."""
     rng = default_rng(seed)
     rec = Recorder("oplab")
     for _ in range(pairs):
-        k = int(rng.integers(1, dim_cap + 1))
-        na = int(rng.integers(1, dim_cap + 1))
-        nb = int(rng.integers(1, dim_cap + 1))
+        k, na, nb = (int(rng.integers(1, DIM_CAP + 1)) for _ in range(3))
         cod = random_space(rng, k)
         dom_a = random_space(rng, na)
         dom_b = random_space(rng, nb)

@@ -27,7 +27,7 @@ from .errors import (
     SolveFailure,
     ZeroVector,
 )
-from .fem2d import Assembly, boundary_spaces, op_embed_boundary, op_trace, space_h1partial
+from .fem2d import Assembly, boundary_spaces, op_trace, space_h1partial
 from .kernels import jacobi_svd
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
@@ -298,14 +298,18 @@ def normal_derivative(a: Assembly, z) -> np.ndarray:
     for harmonic inputs; one failing column raises NotHarmonic.
     """
     z = _columns(z, a.mesh.n_nodes, "domain")
+    return _flux(a, z, a.K @ z)
+
+
+def _flux(a: Assembly, z: np.ndarray, kz: np.ndarray) -> np.ndarray:
+    """normal_derivative of a checked ``z``, given its product ``kz`` = K z."""
     bnd, interior = _partition(a)
-    flux = a.K @ z
     if interior.size:
         gate = HARMONIC_GATE * np.linalg.norm(z, axis=0)
-        if np.any(np.linalg.norm(flux[interior], axis=0) > gate):
+        if np.any(np.linalg.norm(kz[interior], axis=0) > gate):
             raise NotHarmonic("interior residual exceeds the harmonicity gate")
     l2bnd, _ = boundary_spaces(a)
-    return l2bnd.solve(flux[bnd])
+    return l2bnd.solve(kz[bnd])
 
 
 def green_residual(a: Assembly, z, v) -> float | np.ndarray:
@@ -318,8 +322,9 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
     v = _columns(v, a.mesh.n_nodes, "domain")
     if z.shape != v.shape:
         raise DimensionMismatch(f"green_residual pairs {z.shape} with {v.shape}")
-    w = normal_derivative(a, z)
-    lhs = np.sum(v * (a.K @ z), axis=0)
+    kz = a.K @ z
+    w = _flux(a, z, kz)
+    lhs = np.sum(v * kz, axis=0)
     rhs = np.sum(w * (a.M_b @ v[a.mesh.boundary_nodes]), axis=0)
     scale = np.maximum(np.linalg.norm(z, axis=0) * np.linalg.norm(v, axis=0), 1.0)
     res = np.abs(lhs - rhs) / scale
@@ -433,18 +438,20 @@ def _colnorm(x: np.ndarray, q: oplab.InnerSpace) -> np.ndarray:
 def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
     """P = Lambda R projects onto the discrete-harmonic functions, H1-orthogonally.
 
-    R is the trace operator's 0/1 matrix.  P has rank nb, so every product
-    goes through its n_nodes x nb factor.
+    The trace R is read as the boundary index set: R Lambda is Lambda's
+    boundary rows, and |X R| = |X| as X R only places X's columns.  So P^2 = P
+    reads Lambda (R Lambda) = Lambda, and G P - (G P)' for A = G Lambda holds
+    A_bb - A_bb' and, twice, A_ib: no n_nodes x n_nodes array is made.
     """
     h1 = space_h1partial(a)
-    r = op_trace(a).mat
-    rl = r @ lam.mat
+    bnd, interior = _partition(a)
+    rl = lam.mat[bnd]
     rec.record("extension_trace_identity", rel_diff(rl, np.eye(rl.shape[0])))
-    rec.record("harmonic_projection", rel_diff(lam.mat @ (rl @ r), lam.mat @ r))
-    gp = (h1.gram @ lam.mat) @ r
-    rec.record(
-        "harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)
-    )
+    rec.record("harmonic_projection", rel_diff(lam.mat @ rl, lam.mat))
+    gl = h1.gram @ lam.mat
+    gl_bb = gl[bnd]
+    asym = np.sqrt(np.sum((gl_bb - gl_bb.T) ** 2) + 2.0 * np.sum(gl[interior] ** 2))
+    rec.record("harmonic_projection", float(asym) / max(float(np.linalg.norm(gl)), 1.0))
 
 
 def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Generator, trials: int) -> None:
@@ -634,8 +641,7 @@ def suite_h1(
 
     h1_cmin, h1_cmax = equivalence_constants(hs_gram(a, 1.0), h1bnd)
 
-    _, v_embed = op_embed_boundary(a)
-    vsv = oplab.adjoint(v_embed) @ v_embed          # M_b^-1 (M_b + K_b) on boundary L2
+    vsv = Operator(l2bnd, l2bnd, l2bnd.solve(h1bnd.gram))  # M_b^-1 (M_b + K_b) on boundary L2
     grow = oplab.spectral(oplab.identity(l2bnd) + vsv)
     half = grow.power(0.5).mat
     bridge_t = (eye + s_mat) @ grow.power(-0.5).mat
@@ -765,6 +771,9 @@ INTERP_TOLS: dict[str, float] = {
     "log_convexity_excess": 1e-10,
 }
 
+# the orders suite_interp checks
+INTERP_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
 
 def _record_log_convexity(rec: Recorder, a: Assembly, g: np.ndarray, grid) -> dict[float, np.ndarray]:
     """Record the log-convexity excess of t -> |(I+S)^t g| over ``grid``.
@@ -821,13 +830,16 @@ DUAL_TOLS: dict[str, float] = {
     "dual_bound_excess": 1e-9,
 }
 
+# the (g, h) pairs each duality check draws, and the orders suite_dual checks
+DUAL_PROBES = 20
+DUAL_ORDERS = (0.25, 0.5, 0.75, 1.0)
 
-def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int) -> float:
+
+def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int) -> float:
     """Record the duality residuals of orders s and -s; returns the Gram identity residual."""
     s = float(s)
     if not 0.0 < s <= 1.0:
         raise OrderOutOfRange(f"order {s} outside (0, 1]")
-    _check_counts(probes=probes)
     rng = default_rng(seed)
     q_pos = hs_gram(a, s)
     q_neg = hs_gram(a, -s)
@@ -837,16 +849,15 @@ def _record_duality(rec: Recorder, a: Assembly, s: float, seed: int, probes: int
     gram_residual = rel_diff(a.M_b @ qinv_mb, q_neg.gram)
     rec.record("dual_gram", gram_residual)
 
-    if probes:
-        # probe j draws g_j and then h_j, as the columns of g and h
-        g, h = rng.standard_normal((probes, 2, nb)).transpose(1, 2, 0)
-        dual_norm = _colnorm(g, q_neg)
-        h_star = qinv_mb @ g
-        attained = np.sum(g * (a.M_b @ h_star), axis=0) / np.maximum(_colnorm(h_star, q_pos), _TINY)
-        val = np.sum(g * (a.M_b @ h), axis=0) / np.maximum(_colnorm(h, q_pos), _TINY)
-        scale = np.maximum(dual_norm, _TINY)
-        rec.record("dual_attainment", np.max(np.abs(attained - dual_norm) / scale))
-        rec.record("dual_bound_excess", np.max((val - dual_norm) / scale))
+    # probe j draws g_j and then h_j, as the columns of g and h
+    g, h = rng.standard_normal((DUAL_PROBES, 2, nb)).transpose(1, 2, 0)
+    dual_norm = _colnorm(g, q_neg)
+    h_star = qinv_mb @ g
+    attained = np.sum(g * (a.M_b @ h_star), axis=0) / np.maximum(_colnorm(h_star, q_pos), _TINY)
+    val = np.sum(g * (a.M_b @ h), axis=0) / np.maximum(_colnorm(h, q_pos), _TINY)
+    scale = np.maximum(dual_norm, _TINY)
+    rec.record("dual_attainment", np.max(np.abs(attained - dual_norm) / scale))
+    rec.record("dual_bound_excess", np.max((val - dual_norm) / scale))
     return gram_residual
 
 
@@ -854,16 +865,16 @@ def duality_check(
     a: Assembly,
     s: float,
     seed: int = 0,
-    probes: int = 20,
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
     """Duality of orders s and -s under the boundary-L2 pairing.
 
-    Checks the Gram identity M_b Q_s^-1 M_b = Q_{-s} and spot-checks that
-    sup_h <g,h>/|h|_s is attained at h = Q_s^-1 M_b g with value |g|_{-s}.
+    Checks the Gram identity M_b Q_s^-1 M_b = Q_{-s} and spot-checks, at
+    DUAL_PROBES random g, that sup_h <g,h>/|h|_s is attained at
+    h = Q_s^-1 M_b g with value |g|_{-s}.
     """
     rec = _recorder("dual", a)
-    _record_duality(rec, a, s, seed, probes)
+    _record_duality(rec, a, s, seed)
     return rec.report(DUAL_TOLS, tolerances, {"order": float(s)})
 
 
@@ -871,31 +882,28 @@ def suite_interp(
     a: Assembly,
     trials: int = 100,
     seed: int = 0,
-    grid=(0.0, 0.25, 0.5, 0.75, 1.0),
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
-    """interpolation_check over many random boundary vectors, worst case."""
+    """interpolation_check on INTERP_GRID over many random boundary vectors, worst case."""
     _check_counts(trials=trials)
     rng = default_rng(seed)
     nb = a.M_b.shape[0]
     rec = _recorder("interp", a)
     # trial j draws g_j, the j-th column
-    _record_log_convexity(rec, a, rng.standard_normal((trials, nb)).T, grid)
-    constants = {"trials": float(trials), "grid_points": float(len(tuple(grid)))}
+    _record_log_convexity(rec, a, rng.standard_normal((trials, nb)).T, INTERP_GRID)
+    constants = {"trials": float(trials), "grid_points": float(len(INTERP_GRID))}
     return rec.report(INTERP_TOLS, tolerances, constants)
 
 
 def suite_dual(
     a: Assembly,
-    orders=(0.25, 0.5, 0.75, 1.0),
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
-    """duality_check across the standard order set, worst case per family."""
+    """duality_check across DUAL_ORDERS, worst case per family."""
     rec = _recorder("dual", a)
     constants = {
-        f"gram_residual_s_{s:g}": _record_duality(rec, a, s, seed + i, probes=20)
-        for i, s in enumerate(orders)
+        f"gram_residual_s_{s:g}": _record_duality(rec, a, s, seed + i) for i, s in enumerate(DUAL_ORDERS)
     }
     return rec.report(DUAL_TOLS, tolerances, constants)
 

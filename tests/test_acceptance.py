@@ -49,7 +49,7 @@ def pde_cells():
 
 def test_criterion_1_operator_identity_suite():
     start = time.perf_counter()
-    rep = oplab.identity_suite(trials=100, seed=0, dim_cap=12)
+    rep = oplab.identity_suite(trials=100, seed=0)
     elapsed = time.perf_counter() - start
     worst = max(rep.residuals.values())
     ok = rep.passed and elapsed < 30.0

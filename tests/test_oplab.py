@@ -85,7 +85,7 @@ class TestMakeSpace:
     def test_euclidean_plane(self):
         sp = oplab.make_space(2, np.eye(2))
         assert sp.dim == 2
-        assert sp.inner([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert np.array([1.0, 0.0]) @ sp.gram @ np.array([0.0, 1.0]) == 0.0
         assert sp.norm([3.0, 4.0]) == pytest.approx(5.0)
 
     def test_scaled_gram(self):
@@ -223,8 +223,8 @@ class TestAdjoint:
             astar = oplab.adjoint(a)
             x = rng.standard_normal(5)
             y = rng.standard_normal(3)
-            lhs = cod.inner(a.apply(x), y)
-            rhs = dom.inner(x, astar.apply(y))
+            lhs = a.apply(x) @ cod.gram @ y
+            rhs = x @ dom.gram @ astar.apply(y)
             assert abs(lhs - rhs) <= 1e-10 * dom.norm(x) * cod.norm(y)
 
 
@@ -307,31 +307,22 @@ class TestPinv:
 
 
 class TestRandomSpace:
-    @pytest.mark.parametrize("cond_cap", [1e4, 50.0, 3.0])
-    def test_same_stream_as_svd_only_loop(self, cond_cap, monkeypatch):
+    def test_same_stream_as_svd_only_loop(self, monkeypatch):
+        # at the fixtures' dims the bound 1 + |M|_F^2 alone decides: no SVD is
+        # taken, and the Grams and the stream are those of a loop that takes one
         inputs = count_outer_svds(monkeypatch)
-        paths = set()
-        for dim in range(1, 13):
+        for dim in range(1, oplab.DIM_CAP + 1):
             new_rng, old_rng = np.random.default_rng(dim), np.random.default_rng(dim)
-            inputs.clear()
-            try:
-                new = oplab.random_space(new_rng, dim, cond_cap).gram
-            except SolveFailure:
-                new = None
-            took_svd = bool(inputs)
-            try:
-                old = random_space_svd_only(old_rng, dim, cond_cap)
-            except SolveFailure:
-                old = None
-            if new is None or old is None:
-                assert new is None and old is None
-                paths.add("rejected")
-            else:
-                assert np.array_equal(new, old)
-                paths.add("svd" if took_svd else "bound")
+            new = oplab.random_space(new_rng, dim).gram
+            assert not inputs
+            assert np.array_equal(new, random_space_svd_only(old_rng, dim, oplab.COND_CAP))
             assert new_rng.random() == old_rng.random()
-        # the small caps run the SVD fallback and, at cap 3, exhaust the draws
-        assert paths == {1e4: {"bound"}, 50.0: {"bound", "svd"}, 3.0: {"bound", "svd", "rejected"}}[cond_cap]
+            inputs.clear()
+
+    def test_bound_over_cap_exhausts_the_draws(self, rng):
+        # |M|_F^2 of a 120 x 120 normal M is 14400 +- 170, always over the cap
+        with pytest.raises(SolveFailure, match="well-conditioned"):
+            oplab.random_space(rng, 120)
 
 
 class TestFracPower:

@@ -3,8 +3,9 @@
 The benchmark's span tracer names functions of tracelab, so a rename must
 not break it silently; every name tracelab exports must resolve; importing
 tracelab must not pull in scipy.sparse, neither importing nor running it
-may pull in any of scipy, and a run imports nothing; and
-tools/report_drift.py must say which reported number moved, and by how much.
+may pull in any of scipy, and a run imports nothing;
+tools/report_drift.py must say which reported number moved, and by how much;
+and every config of tools/standard_drift.py must be one the CLI accepts.
 """
 
 import importlib
@@ -129,3 +130,26 @@ def test_report_drift_names_the_moved_constant(tmp_path):
     assert all("quotient_cmax at hhalf:square:2" in line for line in lines)
     absolute, relative = (float(line.split("move ")[1].split(":")[0]) for line in lines)
     assert absolute == pytest.approx(3e-12, rel=1e-3) and relative == pytest.approx(1.5e-12, rel=1e-3)
+
+
+def _load(path, name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_standard_drift_configs_build(monkeypatch):
+    from tracelab import cli
+
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.syspath_prepend(str(tools))  # the script imports report_drift beside it
+    configs = _load(tools / "standard_drift.py", "standard_drift", monkeypatch).CONFIGS
+    assert len(configs) == 5
+    for args in configs.values():
+        assert isinstance(cli.build_config(cli.make_parser().parse_args(list(args))), cli.RunConfig)
+    # the two benchmark workloads, with their arguments as the benchmark passes them
+    bench = _load(TRACER_PATH.parent / "run.py", "perfbench_run", monkeypatch).WORKLOADS
+    for name, seed in (("scale-refine", "501"), ("solve-fine", "901")):
+        assert configs[name] == (*bench[name].args, "--seed", seed)

@@ -380,8 +380,73 @@ class TestGreenResidual:
         with pytest.raises(NotHarmonic):
             tracescale.green_residual(a, bump, np.ones(9))
 
+    def test_one_stiffness_product(self, rng, monkeypatch):
+        # K z serves both the flux and v' K z
+        a = asm("square", 4)
+        z = tracescale.harmonic_extension(a, rng.standard_normal((16, 3)))
+        v = rng.standard_normal((a.mesh.n_nodes, 3))
+        expected = tracescale.green_residual(a, z, v)
+        products = []
+        matmul = fem2d.Band.__matmul__
+
+        def counted(band, x):
+            products.append(band)
+            return matmul(band, x)
+
+        monkeypatch.setattr(fem2d.Band, "__matmul__", counted)
+        assert np.array_equal(tracescale.green_residual(a, z, v), expected)
+        assert len(products) == 1 and products[0] is a.K
+
+
+def dense_projection_residuals(a, lam):
+    """The residuals of ``_pde_projection`` in order, from the dense
+    n_nodes x n_nodes products of P = Lambda R with the 0/1 matrix R."""
+    h1 = fem2d.space_h1partial(a)
+    r = fem2d.op_trace(a).mat
+    rl = r @ lam.mat
+    gp = (h1.gram @ lam.mat) @ r
+    return [
+        ("extension_trace_identity", oplab.rel_diff(rl, np.eye(rl.shape[0]))),
+        ("harmonic_projection", oplab.rel_diff(lam.mat @ (rl @ r), lam.mat @ r)),
+        ("harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)),
+    ]
+
+
+def projection_residuals(a):
+    """Every value ``_pde_projection`` records, in order."""
+    rec, seen = Recorder("pde"), []
+    rec.record = lambda name, value: seen.append((name, float(value)))
+    tracescale._pde_projection(rec, a, tracescale._trace_pinv(a))
+    return seen
+
 
 class TestProjectionIdentities:
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
+    def test_index_set_trace_matches_dense_products(self, kind, n, monkeypatch):
+        a = asm(kind, n)
+        reference = dense_projection_residuals(a, tracescale._trace_pinv(a))
+
+        def no_matrix(a):
+            raise AssertionError("the trace's 0/1 matrix was built")
+
+        monkeypatch.setattr(tracescale, "op_trace", no_matrix)  # _trace_pinv is cached above
+        got = projection_residuals(a)
+        assert [name for name, _ in got] == [name for name, _ in reference]
+        for (_, value), (_, ref) in zip(got, reference):
+            assert value == pytest.approx(ref, rel=1e-12)
+            assert value <= 1e-12
+
+    def test_allocates_less_than_one_square_array(self):
+        a = asm("square", 32)
+        projection_residuals(a)  # the cached G, Lambda and partition
+        tracemalloc.start()
+        try:
+            projection_residuals(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * a.mesh.n_nodes**2
+
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_trace_of_extension_is_identity(self, kind, n, rng):
         a = asm(kind, n)
@@ -611,9 +676,8 @@ class TestSampleCounts:
             lambda a, n: tracescale.suite_pde(a, identity_samples=n),
             lambda a, n: tracescale.suite_hhalf(a, trials=n),
             lambda a, n: tracescale.suite_interp(a, trials=n),
-            lambda a, n: tracescale.duality_check(a, 0.5, probes=n),
         ],
-        ids=["necas", "pde_trials", "pde_identity_samples", "hhalf", "interp", "dual"],
+        ids=["necas", "pde_trials", "pde_identity_samples", "hhalf", "interp"],
     )
     def test_negative_count_rejected_before_any_draw(self, run, monkeypatch):
         a = asm("square", 2)
@@ -1184,7 +1248,7 @@ class TestInterpolation:
 
     def test_suite_checks_the_per_trial_stream_as_one_block(self, monkeypatch):
         a = asm("square", 4)
-        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        grid = tracescale.INTERP_GRID
         blocks = []
         record = tracescale._record_log_convexity
 
@@ -1193,7 +1257,7 @@ class TestInterpolation:
             return record(rec, a, g, grid)
 
         monkeypatch.setattr(tracescale, "_record_log_convexity", spy)
-        tracescale.suite_interp(a, trials=20, seed=5, grid=grid)
+        tracescale.suite_interp(a, trials=20, seed=5)
         assert len(blocks) == 1 and blocks[0].shape == (16, 20)
         # trial j is the j-th draw of one vector per trial, and its norms are interpolation_check's
         rng = np.random.default_rng(5)
@@ -1248,7 +1312,6 @@ class TestDuality:
     def test_one_solve_per_order(self, monkeypatch):
         # the probes of an order share one Q_s^-1 M_b, solved by Q_s's own Cholesky factor
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))
-        orders = (0.25, 0.5, 0.75, 1.0)
         spaces = []
         solve = oplab.InnerSpace.solve
 
@@ -1257,8 +1320,8 @@ class TestDuality:
             return solve(space, rhs)
 
         monkeypatch.setattr(oplab.InnerSpace, "solve", counted)
-        assert tracescale.suite_dual(a, orders=orders).passed
-        for s in orders:
+        assert tracescale.suite_dual(a).passed
+        for s in tracescale.DUAL_ORDERS:
             q_s = tracescale.hs_gram(a, s)
             assert sum(space is q_s for space in spaces) == 1
 
