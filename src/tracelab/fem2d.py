@@ -8,20 +8,25 @@ triangle sides that belong to one triangle, chained counterclockwise.
 Assembly produces the domain stiffness and mass as their few nonzero
 diagonals (``Band``) and dense arclength mass/stiffness matrices for the
 boundary polygon.  The trace is the index array ``mesh.boundary_nodes``;
-only ``op_trace`` makes it a 0/1 matrix, and only the operator-algebra
-twins (``space_h1partial``, ``op_trace``) make arrays of n_nodes columns.
+only ``op_trace`` makes it a 0/1 matrix.  A principal block of a band is
+factored in blocks of the bandwidth (``block_factor``) and solved by block
+substitution (``block_solve``): the interior stiffness block of the solvers
+and the combined H1 Gram G of ``space_h1partial`` go through this one
+routine, so G and its factor stay bands and no n_nodes x n_nodes array is
+made.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadParameter, DegenerateElement, GramNotPD, NotPositiveDefinite
-from .oplab import InnerSpace, Operator, make_space
+from .errors import BadParameter, DegenerateElement, DimensionMismatch, GramNotPD, NotPositiveDefinite
+from .oplab import InnerSpace, Operator, make_space, tril_inv
 
 KINDS = ("interval", "square", "lshape")
 
@@ -147,6 +152,130 @@ class Band:
                 out_c.append(cpos[c[keep]])
                 out_v.append(v[keep])
         return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v)
+
+
+def block_factor(band: Band, rows: np.ndarray, what: str) -> np.ndarray:
+    """Block Cholesky factor L of the principal block ``band[rows][:, rows]``, as dense blocks.
+
+    With blocks of b = bw + 1 rows for the block's bandwidth bw (read off
+    its nonzero entries), the block is block tridiagonal and L block
+    bidiagonal: a lower-triangular diagonal block L_kk and a coupling block
+    L_{k+1,k}, nonzero only in its strict upper triangle, as the band's
+    K_{k+1,k} is.  Block column k is filled from the band's entries and
+    factored in place: L_kk is the Cholesky factor of the pivot block
+    K_kk - L_{k,k-1} L_{k,k-1}', and L_{k+1,k} = K_{k+1,k} L_kk^-T.  It is
+    stored as ``blocks[k] = [L_kk^-1; L_{k+1,k}]``, the diagonal block
+    inverted once here so that every solve is matmuls, so the result has
+    shape (n_blocks, 2b, b); the rows are padded to whole blocks with the
+    identity.  No rows.size^2 array is made.  A pivot block that is not
+    positive definite raises NotPositiveDefinite, naming the block and the
+    matrix factored (``what``).
+    """
+    r, c, v = band.entries(rows, rows)
+    b = int((r - c).max(initial=0)) + 1
+    n_blocks = -(-rows.size // b)
+    # K_kk whole and K_{k+1,k}, each entry in block column c // b
+    col = c // b
+    below = r // b >= col
+    col, r, c, v = col[below], r[below], c[below], v[below]
+    blocks = np.zeros((n_blocks, 2 * b, b))
+    blocks[col, r - col * b, c - col * b] = v
+    pad = np.arange(rows.size - (n_blocks - 1) * b, b)
+    blocks[-1, pad, pad] = 1.0
+    for k in range(n_blocks):
+        diag, coupling = blocks[k, :b], blocks[k, b:]
+        if k:
+            diag -= blocks[k - 1, b:] @ blocks[k - 1, b:].T
+        try:
+            low = np.linalg.cholesky(diag)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(f"pivot block {k} of {what} is not positive definite") from exc
+        diag[...] = tril_inv(low)
+        coupling[...] = coupling @ diag.T
+    blocks.setflags(write=False)
+    return blocks
+
+
+def block_solve(blocks: np.ndarray, rhs: np.ndarray, forward: bool = True, backward: bool = True) -> np.ndarray:
+    """L^-1 rhs (``forward``), L'^-1 rhs (``backward``), or both in turn,
+    (L L')^-1 rhs, for the blocks of ``block_factor`` and one vector or a
+    block of columns.
+
+    Substitution over one copy of the right-hand side padded to whole
+    blocks, so ``rhs`` is left as it is.  Each block row is one product
+    with its neighbour's coupling block and one with the stored inverse of
+    its diagonal block.
+    """
+    n_blocks, b = blocks.shape[0], blocks.shape[2]
+    n = rhs.shape[0]
+    cols = rhs.reshape(n, -1)
+    w = np.zeros((n_blocks, b, cols.shape[1]))
+    flat = w.reshape(n_blocks * b, cols.shape[1])
+    flat[:n] = cols
+    if forward:
+        for k in range(n_blocks):  # L y = rhs
+            if k:
+                w[k] -= blocks[k - 1, b:] @ w[k - 1]
+            w[k] = blocks[k, :b] @ w[k]
+    if backward:
+        for k in reversed(range(n_blocks)):  # L' x = y
+            if k + 1 < n_blocks:
+                w[k] -= blocks[k, b:].T @ w[k + 1]
+            w[k] = blocks[k, :b].T @ w[k]
+    return flat[:n].reshape(rhs.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class BandSpace:
+    """R^dim with the inner product (x, y) -> x' gram y of a banded SPD Gram.
+
+    It gives the operator algebra of ``oplab`` what that reads of a space:
+    ``dim``, ``gram @ x`` (a band product), ``lower_solve``, ``solve``,
+    ``matches`` and ``norm``, all through the blocks of ``block_factor``.
+    Built by ``band_space``.
+    """
+
+    gram: Band
+    blocks: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.gram.diags[0].size
+
+    def matches(self, other) -> bool:
+        return self is other or (
+            isinstance(other, BandSpace)
+            and self.gram.offsets == other.gram.offsets
+            and all(np.array_equal(u, v) for u, v in zip(self.gram.diags, other.gram.diags))
+        )
+
+    def norm(self, x) -> float:
+        # |L' x| as |L^-1 G x|, so the result is never negative under rounding
+        return float(np.linalg.norm(self.lower_solve(self.gram @ x)))
+
+    def lower_solve(self, rhs, trans: bool = False) -> np.ndarray:
+        """L^-1 rhs, or L'^-1 rhs with ``trans``, for one (dim,) vector or a
+        (dim, k) block of columns; ``rhs`` is left as it is."""
+        x = np.asarray(rhs, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise DimensionMismatch(f"right-hand side of shape {x.shape} for a space of dim {self.dim}")
+        return block_solve(self.blocks, x, forward=not trans, backward=trans)
+
+    def solve(self, rhs) -> np.ndarray:
+        """gram^-1 rhs, as L'^-1 L^-1 rhs, for one vector or a block of columns."""
+        return self.lower_solve(self.lower_solve(rhs), trans=True)
+
+
+def band_space(gram: Band) -> BandSpace:
+    """The space of a band Gram, factored once.  A Gram with a non-finite
+    entry, or one that is not positive definite, raises GramNotPD."""
+    if not all(np.isfinite(v).all() for v in gram.diags):
+        raise GramNotPD("gram band has non-finite entries")
+    try:
+        blocks = block_factor(gram, np.arange(gram.diags[0].size), "the gram band")
+    except NotPositiveDefinite as exc:
+        raise GramNotPD(str(exc)) from exc
+    return BandSpace(gram=gram, blocks=blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +412,15 @@ def _assemble_triangles(mesh: Mesh):
     nb = mesh.boundary_nodes.size
     pos = np.empty(nn, dtype=np.intp)
     pos[mesh.boundary_nodes] = np.arange(nb)
-    edges = mesh.boundary_edges
-    h = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    edges, h = _boundary_segments(mesh)
     k_b, m_b = _segment_matrices(pos[edges], h, nb, "boundary edge")
     return k, m, m_b.dense(), k_b.dense()
+
+
+def _boundary_segments(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary loop's edges, as pairs of node indices, and their lengths."""
+    edges = mesh.boundary_edges
+    return edges, np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
 
 
 def assemble(mesh: Mesh) -> Assembly:
@@ -318,17 +452,40 @@ def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
 
 
 @lru_cache(maxsize=32)
-def space_h1partial(a: Assembly) -> InnerSpace:
+def space_h1partial(a: Assembly) -> BandSpace:
     """The combined H1 space of one assembly: Gram G = K plus M_b on the boundary block.
 
-    G is the inner product (grad u, grad v) + (u, v) on the boundary.  It is
-    a dense n_nodes x n_nodes space for the operator-algebra twins only; the
-    solvers work from the bands of K and M_dom and from ``boundary_spaces``.
+    G is the inner product (grad u, grad v) + (u, v) on the boundary, a band:
+    K plus the boundary-edge segment masses scattered with node indices (the
+    interval's counting measure puts M_b's 1s on its two endpoints).  Each
+    entry sums the terms of K.dense() + R' M_b R in the same order.  Its one
+    factorization is ``block_factor``'s, so neither G nor its factor is an
+    n_nodes x n_nodes array.
     """
-    g = a.K.dense()
-    bnd = a.mesh.boundary_nodes
-    g[np.ix_(bnd, bnd)] += a.M_b
-    return _space(g)
+    mesh = a.mesh
+    if mesh.kind == "interval":
+        m_b = Band.scatter(mesh.boundary_nodes[:, None], np.ones((2, 1, 1)), mesh.n_nodes)
+    else:
+        _, m_b = _segment_matrices(*_boundary_segments(mesh), mesh.n_nodes, "boundary edge")
+    return band_space(a.K + m_b)
+
+
+def mass_product(mesh: Mesh, f: np.ndarray) -> np.ndarray:
+    """M_dom f for one (n_nodes,) vector or an (n_nodes, k) block, by a
+    scatter-add of the element mass matrices |T| (1 + delta_ij) / ((d+1)(d+2))
+    applied to each element's values of f.
+
+    The twin of the band product ``a.M_dom @ f``: it reads neither the band
+    nor its product, only the mesh.
+    """
+    el = mesh.elements
+    k = el.shape[1]  # d + 1 vertices
+    edges = mesh.nodes[el[:, 1:]] - mesh.nodes[el[:, :1]]  # (n_elements, d, d)
+    vol = np.abs(np.linalg.det(edges)) / math.factorial(k - 1)
+    local = vol[:, None, None] * (np.ones((k, k)) + np.eye(k)) / (k * (k + 1))
+    out = np.zeros(np.shape(f))
+    np.add.at(out, el, np.einsum("eij,ej...->ei...", local, f[el]))
+    return out
 
 
 def op_trace(a: Assembly) -> Operator:

@@ -147,7 +147,9 @@ def make_space(dim: int, gram) -> InnerSpace:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("gram matrix is not positive definite") from exc
-    return InnerSpace(dim=int(dim), gram=_frozen(g), chol=_frozen(low))
+    for arr in (g, low):
+        arr.setflags(write=False)  # fresh float arrays: frozen in place, not copied
+    return InnerSpace(dim=int(dim), gram=g, chol=low)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,11 +23,12 @@ from .errors import (
     DimensionMismatch,
     NonFiniteInput,
     NotHarmonic,
+    NotPositiveDefinite,
     OrderOutOfRange,
     SolveFailure,
     ZeroVector,
 )
-from .fem2d import Assembly, boundary_spaces, op_trace, space_h1partial
+from .fem2d import Assembly, block_factor, block_solve, boundary_spaces, mass_product, op_trace, space_h1partial
 from .kernels import jacobi_svd
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
@@ -50,73 +51,25 @@ def _partition(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _interior_chol(a: Assembly) -> np.ndarray:
-    """Block Cholesky factor L of the interior stiffness block K_ii, as dense blocks.
-
-    With blocks of b = bw + 1 rows for the interior bandwidth bw (the
-    offsets of K's nonzero diagonals, from the element connectivity), K_ii
-    is block tridiagonal and L block bidiagonal: a lower-triangular
-    diagonal block L_kk and a coupling block L_{k+1,k}, nonzero only in its
-    strict upper triangle, as K_{k+1,k} is.  Block column k is filled from
-    K's band entries and factored in place: L_kk is the Cholesky factor of
-    the pivot block K_kk - L_{k,k-1} L_{k,k-1}', and L_{k+1,k} = K_{k+1,k}
-    L_kk^-T.  It is stored as ``blocks[k] = [L_kk^-1; L_{k+1,k}]``, the
-    diagonal block inverted once here so that every solve is matmuls, so
-    the result has shape (n_blocks, 2b, b); the interior is padded to whole
-    blocks with the identity.  No n_interior^2 array is made.  A pivot
+    """Block Cholesky factor of the interior stiffness block K_ii, as the
+    dense blocks of ``fem2d.block_factor``: blocks of b = bw + 1 rows for
+    the interior bandwidth bw, ``blocks[k] = [L_kk^-1; L_{k+1,k}]``.  A pivot
     block that is not positive definite raises SolveFailure.
     """
     _, interior = _partition(a)
-    r, c, v = a.K.entries(interior, interior)
-    b = int((r - c).max(initial=0)) + 1
-    n_blocks = -(-interior.size // b)
-    # K_kk whole and K_{k+1,k}, each entry in block column c // b
-    col = c // b
-    below = r // b >= col
-    col, r, c, v = col[below], r[below], c[below], v[below]
-    blocks = np.zeros((n_blocks, 2 * b, b))
-    blocks[col, r - col * b, c - col * b] = v
-    pad = np.arange(interior.size - (n_blocks - 1) * b, b)
-    blocks[-1, pad, pad] = 1.0
-    for k in range(n_blocks):
-        diag, coupling = blocks[k, :b], blocks[k, b:]
-        if k:
-            diag -= blocks[k - 1, b:] @ blocks[k - 1, b:].T
-        try:
-            low = np.linalg.cholesky(diag)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"pivot block {k} of the interior stiffness block is not positive definite") from exc
-        diag[...] = oplab.tril_inv(low)
-        coupling[...] = coupling @ diag.T
-    blocks.setflags(write=False)
-    return blocks
+    try:
+        return block_factor(a.K, interior, "the interior stiffness block")
+    except NotPositiveDefinite as exc:
+        raise SolveFailure(str(exc)) from exc
 
 
 def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
-    """K_ii^-1 rhs for one vector or a block of interior right-hand sides.
-
-    Forward and then backward block substitution with the blocks of
-    ``_interior_chol``, over one copy of the right-hand side padded to
-    whole blocks.  Each block row is one product with its neighbour's
-    coupling block and one with the stored inverse of its diagonal block.
-    ``_schur`` runs the forward half alone, on K_ib, one block row at a
-    time.
+    """K_ii^-1 rhs for one vector or a block of interior right-hand sides:
+    forward and then backward block substitution with the blocks of
+    ``_interior_chol``.  ``_schur`` runs the forward half alone, on K_ib,
+    one block row at a time.
     """
-    blocks = _interior_chol(a)
-    n_blocks, b = blocks.shape[0], blocks.shape[2]
-    n = rhs.shape[0]
-    cols = rhs.reshape(n, -1)
-    w = np.zeros((n_blocks, b, cols.shape[1]))
-    flat = w.reshape(n_blocks * b, cols.shape[1])
-    flat[:n] = cols
-    for k in range(n_blocks):  # L y = rhs
-        if k:
-            w[k] -= blocks[k - 1, b:] @ w[k - 1]
-        w[k] = blocks[k, :b] @ w[k]
-    for k in reversed(range(n_blocks)):  # L' x = y
-        if k + 1 < n_blocks:
-            w[k] -= blocks[k, b:].T @ w[k + 1]
-        w[k] = blocks[k, :b].T @ w[k]
-    return flat[:n].reshape(rhs.shape)
+    return block_solve(_interior_chol(a), rhs)
 
 
 @lru_cache(maxsize=32)
@@ -404,6 +357,19 @@ def _check_counts(**counts: int) -> None:
             raise BadParameter(f"{name} must be >= 0, got {n}")
 
 
+NECAS_BLOCK = 64  # most samples of necas, or identity samples of pde, solved as one block
+
+
+def _block_widths(n: int) -> list[int]:
+    """The widths of the fewest blocks of at most NECAS_BLOCK columns that
+    hold n columns, as equal as they can be, the wider ones first."""
+    if not n:
+        return []
+    count = -(-n // NECAS_BLOCK)
+    width, wider = divmod(n, count)
+    return [width + 1] * wider + [width] * (count - wider)
+
+
 PDE_TOLS: dict[str, float] = {
     "harmonic_two_path": 1e-8,
     "robin_two_path": 1e-10,
@@ -472,8 +438,8 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
 
     u = poisson_robin(a, f)
     # the twin G^-1 M_dom, adjoint of the embedding H1 -> L2(domain), goes through
-    # the Gram's own factor and the dense mass: no band product shared with the solver
-    rec.record("poisson_two_path", _maxabs(u - h1.solve(a.M_dom.dense() @ f)))
+    # G's own factor and the element masses: no band product shared with the solver
+    rec.record("poisson_two_path", _maxabs(u - h1.solve(mass_product(a.mesh, f))))
     lhs = np.sum(f * (a.M_dom @ poisson_robin(a, f2)), axis=0)
     rhs = np.sum(f2 * (a.M_dom @ u), axis=0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
@@ -481,16 +447,19 @@ def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Genera
 
 
 def _pde_identities(rec: Recorder, a: Assembly, rng: np.random.Generator, samples: int) -> None:
-    """Green's formula and the Robin boundary condition, over one block of samples.
+    """Green's formula and the Robin boundary condition, over blocks of samples.
 
-    Sample j draws its boundary data g_j and then its test function v_j.
+    Sample j draws its boundary data g_j and then its test function v_j.  The
+    samples are taken in ``_block_widths`` blocks, each drawing its rows of
+    the one stream in turn, so memory does not grow with the sample count.
     """
     nb = a.M_b.shape[0]
-    draws = rng.standard_normal((samples, nb + a.mesh.n_nodes)).T
-    g, v = draws[:nb], draws[nb:]
-    rec.record("green_formula", _maxabs(green_residual(a, harmonic_extension(a, g), v)))
-    zr = robin_solve(a, g)
-    rec.record("robin_boundary", _maxabs(normal_derivative(a, zr) + zr[a.mesh.boundary_nodes] - g))
+    for width in _block_widths(samples):
+        draws = rng.standard_normal((width, nb + a.mesh.n_nodes)).T
+        g, v = draws[:nb], draws[nb:]
+        rec.record("green_formula", _maxabs(green_residual(a, harmonic_extension(a, g), v)))
+        zr = robin_solve(a, g)
+        rec.record("robin_boundary", _maxabs(normal_derivative(a, zr) + zr[a.mesh.boundary_nodes] - g))
 
 
 def suite_pde(
@@ -503,9 +472,10 @@ def suite_pde(
     """Solver characterizations: each boundary-value solver against its
     operator-algebra twin, plus the flux/boundary identities.
 
-    The trial population and then the identity population are each drawn
-    with one call and solved as blocks of columns; the dense twins of the
-    trial phase are freed before the identity population is drawn.
+    The trial population is drawn with one call and solved as one block of
+    columns; the identity population follows in blocks of at most
+    NECAS_BLOCK columns.  The twins of the trial phase are freed before the
+    identity population is drawn.
     """
     _check_counts(trials=trials, identity_samples=identity_samples)
     rng = default_rng(seed)
@@ -589,7 +559,7 @@ def suite_hhalf(
     xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
     rec.record("x_trace_energy", abs(float(xb @ q_half.gram @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
 
-    quot = a.M_b + lam.mat.T @ h1.gram @ lam.mat
+    quot = a.M_b + lam.mat.T @ (h1.gram @ lam.mat)
     c_min, c_max = equivalence_constants(q_half, oplab.make_space(nb, 0.5 * (quot + quot.T)))
 
     constants = {"quotient_cmin": c_min, "quotient_cmax": c_max}
@@ -605,7 +575,7 @@ def suite_hhalf(
                 "s_11": float(s_mat[1, 1]),
                 "split_total": float(g0 @ q_half.gram @ g0),
                 "split_l2": float(g0 @ a.M_b @ g0),
-                "split_extension": float(ext0 @ h1.gram @ ext0),
+                "split_extension": float(ext0 @ (h1.gram @ ext0)),
             }
         )
 
@@ -671,19 +641,6 @@ def suite_h1(
 NECAS_TOLS: dict[str, float] = {
     "sample_failures": 0.0,
 }
-
-
-NECAS_BLOCK = 64  # most samples solved as one block of columns
-
-
-def _block_widths(n: int) -> list[int]:
-    """The widths of the fewest blocks of at most NECAS_BLOCK columns that
-    hold n columns, as equal as they can be, the wider ones first."""
-    if not n:
-        return []
-    count = -(-n // NECAS_BLOCK)
-    width, wider = divmod(n, count)
-    return [width + 1] * wider + [width] * (count - wider)
 
 
 def _running_max(values: np.ndarray, worst: float = 0.0) -> float:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracelab import fem2d, oplab, tracescale
-from tracelab.errors import BadParameter, DegenerateElement, GramNotPD
+from tracelab.errors import BadParameter, DegenerateElement, DimensionMismatch, GramNotPD
 
 from conftest import asm, check_coupling, embed_domain
 
@@ -461,25 +461,31 @@ class TestRenumberedMesh:
 class TestSpaces:
     def test_builds_one_domain_space(self, monkeypatch):
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so nothing is cached
-        dims = []
-        make_space = fem2d.make_space
+        dims, factored = [], []
+        make_space, block_factor = fem2d.make_space, fem2d.block_factor
 
         def counted(dim, gram):
             dims.append(dim)
             return make_space(dim, gram)
 
+        def counted_factor(band, rows, what):
+            factored.append(rows.size)
+            return block_factor(band, rows, what)
+
         monkeypatch.setattr(fem2d, "make_space", counted)
+        monkeypatch.setattr(fem2d, "block_factor", counted_factor)
         h1 = fem2d.space_h1partial(a)
-        assert isinstance(h1, oplab.InnerSpace) and h1.dim == a.mesh.n_nodes
-        # the combined H1 space only: no domain L2 space, no boundary space
-        assert dims == [a.mesh.n_nodes]
+        assert isinstance(h1, fem2d.BandSpace) and h1.dim == a.mesh.n_nodes
+        # one factorization, of G itself; no domain L2 space, no boundary space
+        assert factored == [a.mesh.n_nodes]
+        assert dims == []
 
     def test_interval_combined_gram(self):
         a = asm("interval", 1)
         h1 = fem2d.space_h1partial(a)
         l2dom = embed_domain(a).codomain
         l2bnd, h1bnd = fem2d.boundary_spaces(a)
-        assert np.array_equal(h1.gram, [[2.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(h1.gram.dense(), [[2.0, -1.0], [-1.0, 2.0]])
         assert np.array_equal(l2bnd.gram, np.eye(2))
         assert np.array_equal(h1bnd.gram, np.eye(2))
         assert np.abs(l2dom.gram - np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0).max() <= 1e-16
@@ -496,7 +502,7 @@ class TestSpaces:
 
     def test_square_gram_spectral_floor(self):
         h1 = fem2d.space_h1partial(asm("square", 8))
-        assert np.linalg.eigvalsh(h1.gram).min() > 1e-4
+        assert np.linalg.eigvalsh(h1.gram.dense()).min() > 1e-4
 
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
     def test_boundary_spaces_shared(self, kind):
@@ -525,13 +531,88 @@ class TestSpaces:
         ends = {}
         for n in (4, 8):
             a = asm(kind, n)
-            g = fem2d.space_h1partial(a).gram
+            g = fem2d.space_h1partial(a).gram.dense()
             vals = scipy.linalg.eigh(g, a.K.dense() + a.M_dom.dense(), eigvals_only=True)
             ends[n] = (vals.min(), vals.max())
             assert vals.min() > 0.0
         for lo_hi in zip(ends[4], ends[8]):
             drift = abs(lo_hi[1] / lo_hi[0] - 1.0)
             assert drift < 0.5
+
+
+def dense_h1(a):
+    """The combined H1 space built dense, as K.dense() + R' M_b R: the reference of the band space."""
+    r = fem2d.op_trace(a).mat
+    return oplab.make_space(a.mesh.n_nodes, a.K.dense() + r.T @ a.M_b @ r)
+
+
+def check_band_space(a, rng):
+    """``space_h1partial``'s band space against the dense space of the same Gram, to 1e-12."""
+    h1, ref = fem2d.space_h1partial(a), dense_h1(a)
+    assert np.array_equal(h1.gram.dense(), ref.gram)
+    nn, nb = a.mesh.n_nodes, a.mesh.boundary_nodes.size
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(np.abs(want).max(initial=0.0), 1.0)
+
+    for rhs in (rng.standard_normal(nn), rng.standard_normal((nn, 3))):
+        kept = rhs.copy()
+        for trans in (False, True):
+            close(h1.lower_solve(rhs, trans=trans), ref.lower_solve(rhs, trans=trans))
+        close(h1.solve(rhs), ref.solve(rhs))
+        assert np.array_equal(rhs, kept)
+    x = rng.standard_normal(nn)
+    assert h1.norm(x) == pytest.approx(ref.norm(x), rel=1e-12)
+    trace, trace_ref = fem2d.op_trace(a), oplab.Operator(ref, fem2d.boundary_spaces(a)[0], np.eye(nn)[a.mesh.boundary_nodes])
+    close(oplab.to_euclidean(trace), oplab.to_euclidean(trace_ref))
+    lam = oplab.pinv(trace)
+    assert lam.codomain is h1 and lam.mat.shape == (nn, nb)
+    close(lam.mat, oplab.pinv(trace_ref).mat)
+
+
+class TestBandSpace:
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("interval", 1), ("interval", 2), ("interval", 8), ("square", 1), ("square", 2), ("square", 8),
+         ("lshape", 2), ("lshape", 8)],
+    )
+    def test_matches_dense_space(self, kind, n, rng):
+        check_band_space(asm(kind, n), rng)
+
+    @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_space_on_wide_bands(self, case, seed):
+        check_band_space(fem2d.assemble(renumbered(*case)), np.random.default_rng(seed))
+
+    def test_gram_is_a_band_of_the_stiffness_offsets(self):
+        # the boundary edges are sides of the grid, so G keeps K's diagonals
+        a = asm("square", 8)
+        h1 = fem2d.space_h1partial(a)
+        assert isinstance(h1.gram, fem2d.Band) and h1.gram.offsets == a.K.offsets
+        assert h1.blocks.shape[1:] == (2 * (a.K.offsets[-1] + 1), a.K.offsets[-1] + 1)
+        assert not h1.blocks.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3,), (81, 2, 1), (80,)])
+    def test_rejects_wrong_shapes(self, shape):
+        h1 = fem2d.space_h1partial(asm("square", 8))
+        with pytest.raises(DimensionMismatch):
+            h1.lower_solve(np.zeros(shape))
+
+    def test_matches_compares_the_gram(self):
+        a = asm("square", 4)
+        h1 = fem2d.space_h1partial(a)
+        twin = fem2d.band_space(h1.gram)
+        assert h1.matches(h1) and h1.matches(twin) and twin.matches(h1)
+        assert not h1.matches(fem2d.space_h1partial(asm("square", 2)))
+        assert not h1.matches(dense_h1(a))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gram_flagged(self, value):
+        g = fem2d.space_h1partial(asm("interval", 2)).gram
+        diag = g.diags[0].copy()
+        diag[1] = value
+        with pytest.raises(GramNotPD, match="non-finite"):
+            fem2d.band_space(fem2d.Band(offsets=g.offsets, diags=(diag,) + g.diags[1:]))
 
 
 class TestOperators:
@@ -557,7 +638,7 @@ class TestOperators:
         a = asm("square", 4)
         emb = embed_domain(a)
         assert np.array_equal(emb.mat, np.eye(a.mesh.n_nodes))
-        g = emb.domain.gram
+        g = emb.domain.gram.dense()
         c = np.sqrt(scipy.linalg.eigh(a.M_dom.dense(), g, eigvals_only=True).max())
         for _ in range(20):
             v = rng.standard_normal(a.mesh.n_nodes)

@@ -5,7 +5,8 @@ not break it silently; every name tracelab exports must resolve; importing
 tracelab must not pull in scipy.sparse, neither importing nor running it
 may pull in any of scipy, and a run imports nothing;
 tools/report_drift.py must say which reported number moved, and by how much;
-and every config of tools/standard_drift.py must be one the CLI accepts.
+every config of tools/standard_drift.py must be one the CLI accepts; and
+tools/cell_cost.py must report the cost and verdict of one CLI cell.
 """
 
 import importlib
@@ -153,3 +154,16 @@ def test_standard_drift_configs_build(monkeypatch):
     bench = _load(TRACER_PATH.parent / "run.py", "perfbench_run", monkeypatch).WORKLOADS
     for name, seed in (("scale-refine", "501"), ("solve-fine", "901")):
         assert configs[name] == (*bench[name].args, "--seed", seed)
+
+
+def test_cell_cost_reports_one_cell():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cell_cost.py"
+    args = ["--", "--suite", "pde", "--mesh", "interval", "--n", "2", "--trials", "2"]
+    out = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    cost = dict(line.split(" ", 1) for line in out.stdout.strip().splitlines())
+    assert list(cost) == ["wall_s", "cpu_s", "peak_rss_mb", "exit", "verdict"]
+    assert (cost["exit"], cost["verdict"]) == ("0", "pass")
+    assert float(cost["wall_s"]) > 0.0 and float(cost["cpu_s"]) > 0.0
+    # the child's own peak: at least the interpreter with numpy loaded
+    assert float(cost["peak_rss_mb"]) > 10.0

@@ -715,7 +715,7 @@ class TestHsGram:
         z = tracescale.harmonic_extension(a, g)
         h1 = fem2d.space_h1partial(a)
         assert g @ a.M_b @ g == pytest.approx(1.0)
-        assert z @ h1.gram @ z == pytest.approx(2.0, abs=1e-13)
+        assert z @ (h1.gram @ z) == pytest.approx(2.0, abs=1e-13)
 
     def test_interval_negative_half_is_resolvent(self):
         q = tracescale.hs_gram(asm("interval", 1), -0.5)
@@ -939,6 +939,96 @@ class TestSuitePde:
         assert set(rep.residuals) == {"extension_trace_identity", "harmonic_projection", "linear_reproduction"}
 
 
+def identity_records(a, samples, seed):
+    """The values ``_pde_identities`` records, in order, and the boundary data it extends."""
+    rec, seen, extended = Recorder("pde"), [], []
+    rec.record = lambda name, value: seen.append((name, float(value)))
+    extension = tracescale.harmonic_extension
+    patch = pytest.MonkeyPatch()
+    patch.setattr(tracescale, "harmonic_extension", lambda a, g: extended.append(np.array(g)) or extension(a, g))
+    try:
+        tracescale._pde_identities(rec, a, np.random.default_rng(seed), samples)
+    finally:
+        patch.undo()
+    return seen, extended
+
+
+class TestIdentityBlocks:
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_blocks_draw_the_one_stream(self, kind, n):
+        a = asm(kind, n)
+        nb, nn = a.mesh.boundary_nodes.size, a.mesh.n_nodes
+        samples = 2 * tracescale.NECAS_BLOCK + 5
+        _, extended = identity_records(a, samples, seed=8)
+        assert [g.shape[1] for g in extended] == tracescale._block_widths(samples)
+        whole = np.random.default_rng(8).standard_normal((samples, nb + nn)).T
+        assert np.array_equal(np.hstack(extended), whole[:nb])
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_blocks_match_one_block(self, kind, n, monkeypatch):
+        a = asm(kind, n)
+        samples = 2 * tracescale.NECAS_BLOCK + 5
+        blocked, _ = identity_records(a, samples, seed=8)
+        monkeypatch.setattr(tracescale, "NECAS_BLOCK", samples)
+        whole, extended = identity_records(a, samples, seed=8)
+        assert len(extended) == 1
+        worst = {}
+        for name, value in blocked:
+            worst[name] = max(worst.get(name, 0.0), value)
+        assert [name for name, _ in whole] == ["green_formula", "robin_boundary"]
+        for name, value in whole:
+            assert abs(worst[name] - value) <= 1e-14 * max(value, 1.0), name
+
+
+class TestNoDomainSquareArray:
+    SUITES = {
+        "pde": tracescale.suite_pde,
+        "hhalf": tracescale.suite_hhalf,
+        "h1": tracescale.suite_h1,
+    }
+
+    def test_suites_densify_no_domain_band(self, monkeypatch):
+        a = fem2d.assemble(fem2d.gen_mesh("square", 8))  # fresh, so every cached object is built here
+        dense = fem2d.Band.dense
+
+        def boundary_only(band):
+            if band.diags[0].size == a.mesh.n_nodes:
+                raise AssertionError("an n_nodes x n_nodes band was made dense")
+            return dense(band)
+
+        monkeypatch.setattr(fem2d.Band, "dense", boundary_only)
+        for name, run in self.SUITES.items():
+            assert run(a).passed, name
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_peak_below_one_square_array(self, suite):
+        a = fem2d.assemble(fem2d.gen_mesh("square", 32))  # cold caches: the factors count too
+        tracemalloc.start()
+        try:
+            assert self.SUITES[suite](a).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * a.mesh.n_nodes**2
+
+    @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
+    def test_mass_product_twin(self, kind, n, rng, monkeypatch):
+        # the poisson_two_path twin applies M_dom without its band or its dense form
+        a = asm(kind, n)
+        m_dom = a.M_dom.dense()
+        f = rng.standard_normal((a.mesh.n_nodes, 3))
+
+        def refuse(*args):
+            raise AssertionError("the M_dom band was read")
+
+        monkeypatch.setattr(fem2d.Band, "__matmul__", refuse)
+        monkeypatch.setattr(fem2d.Band, "dense", refuse)
+        for x in (f, f[:, 0]):
+            got = fem2d.mass_product(a.mesh, x)
+            assert got.shape == x.shape
+            assert np.abs(got - m_dom @ x).max() <= 1e-15 * np.abs(m_dom @ x).max()
+
+
 class TestSuiteHhalf:
     def test_interval_exact_split(self):
         rep = tracescale.suite_hhalf(asm("interval", 1))
@@ -967,10 +1057,13 @@ class TestSuiteHhalf:
         # S comes from the stiffness blocks, so every G route now disagrees with its
         # K-block twin; the closed-form energy, which reads no G, still holds
         a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached object holds the true Gram
+        original = fem2d.space_h1partial
+
         def halved(asm_):
-            g = asm_.K.dense()
-            g[np.ix_(asm_.mesh.boundary_nodes, asm_.mesh.boundary_nodes)] += 0.5 * asm_.M_b
-            return oplab.make_space(asm_.mesh.n_nodes, g)
+            # through the band route: K plus half of G's boundary-edge masses
+            g, k = original(asm_).gram, dict(zip(asm_.K.offsets, asm_.K.diags))
+            diags = tuple(k.get(d, 0.0) + 0.5 * (v - k.get(d, 0.0)) for d, v in zip(g.offsets, g.diags))
+            return fem2d.band_space(fem2d.Band(offsets=g.offsets, diags=diags))
 
         monkeypatch.setattr(fem2d, "space_h1partial", halved)
         monkeypatch.setattr(tracescale, "space_h1partial", halved)
