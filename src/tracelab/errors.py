@@ -32,11 +32,13 @@ class RangeNotContained(TracelabError):
 
 
 class NoConvergence(TracelabError):
-    """A Jacobi kernel used up its sweep budget before meeting its convergence test.
+    """A kernel used up its sweep budget before meeting its convergence test.
 
     ``sweeps`` is the number of sweeps run and ``off_norm`` the off-diagonal
     Frobenius norm left at the end: of the rotated matrix for an eigensolve,
-    of the Gram matrix of the rotated columns for an SVD.
+    of the Gram matrix of the rotated columns for an SVD.  For
+    ``extreme_eigh`` they are the Cholesky shifts tried and the width of the
+    bracket left.
     """
 
     def __init__(self, kernel: str, sweeps: int, off_norm: float) -> None:

@@ -1,11 +1,13 @@
-"""Dense spectral kernels: odd-even Jacobi eigensolver and one-sided Jacobi SVD.
+"""Dense spectral kernels: odd-even Jacobi eigensolver, one-sided Jacobi SVD,
+and the certified extreme eigenpairs of a symmetric matrix.
 
 Self-contained rotations keep these independent of LAPACK's eigen/SVD drivers,
 so library routines stay available as cross-checking oracles in the tests.
-Both kernels order a sweep by the odd-even schedule, which Luk & Park (1989)
-show equivalent to the round-robin of Brent & Luk (1985): each step rotates
-the neighbour columns (f + 2i, f + 2i + 1), f alternating 0, 1, and then
-swaps them, so n steps bring every two original columns together once.
+The two Jacobi kernels order a sweep by the odd-even schedule, which Luk &
+Park (1989) show equivalent to the round-robin of Brent & Luk (1985): each
+step rotates the neighbour columns (f + 2i, f + 2i + 1), f alternating 0, 1,
+and then swaps them, so n steps bring every two original columns together
+once.
 
 A matrix being rotated lives in a flat buffer whose rows sit on an even
 stride (n, or n + 1 for odd n), plus one spare pair.  Viewed as complex from
@@ -26,6 +28,16 @@ The SVD first reduces a tall input by numpy's unpivoted QR (Drmač & Veselić
 kernel raises NonFiniteInput on a NaN or infinite input before any work,
 and NoConvergence when it uses up ``max_sweeps``, rather than return an
 unconverged result.
+
+``extreme_eigh`` finds only the smallest and the largest eigenpair, by
+Sylvester's law of inertia: a - sigma I has a Cholesky factor exactly when
+sigma lies below the spectrum.  It bisects sigma on whether numpy's Cholesky
+succeeds and reports the last shift that factored, so the values come with
+their certificate, and takes each vector by inverse iteration with that
+factor.  It uses numpy's Cholesky and inverse alone, keeps the scaling (by
+an even power of two, which scales a Cholesky exactly), NonFiniteInput and
+NotSymmetric of ``jacobi_eigh``, and raises NoConvergence past EXTREME_STEPS
+shifts.
 The rank rule and the pseudo-inverse read an SVD the caller already holds.
 Intended scale is desk-size dense matrices (a few hundred rows).
 """
@@ -45,6 +57,13 @@ _SKIP = 1e-300
 # the relative stopping tolerances of jacobi_eigh and jacobi_svd
 EIGH_TOL = 1e-13
 SVD_TOL = 1e-14
+# extreme_eigh closes each bracket to EXTREME_TOL * n times the prescale 2^e,
+# which bounds max|a| within a factor 4: about 2 n eps max|a|
+EXTREME_TOL = 2.0 * EPS
+# the most Cholesky shifts extreme_eigh tries per extreme (a bracket closes in 60 or fewer)
+EXTREME_STEPS = 200
+# inverse-iteration steps behind each extreme eigenvector
+INVERSE_STEPS = 3
 
 
 def _finite(m, kernel: str) -> np.ndarray:
@@ -57,6 +76,16 @@ def _finite(m, kernel: str) -> np.ndarray:
 def _exponent(m: np.ndarray) -> int:
     """e with max|m| in [2^(e-1), 2^e); 0 for an empty or zero m."""
     return int(np.frexp(np.abs(m).max(initial=0.0))[1])
+
+
+def _symmetric(a, kernel: str) -> np.ndarray:
+    """``a`` as floats, checked finite, square and symmetric to 1e-12 of max|a|."""
+    a = _finite(a, kernel)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"square matrix expected, got {a.shape}")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * float(np.abs(a).max(initial=0.0))):
+        raise NotSymmetric(f"{kernel} requires a symmetric matrix")
+    return a
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -137,12 +166,8 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100):
     w : (n,) ndarray, eigenvalues ascending
     v : (n, n) ndarray, orthonormal eigenvectors as columns, a @ v == v @ diag(w)
     """
-    a = _finite(a, "jacobi_eigh")
+    a = _symmetric(a, "jacobi_eigh")
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"square matrix expected, got {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * float(np.abs(a).max(initial=0.0))):
-        raise NotSymmetric("jacobi_eigh requires a symmetric matrix")
     if n == 1 or not a.any():
         order = np.argsort(np.diag(a))
         return np.diag(a)[order], np.eye(n)[:, order]
@@ -180,6 +205,94 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100):
     vals = np.ldexp(np.diag(bufs[b].mat), e)
     order = np.argsort(vals, kind="stable")
     return vals[order], v.mat[:, order]
+
+
+def _shift_factor(a: np.ndarray, sigma: float) -> np.ndarray | None:
+    """The Cholesky factor of a - sigma I, or None where that is not positive definite."""
+    shifted = a.copy()
+    shifted.flat[:: a.shape[0] + 1] -= sigma
+    try:
+        return np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _lowest(a: np.ndarray, width: float, start: np.ndarray) -> tuple[float, np.ndarray]:
+    """The certified lower end of the smallest eigenvalue of a, and its eigenvector.
+
+    Bisects the shift sigma between a Gershgorin lower bound, less ``width``,
+    and the smallest diagonal entry: a - sigma I factors exactly when sigma
+    lies below the spectrum.  The bracket keeps a shift that factored as its
+    lower end lo and one that did not as its upper end, so lo stays at or
+    below the smallest eigenvalue (up to the Cholesky's backward error), and
+    the bracket ends within ``width``.  A lower
+    end that does not factor under rounding is moved down by a doubling
+    step first.  The vector is ``start`` after INVERSE_STEPS
+    inverse-iteration steps with the factor of a - lo I.
+    """
+    diag = np.diag(a)
+    radius = np.abs(a).sum(axis=1) - np.abs(diag)
+    lo, hi = float(np.min(diag - radius)) - width, float(diag.min())
+    low, drop, steps = None, width, 0
+    while low is None or hi - lo > width:
+        if steps == EXTREME_STEPS:
+            raise NoConvergence("extreme_eigh", steps, hi - lo)
+        steps += 1
+        sigma = lo if low is None else 0.5 * (lo + hi)
+        factor = _shift_factor(a, sigma)
+        if factor is not None:
+            lo, low = sigma, factor
+        elif low is None:
+            lo, hi, drop = lo - drop, lo, 2.0 * drop
+        else:
+            hi = sigma
+    # (L L')^-1 through the inverse of L, taken once
+    inv = np.linalg.inv(low)
+    x = start
+    for _ in range(INVERSE_STEPS):
+        x = inv.T @ (inv @ x)
+        x /= np.linalg.norm(x)
+    return lo, x
+
+
+def extreme_eigh(a: np.ndarray):
+    """The smallest and the largest eigenpair of a symmetric matrix, with a certificate.
+
+    By Sylvester's law of inertia, a - sigma I has a Cholesky factor exactly
+    when sigma lies below every eigenvalue.  So each end of the spectrum is
+    found by bisecting sigma on whether numpy's Cholesky succeeds (``_lowest``),
+    on a for the smallest eigenvalue and on -a for the largest.  Each
+    reported value is the last shift whose factor succeeded, so
+    cholesky(a - w[0] I) and cholesky(w[1] I - a) both succeed: w[0] <=
+    lambda_min and lambda_max <= w[1] hold by construction, for a matrix
+    within the factorization's backward error of a, and no Krylov subspace
+    is involved that could miss an extreme.  Each bracket closes to
+    EXTREME_TOL * n times the prescale 2^e; NoConvergence is raised if that
+    takes more than EXTREME_STEPS shifts (its ``sweeps`` is then that count,
+    and its ``off_norm`` the bracket width left).  The input is first scaled by the
+    even power of two 2^-e that brings max|a| into [1/4, 1): such a scaling
+    is exact, and it scales every step of a Cholesky factorization exactly
+    (square roots included), so factors and values are those of a scaled back.
+
+    Returns
+    -------
+    w : (2,) ndarray, the smallest and the largest eigenvalue
+    v : (n, 2) ndarray, unit eigenvectors for them as columns, laid out like
+        the first and last columns of ``jacobi_eigh``'s
+    """
+    a = _symmetric(a, "extreme_eigh")
+    n = a.shape[0]
+    if n == 0:
+        raise DimensionMismatch("extreme_eigh needs a nonempty matrix")
+    e = _exponent(a)
+    e += e % 2
+    scaled = np.ldexp(a, -e)
+    width = EXTREME_TOL * n
+    # one fixed start for both vectors, so the result is a function of a
+    start = np.random.default_rng(0).standard_normal(n)
+    low, v_low = _lowest(scaled, width, start)
+    high, v_high = _lowest(-scaled, width, start)
+    return np.ldexp(np.array([low, -high]), e), np.column_stack([v_low, v_high])
 
 
 def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):

@@ -21,6 +21,7 @@ from . import kernels, oplab
 from .errors import (
     BadParameter,
     DimensionMismatch,
+    GramNotPD,
     NonFiniteInput,
     NotHarmonic,
     NotPositiveDefinite,
@@ -29,7 +30,7 @@ from .errors import (
     ZeroVector,
 )
 from .fem2d import Assembly, block_factor, block_solve, boundary_spaces, mass_product, op_trace, space_h1partial
-from .kernels import jacobi_svd
+from .kernels import jacobi_svd  # noqa: F401 - unused; perfbench/selftest.py checks tracing patches it
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
 
@@ -167,9 +168,45 @@ def _s_spectrum(a: Assembly) -> oplab.SpectralDecomposition:
     return oplab.spectral(oplab.identity(s_op.domain) + s_op)
 
 
+def _boundary_representers(a: Assembly, rows: np.ndarray | None = None) -> np.ndarray:
+    """X = G^-1 R', the combined-H1 representers of the boundary point
+    values, or only its rows ``rows``: G's band solve on the one-hot columns
+    of the boundary nodes, NECAS_BLOCK columns at a time, each block's rows
+    written into the result.  No dense R' is made, and no n_nodes x nb
+    array but the result when all rows are asked for.
+    """
+    h1 = space_h1partial(a)
+    bnd, _ = _partition(a)
+    out = np.empty((a.mesh.n_nodes if rows is None else rows.size, bnd.size))
+    for start in range(0, bnd.size, NECAS_BLOCK):
+        cols = bnd[start : start + NECAS_BLOCK]
+        one_hot = np.zeros((a.mesh.n_nodes, cols.size))
+        one_hot[cols, np.arange(cols.size)] = 1.0
+        block = h1.solve(one_hot)
+        out[:, start : start + cols.size] = block if rows is None else block[rows]
+    return out
+
+
 @lru_cache(maxsize=32)
 def _trace_pinv(a: Assembly) -> Operator:
-    return oplab.pinv(op_trace(a))
+    """Lambda, the Moore-Penrose inverse of the trace (combined H1 space to
+    boundary L2), by its range-space formula.
+
+    The trace is onto, so its pinv is gamma* (gamma gamma*)^-1; with
+    gamma* = G^-1 R' M_b the boundary mass cancels, and Lambda = X C^-1 for
+    X = G^-1 R' (``_boundary_representers``) and C = R X = X[bnd], an
+    nb x nb SPD matrix.  X C^-1 is formed in X's own buffer, nb rows at a
+    time.  C is factored by ``make_space`` here: Lambda reads G's factor
+    alone, never K_ii's or the Schur complement's, so ``harmonic_two_path``
+    and the quotient Gram of ``suite_hhalf`` keep two independent paths.
+    """
+    bnd, _ = _partition(a)
+    x = _boundary_representers(a)
+    c = x[bnd]
+    c_inv = oplab.make_space(bnd.size, 0.5 * (c + c.T)).solve(np.eye(bnd.size))
+    for start in range(0, x.shape[0], bnd.size):
+        x[start : start + bnd.size] = x[start : start + bnd.size] @ c_inv
+    return Operator(boundary_spaces(a)[0], space_h1partial(a), x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +359,23 @@ def equivalence_constants(qa: oplab.InnerSpace, qb: oplab.InnerSpace) -> tuple[f
     """Tight two-sided comparison constants between the norms of two spaces.
 
     Returns (c_min, c_max) with c_min |g|_b <= |g|_a <= c_max |g|_b for all
-    g, from the generalized eigenproblem of the two Grams, and attained by
-    the extremal generalized eigenvectors (verified).  The problem is reduced
-    with qb's stored Cholesky factor L, so no Gram is factored again.
+    g, from the extreme eigenvalues of the generalized eigenproblem of the
+    two Grams.  The problem is reduced with qb's stored Cholesky factor L,
+    so no Gram is factored again, and ``kernels.extreme_eigh`` gives its
+    certified extremes: c_min^2 and c_max^2 are shifts at which a Cholesky
+    of the reduced Gram less (or below) the shift succeeded.  Each bound
+    must be attained by its extreme vector: that vector's own norm ratio
+    is checked against the bound, and a miss raises SolveFailure.
     """
     if qa.dim != qb.dim:
         raise DimensionMismatch("norm Grams live on different dimensions")
     # the Gram of qa in qb's orthonormal coordinates, L^-1 qa L^-T, symmetrized
     sym = qb.lower_solve(qb.lower_solve(qa.gram).T).T
-    w, y = kernels.jacobi_eigh(0.5 * (sym + sym.T))
+    w, y = kernels.extreme_eigh(0.5 * (sym + sym.T))
     x = qb.lower_solve(y, trans=True)
     c_min = float(np.sqrt(max(w[0], 0.0)))
-    c_max = float(np.sqrt(max(w[-1], 0.0)))
-    for col, c in ((x[:, 0], c_min), (x[:, -1], c_max)):
+    c_max = float(np.sqrt(max(w[1], 0.0)))
+    for col, c in ((x[:, 0], c_min), (x[:, 1], c_max)):
         na = qa.norm(col)
         nb = qb.norm(col)
         if abs(na - c * nb) > 1e-8 * max(na, 1e-30):
@@ -357,7 +398,8 @@ def _check_counts(**counts: int) -> None:
             raise BadParameter(f"{name} must be >= 0, got {n}")
 
 
-NECAS_BLOCK = 64  # most samples of necas, or identity samples of pde, solved as one block
+# most samples of necas, identity samples of pde or columns of _trace_pinv's X solved as one block
+NECAS_BLOCK = 64
 
 
 def _block_widths(n: int) -> list[int]:
@@ -600,11 +642,11 @@ def suite_h1(
     nb = l2bnd.dim
     eye = np.eye(nb)
     s_mat = _s_operator(a).mat
-    gamma = op_trace(a)
-    gamma_star = oplab.adjoint(gamma)
+    bnd, _ = _partition(a)
 
     rec = _recorder("h1", a)
-    gg = gamma_star.mat[a.mesh.boundary_nodes]     # trace o adjoint, on boundary L2
+    # trace o adjoint on boundary L2, R G^-1 R' M_b, through G: only the boundary rows of G^-1 R'
+    gg = _boundary_representers(a, bnd) @ a.M_b
     lhs = gg @ np.linalg.solve(eye + gg, eye)
     resolvent = np.linalg.solve(eye + s_mat, eye)
     rec.record("resolvent_identity", rel_diff(lhs, resolvent))
@@ -620,9 +662,15 @@ def suite_h1(
     rec.record("ts_right", rel_diff(bridge_s @ bridge_t, eye))
 
     def _cond(mat: np.ndarray) -> float:
-        op = Operator(l2bnd, l2bnd, mat)
-        _, sv, _ = jacobi_svd(oplab.to_euclidean(op))
-        return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+        # sigma_max / sigma_min of mat on boundary L2: its squares are the
+        # extreme generalized eigenvalues of (mat' M_b mat, M_b)
+        gram = mat.T @ a.M_b @ mat
+        try:
+            space = oplab.make_space(nb, 0.5 * (gram + gram.T))
+        except NotPositiveDefinite as exc:
+            raise GramNotPD("a bridge operator of suite_h1 is singular") from exc
+        c_min, c_max = equivalence_constants(space, l2bnd)  # c_min = 0 fails its attainment check
+        return c_max / c_min
 
     semi = half.T @ a.M_b @ half
     semi_cmin, semi_cmax = equivalence_constants(oplab.make_space(nb, 0.5 * (semi + semi.T)), h1bnd)

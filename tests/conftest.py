@@ -42,6 +42,15 @@ def check_coupling(a: fem2d.Assembly) -> None:
     assert not np.delete(kib, ring, axis=0).any()
 
 
+def check_range_space_pinv(a: fem2d.Assembly) -> None:
+    """``tracescale._trace_pinv``, the range-space Lambda = X C^-1, against
+    the SVD pinv of the trace operator and the extension matrix Z, to 1e-12."""
+    lam = tracescale._trace_pinv(a)
+    assert lam.mat.shape == (a.mesh.n_nodes, a.M_b.shape[0])
+    assert np.abs(lam.mat - oplab.pinv(fem2d.op_trace(a)).mat).max() <= 1e-12
+    assert np.abs(lam.mat - tracescale._extension_matrix(a)).max() <= 1e-12
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

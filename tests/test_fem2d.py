@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tracelab import fem2d, oplab, tracescale
 from tracelab.errors import BadParameter, DegenerateElement, DimensionMismatch, GramNotPD
 
-from conftest import asm, check_coupling, embed_domain
+from conftest import asm, check_coupling, check_range_space_pinv, embed_domain
 
 DYADIC = [1, 2, 4, 8, 16, 32]
 AREA = {"interval": 1.0, "square": 1.0, "lshape": 0.75}
@@ -438,6 +438,11 @@ class TestRenumberedMesh:
         g = np.random.default_rng(seed).standard_normal((mesh.boundary_nodes.size, 2))
         z = tracescale.harmonic_extension(a, g)
         assert np.abs(tracescale.harmonic_extension(b, g)[perm] - z).max() <= 1e-12 * max(np.abs(z).max(), 1.0)
+
+    @given(case=renumbered_meshes())
+    def test_range_space_pinv_of_wide_bands(self, case):
+        # G's band spreads over many wide diagonals, and the boundary nodes are scattered
+        check_range_space_pinv(fem2d.assemble(renumbered(*case)))
 
     @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_condensed_solvers_follow_the_permutation(self, case, seed):

@@ -1,4 +1,4 @@
-"""Property tests: the Jacobi kernels against the numpy oracle on structured inputs.
+"""Property tests: the Jacobi kernels and extreme_eigh against the numpy oracle on structured inputs.
 
 Hypothesis draws the structure (size, spectrum kind, seed); numpy builds the
 matrix from it.  Tolerances are those of test_kernels.py.
@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracelab import kernels
-from tracelab.errors import NotSymmetric
+from tracelab.errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotSymmetric
 
 KINDS = ("gaussian", "repeated", "clustered", "graded", "zero")
 sizes = st.integers(1, 64)
@@ -226,3 +226,103 @@ def test_svd_far_from_one_drawn(kind, rows, cols, seed, scale):
     _, s, _ = kernels.jacobi_svd(m)
     ref = np.linalg.svd(m, compute_uv=False)
     assert np.abs(s - ref).max() <= 1e-13 * ref.max()
+
+
+def check_extremes(a, vals, vecs):
+    """extreme_eigh's pairs against the numpy oracle at check_eigh's tolerances, and its certificate."""
+    n = a.shape[0]
+    ref = np.linalg.eigvalsh(a)
+    scale = max(np.abs(ref).max(initial=0.0), 1.0)
+    assert vals.shape == (2,) and vecs.shape == (n, 2)
+    assert np.abs(vals - ref[[0, -1]]).max() <= 1e-12 * scale
+    assert np.abs(np.linalg.norm(vecs, axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(a @ vecs - vecs * vals).max() <= 1e-12 * scale
+    # both ends enclose the spectrum: the shifted matrices factor
+    np.linalg.cholesky(a - vals[0] * np.eye(n))
+    np.linalg.cholesky(vals[1] * np.eye(n) - a)
+
+
+@given(kind=kinds, n=sizes, seed=seeds)
+@example(kind="gaussian", n=64, seed=0)
+@example(kind="repeated", n=33, seed=1)
+@example(kind="repeated", n=2, seed=5)
+@example(kind="clustered", n=64, seed=2)
+@example(kind="graded", n=31, seed=3)
+@example(kind="zero", n=5, seed=0)
+@example(kind="gaussian", n=1, seed=4)
+def test_extreme_eigh_matches_oracle(kind, n, seed):
+    a = symmetric(kind, n, seed)
+    check_extremes(a, *kernels.extreme_eigh(a))
+
+
+@given(kind=st.sampled_from(KINDS[:-1]), n=sizes, seed=seeds, k=st.integers(-500, 500))
+@example(kind="gaussian", n=64, seed=0, k=-500)
+@example(kind="graded", n=33, seed=1, k=500)
+def test_extreme_eigh_scales_exactly(kind, n, seed, k):
+    # an even power of two scales every step of a Cholesky factorization exactly;
+    # a zero matrix has no scale, its bracket closes around 0 at EXTREME_TOL * n
+    a = symmetric(kind, n, seed)
+    k = _exact_shift(a, 2 * k)
+    k -= k % 2
+    big = np.ldexp(a, k)
+    assert np.array_equal(np.ldexp(big, -k), a)
+    vals, vecs = kernels.extreme_eigh(a)
+    big_vals, big_vecs = kernels.extreme_eigh(big)
+    assert np.array_equal(big_vals, np.ldexp(vals, k))
+    assert np.array_equal(big_vecs, vecs)
+
+
+@pytest.mark.parametrize("scale", MAGNITUDES)
+def test_extreme_far_from_one_matches_lapack(scale):
+    a = np.array([[1.0, 1.0], [1.0, 0.0]]) * scale
+    vals, vecs = kernels.extreme_eigh(a)
+    ref = np.linalg.eigvalsh(a)
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(vecs.T @ vecs - np.eye(2)).max() <= 1e-13
+
+
+@given(kind=kinds, n=st.integers(1, 24), seed=seeds, scale=st.sampled_from(MAGNITUDES))
+def test_extreme_far_from_one_drawn(kind, n, seed, scale):
+    a = symmetric(kind, n, seed) * scale
+    vals, _ = kernels.extreme_eigh(a)
+    ref = np.linalg.eigvalsh(a)[[0, -1]]
+    if kind == "zero":
+        # the bracket of a zero matrix closes around 0 at EXTREME_TOL * n
+        assert np.abs(vals).max() <= kernels.EXTREME_TOL * n
+    else:
+        assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+def test_extreme_eigh_rejects_shapes(shape):
+    with pytest.raises(DimensionMismatch):
+        kernels.extreme_eigh(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extreme_eigh_rejects_non_finite(bad):
+    a = np.eye(3)
+    a[0, 2] = a[2, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        kernels.extreme_eigh(a)
+
+
+@given(kind=kinds, n=st.integers(2, 64), seed=seeds, skew=st.floats(1e-11, 1.0))
+def test_extreme_eigh_rejects_asymmetry(kind, n, seed, skew):
+    a = symmetric(kind, n, seed)
+    i, j = np.random.default_rng(seed).choice(n, 2, replace=False)
+    a[i, j] += skew * max(float(np.abs(a).max()), 1.0)
+    with pytest.raises(NotSymmetric):
+        kernels.extreme_eigh(a)
+
+
+def test_extreme_eigh_raises_when_steps_run_out(monkeypatch):
+    a = symmetric("gaussian", 8, 0)
+    monkeypatch.setattr(kernels, "EXTREME_STEPS", 1)
+    with pytest.raises(NoConvergence) as info:
+        kernels.extreme_eigh(a)
+    assert info.value.kernel == "extreme_eigh"
+    assert info.value.sweeps == 1
+    assert info.value.off_norm > 0.0
+    monkeypatch.undo()
+    kernels.extreme_eigh(a)  # the cap, not the input, was short

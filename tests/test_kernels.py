@@ -3,7 +3,7 @@
 The kernels are self-contained on purpose; numpy's LAPACK routines only
 appear here, as independent oracles.  The generalized eigenproblem of two
 Grams is no kernel of its own: equivalence_constants reduces it with the
-Cholesky factor stored by make_space and hands the result to jacobi_eigh,
+Cholesky factor stored by make_space and hands the result to extreme_eigh,
 so its input checks are exercised here through that path.
 """
 
@@ -203,9 +203,10 @@ class TestNonFiniteInput:
     def test_gen_eigh(self, bad, monkeypatch):
         # a non-finite Gram is refused when its space is built, before any kernel sees it
         def no_kernel(*args, **kwargs):
-            raise AssertionError("a non-finite Gram reached jacobi_eigh")
+            raise AssertionError("a non-finite Gram reached an eigen kernel")
 
         monkeypatch.setattr(kernels, "jacobi_eigh", no_kernel)
+        monkeypatch.setattr(kernels, "extreme_eigh", no_kernel)
         a = np.array([[2.0, bad], [bad, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             generalized_constants(a, np.eye(2))

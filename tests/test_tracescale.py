@@ -7,7 +7,6 @@ residual gates.
 
 import dataclasses
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from tracelab.errors import (
 )
 from tracelab.report import Recorder
 
-from conftest import asm, check_coupling, embed_domain
+from conftest import asm, check_coupling, check_range_space_pinv, embed_domain
 
 MESH_SAMPLE = [("interval", 8), ("square", 4), ("lshape", 4)]
 
@@ -1102,19 +1101,45 @@ class TestSuiteHhalf:
 
 class TestTracePinv:
     def test_trace_operator_dies_after_trace_pinv(self, monkeypatch):
-        # the trace operator's SVD lives on the operator, so neither outlives the pinv
-        refs = []
+        # the range-space route makes neither a trace SVD nor the 0/1 trace matrix
+        made = []
 
         def op_trace(a):
-            op = fem2d.op_trace(a)
-            refs.append(weakref.ref(op))
-            return op
+            made.append("op_trace")
+            return fem2d.op_trace(a)
 
+        def svd(*args, **kw):
+            made.append("jacobi_svd")
+            return original_svd(*args, **kw)
+
+        original_svd = kernels.jacobi_svd
         monkeypatch.setattr(tracescale, "op_trace", op_trace)
+        monkeypatch.setattr(kernels, "jacobi_svd", svd)
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so _trace_pinv runs
         lam = tracescale._trace_pinv(a)
-        assert len(refs) == 1 and refs[0]() is None
+        assert made == []
         assert np.abs(lam.mat[a.mesh.boundary_nodes] - np.eye(16)).max() <= 1e-12
+
+    # lshape meshes need even refinement levels
+    @pytest.mark.parametrize(
+        "kind,n", [(k, n) for k in ("interval", "square") for n in (1, 2, 8)] + [("lshape", 2), ("lshape", 8)]
+    )
+    def test_range_space_matches_svd_pinv_and_extension(self, kind, n):
+        check_range_space_pinv(asm(kind, n))
+
+    def test_reads_g_alone(self, monkeypatch):
+        # Lambda takes G's band factor only: no interior factor, Schur complement,
+        # ring block, extension matrix, trace matrix or operator SVD
+        def refuse(*args, **kw):
+            raise AssertionError("_trace_pinv read a second path")
+
+        for name in ("_interior_chol", "_schur", "_coupling", "_extension_matrix", "op_trace"):
+            monkeypatch.setattr(tracescale, name, refuse)
+        monkeypatch.setattr(oplab.Operator, "svd", property(refuse))
+        a = fem2d.assemble(fem2d.gen_mesh("lshape", 4))  # fresh, so nothing is cached
+        lam = tracescale._trace_pinv(a)
+        assert np.abs(lam.mat[a.mesh.boundary_nodes] - np.eye(a.M_b.shape[0])).max() <= 1e-12
+
 
 
 class TestSuiteH1:
@@ -1148,24 +1173,33 @@ class TestSuiteH1:
 
 class TestDecompositionCounts:
     def test_square_level_makes_five_eigensolves(self, monkeypatch):
-        calls = []
-        eigh = kernels.jacobi_eigh
+        calls = {name: [] for name in ("jacobi_eigh", "jacobi_svd", "extreme_eigh")}
 
-        def counted(*args, **kw):
-            calls.append(args[0].shape)
-            return eigh(*args, **kw)
+        def counted(name):
+            kernel = getattr(kernels, name)
 
-        monkeypatch.setattr(kernels, "jacobi_eigh", counted)
+            def run(*args, **kw):
+                calls[name].append(args[0].shape)
+                return kernel(*args, **kw)
+
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counted(name))
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so no decomposition is cached
         for report in (
+            tracescale.suite_pde(a, trials=2, identity_samples=2),
             tracescale.suite_hhalf(a, trials=2),
             tracescale.suite_h1(a),
             tracescale.suite_interp(a, trials=2),
             tracescale.suite_dual(a),
         ):
             assert report.passed
-        # I + S once, the bridge operator of suite_h1 once, three equivalence constants
-        assert len(calls) == 5
+        # full eigensolves: I + S once, the bridge operator of suite_h1 once;
+        # extreme pairs: three equivalence constants and the two bridge conditions;
+        # no SVD, the trace pinv included
+        assert [len(c) for c in calls.values()] == [2, 0, 5]
+        assert set(calls["extreme_eigh"]) == {(16, 16)}
 
 
 NECAS_MAXIMA = ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max")

@@ -23,7 +23,8 @@ from pathlib import Path
 from report_drift import drift
 
 # the two benchmark workloads, the oplab population, every suite on small
-# interval/lshape levels, and the mesh suites at a coarse and a finer level
+# interval/lshape levels, the mesh suites at a coarse and a finer level, and
+# the H1 suites at nb = 256
 CONFIGS = {
     "scale-refine": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square", "--n", "8,16",
                      "--trials", "20", "--seed", "501"),
@@ -34,6 +35,7 @@ CONFIGS = {
                    "--n", "2,4,8", "--trials", "10", "--seed", "7"),
     "two-levels": ("--suite", "pde,hhalf,h1,interp,dual", "--mesh", "square,lshape", "--n", "2,32",
                    "--trials", "20", "--seed", "3"),
+    "h1-fine": ("--suite", "pde,hhalf,h1", "--mesh", "square", "--n", "64", "--trials", "5", "--seed", "11"),
 }
 
 
