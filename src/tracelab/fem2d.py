@@ -3,12 +3,15 @@ boundary-aware H1 geometry.
 
 Three mesh kinds: the unit interval, the unit square, and the L-shape
 (unit square minus its upper-right quarter).  Both 2-d kinds come from one
-masked grid, and their boundary loop is read off the element skeleton: the
-triangle sides that belong to one triangle, chained counterclockwise.
-Assembly produces the domain stiffness and mass as their few nonzero
-diagonals (``Band``) and dense arclength mass/stiffness matrices for the
-boundary polygon.  The trace is the index array ``mesh.boundary_nodes``;
-only ``op_trace`` makes it a 0/1 matrix.  A principal block of a band is
+masked grid.  The boundary of every mesh is read off its elements as
+facets, the element faces that belong to one element: the interval's two
+end points, a triangulation's boundary sides.  The boundary may have
+several components.  Assembly produces the domain stiffness and mass as
+their few nonzero diagonals (``Band``) and dense mass/stiffness matrices on
+the boundary facets; one routine (``_simplex_bands``) gives the point and
+segment matrices of the facets and of the interval's elements.  The trace
+is the index array ``mesh.boundary_nodes``, ascending; only ``op_trace``
+makes it a 0/1 matrix.  A principal block of a band is
 factored in blocks of the bandwidth (``block_factor``) and solved by block
 substitution (``block_solve``): the interior stiffness block of the solvers
 and the combined H1 Gram G of ``space_h1partial`` go through this one
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,30 +42,40 @@ def _frozen(arr, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """kind, refinement n (h = 1/n), node coordinates, element connectivity,
-    and the boundary trace.
+    """kind, refinement n (h = 1/n), node coordinates and element connectivity.
 
-    boundary_nodes is ordered: for the 2-d kinds the counterclockwise loop
-    read off the element skeleton (wrap implied), for the interval its two
-    endpoints.  The loop is stored once; ``boundary_edges`` derives its
-    consecutive pairs from it.
+    The boundary is read off the elements.  Face i of a k-vertex element is
+    its vertices i+1, ..., i+k-1 taken cyclically, and ``boundary_facets``
+    are the faces that belong to exactly one element: the two end points of
+    the interval, and the sides of a triangulation, each in its triangle's
+    counterclockwise order.  ``boundary_nodes`` are the facets' nodes in
+    ascending order.  The boundary may have several components.
     """
 
     kind: str
     refinement: int
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_nodes: np.ndarray
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def boundary_edges(self) -> np.ndarray:
-        """The consecutive loop pairs, the last closing the loop; none for the interval."""
-        loop = self.boundary_nodes[: 0 if self.kind == "interval" else None]
-        return _frozen(np.column_stack([loop, np.roll(loop, -1)]), np.intp)
+    @cached_property
+    def boundary_facets(self) -> np.ndarray:
+        k = self.elements.shape[1]
+        faces = self.elements[:, (np.arange(k)[:, None] + np.arange(1, k)) % k].reshape(-1, k - 1)
+        # one integer per unordered face, counted without np.unique's bare or
+        # axis=0 forms, which import numpy.ma
+        keys = np.ravel_multi_index(tuple(np.sort(faces, axis=1).T), (self.n_nodes,) * (k - 1))
+        _, which, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        return _frozen(faces[counts[which] == 1], np.intp)
+
+    @cached_property
+    def boundary_nodes(self) -> np.ndarray:
+        on = np.zeros(self.n_nodes, dtype=bool)
+        on[self.boundary_facets] = True
+        return _frozen(np.flatnonzero(on), np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +296,11 @@ class Assembly:
     """P1 matrices for one mesh.
 
     K: grad-grad form on the domain, a ``Band``.  M_dom: domain mass, a
-    ``Band``.  M_b: boundary mass in arclength (identity for the interval's
-    two-point boundary).  K_b: tangential boundary stiffness (zero for the
-    interval).  M_b and K_b are dense, on the boundary nodes in the order
-    of ``mesh.boundary_nodes``; the trace of v is ``v[mesh.boundary_nodes]``.
+    ``Band``.  M_b: boundary mass of the facets, in arclength (the counting
+    measure, the identity, on the interval's two end points).  K_b:
+    tangential boundary stiffness (zero on point facets).  M_b and K_b are
+    dense, on the boundary nodes in the ascending order of
+    ``mesh.boundary_nodes``; the trace of v is ``v[mesh.boundary_nodes]``.
     """
 
     mesh: Mesh
@@ -299,37 +313,7 @@ class Assembly:
 def _interval_mesh(n: int) -> Mesh:
     xs = np.linspace(0.0, 1.0, n + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return Mesh(
-        kind="interval",
-        refinement=n,
-        nodes=_frozen(xs, float),
-        elements=_frozen(elements, np.intp),
-        boundary_nodes=_frozen([0, n], np.intp),
-    )
-
-
-def _boundary_loop(tris: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The boundary of a triangulation as one closed loop of node indices.
-
-    The boundary sides are the triangle sides that belong to exactly one
-    triangle, each taken in its triangle's vertex order, so counterclockwise
-    elements give a counterclockwise loop.  It starts at the lowest boundary
-    node.  Raises BadParameter unless the sides form one simple closed loop.
-    """
-    sides = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = sides.min(axis=1) * n_nodes + sides.max(axis=1)
-    _, which, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    tail, head = sides[counts[which] == 1].T.tolist()
-    nxt = dict(zip(tail, head))
-    # leaving and entering each node once, the sides form disjoint cycles;
-    # they are one loop when the cycle through the lowest node holds them all
-    if len(nxt) == len(tail) >= 3 and set(head) == nxt.keys():
-        loop = [min(nxt)]
-        for _ in range(len(tail) - 1):
-            loop.append(nxt[loop[-1]])
-        if len(set(loop)) == len(tail):
-            return np.asarray(loop, dtype=np.intp)
-    raise BadParameter("the element boundary is not one simple closed loop")
+    return Mesh(kind="interval", refinement=n, nodes=_frozen(xs, float), elements=_frozen(elements, np.intp))
 
 
 def _grid_mesh(kind: str, n: int) -> Mesh:
@@ -348,13 +332,7 @@ def _grid_mesh(kind: str, n: int) -> Mesh:
     quads = number[quads[keep[quads].all(axis=1)]]
     tris = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     nodes = np.column_stack([i / n, j / n])[keep]
-    return Mesh(
-        kind=kind,
-        refinement=n,
-        nodes=_frozen(nodes, float),
-        elements=_frozen(tris, np.intp),
-        boundary_nodes=_frozen(_boundary_loop(tris, nodes.shape[0]), np.intp),
-    )
+    return Mesh(kind=kind, refinement=n, nodes=_frozen(nodes, float), elements=_frozen(tris, np.intp))
 
 
 def gen_mesh(kind: str, n: int) -> Mesh:
@@ -371,30 +349,33 @@ def gen_mesh(kind: str, n: int) -> Mesh:
     return _interval_mesh(n) if kind == "interval" else _grid_mesh(kind, n)
 
 
-_SEG_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
-_SEG_STIFF = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _segment_matrices(idx: np.ndarray, h: np.ndarray, size: int, what: str):
-    """Stiffness and mass bands of P1 segments of lengths ``h`` on nodes ``idx``."""
-    if np.any(h <= 0.0):
-        raise DegenerateElement(f"non-positive {what} length")
-    mass = _SEG_MASS * (h / 6.0)[:, None, None]
-    stiff = _SEG_STIFF / h[:, None, None]
+def _simplex_bands(idx: np.ndarray, vol: np.ndarray, size: int, what: str) -> tuple[Band, Band]:
+    """Stiffness and mass bands of P1 points or segments of measures ``vol`` on indices ``idx``.
+
+    A k-vertex one (k = 1, 2) of measure vol has stiffness (k I - 1 1')/vol
+    and mass vol (1 + delta_ij) / (k (k+1)): a point (vol 1) carries unit
+    mass and no stiffness, a segment the hat-function matrices of its length.
+    """
+    if np.any(vol <= 0.0):
+        raise DegenerateElement(f"non-positive {what} measure")
+    k = idx.shape[1]
+    stiff = (k * np.eye(k) - 1.0) / vol[:, None, None]
+    mass = (vol[:, None, None] * (1.0 + np.eye(k))) / (k * (k + 1))
     return Band.scatter(idx, stiff, size), Band.scatter(idx, mass, size)
 
 
-def _assemble_interval(mesh: Mesh):
-    xs = mesh.nodes[:, 0]
-    h = xs[mesh.elements[:, 1]] - xs[mesh.elements[:, 0]]
-    k, m = _segment_matrices(mesh.elements, h, mesh.n_nodes, "segment")
-    m_b = np.eye(2)          # counting measure on the two endpoints
-    k_b = np.zeros((2, 2))
-    return k, m, m_b, k_b
+def _facet_measure(mesh: Mesh) -> np.ndarray:
+    """The measure of each boundary facet: 1 for a point, the length of a
+    segment.  These are the facets of 1-d and 2-d meshes; the product of
+    edge lengths is no measure for larger facets."""
+    pts = mesh.nodes[mesh.boundary_facets]
+    return np.prod(np.linalg.norm(pts[:, 1:] - pts[:, :1], axis=2), axis=1)
 
 
-def _assemble_triangles(mesh: Mesh):
+def _triangle_bands(mesh: Mesh) -> tuple[Band, Band]:
     nn = mesh.n_nodes
     tris = mesh.elements
     x = mesh.nodes[tris, 0]                  # (ne, 3) vertex coordinates
@@ -408,27 +389,20 @@ def _assemble_triangles(mesh: Mesh):
     outer = bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
     k = Band.scatter(tris, outer / (4.0 * area)[:, None, None], nn)
     m = Band.scatter(tris, area[:, None, None] * _TRI_MASS, nn)
-
-    nb = mesh.boundary_nodes.size
-    pos = np.empty(nn, dtype=np.intp)
-    pos[mesh.boundary_nodes] = np.arange(nb)
-    edges, h = _boundary_segments(mesh)
-    k_b, m_b = _segment_matrices(pos[edges], h, nb, "boundary edge")
-    return k, m, m_b.dense(), k_b.dense()
-
-
-def _boundary_segments(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The boundary loop's edges, as pairs of node indices, and their lengths."""
-    edges = mesh.boundary_edges
-    return edges, np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    return k, m
 
 
 def assemble(mesh: Mesh) -> Assembly:
     """Exact P1 matrices (consistent mass, closed-form element integrals)."""
-    if mesh.kind == "interval":
-        k, m, m_b, k_b = _assemble_interval(mesh)
+    el = mesh.elements
+    if el.shape[1] == 2:  # segments of the line, oriented left to right
+        x = mesh.nodes[el, 0]
+        k, m = _simplex_bands(el, x[:, 1] - x[:, 0], mesh.n_nodes, "segment")
     else:
-        k, m, m_b, k_b = _assemble_triangles(mesh)
+        k, m = _triangle_bands(mesh)
+    pos = np.searchsorted(mesh.boundary_nodes, mesh.boundary_facets)
+    k_b, m_b = _simplex_bands(pos, _facet_measure(mesh), mesh.boundary_nodes.size, "boundary facet")
+    m_b, k_b = m_b.dense(), k_b.dense()
     for mat in (m_b, k_b):
         mat.setflags(write=False)  # fresh float arrays: frozen in place, not copied
     return Assembly(mesh=mesh, K=k, M_dom=m, M_b=m_b, K_b=k_b)
@@ -456,17 +430,14 @@ def space_h1partial(a: Assembly) -> BandSpace:
     """The combined H1 space of one assembly: Gram G = K plus M_b on the boundary block.
 
     G is the inner product (grad u, grad v) + (u, v) on the boundary, a band:
-    K plus the boundary-edge segment masses scattered with node indices (the
-    interval's counting measure puts M_b's 1s on its two endpoints).  Each
-    entry sums the terms of K.dense() + R' M_b R in the same order.  Its one
-    factorization is ``block_factor``'s, so neither G nor its factor is an
-    n_nodes x n_nodes array.
+    K plus the facet masses of ``assemble``'s M_b, scattered with node
+    indices instead of boundary positions.  Each entry sums the terms of
+    K.dense() + R' M_b R in the same order.  Its one factorization is
+    ``block_factor``'s, so neither G nor its factor is an n_nodes x n_nodes
+    array.
     """
     mesh = a.mesh
-    if mesh.kind == "interval":
-        m_b = Band.scatter(mesh.boundary_nodes[:, None], np.ones((2, 1, 1)), mesh.n_nodes)
-    else:
-        _, m_b = _segment_matrices(*_boundary_segments(mesh), mesh.n_nodes, "boundary edge")
+    _, m_b = _simplex_bands(mesh.boundary_facets, _facet_measure(mesh), mesh.n_nodes, "boundary facet")
     return band_space(a.K + m_b)
 
 
@@ -501,8 +472,8 @@ def dump_mesh(mesh: Mesh, path: str | None = None) -> str:
     """Plain-text mesh dump: sections `nodes`, `elements`, `boundary`.
 
     One node per line (coordinates), one element per line (node indices),
-    then the ordered boundary node indices one per line.  Indices are
-    0-based; line order defines node/element ids.
+    then the boundary node indices in ascending order, one per line.
+    Indices are 0-based; line order defines node/element ids.
     """
     lines = ["nodes"]
     for p in mesh.nodes:

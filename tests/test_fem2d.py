@@ -37,8 +37,8 @@ class TestGenMesh:
         assert m.n_nodes == 2
         assert m.nodes[:, 0].tolist() == [0.0, 1.0]
         assert m.elements.tolist() == [[0, 1]]
-        assert sorted(m.boundary_nodes.tolist()) == [0, 1]
-        assert m.boundary_edges.shape == (0, 2)
+        assert m.boundary_nodes.tolist() == [0, 1]
+        assert m.boundary_facets.tolist() == [[1], [0]]
 
     def test_interval_counts(self):
         m = fem2d.gen_mesh("interval", 8)
@@ -63,9 +63,7 @@ class TestGenMesh:
     def test_lshape_geometry(self):
         m = fem2d.gen_mesh("lshape", 2)
         assert sum(tri_area(m.nodes, el) for el in m.elements) == pytest.approx(0.75)
-        total = sum(
-            np.linalg.norm(m.nodes[a] - m.nodes[b]) for a, b in m.boundary_edges
-        )
+        total = sum(np.linalg.norm(m.nodes[a] - m.nodes[b]) for a, b in m.boundary_facets)
         assert total == pytest.approx(4.0)
 
     def test_lshape_excludes_quadrant(self):
@@ -93,21 +91,26 @@ class TestGenMesh:
         assert m.n_nodes == 9
         assert np.array_equal(m.elements, fem2d.gen_mesh("square", 2).elements)
 
-    @pytest.mark.parametrize("kind,n", [("square", 4), ("lshape", 4)])
-    def test_boundary_loop_closed(self, kind, n):
-        m = fem2d.gen_mesh(kind, n)
-        loop = m.boundary_nodes.tolist()
-        edges = [tuple(e) for e in m.boundary_edges.tolist()]
-        expected = [
-            (loop[i], loop[(i + 1) % len(loop)]) for i in range(len(loop))
-        ]
-        assert edges == expected
-        assert len(set(loop)) == len(loop)
-
     @pytest.mark.parametrize("kind,n", [("interval", 3), ("square", 2), ("lshape", 4)])
     def test_reports_carry_the_mesh_refinement(self, kind, n):
         mesh = dataclasses.replace(fem2d.gen_mesh(kind, n), refinement=7)
         assert tracescale.suite_interp(fem2d.assemble(mesh), trials=2).n == 7
+
+    @pytest.mark.parametrize("kind,n", list(all_cells()))
+    def test_boundary_loop_closed(self, kind, n):
+        m = fem2d.gen_mesh(kind, n)
+        facets = m.boundary_facets
+        assert not facets.flags.writeable and not m.boundary_nodes.flags.writeable
+        assert np.array_equal(m.boundary_nodes, np.unique(facets.ravel()))
+        if kind == "interval":
+            assert sorted(facets.tolist()) == [[0], [n]]  # two point facets
+            return
+        # the boundary of the boundary is empty: each boundary node is the tail
+        # of as many facets as it is the head of
+        tails = np.bincount(facets[:, 0], minlength=m.n_nodes)
+        heads = np.bincount(facets[:, 1], minlength=m.n_nodes)
+        assert np.array_equal(tails, heads)
+        assert np.array_equal(np.flatnonzero(tails), m.boundary_nodes)
 
     @pytest.mark.parametrize("kind,n", [("square", 1), ("square", 2), ("square", 7), ("lshape", 2), ("lshape", 6)])
     def test_matches_cell_loop_bitwise(self, kind, n):
@@ -128,9 +131,9 @@ class TestGenMesh:
 
 
 def shoelace(mesh):
-    """Signed area enclosed by the boundary loop: positive when it runs counterclockwise."""
-    x, y = mesh.nodes[mesh.boundary_nodes].T
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """Signed area enclosed by the boundary facets: positive when each runs counterclockwise around the domain."""
+    (x0, y0), (x1, y1) = mesh.nodes[mesh.boundary_facets].transpose(1, 2, 0)
+    return 0.5 * float(np.sum(x0 * y1 - x1 * y0))
 
 
 def looped_grid(n, skip=lambda i, j: False):
@@ -147,31 +150,43 @@ def looped_grid(n, skip=lambda i, j: False):
     return np.array([(i / n, j / n) for i, j in used]), np.array(tris, dtype=np.intp)
 
 
+def frame_mesh(n):
+    """The unit square less the block [1/4, 3/4]^2: a domain whose boundary has two components."""
+    nodes, tris = looped_grid(n, lambda i, j: n <= 4 * i < 3 * n and n <= 4 * j < 3 * n)
+    return fem2d.Mesh(kind="frame", refinement=n, nodes=nodes, elements=tris)
+
+
 class TestBoundaryLoop:
+    """The boundary facets of a triangulation: one closed loop per boundary component."""
+
     @pytest.mark.parametrize(
-        "kind,loop", [("square", [0, 1, 2, 5, 8, 7, 6, 3]), ("lshape", [0, 1, 2, 5, 4, 7, 6, 3])]
+        "kind,loop",
+        [
+            ("square", ([0, 1, 2, 3, 5, 6, 7, 8], [[0, 1], [3, 0], [2, 5], [1, 2], [7, 6], [6, 3], [5, 8], [8, 7]])),
+            ("lshape", ([0, 1, 2, 3, 4, 5, 6, 7], [[0, 1], [3, 0], [2, 5], [1, 2], [5, 4], [4, 7], [7, 6], [6, 3]])),
+        ],
     )
     def test_exact_loop_at_n2(self, kind, loop):
-        # reports are byte-identical only while the loop keeps this start and order
-        assert fem2d.gen_mesh(kind, 2).boundary_nodes.tolist() == loop
+        # reports are byte-identical only while the boundary keeps this order:
+        # ascending nodes, and the facets in element order
+        m = fem2d.gen_mesh(kind, 2)
+        assert m.boundary_nodes.tolist() == loop[0]
+        assert m.boundary_facets.tolist() == loop[1]
 
-    @pytest.mark.parametrize("kind,n", [(k, n) for k in ("square", "lshape") for n in (2, 4, 6, 16)])
+    @pytest.mark.parametrize("kind,n", [c for c in all_cells() if c[0] != "interval"] + [("square", 6), ("lshape", 6)])
     def test_counterclockwise_enclosing_the_domain(self, kind, n):
         assert shoelace(fem2d.gen_mesh(kind, n)) == pytest.approx(AREA[kind], abs=1e-14)
 
-    @pytest.mark.parametrize(
-        "tris,n_nodes",
-        [
-            ([[0, 1, 2], [3, 4, 5]], 6),  # two disjoint triangles: two loops
-            ([[0, 1, 2], [0, 3, 4]], 5),  # a bow-tie: node 0 is left twice
-            ([[0, 1, 2], [0, 1, 3]], 4),  # one triangle flipped: side 0-1 is inside, node 1 is left twice
-            (looped_grid(3, lambda i, j: (i, j) == (1, 1))[1], 16),  # an annulus: two loops
-        ],
-        ids=["disjoint", "bow-tie", "flipped", "annulus"],
-    )
-    def test_not_one_simple_loop_rejected(self, tris, n_nodes):
-        with pytest.raises(BadParameter, match="simple closed loop"):
-            fem2d._boundary_loop(np.asarray(tris, dtype=np.intp), n_nodes)
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_two_boundary_components(self, n):
+        # x' Q_{1/2} x = |Omega| + 2 int x^2 ds = 3/4 + 2 (5/3 + 7/12) over the outer and inner squares
+        a = fem2d.assemble(frame_mesh(n))
+        assert a.mesh.boundary_nodes.size == 6 * n
+        assert shoelace(a.mesh) == pytest.approx(0.75, abs=1e-14)
+        x = a.mesh.nodes[a.mesh.boundary_nodes, 0]
+        assert abs(float(x @ tracescale.hs_gram(a, 0.5).gram @ x) / (21.0 / 4.0) - 1.0) <= 1e-12
+        ones = np.ones(a.mesh.boundary_nodes.size)
+        assert np.abs(tracescale._s_operator(a).mat @ ones - ones).max() <= 1e-12
 
 
 def looped_assembly(mesh):
@@ -185,25 +200,29 @@ def looped_assembly(mesh):
             sl = np.ix_((a, b), (a, b))
             k[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
             m[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
-        return k, m, np.eye(2), np.zeros((2, 2))
-    m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    for tri in mesh.elements:
-        pts = mesh.nodes[tri]
-        e1 = pts[1] - pts[0]
-        e2 = pts[2] - pts[0]
-        area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-        bvec = np.array([pts[1, 1] - pts[2, 1], pts[2, 1] - pts[0, 1], pts[0, 1] - pts[1, 1]])
-        cvec = np.array([pts[2, 0] - pts[1, 0], pts[0, 0] - pts[2, 0], pts[1, 0] - pts[0, 0]])
-        sl = np.ix_(tri, tri)
-        k[sl] += (np.outer(bvec, bvec) + np.outer(cvec, cvec)) / (4.0 * area)
-        m[sl] += area * m_loc
+    else:
+        m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        for tri in mesh.elements:
+            pts = mesh.nodes[tri]
+            e1 = pts[1] - pts[0]
+            e2 = pts[2] - pts[0]
+            area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+            bvec = np.array([pts[1, 1] - pts[2, 1], pts[2, 1] - pts[0, 1], pts[0, 1] - pts[1, 1]])
+            cvec = np.array([pts[2, 0] - pts[1, 0], pts[0, 0] - pts[2, 0], pts[1, 0] - pts[0, 0]])
+            sl = np.ix_(tri, tri)
+            k[sl] += (np.outer(bvec, bvec) + np.outer(cvec, cvec)) / (4.0 * area)
+            m[sl] += area * m_loc
     nb = mesh.boundary_nodes.size
     pos = {int(node): i for i, node in enumerate(mesh.boundary_nodes)}
     m_b = np.zeros((nb, nb))
     k_b = np.zeros((nb, nb))
-    for a, b in mesh.boundary_edges:
-        h = float(np.linalg.norm(mesh.nodes[b] - mesh.nodes[a]))
-        sl = np.ix_((pos[int(a)], pos[int(b)]), (pos[int(a)], pos[int(b)]))
+    for facet in mesh.boundary_facets:
+        at = [pos[int(v)] for v in facet]
+        if len(at) == 1:  # a point facet carries the counting measure
+            m_b[at[0], at[0]] += 1.0
+            continue
+        h = float(np.linalg.norm(mesh.nodes[facet[1]] - mesh.nodes[facet[0]]))
+        sl = np.ix_(at, at)
         m_b[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
         k_b[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
     return k, m, m_b, k_b
@@ -284,7 +303,6 @@ class TestAssemble:
             refinement=2,
             nodes=np.array([[0.0], [0.0], [1.0]]),
             elements=m.elements,
-            boundary_nodes=m.boundary_nodes,
         )
         with pytest.raises(DegenerateElement):
             fem2d.assemble(bad)
@@ -298,7 +316,17 @@ class TestAssemble:
             refinement=1,
             nodes=nodes,
             elements=m.elements,
-            boundary_nodes=m.boundary_nodes,
+        )
+        with pytest.raises(DegenerateElement):
+            fem2d.assemble(bad)
+
+    def test_flipped_triangle_rejected(self):
+        # the second triangle runs clockwise: side 0-1 is shared, and its area is negative
+        bad = fem2d.Mesh(
+            kind="square",
+            refinement=1,
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+            elements=np.array([[0, 1, 2], [0, 1, 3]]),
         )
         with pytest.raises(DegenerateElement):
             fem2d.assemble(bad)
@@ -391,7 +419,7 @@ class TestBands:
 
 
 def renumbered(mesh, perm):
-    """``mesh`` with node i renamed perm[i]: the same elements and loop, in a new node order."""
+    """``mesh`` with node i renamed perm[i]: the same elements and facets, in a new node order."""
     nodes = np.empty_like(mesh.nodes)
     nodes[perm] = mesh.nodes
     return fem2d.Mesh(
@@ -399,8 +427,12 @@ def renumbered(mesh, perm):
         refinement=mesh.refinement,
         nodes=nodes,
         elements=perm[mesh.elements],
-        boundary_nodes=perm[mesh.boundary_nodes],
     )
+
+
+def boundary_positions(mesh, perm):
+    """Where each boundary node of ``mesh`` sits in the ascending boundary of ``renumbered(mesh, perm)``."""
+    return np.argsort(np.argsort(perm[mesh.boundary_nodes]))
 
 
 @st.composite
@@ -412,6 +444,13 @@ def renumbered_meshes(draw):
 
 
 class TestRenumberedMesh:
+    @given(case=renumbered_meshes())
+    def test_facets_follow_the_permutation(self, case):
+        mesh, perm = case
+        moved = renumbered(mesh, perm)
+        assert np.array_equal(moved.boundary_facets, perm[mesh.boundary_facets])
+        assert np.array_equal(moved.boundary_nodes, np.sort(perm[mesh.boundary_nodes]))
+
     # a random node order spreads K over many wide diagonals, away from the grid's offsets
     @given(case=renumbered_meshes())
     def test_bands_follow_the_permutation(self, case):
@@ -422,7 +461,8 @@ class TestRenumberedMesh:
             expected = np.empty((mesh.n_nodes, mesh.n_nodes))
             expected[np.ix_(perm, perm)] = orig.dense()
             assert np.array_equal(new.dense(), expected)
-        assert np.array_equal(b.M_b, a.M_b) and np.array_equal(b.K_b, a.K_b)
+        at = np.ix_(*(boundary_positions(mesh, perm),) * 2)
+        assert np.array_equal(b.M_b[at], a.M_b) and np.array_equal(b.K_b[at], a.K_b)
 
     @given(case=renumbered_meshes())
     def test_coupling_of_wide_bands(self, case):
@@ -436,8 +476,10 @@ class TestRenumberedMesh:
         a = asm(mesh.kind, mesh.boundary_nodes.size // 4)
         b = fem2d.assemble(renumbered(mesh, perm))
         g = np.random.default_rng(seed).standard_normal((mesh.boundary_nodes.size, 2))
+        g_new = np.empty_like(g)
+        g_new[boundary_positions(mesh, perm)] = g
         z = tracescale.harmonic_extension(a, g)
-        assert np.abs(tracescale.harmonic_extension(b, g)[perm] - z).max() <= 1e-12 * max(np.abs(z).max(), 1.0)
+        assert np.abs(tracescale.harmonic_extension(b, g_new)[perm] - z).max() <= 1e-12 * max(np.abs(z).max(), 1.0)
 
     @given(case=renumbered_meshes())
     def test_range_space_pinv_of_wide_bands(self, case):
@@ -453,12 +495,13 @@ class TestRenumberedMesh:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((mesh.boundary_nodes.size, 2))
         f = rng.standard_normal((mesh.n_nodes, 2))
-        f_new = np.empty_like(f)
-        f_new[perm] = f
+        at = boundary_positions(mesh, perm)
+        g_new, f_new = np.empty_like(g), np.empty_like(f)
+        g_new[at], f_new[perm] = g, f
         for new, old in (
-            (tracescale.robin_solve(b, g)[perm], tracescale.robin_solve(a, g)),
+            (tracescale.robin_solve(b, g_new)[perm], tracescale.robin_solve(a, g)),
             (tracescale.poisson_robin(b, f_new)[perm], tracescale.poisson_robin(a, f)),
-            (tracescale._s_operator(b).mat, tracescale._s_operator(a).mat),
+            (tracescale._s_operator(b).mat[np.ix_(at, at)], tracescale._s_operator(a).mat),
         ):
             assert np.abs(new - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0)
 

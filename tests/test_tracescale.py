@@ -428,7 +428,7 @@ class TestProjectionIdentities:
         def no_matrix(a):
             raise AssertionError("the trace's 0/1 matrix was built")
 
-        monkeypatch.setattr(tracescale, "op_trace", no_matrix)  # _trace_pinv is cached above
+        monkeypatch.setattr(fem2d, "op_trace", no_matrix)  # _trace_pinv is cached above
         got = projection_residuals(a)
         assert [name for name, _ in got] == [name for name, _ in reference]
         for (_, value), (_, ref) in zip(got, reference):
@@ -1101,7 +1101,8 @@ class TestSuiteHhalf:
 
 class TestTracePinv:
     def test_trace_operator_dies_after_trace_pinv(self, monkeypatch):
-        # the range-space route makes neither a trace SVD nor the 0/1 trace matrix
+        # the range-space route makes neither a trace SVD nor the 0/1 trace matrix,
+        # and neither does the pde suite's Robin twin
         made = []
 
         def op_trace(a):
@@ -1113,12 +1114,15 @@ class TestTracePinv:
             return original_svd(*args, **kw)
 
         original_svd = kernels.jacobi_svd
-        monkeypatch.setattr(tracescale, "op_trace", op_trace)
+        assert not hasattr(tracescale, "op_trace")  # so the patch below reaches every caller
+        monkeypatch.setattr(fem2d, "op_trace", op_trace)
         monkeypatch.setattr(kernels, "jacobi_svd", svd)
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so _trace_pinv runs
         lam = tracescale._trace_pinv(a)
         assert made == []
         assert np.abs(lam.mat[a.mesh.boundary_nodes] - np.eye(16)).max() <= 1e-12
+        assert tracescale.suite_pde(a, trials=3, identity_samples=3).passed
+        assert made == []
 
     # lshape meshes need even refinement levels
     @pytest.mark.parametrize(
@@ -1133,8 +1137,9 @@ class TestTracePinv:
         def refuse(*args, **kw):
             raise AssertionError("_trace_pinv read a second path")
 
-        for name in ("_interior_chol", "_schur", "_coupling", "_extension_matrix", "op_trace"):
+        for name in ("_interior_chol", "_schur", "_coupling", "_extension_matrix"):
             monkeypatch.setattr(tracescale, name, refuse)
+        monkeypatch.setattr(fem2d, "op_trace", refuse)
         monkeypatch.setattr(oplab.Operator, "svd", property(refuse))
         a = fem2d.assemble(fem2d.gen_mesh("lshape", 4))  # fresh, so nothing is cached
         lam = tracescale._trace_pinv(a)
