@@ -1,5 +1,6 @@
 """Dense spectral kernels: odd-even Jacobi eigensolver, one-sided Jacobi SVD,
-and the certified extreme eigenpairs of a symmetric matrix.
+the certified extreme eigenpairs of a symmetric matrix, and the square root
+of a positive definite one.
 
 Self-contained rotations keep these independent of LAPACK's eigen/SVD drivers,
 so library routines stay available as cross-checking oracles in the tests.
@@ -38,6 +39,12 @@ factor.  It uses numpy's Cholesky and inverse alone, keeps the scaling (by
 an even power of two, which scales a Cholesky exactly), NonFiniteInput and
 NotSymmetric of ``jacobi_eigh``, and raises NoConvergence past EXTREME_STEPS
 shifts.
+
+``spd_sqrt`` returns a^(1/2) and a^(-1/2) from the Cholesky factor R and
+its orthogonal polar factor, by the scaled Newton iteration: numpy's
+Cholesky and LU inverse only, the same even-power-of-two scaling, and
+NotPositiveDefinite where the Cholesky fails.
+
 The rank rule and the pseudo-inverse read an SVD the caller already holds.
 Intended scale is desk-size dense matrices (a few hundred rows).
 """
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotSymmetric
+from .errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotPositiveDefinite, NotSymmetric
 
 # Machine epsilon for float64; rank decisions key off this.
 EPS = np.finfo(float).eps
@@ -64,6 +71,13 @@ EXTREME_TOL = 2.0 * EPS
 EXTREME_STEPS = 200
 # inverse-iteration steps behind each extreme eigenvector
 INVERSE_STEPS = 3
+# spd_sqrt's scaled Newton steps end once the relative update is at or below
+# POLAR_TOL.  The iterate's error is then about the update squared (1e-9 at
+# most, measured), and the final unscaled step squares it again, to rounding
+# level; at 1e-4 that step left 1e-14, at 1e-8 it cost half an inverse more
+# on average.  NoConvergence past POLAR_STEPS steps (cond 1e12 takes about 10)
+POLAR_TOL = 1e-5
+POLAR_STEPS = 30
 
 
 def _finite(m, kernel: str) -> np.ndarray:
@@ -293,6 +307,55 @@ def extreme_eigh(a: np.ndarray):
     low, v_low = _lowest(scaled, width, start)
     high, v_high = _lowest(-scaled, width, start)
     return np.ldexp(np.array([low, -high]), e), np.column_stack([v_low, v_high])
+
+
+def spd_sqrt(a: np.ndarray):
+    """The square root of a symmetric positive definite matrix, and its inverse.
+
+    With a = R'R numpy's Cholesky, a^(1/2) = U'R for U the orthogonal polar
+    factor of R (R = U H gives R'R = H^2), and a^(-1/2) = R^-1 U.  U comes
+    from the Frobenius-scaled Newton iteration X <- (mu X + X^-T / mu) / 2
+    from X = R, mu = (|X^-1|_F / |X|_F)^(1/2) (Higham 1986): once the
+    relative update |X_new - X|_F / |X_new|_F is at or below POLAR_TOL, one
+    more step without the scaling ends it.  Each step is one numpy (LU)
+    inverse; no eigen or SVD driver is used.  NoConvergence is raised past
+    POLAR_STEPS steps (its ``sweeps`` is then that count, and its
+    ``off_norm`` the last relative update), NotPositiveDefinite where the
+    Cholesky fails.  The input is first scaled by the even power of two
+    2^-e that brings max|a| into [1/4, 1), so the roots are those of the
+    scaled matrix times 2^(e/2) and 2^(-e/2) exactly.
+
+    Returns
+    -------
+    root : (n, n) ndarray, a^(1/2), symmetric
+    inv_root : (n, n) ndarray, a^(-1/2), symmetric
+    """
+    a = _symmetric(a, "spd_sqrt")
+    n = a.shape[0]
+    if n == 0:
+        raise DimensionMismatch("spd_sqrt needs a nonempty matrix")
+    e = _exponent(a)
+    e += e % 2
+    try:
+        r = np.linalg.cholesky(np.ldexp(a, -e)).T
+        r_inv = np.linalg.inv(r)
+        x, x_inv, update = r, r_inv, np.inf
+        for _ in range(POLAR_STEPS):
+            if update <= POLAR_TOL:
+                # mu is near 1 by now, and the unscaled step converges quadratically
+                x = 0.5 * (x + x_inv.T)
+                break
+            mu = np.sqrt(np.linalg.norm(x_inv) / np.linalg.norm(x))
+            new = 0.5 * (mu * x + x_inv.T / mu)
+            update = float(np.linalg.norm(new - x) / np.linalg.norm(new))
+            x, x_inv = new, np.linalg.inv(new)
+        else:
+            raise NoConvergence("spd_sqrt", POLAR_STEPS, update)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("spd_sqrt requires a positive definite matrix") from exc
+    root, inv_root = x.T @ r, r_inv @ x
+    half = e // 2
+    return np.ldexp(0.5 * (root + root.T), half), np.ldexp(0.5 * (inv_root + inv_root.T), -half)
 
 
 def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):

@@ -253,21 +253,41 @@ def pinv(a: Operator) -> Operator:
     return from_euclidean(inv_e, a.codomain, a.domain)
 
 
+def _self_adjoint_euclidean(a: Operator) -> np.ndarray:
+    """The symmetrized matrix of a self-adjoint endomorphism in orthonormal coordinates.
+
+    Raises NotSelfAdjoint when G a.mat deviates from its transpose beyond
+    SPECTRAL_TOL relative.
+    """
+    if not a.domain.matches(a.codomain):
+        raise DimensionMismatch("spectral and half_powers need an endomorphism")
+    gs = a.domain.gram @ a.mat
+    if float(np.linalg.norm(gs - gs.T)) > SPECTRAL_TOL * max(float(np.linalg.norm(gs)), 1.0):
+        raise NotSelfAdjoint("operator is not self-adjoint in its space")
+    sym = to_euclidean(a)
+    return 0.5 * (sym + sym.T)
+
+
 def spectral(a: Operator) -> SpectralDecomposition:
     """Spectral decomposition of a self-adjoint endomorphism.
 
     Raises NotSelfAdjoint when G a.mat deviates from its transpose beyond
     SPECTRAL_TOL relative.
     """
-    if not a.domain.matches(a.codomain):
-        raise DimensionMismatch("spectral decomposition needs an endomorphism")
-    gs = a.domain.gram @ a.mat
-    if float(np.linalg.norm(gs - gs.T)) > SPECTRAL_TOL * max(float(np.linalg.norm(gs)), 1.0):
-        raise NotSelfAdjoint("operator is not self-adjoint in its space")
-    sym = to_euclidean(a)
-    vals, q = kernels.jacobi_eigh(0.5 * (sym + sym.T))
+    vals, q = kernels.jacobi_eigh(_self_adjoint_euclidean(a))
     vecs = a.domain.lower_solve(q, trans=True)
     return SpectralDecomposition(space=a.domain, eigenvalues=vals, vectors=_frozen(vecs))
+
+
+def half_powers(a: Operator) -> tuple[Operator, Operator]:
+    """(a^(1/2), a^(-1/2)) of a self-adjoint positive definite endomorphism.
+
+    ``kernels.spd_sqrt`` of a's matrix in orthonormal coordinates, taken
+    back: no eigendecomposition.  Raises NotSelfAdjoint as ``spectral``
+    does, and NotPositiveDefinite for a spectrum that is not positive.
+    """
+    root, inv_root = kernels.spd_sqrt(_self_adjoint_euclidean(a))
+    return from_euclidean(root, a.domain, a.domain), from_euclidean(inv_root, a.domain, a.domain)
 
 
 def frac_power(a: Operator, t: float) -> Operator:

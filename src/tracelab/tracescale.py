@@ -162,10 +162,19 @@ def _s_operator(a: Assembly) -> Operator:
 
 @lru_cache(maxsize=32)
 def _s_spectrum(a: Assembly) -> oplab.SpectralDecomposition:
-    """Spectral decomposition of I + S: the one eigensolve behind every
-    non-integer or negative order of the scale and the interpolation norms."""
+    """Spectral decomposition of I + S: the one eigensolve behind the orders
+    of the scale that are not multiples of 1/4."""
     s_op = _s_operator(a)
     return oplab.spectral(oplab.identity(s_op.domain) + s_op)
+
+
+@lru_cache(maxsize=32)
+def _s_roots(a: Assembly) -> tuple[Operator, Operator]:
+    """((I + S)^(1/2), (I + S)^(-1/2)) on boundary L2, from ``oplab.half_powers``:
+    the one square root behind the orders of the scale with 4s in Z that are
+    not exact matrix powers, and the smoothing of ``suite_hhalf``."""
+    s_op = _s_operator(a)
+    return oplab.half_powers(oplab.identity(s_op.domain) + s_op)
 
 
 def _boundary_representers(a: Assembly, rows: np.ndarray | None = None) -> np.ndarray:
@@ -330,10 +339,17 @@ def _hs_gram_cached(a: Assembly, s: float) -> oplab.InnerSpace:
     l2bnd, _ = boundary_spaces(a)
     if s == 0.0:
         return l2bnd
-    two_s = 2.0 * s
-    if two_s.is_integer() and two_s > 0:
-        # integer powers stay exact products, no eigendecomposition rounding
-        p_mat = np.linalg.matrix_power(np.eye(l2bnd.dim) + _s_operator(a).mat, int(two_s))
+    two_s, four_s = 2.0 * s, 4.0 * s
+    grow = np.eye(l2bnd.dim) + _s_operator(a).mat
+    if two_s.is_integer() and s > 0:
+        # integer powers stay exact products, no square-root or eigendecomposition rounding
+        p_mat = np.linalg.matrix_power(grow, int(two_s))
+    elif four_s.is_integer() and s > 0:
+        # (I + S)^floor(2s) (I + S)^(1/2)
+        root = _s_roots(a)[0].mat
+        p_mat = root if two_s < 1.0 else np.linalg.matrix_power(grow, int(two_s)) @ root
+    elif four_s.is_integer():
+        p_mat = np.linalg.matrix_power(_s_roots(a)[1].mat, int(-four_s))
     else:
         p_mat = _s_spectrum(a).power(two_s).mat
     q = a.M_b @ p_mat
@@ -343,11 +359,23 @@ def _hs_gram_cached(a: Assembly, s: float) -> oplab.InnerSpace:
 def hs_gram(a: Assembly, s: float) -> oplab.InnerSpace:
     """The order-s boundary norm as a space: its Gram is Q_s = M_b (I + S)^(2s).
 
-    |g|_s equals the boundary-L2 norm of (I + S)^s g.  Order 0 returns the
-    boundary L2 space of ``boundary_spaces`` itself, positive integer 2s an
-    exact matrix power, and any other order a power of the one cached
-    decomposition of I + S.  Each space is cached per (assembly, order), so
-    its Cholesky factor is taken once.
+    |g|_s equals the boundary-L2 norm of (I + S)^s g.  The route to
+    (I + S)^(2s) depends on the order, with H = (I + S)^(1/2) and H^-1 the
+    cached pair of ``_s_roots`` (one ``kernels.spd_sqrt``, no eigensolve):
+
+    ==========================  ==============================================
+    order s                     (I + S)^(2s)
+    ==========================  ==============================================
+    0                           the boundary L2 space itself
+    1/2, 1                      (I + S)^(2s), an exact matrix power
+    1/4, 3/4                    (I + S)^floor(2s) H
+    -1/4, -1/2, -3/4, -1        (H^-1)^(-4s)
+    any other (4s not in Z)     the power of the cached eigendecomposition
+                                of I + S (``_s_spectrum``)
+    ==========================  ==============================================
+
+    Each space is cached per (assembly, order), so its Cholesky factor is
+    taken once.
     """
     s = float(s)
     if not -1.0 <= s <= 1.0:
@@ -582,6 +610,8 @@ def suite_hhalf(
     arithmetic).
     """
     _check_counts(trials=trials)
+    if a.mesh.kind not in X_TRACE_ENERGY:
+        raise BadParameter(f"no closed x_trace_energy for mesh kind {a.mesh.kind!r}")
     rng = default_rng(seed)
     h1 = space_h1partial(a)
     l2bnd, _ = boundary_spaces(a)
@@ -590,7 +620,7 @@ def suite_hhalf(
     q_half = hs_gram(a, 0.5)
 
     rec = _recorder("hhalf", a)
-    shrink = _s_spectrum(a).power(-0.5)
+    shrink = _s_roots(a)[1]
     rec.record("proof_identity", rel_diff(shrink.mat, lam.mat[a.mesh.boundary_nodes] @ shrink.mat))
 
     z = _extension_matrix(a)
@@ -657,9 +687,8 @@ def suite_h1(
     h1_cmin, h1_cmax = equivalence_constants(hs_gram(a, 1.0), h1bnd)
 
     vsv = Operator(l2bnd, l2bnd, l2bnd.solve(h1bnd.gram))  # M_b^-1 (M_b + K_b) on boundary L2
-    grow = oplab.spectral(oplab.identity(l2bnd) + vsv)
-    half = grow.power(0.5).mat
-    bridge_t = (eye + s_mat) @ grow.power(-0.5).mat
+    half, shrink = (x.mat for x in oplab.half_powers(oplab.identity(l2bnd) + vsv))
+    bridge_t = (eye + s_mat) @ shrink
     bridge_s = half @ resolvent
     rec.record("ts_left", rel_diff(bridge_t @ bridge_s, eye))
     rec.record("ts_right", rel_diff(bridge_s @ bridge_t, eye))
@@ -795,10 +824,8 @@ def _record_log_convexity(rec: Recorder, a: Assembly, g: np.ndarray, grid) -> di
     if np.any(np.linalg.norm(g, axis=0) == 0.0):
         raise ZeroVector("interpolation check needs a nonzero boundary vector")
 
-    dec = _s_spectrum(a)
-    coords = dec.vectors.T @ (a.M_b @ g)
-    # norms[i, c] = |(I+S)^t_i g_c|, one row per order
-    norms = np.sqrt((dec.eigenvalues ** (2.0 * np.array(grid)[:, None])) @ coords**2)
+    # norms[i, c] = |(I+S)^t_i g_c| = (g_c' Q_t_i g_c)^(1/2), one row per order
+    norms = np.array([_colnorm(g, hs_gram(a, t)) for t in grid])
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             for k in range(j + 1, len(grid)):

@@ -1,4 +1,4 @@
-"""Property tests: the Jacobi kernels and extreme_eigh against the numpy oracle on structured inputs.
+"""Property tests: the Jacobi kernels, extreme_eigh and spd_sqrt against the numpy oracle on structured inputs.
 
 Hypothesis draws the structure (size, spectrum kind, seed); numpy builds the
 matrix from it.  Tolerances are those of test_kernels.py.
@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracelab import kernels
-from tracelab.errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotSymmetric
+from tracelab.errors import DimensionMismatch, NoConvergence, NonFiniteInput, NotPositiveDefinite, NotSymmetric
 
 KINDS = ("gaussian", "repeated", "clustered", "graded", "zero")
 sizes = st.integers(1, 64)
@@ -326,3 +326,112 @@ def test_extreme_eigh_raises_when_steps_run_out(monkeypatch):
     assert info.value.off_norm > 0.0
     monkeypatch.undo()
     kernels.extreme_eigh(a)  # the cap, not the input, was short
+
+
+def spd(kind, n, seed):
+    """symmetric(kind, n, seed) made positive definite with condition at most about 1e12: a^2 + (|a|^2 / 1e12) I."""
+    a = symmetric(kind, n, seed)
+    b = a @ a
+    top = float(np.linalg.eigvalsh(0.5 * (b + b.T))[-1])
+    return 0.5 * (b + b.T) + (top * 1e-12 if top > 0.0 else 1.0) * np.eye(n)
+
+
+def check_sqrt(a, root, inv_root):
+    """spd_sqrt's pair against the numpy oracle a^(+-1/2) = V diag(w^(+-1/2)) V'.
+
+    A perturbation of eps |a| moves a^(1/2) by up to about eps cond^(1/2) and
+    a^(-1/2) by eps cond, relative to their norms, in the oracle as in the
+    kernel, so those are the bounds; the residuals of the pair are tighter.
+    """
+    n = a.shape[0]
+    w, v = np.linalg.eigh(a)
+    cond = w[-1] / w[0]
+    ref_root, ref_inv = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    assert np.array_equal(root, root.T) and np.array_equal(inv_root, inv_root.T)
+    assert np.abs(root - ref_root).max() <= 1e-13 * np.sqrt(cond) * n * np.abs(ref_root).max()
+    assert np.abs(inv_root - ref_inv).max() <= 1e-13 * cond * n * np.abs(ref_inv).max()
+    assert np.abs(root @ root - a).max() <= 1e-13 * np.abs(a).max()
+    assert np.abs(root @ inv_root - np.eye(n)).max() <= 1e-13 * np.sqrt(cond) * n
+    # the positive root, not another one
+    assert np.linalg.eigvalsh(root).min() > 0.0
+
+
+@given(kind=kinds, n=sizes, seed=seeds)
+@example(kind="gaussian", n=1, seed=0)
+@example(kind="gaussian", n=2, seed=1)
+@example(kind="repeated", n=2, seed=5)
+@example(kind="clustered", n=33, seed=2)
+@example(kind="graded", n=31, seed=3)
+@example(kind="graded", n=64, seed=3)
+@example(kind="gaussian", n=65, seed=0)
+@example(kind="repeated", n=129, seed=4)
+@example(kind="gaussian", n=256, seed=6)
+@example(kind="zero", n=5, seed=0)
+def test_spd_sqrt_matches_oracle(kind, n, seed):
+    a = spd(kind, n, seed)
+    check_sqrt(a, *kernels.spd_sqrt(a))
+
+
+@given(kind=kinds, n=sizes, seed=seeds, k=st.integers(-500, 500))
+@example(kind="gaussian", n=64, seed=0, k=-500)
+@example(kind="graded", n=33, seed=1, k=500)
+@example(kind="zero", n=3, seed=0, k=-500)
+def test_spd_sqrt_scales_exactly(kind, n, seed, k):
+    # 4^k a has the roots 2^k a^(1/2) and 2^-k a^(-1/2), bit for bit
+    a = spd(kind, n, seed)
+    k = int(_exact_shift(a, 2 * k) / 2)  # toward 0, so 2k stays in the exact range
+    big = np.ldexp(a, 2 * k)
+    assert np.array_equal(np.ldexp(big, -2 * k), a)
+    root, inv_root = kernels.spd_sqrt(a)
+    big_root, big_inv = kernels.spd_sqrt(big)
+    assert np.array_equal(big_root, np.ldexp(root, k))
+    assert np.array_equal(big_inv, np.ldexp(inv_root, -k))
+
+
+@pytest.mark.parametrize("scale", MAGNITUDES)
+def test_spd_sqrt_far_from_one_matches_lapack(scale):
+    a = np.array([[2.0, 1.0], [1.0, 2.0]]) * scale
+    check_sqrt(a, *kernels.spd_sqrt(a))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+def test_spd_sqrt_rejects_shapes(shape):
+    with pytest.raises(DimensionMismatch):
+        kernels.spd_sqrt(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_sqrt_rejects_non_finite(bad):
+    a = np.eye(3)
+    a[0, 2] = a[2, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        kernels.spd_sqrt(a)
+
+
+@given(kind=kinds, n=st.integers(2, 64), seed=seeds, skew=st.floats(1e-11, 1.0))
+def test_spd_sqrt_rejects_asymmetry(kind, n, seed, skew):
+    a = spd(kind, n, seed)
+    i, j = np.random.default_rng(seed).choice(n, 2, replace=False)
+    a[i, j] += skew * float(np.abs(a).max())
+    with pytest.raises(NotSymmetric):
+        kernels.spd_sqrt(a)
+
+
+@pytest.mark.parametrize(
+    "a", [np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1e-3, 2.0]), -np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]
+)
+def test_spd_sqrt_rejects_what_is_not_positive_definite(a):
+    with pytest.raises(NotPositiveDefinite):
+        kernels.spd_sqrt(a)
+
+
+def test_spd_sqrt_raises_when_steps_run_out(monkeypatch):
+    a = spd("gaussian", 8, 0)
+    monkeypatch.setattr(kernels, "POLAR_STEPS", 1)
+    with pytest.raises(NoConvergence) as info:
+        kernels.spd_sqrt(a)
+    assert info.value.kernel == "spd_sqrt"
+    assert info.value.sweeps == 1
+    assert info.value.off_norm > kernels.POLAR_TOL
+    monkeypatch.undo()
+    kernels.spd_sqrt(a)  # the cap, not the input, was short

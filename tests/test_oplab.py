@@ -381,6 +381,35 @@ class TestFracPower:
         assert np.abs(oplab.frac_power(s, 2.0).mat - np.diag([1.0, 4.0])).max() <= 1e-12
 
 
+class TestHalfPowers:
+    def test_matches_frac_power_on_a_weighted_space(self, rng):
+        sp = random_weighted_space(rng, 5)
+        a = oplab.Operator(sp, sp, rng.standard_normal((5, 5)))
+        s = oplab.identity(sp) + oplab.adjoint(a) @ a
+        root, inv_root = oplab.half_powers(s)
+        assert root.domain is sp and root.codomain is sp
+        assert np.abs(root.mat - oplab.frac_power(s, 0.5).mat).max() <= 1e-12
+        assert np.abs(inv_root.mat - oplab.frac_power(s, -0.5).mat).max() <= 1e-12
+        assert np.abs((root @ root).mat - s.mat).max() <= 1e-12 * np.abs(s.mat).max()
+        assert np.abs((root @ inv_root).mat - np.eye(5)).max() <= 1e-12
+
+    def test_rejects_non_self_adjoint(self, rng):
+        sp = random_weighted_space(rng, 3)
+        with pytest.raises(NotSelfAdjoint):
+            oplab.half_powers(oplab.Operator(sp, sp, rng.standard_normal((3, 3))))
+
+    def test_rejects_a_spectrum_that_is_not_positive(self):
+        sp = euclidean(2)
+        for diag in ([1.0, -2.0], [1.0, 0.0]):
+            with pytest.raises(NotPositiveDefinite):
+                oplab.half_powers(oplab.Operator(sp, sp, np.diag(diag)))
+
+    def test_rejects_a_map_between_two_spaces(self, rng):
+        dom, cod = random_weighted_space(rng, 3), random_weighted_space(rng, 3)
+        with pytest.raises(DimensionMismatch):
+            oplab.half_powers(oplab.Operator(dom, cod, np.eye(3)))
+
+
 class TestDouglasFactor:
     def test_equal_operators(self, rng):
         dom = random_weighted_space(rng, 4)

@@ -28,6 +28,7 @@ from tracelab.errors import (
 from tracelab.report import Recorder
 
 from conftest import asm, check_coupling, check_range_space_pinv, embed_domain
+from test_fem2d import frame_mesh
 
 MESH_SAMPLE = [("interval", 8), ("square", 4), ("lshape", 4)]
 
@@ -740,6 +741,15 @@ class TestHsGram:
         expected = (mv * w ** (2.0 * s)) @ mv.T
         assert oplab.rel_diff(tracescale.hs_gram(a, s).gram, expected) <= 1e-11
 
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("s", [-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75])
+    def test_routes_agree_with_the_spectrum(self, kind, n, s):
+        # the square-root and exact-product routes against the eigendecomposition of I + S
+        a = asm(kind, n)
+        expected = a.M_b @ tracescale._s_spectrum(a).power(2.0 * s).mat
+        assert oplab.rel_diff(tracescale.hs_gram(a, s).gram, expected) <= 1e-12
+
     @pytest.mark.parametrize("s", [-1.5, 1.2])
     def test_order_range(self, s):
         with pytest.raises(OrderOutOfRange):
@@ -1029,6 +1039,15 @@ class TestNoDomainSquareArray:
 
 
 class TestSuiteHhalf:
+    def test_kind_without_closed_energy_rejected_before_work(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("suite_hhalf did work before checking the mesh kind")
+
+        monkeypatch.setattr(tracescale, "_trace_pinv", refuse)
+        monkeypatch.setattr(tracescale, "space_h1partial", refuse)
+        with pytest.raises(BadParameter, match="'frame'"):
+            tracescale.suite_hhalf(fem2d.assemble(frame_mesh(4)))
+
     def test_interval_exact_split(self):
         rep = tracescale.suite_hhalf(asm("interval", 1))
         assert rep.passed
@@ -1176,21 +1195,27 @@ class TestSuiteH1:
             assert rep.constants[key] > 0.0
 
 
+def count_kernel_calls(monkeypatch, names):
+    """Patch each named kernel to log the shape of its input; returns {name: [shape, ...]}."""
+    calls = {name: [] for name in names}
+
+    def counted(name):
+        kernel = getattr(kernels, name)
+
+        def run(*args, **kw):
+            calls[name].append(args[0].shape)
+            return kernel(*args, **kw)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counted(name))
+    return calls
+
+
 class TestDecompositionCounts:
-    def test_square_level_makes_five_eigensolves(self, monkeypatch):
-        calls = {name: [] for name in ("jacobi_eigh", "jacobi_svd", "extreme_eigh")}
-
-        def counted(name):
-            kernel = getattr(kernels, name)
-
-            def run(*args, **kw):
-                calls[name].append(args[0].shape)
-                return kernel(*args, **kw)
-
-            return run
-
-        for name in calls:
-            monkeypatch.setattr(kernels, name, counted(name))
+    def test_square_level_makes_no_eigensolve(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch, ("jacobi_eigh", "jacobi_svd", "extreme_eigh", "spd_sqrt"))
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so no decomposition is cached
         for report in (
             tracescale.suite_pde(a, trials=2, identity_samples=2),
@@ -1200,11 +1225,19 @@ class TestDecompositionCounts:
             tracescale.suite_dual(a),
         ):
             assert report.passed
-        # full eigensolves: I + S once, the bridge operator of suite_h1 once;
-        # extreme pairs: three equivalence constants and the two bridge conditions;
-        # no SVD, the trace pinv included
-        assert [len(c) for c in calls.values()] == [2, 0, 5]
-        assert set(calls["extreme_eigh"]) == {(16, 16)}
+        # no full eigensolve: every order is a multiple of 1/4; square roots of
+        # I + S once and of the bridge operator of suite_h1 once; extreme pairs:
+        # three equivalence constants and the two bridge conditions; no SVD,
+        # the trace pinv included
+        assert [len(c) for c in calls.values()] == [0, 0, 5, 2]
+        assert set(calls["extreme_eigh"]) == set(calls["spd_sqrt"]) == {(16, 16)}
+
+    def test_other_orders_take_one_eigensolve(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch, ("jacobi_eigh", "spd_sqrt"))
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))
+        for s in (0.3, -0.3, 0.7):
+            tracescale.hs_gram(a, s)
+        assert [len(c) for c in calls.values()] == [1, 0]
 
 
 NECAS_MAXIMA = ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max")

@@ -24,7 +24,7 @@ from report_drift import drift
 
 # the two benchmark workloads, the oplab population, every suite on small
 # interval/lshape levels, the mesh suites at a coarse and a finer level, and
-# the H1 suites at nb = 256
+# the H1 suites and the fractional orders of interp and dual at nb = 256
 CONFIGS = {
     "scale-refine": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square", "--n", "8,16",
                      "--trials", "20", "--seed", "501"),
@@ -36,6 +36,7 @@ CONFIGS = {
     "two-levels": ("--suite", "pde,hhalf,h1,interp,dual", "--mesh", "square,lshape", "--n", "2,32",
                    "--trials", "20", "--seed", "3"),
     "h1-fine": ("--suite", "pde,hhalf,h1", "--mesh", "square", "--n", "64", "--trials", "5", "--seed", "11"),
+    "interp-fine": ("--suite", "interp,dual", "--mesh", "square", "--n", "64", "--trials", "20", "--seed", "13"),
 }
 
 
