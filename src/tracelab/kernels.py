@@ -27,8 +27,8 @@ the scaling is exact, so on inputs of ordinary size nothing moves.
 The SVD first reduces a tall input by numpy's unpivoted QR (Drmač & Veselić
 2008 pivot its columns) and rotates only the square triangular factor.  A
 kernel raises NonFiniteInput on a NaN or infinite input before any work,
-and NoConvergence when it uses up ``max_sweeps``, rather than return an
-unconverged result.
+and NoConvergence when it uses up its sweep cap (EIGH_SWEEPS, SVD_SWEEPS),
+rather than return an unconverged result.
 
 ``extreme_eigh`` finds only the smallest and the largest eigenpair, by
 Sylvester's law of inertia: a - sigma I has a Cholesky factor exactly when
@@ -61,9 +61,12 @@ EPS = np.finfo(float).eps
 # Off-diagonal entries at or below this are zeroed without a rotation.
 _SKIP = 1e-300
 
-# the relative stopping tolerances of jacobi_eigh and jacobi_svd
+# the relative stopping tolerances of jacobi_eigh and jacobi_svd, and the
+# most sweeps each makes before NoConvergence
 EIGH_TOL = 1e-13
 SVD_TOL = 1e-14
+EIGH_SWEEPS = 100
+SVD_SWEEPS = 60
 # extreme_eigh closes each bracket to EXTREME_TOL * n times the prescale 2^e,
 # which bounds max|a| within a factor 4: about 2 n eps max|a|
 EXTREME_TOL = 2.0 * EPS
@@ -168,12 +171,12 @@ def _tangent(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: np.ndarray
     return two / den
 
 
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100):
+def jacobi_eigh(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix by odd-even Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius mass drops below EIGH_TOL times
     the Frobenius norm of the input; raises NoConvergence if that takes more
-    than ``max_sweeps`` sweeps.
+    than EIGH_SWEEPS sweeps.
 
     Returns
     -------
@@ -196,7 +199,7 @@ def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100):
     entries = [[x.pair_entries(f) for f in (0, 1)] for x in bufs]
     b = sweeps = 0
     while (off := _offdiag_norm(bufs[b].mat)) > EIGH_TOL * ref:
-        if sweeps == max_sweeps:
+        if sweeps == EIGH_SWEEPS:
             raise NoConvergence("jacobi_eigh", sweeps, float(np.ldexp(off, e)))
         for f in _odd_even(n, sweeps):
             app, aqq, apq, _ = entries[b][f]
@@ -358,13 +361,13 @@ def spd_sqrt(a: np.ndarray):
     return np.ldexp(0.5 * (root + root.T), half), np.ldexp(0.5 * (inv_root + inv_root.T), -half)
 
 
-def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):
+def jacobi_svd(m: np.ndarray):
     """Thin SVD by one-sided (Hestenes) Jacobi orthogonalization.
 
     A pair of columns is rotated unless it is orthogonal to SVD_TOL relative
     to the product of their norms, and swapped either way; a sweep that
     rotates nothing ends the iteration, and NoConvergence is raised if none
-    of ``max_sweeps`` sweeps does.  A tall input is first reduced to R of
+    of SVD_SWEEPS sweeps does.  A tall input is first reduced to R of
     ``m = Q R``, a wide one is transposed.
 
     Returns ``(u, s, vt)`` with ``m == u @ diag(s) @ vt`` up to rounding,
@@ -376,12 +379,12 @@ def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):
         raise DimensionMismatch("2-d array expected")
     rows, cols = m.shape
     if rows < cols:
-        ut, s, vt = jacobi_svd(m.T, max_sweeps)
+        ut, s, vt = jacobi_svd(m.T)
         return vt.T, s, ut.T
     e = _exponent(m)
     if rows > cols > 0:
         q, r = np.linalg.qr(np.ldexp(m, -e))
-        ur, s, vt = jacobi_svd(r, max_sweeps)
+        ur, s, vt = jacobi_svd(r)
         return q @ ur, np.ldexp(s, e), vt
 
     # u above v: one column turn rotates both
@@ -393,7 +396,7 @@ def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):
     # the u rows of each parity's slots as (rows, slot, p|q) floats, and their real pairs
     blocks = [uv.flat[f : f + rows * uv.stride].reshape(rows, -1, 2) for f in (0, 1)]
     pairs = [(x[:, : (cols - f) // 2, 0], x[:, : (cols - f) // 2, 1]) for f, x in enumerate(blocks)]
-    for sweep in range(max_sweeps):
+    for sweep in range(SVD_SWEEPS):
         rotated = False
         for f in _odd_even(cols, sweep):
             xp, xq = pairs[f]
@@ -410,7 +413,7 @@ def jacobi_svd(m: np.ndarray, max_sweeps: int = 60):
         if not rotated:
             break
     else:
-        raise NoConvergence("jacobi_svd", max_sweeps, float(np.ldexp(_offdiag_norm(u.T @ u), 2 * e)))
+        raise NoConvergence("jacobi_svd", SVD_SWEEPS, float(np.ldexp(_offdiag_norm(u.T @ u), 2 * e)))
 
     sigma = np.linalg.norm(u, axis=0)
     order = np.argsort(-sigma, kind="stable")

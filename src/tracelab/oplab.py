@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -312,24 +313,27 @@ def douglas_factor(a: Operator, b: Operator) -> tuple[Operator, float]:
     return c, op_norm(c) ** 2
 
 
-def _inv(mat: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(mat, np.eye(mat.shape[0]))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - shifted Grams are PD
-        raise SolveFailure("dense inverse failed") from exc
+class _PinvBundle(NamedTuple):
+    """b = pinv(a), a*, b*, and the roots (I + x)^(-1/2) for x = b b*, b* b, a* a, a a* in that order."""
+
+    b: Operator
+    astar: Operator
+    bstar: Operator
+    root_bbs: Operator
+    root_bsb: Operator
+    root_asa: Operator
+    root_aas: Operator
 
 
 @lru_cache(maxsize=32)
-def _pinv_pair(a: Operator) -> tuple[Operator, Operator, Operator, Operator, Operator]:
-    """(b, a*, b*, (I + b b*)^(-1/2), (I + b* b)^(-1/2)) for b = pinv(a).
-
-    One pinv (from the cached SVD) and two eigensolves per operator (operators are immutable).
-    """
+def _pinv_pair(a: Operator) -> _PinvBundle:
+    """One pinv (from the cached SVD) and four ``half_powers`` per operator (operators are
+    immutable); the checks read each resolvent as a root's square, so none takes an eigensolve."""
     b = pinv(a)
-    bstar = adjoint(b)
-    smooth_dom = frac_power(identity(a.domain) + b @ bstar, -0.5)
-    smooth_cod = frac_power(identity(a.codomain) + bstar @ b, -0.5)
-    return b, adjoint(a), bstar, smooth_dom, smooth_cod
+    astar, bstar = adjoint(a), adjoint(b)
+    dom, cod = identity(a.domain), identity(a.codomain)
+    shifted = (dom + b @ bstar, cod + bstar @ b, dom + astar @ a, cod + a @ astar)
+    return _PinvBundle(b, astar, bstar, *(half_powers(x)[1] for x in shifted))
 
 
 def labrousse_check(a: Operator) -> dict[str, float]:
@@ -338,29 +342,25 @@ def labrousse_check(a: Operator) -> dict[str, float]:
     Key "item5" is present only when the adjoint of ``a`` is injective
     (i.e. ``a`` has full row rank in its weighted sense).
     """
-    b, astar, bstar, _, _ = _pinv_pair(a)
+    p = _pinv_pair(a)
     n1, n2 = a.domain.dim, a.codomain.dim
     eye1, eye2 = np.eye(n1), np.eye(n2)
-
-    inv_asa = _inv(eye1 + astar.mat @ a.mat)      # (I + a*a)^-1 on the domain
-    inv_bbs = _inv(eye1 + b.mat @ bstar.mat)      # (I + b b*)^-1 on the domain
-    inv_aas = _inv(eye2 + a.mat @ astar.mat)      # (I + a a*)^-1 on the codomain
-    inv_bsb = _inv(eye2 + bstar.mat @ b.mat)      # (I + b* b)^-1 on the codomain
+    # the resolvents (I + x)^-1 as the squares of the bundle's inverse roots
+    inv_bbs, inv_bsb, inv_asa, inv_aas = (r.mat @ r.mat for r in (p.root_bbs, p.root_bsb, p.root_asa, p.root_aas))
 
     out: dict[str, float] = {}
-    out["item1"] = rel_diff(a.mat @ inv_asa, bstar.mat @ inv_bbs)
-    null_bstar = eye1 - b.mat @ a.mat             # projector onto null(b*) = null(a)
+    out["item1"] = rel_diff(a.mat @ inv_asa, p.bstar.mat @ inv_bbs)
+    null_bstar = eye1 - p.b.mat @ a.mat             # projector onto null(b*) = null(a)
     out["item2"] = rel_diff(inv_asa + inv_bbs, eye1 + null_bstar)
-    out["item3"] = rel_diff(astar.mat @ inv_aas, b.mat @ inv_bsb)
-    null_astar = eye2 - a.mat @ b.mat             # projector onto null(a*)
+    out["item3"] = rel_diff(p.astar.mat @ inv_aas, p.b.mat @ inv_bsb)
+    null_astar = eye2 - a.mat @ p.b.mat             # projector onto null(a*)
     out["item4"] = rel_diff(inv_aas + inv_bsb, eye2 + null_astar)
     if kernels.svd_rank(a.mat.shape, a.svd[1]) == n2:
         out["item5"] = rel_diff(inv_aas + inv_bsb, eye2)
 
-    half = frac_power(Operator(a.codomain, a.codomain, eye2 + a.mat @ astar.mat), -0.5)
-    smooth = astar @ half
+    smooth = p.astar @ p.root_aas
     proj_smooth = eye2 - (pinv(smooth) @ smooth).mat
-    proj_null_b = eye2 - (pinv(b) @ b).mat
+    proj_null_b = eye2 - (pinv(p.b) @ p.b).mat
     out["item6"] = max(
         rel_diff(proj_smooth, null_astar),
         rel_diff(proj_smooth, proj_null_b),
@@ -378,20 +378,19 @@ def norm_identity_check(a: Operator, x) -> tuple[float, float, dict[str, float]]
     x = np.asarray(x, dtype=float)
     if x.shape != (a.domain.dim,):
         raise DimensionMismatch(f"vector length {x.shape} != ({a.domain.dim},)")
-    b, astar, bstar, smooth, _ = _pinv_pair(a)
+    p = _pinv_pair(a)
     dom = a.domain
     lhs = dom.norm(x) ** 2
-    term_across = a.codomain.norm((bstar @ smooth).apply(x)) ** 2
-    term_within = dom.norm(smooth.apply(x)) ** 2
+    term_across = a.codomain.norm((p.bstar @ p.root_bbs).apply(x)) ** 2
+    term_within = dom.norm(p.root_bbs.apply(x)) ** 2
     rhs = term_across + term_within
     scale = max(lhs, _TINY)
     res = {"whole_space": abs(lhs - rhs) / scale}
 
     # restriction to range(b): the split swaps in (I + a*a)^(-1/2)
-    xr = (b @ a).apply(x)
-    smooth2 = frac_power(identity(dom) + astar @ a, -0.5)
+    xr = (p.b @ a).apply(x)
     lhs_r = dom.norm(xr) ** 2
-    rhs_r = dom.norm(smooth.apply(xr)) ** 2 + dom.norm(smooth2.apply(xr)) ** 2
+    rhs_r = dom.norm(p.root_bbs.apply(xr)) ** 2 + dom.norm(p.root_asa.apply(xr)) ** 2
     res["range_restricted"] = abs(lhs_r - rhs_r) / scale
     return lhs, rhs, res
 
@@ -405,9 +404,9 @@ def build_tb(a: Operator) -> tuple[Operator, Operator]:
     t_b is the Moore-Penrose inverse of b*(I + b b*)^(-1/2) and
     t_bstar is its adjoint.
     """
-    b, astar, bstar, smooth_dom, smooth_cod = _pinv_pair(a)
-    t_b = (b + astar) @ smooth_cod
-    t_bstar = (bstar + a) @ smooth_dom
+    p = _pinv_pair(a)
+    t_b = (p.b + p.astar) @ p.root_bsb
+    t_bstar = (p.bstar + a) @ p.root_bbs
     return t_b, t_bstar
 
 
@@ -521,14 +520,14 @@ def identity_suite(
         dom = random_space(rng, ncols)
         cod = random_space(rng, nrows)
         a = random_operator(rng, dom, cod, rank=rank)
-        b, _, bstar, half, smoothing = _pinv_pair(a)
+        p = _pinv_pair(a)
 
-        rec.record("penrose", rel_diff((a @ b @ a).mat, a.mat))
-        rec.record("penrose", rel_diff((b @ a @ b).mat, b.mat))
-        rec.record("penrose", rel_diff(adjoint(a @ b).mat, (a @ b).mat))
-        rec.record("penrose", rel_diff(adjoint(b @ a).mat, (b @ a).mat))
+        rec.record("penrose", rel_diff((a @ p.b @ a).mat, a.mat))
+        rec.record("penrose", rel_diff((p.b @ a @ p.b).mat, p.b.mat))
+        rec.record("penrose", rel_diff(adjoint(a @ p.b).mat, (a @ p.b).mat))
+        rec.record("penrose", rel_diff(adjoint(p.b @ a).mat, (p.b @ a).mat))
         rec.record("adjoint_involution", rel_diff(adjoint(adjoint(a)).mat, a.mat))
-        rec.record("pinv_involution", rel_diff(pinv(b).mat, a.mat))
+        rec.record("pinv_involution", rel_diff(pinv(p.b).mat, a.mat))
 
         third = random_space(rng, int(rng.integers(1, DIM_CAP + 1)))
         c = random_operator(rng, third, dom)
@@ -543,13 +542,13 @@ def identity_suite(
         rec.record("norm_split_range", res["range_restricted"])
 
         t_b, t_bstar = build_tb(a)
-        w = bstar @ half
+        w = p.bstar @ p.root_bbs
         rec.record("tb_pinv_crosscheck", rel_diff(t_b.mat, pinv(w).mat))
         rec.record("tb_adjoint_pair", rel_diff(adjoint(t_b).mat, t_bstar.mat))
-        rec.record("tb_projections", rel_diff((t_b @ w).mat, (b @ a).mat))
-        rec.record("tb_projections", rel_diff((w @ t_b).mat, (a @ b).mat))
+        rec.record("tb_projections", rel_diff((t_b @ w).mat, (p.b @ a).mat))
+        rec.record("tb_projections", rel_diff((w @ t_b).mat, (a @ p.b).mat))
 
-        rec.record("factorization", rel_diff((smoothing @ t_bstar).mat, a.mat))
+        rec.record("factorization", rel_diff((p.root_bsb @ t_bstar).mat, a.mat))
 
     return rec.report(IDENTITY_TOLS, tolerances, {"trials": float(trials), "dim_cap": float(DIM_CAP)})
 

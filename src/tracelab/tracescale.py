@@ -600,7 +600,8 @@ def suite_hhalf(
     seed: int = 0,
     tolerances: dict[str, float] | None = None,
 ) -> SuiteReport:
-    """Order-1/2 characterization: proof identity, exact energy split, the
+    """Order-1/2 characterization: the proof identity H^-1 (I + S) H^-1 = I
+    for the smoothing H^-1 = (I + S)^(-1/2), the exact energy split, the
     closed-form energy of g = x on the boundary (``X_TRACE_ENERGY``), and
     the comparison against the minimal-extension (trace-quotient) norm.
 
@@ -620,8 +621,9 @@ def suite_hhalf(
     q_half = hs_gram(a, 0.5)
 
     rec = _recorder("hhalf", a)
-    shrink = _s_roots(a)[1]
-    rec.record("proof_identity", rel_diff(shrink.mat, lam.mat[a.mesh.boundary_nodes] @ shrink.mat))
+    shrink = _s_roots(a)[1].mat
+    eye = np.eye(nb)
+    rec.record("proof_identity", rel_diff(shrink @ (eye + _s_operator(a).mat) @ shrink, eye))
 
     z = _extension_matrix(a)
     if trials:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tracelab import cli, oplab, tracescale
+from tracelab import cli, kernels, oplab, tracescale
 from tracelab.errors import ConfigParseError
 from tracelab.report import SuiteReport
 
@@ -331,6 +331,17 @@ class TestRun:
         reports, verdict = cli.execute(config)
         assert len(calls) == 1
         assert [rep.suite for rep in reports] == ["h1"] and verdict == "pass"
+
+    def test_no_suite_takes_an_eigensolve(self, monkeypatch):
+        # the scale orders are multiples of 1/4 and oplab's smoothings are half powers: square roots only
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite took a Jacobi eigensolve")
+
+        monkeypatch.setattr(kernels, "jacobi_eigh", refuse)
+        config = cli.RunConfig(suites=tuple(cli.SUITES), meshes=("interval", "square"), ns=(2, 4), trials=3)
+        reports, verdict = cli.execute(config)
+        assert len(cli.SUITES) == 7 and set(cli.SUITES) <= {rep.suite for rep in reports}
+        assert verdict == "pass"
 
     def test_duplicate_refinement_exit_2(self, tmp_path, capsys):
         out = tmp_path / "rep"

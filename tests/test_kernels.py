@@ -193,11 +193,12 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (3, 5)])
-    def test_svd(self, bad, shape):
+    def test_svd(self, bad, shape, monkeypatch):
+        monkeypatch.setattr(kernels, "SVD_SWEEPS", 1)
         m = np.ones(shape)
         m[1, 2] = bad
         with pytest.raises(NonFiniteInput):
-            kernels.jacobi_svd(m, max_sweeps=1)
+            kernels.jacobi_svd(m)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_gen_eigh(self, bad, monkeypatch):
@@ -218,28 +219,33 @@ class TestNoConvergence:
     def test_is_a_tracelab_error(self):
         assert issubclass(NoConvergence, TracelabError)
 
-    def test_eigh_raises_when_sweeps_run_out(self, rng):
+    def test_eigh_raises_when_sweeps_run_out(self, rng, monkeypatch):
         a = random_symmetric(rng, 20)
+        monkeypatch.setattr(kernels, "EIGH_SWEEPS", 1)
         with pytest.raises(NoConvergence) as info:
-            kernels.jacobi_eigh(a, max_sweeps=1)
+            kernels.jacobi_eigh(a)
         assert info.value.kernel == "jacobi_eigh"
         assert info.value.sweeps == 1
         assert info.value.off_norm > 1e-13 * np.linalg.norm(a)
+        monkeypatch.undo()
         kernels.jacobi_eigh(a)  # the budget, not the input, was short
 
     @pytest.mark.parametrize("shape", [(20, 20), (40, 20), (20, 40)])
-    def test_svd_raises_when_sweeps_run_out(self, rng, shape):
+    def test_svd_raises_when_sweeps_run_out(self, rng, shape, monkeypatch):
         m = rng.standard_normal(shape)
+        monkeypatch.setattr(kernels, "SVD_SWEEPS", 1)
         with pytest.raises(NoConvergence) as info:
-            kernels.jacobi_svd(m, max_sweeps=1)
+            kernels.jacobi_svd(m)
         assert info.value.kernel == "jacobi_svd"
         assert info.value.sweeps == 1
         assert info.value.off_norm > 0.0
+        monkeypatch.undo()
         kernels.jacobi_svd(m)
 
-    def test_converged_input_needs_no_budget(self):
+    def test_converged_input_needs_no_budget(self, monkeypatch):
         # a diagonal matrix passes the eigh convergence test before any sweep
-        vals, _ = kernels.jacobi_eigh(np.diag([3.0, 1.0, 2.0]), max_sweeps=0)
+        monkeypatch.setattr(kernels, "EIGH_SWEEPS", 0)
+        vals, _ = kernels.jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
         assert vals.tolist() == [1.0, 2.0, 3.0]
 
 

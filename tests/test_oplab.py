@@ -509,6 +509,25 @@ class TestLabrousse:
             out = oplab.labrousse_check(a)
             assert max(out.values()) <= 1e-10
 
+    def test_resolvents_match_lapack_inverse(self):
+        # the checks read (I + x)^-1 as the square of the bundle's inverse root;
+        # np.linalg.inv of the dense shifted matrix is an independent route
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            ncols, nrows, rank = oplab._draw_shapes(rng)
+            a = oplab.random_operator(rng, oplab.random_space(rng, ncols), oplab.random_space(rng, nrows), rank)
+            p = oplab._pinv_pair(a)
+            eye1, eye2 = np.eye(ncols), np.eye(nrows)
+            pairs = (
+                (p.root_bbs, eye1 + p.b.mat @ p.bstar.mat),
+                (p.root_bsb, eye2 + p.bstar.mat @ p.b.mat),
+                (p.root_asa, eye1 + p.astar.mat @ a.mat),
+                (p.root_aas, eye2 + a.mat @ p.astar.mat),
+            )
+            for root, dense in pairs:
+                ref = np.linalg.inv(dense)
+                assert np.linalg.norm(root.mat @ root.mat - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_item5_only_for_surjective(self, rng):
         dom = random_weighted_space(rng, 4)
         cod = random_weighted_space(rng, 2)
@@ -656,9 +675,9 @@ class TestSuites:
         assert not rep.verdicts["penrose"]
 
     @pytest.mark.parametrize("trials", [1, 3])
-    def test_each_trial_makes_four_eigensolves_and_five_pinvs(self, monkeypatch, trials):
-        calls = {"jacobi_eigh": 0, "pinv": 0}
-        for module, name in ((kernels, "jacobi_eigh"), (oplab, "pinv")):
+    def test_each_trial_makes_four_square_roots_no_eigensolve_and_five_pinvs(self, monkeypatch, trials):
+        calls = {"jacobi_eigh": 0, "spd_sqrt": 0, "pinv": 0}
+        for module, name in ((kernels, "jacobi_eigh"), (kernels, "spd_sqrt"), (oplab, "pinv")):
 
             def counted(*args, _name=name, _fn=getattr(module, name), **kw):
                 calls[_name] += 1
@@ -666,10 +685,10 @@ class TestSuites:
 
             monkeypatch.setattr(module, name, counted)
         assert oplab.identity_suite(trials=trials, seed=0).passed
-        # one pinv and two smoothing powers per operator, shared by every check, plus
-        # the checks' own routes: pinv(b) for pinv_involution, the two pinvs of item6,
-        # pinv(w), and the single-use powers of I + a a* and I + a* a
-        assert calls == {"jacobi_eigh": 4 * trials, "pinv": 5 * trials}
+        # one pinv and the inverse roots of I + b b*, I + b* b, I + a* a and I + a a*
+        # per operator, shared by every check, plus the checks' own routes: pinv(b)
+        # for pinv_involution, the two pinvs of item6, and pinv(w)
+        assert calls == {"jacobi_eigh": 0, "spd_sqrt": 4 * trials, "pinv": 5 * trials}
 
     def test_svd_counts(self, monkeypatch):
         inputs = count_outer_svds(monkeypatch)

@@ -1069,6 +1069,17 @@ class TestSuiteHhalf:
         assert rep.constants["quotient_cmin"] == pytest.approx(1.0, abs=1e-6)
         assert rep.constants["quotient_cmax"] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["square", "lshape"])
+    def test_roots_of_s_in_place_of_i_plus_s_fail_proof_identity(self, kind, monkeypatch):
+        # a smoothing that is not (I + S)^(-1/2) must not pass the proof identity
+        def roots_of_s(a):
+            return oplab.half_powers(tracescale._s_operator(a))
+
+        monkeypatch.setattr(tracescale, "_s_roots", roots_of_s)
+        rep = tracescale.suite_hhalf(fem2d.assemble(fem2d.gen_mesh(kind, 8)), trials=2)
+        assert not rep.verdicts["proof_identity"]
+        assert rep.residuals["proof_identity"] > 0.1
+
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
     def test_halved_robin_in_gram_fails_three_suites(self, kind, monkeypatch):
         # K + R' M_b R / 2 in place of the combined H1 Gram, wherever the Gram is read.
