@@ -37,7 +37,8 @@ class NoConvergence(TracelabError):
     ``sweeps`` is the number of sweeps run and ``off_norm`` the off-diagonal
     Frobenius norm left at the end: of the rotated matrix for an eigensolve,
     of the Gram matrix of the rotated columns for an SVD.  For
-    ``extreme_eigh`` they are the Cholesky shifts tried and the width of the
+    ``extreme_eigh`` they are the Cholesky shifts tried at one end (the
+    repeated squarings behind its guess do not count) and the width of the
     bracket left.
     """
 

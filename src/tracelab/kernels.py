@@ -32,13 +32,19 @@ rather than return an unconverged result.
 
 ``extreme_eigh`` finds only the smallest and the largest eigenpair, by
 Sylvester's law of inertia: a - sigma I has a Cholesky factor exactly when
-sigma lies below the spectrum.  It bisects sigma on whether numpy's Cholesky
-succeeds and reports the last shift that factored, so the values come with
-their certificate, and takes each vector by inverse iteration with that
-factor.  It uses numpy's Cholesky and inverse alone, keeps the scaling (by
-an even power of two, which scales a Cholesky exactly), NonFiniteInput and
-NotSymmetric of ``jacobi_eigh``, and raises NoConvergence past EXTREME_STEPS
-shifts.
+sigma lies below the spectrum.  Repeated squaring of the Gershgorin-shifted
+matrices guesses both extreme eigenvectors, and a guess's Rayleigh quotient
+lies on the inner side of its extreme (Parlett 1998), so a first shift half
+the bracket's width beyond it usually factors and closes the bracket at
+once; a shift that fails steps sigma further out, and the bracket is then
+bisected on whether numpy's Cholesky succeeds.  The value reported is the
+last shift that factored, so it comes with its certificate however good the
+guess was, and each vector is taken by inverse iteration with that factor.
+It uses numpy's matrix product, Cholesky and inverse alone, keeps the
+scaling (by an even power of two, which scales a product and a Cholesky
+exactly), NonFiniteInput and NotSymmetric of ``jacobi_eigh``, and raises
+NoConvergence past EXTREME_STEPS Cholesky shifts at one end (the squarings
+have a cap of their own and only make the guess).
 
 ``spd_sqrt`` returns a^(1/2) and a^(-1/2) from the Cholesky factor R and
 its orthogonal polar factor, by the scaled Newton iteration: numpy's
@@ -74,6 +80,10 @@ EXTREME_TOL = 2.0 * EPS
 EXTREME_STEPS = 200
 # inverse-iteration steps behind each extreme eigenvector
 INVERSE_STEPS = 3
+# the most repeated squarings behind extreme_eigh's guesses: two eigenvalues
+# 2^-k of the Gershgorin bracket apart take about k + 8 to tell apart (seen
+# up to k = 32), and closer ones stop the trace of the square growing sooner
+_SQUARINGS = 64
 # spd_sqrt's scaled Newton steps end once the relative update is at or below
 # POLAR_TOL.  The iterate's error is then about the update squared (1e-9 at
 # most, measured), and the final unscaled step squares it again, to rounding
@@ -100,7 +110,7 @@ def _symmetric(a, kernel: str) -> np.ndarray:
     a = _finite(a, kernel)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"square matrix expected, got {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * float(np.abs(a).max(initial=0.0))):
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * float(np.abs(a).max(initial=0.0)):
         raise NotSymmetric(f"{kernel} requires a symmetric matrix")
     return a
 
@@ -234,22 +244,56 @@ def _shift_factor(a: np.ndarray, sigma: float) -> np.ndarray | None:
         return None
 
 
-def _lowest(a: np.ndarray, width: float, start: np.ndarray) -> tuple[float, np.ndarray]:
+def _guess(p: np.ndarray) -> np.ndarray:
+    """A unit vector near the eigenvector of the largest eigenvalue of p, positive semidefinite.
+
+    p is scaled to trace 1 and squared repeatedly, scaled to trace 1 again
+    each step.  Step k raises its eigenvalues to the powers 2^k, and the
+    trace of the square, the sum of their squares, grows towards 1/m for an
+    m-fold top eigenvalue, strictly until the weights left are equal.  The
+    squaring stops once that trace does not grow, or after _SQUARINGS
+    steps, and the guess is the column through the largest diagonal entry.
+    """
+    b = p / np.trace(p)
+    square = np.empty_like(b)
+    last = 0.0
+    for _ in range(_SQUARINGS):
+        np.matmul(b, b, out=square)
+        t = np.trace(square)
+        if not t > last:
+            break
+        square /= t
+        b, square, last = square, b, t
+    x = b[:, np.argmax(np.diag(b))]
+    return x / np.linalg.norm(x)
+
+
+def _lowest(a: np.ndarray, lower: float, upper: float, width: float, start: np.ndarray) -> tuple[float, np.ndarray]:
     """The certified lower end of the smallest eigenvalue of a, and its eigenvector.
 
-    Bisects the shift sigma between a Gershgorin lower bound, less ``width``,
-    and the smallest diagonal entry: a - sigma I factors exactly when sigma
-    lies below the spectrum.  The bracket keeps a shift that factored as its
-    lower end lo and one that did not as its upper end, so lo stays at or
-    below the smallest eigenvalue (up to the Cholesky's backward error), and
-    the bracket ends within ``width``.  A lower
-    end that does not factor under rounding is moved down by a doubling
-    step first.  The vector is ``start`` after INVERSE_STEPS
+    lower and upper are Gershgorin bounds of a's spectrum, and a - sigma I
+    factors exactly when sigma lies below it.  The bracket's upper end hi
+    starts at the smallest diagonal entry.  Where that lies more than
+    ``width`` above lower, a guess at the eigenvector comes from upper I - a
+    (``_guess``), hi becomes its Rayleigh quotient where that is smaller (no
+    quotient lies below the smallest eigenvalue), and the lower end lo
+    starts at hi - width/2, so that one Cholesky that succeeds closes the
+    bracket; otherwise lo starts at lower - width.  A lower end that does
+    not factor becomes the upper end, and lo steps down by a width that
+    doubles each time; once a shift factors, the bracket is bisected.  It
+    keeps a shift that factored as lo, so lo stays at or below the smallest
+    eigenvalue (up to the Cholesky's backward error), and it ends within
+    ``width``.  The vector is ``start`` after INVERSE_STEPS
     inverse-iteration steps with the factor of a - lo I.
     """
-    diag = np.diag(a)
-    radius = np.abs(a).sum(axis=1) - np.abs(diag)
-    lo, hi = float(np.min(diag - radius)) - width, float(diag.min())
+    lo, hi = lower - width, float(np.diag(a).min())
+    if hi - lower > width:
+        # not a multiple of I, so upper I - a, positive semidefinite, has a positive trace
+        shifted = -a
+        shifted.flat[:: a.shape[0] + 1] += upper
+        guess = _guess(shifted)
+        hi = min(hi, float(guess @ a @ guess))
+        lo = hi - 0.5 * width
     low, drop, steps = None, width, 0
     while low is None or hi - lo > width:
         if steps == EXTREME_STEPS:
@@ -277,19 +321,27 @@ def extreme_eigh(a: np.ndarray):
 
     By Sylvester's law of inertia, a - sigma I has a Cholesky factor exactly
     when sigma lies below every eigenvalue.  So each end of the spectrum is
-    found by bisecting sigma on whether numpy's Cholesky succeeds (``_lowest``),
-    on a for the smallest eigenvalue and on -a for the largest.  Each
-    reported value is the last shift whose factor succeeded, so
+    found by trying shifts sigma on whether numpy's Cholesky succeeds
+    (``_lowest``), on a for the smallest eigenvalue and on -a for the
+    largest.  Where an end's Gershgorin bracket is wider than the width,
+    repeated squaring of the Gershgorin-shifted matrix guesses its
+    eigenvector (``_guess``), and the bracket opens at the guess's Rayleigh
+    quotient, an upper bound of the smallest eigenvalue: the first shift,
+    half a width below it, closes the bracket when it factors, and a miss
+    steps the shift down and bisects.  Each reported value is the last
+    shift whose factor succeeded, so
     cholesky(a - w[0] I) and cholesky(w[1] I - a) both succeed: w[0] <=
     lambda_min and lambda_max <= w[1] hold by construction, for a matrix
-    within the factorization's backward error of a, and no Krylov subspace
-    is involved that could miss an extreme.  Each bracket closes to
-    EXTREME_TOL * n times the prescale 2^e; NoConvergence is raised if that
-    takes more than EXTREME_STEPS shifts (its ``sweeps`` is then that count,
-    and its ``off_norm`` the bracket width left).  The input is first scaled by the
+    within the factorization's backward error of a, whatever the guess was,
+    and no Krylov subspace is involved that could miss an extreme.  Each
+    bracket closes to EXTREME_TOL * n times the prescale 2^e; NoConvergence
+    is raised if that takes more than EXTREME_STEPS shifts (its ``sweeps``
+    is then the count of Cholesky shifts, not of squarings, and its
+    ``off_norm`` the bracket width left).  The input is first scaled by the
     even power of two 2^-e that brings max|a| into [1/4, 1): such a scaling
     is exact, and it scales every step of a Cholesky factorization exactly
-    (square roots included), so factors and values are those of a scaled back.
+    (square roots included), and every product of the squaring, so guesses,
+    factors and values are those of a scaled back.
 
     Returns
     -------
@@ -307,8 +359,11 @@ def extreme_eigh(a: np.ndarray):
     width = EXTREME_TOL * n
     # one fixed start for both vectors, so the result is a function of a
     start = np.random.default_rng(0).standard_normal(n)
-    low, v_low = _lowest(scaled, width, start)
-    high, v_high = _lowest(-scaled, width, start)
+    diag = np.diag(scaled)
+    radius = np.abs(scaled).sum(axis=1) - np.abs(diag)
+    lower, upper = float(np.min(diag - radius)), float(np.max(diag + radius))
+    low, v_low = _lowest(scaled, lower, upper, width, start)
+    high, v_high = _lowest(-scaled, -upper, -lower, width, start)
     return np.ldexp(np.array([low, -high]), e), np.column_stack([v_low, v_high])
 
 

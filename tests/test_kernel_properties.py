@@ -242,6 +242,7 @@ def check_extremes(a, vals, vecs):
     np.linalg.cholesky(vals[1] * np.eye(n) - a)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(kind=kinds, n=sizes, seed=seeds)
 @example(kind="gaussian", n=64, seed=0)
 @example(kind="repeated", n=33, seed=1)
@@ -250,6 +251,10 @@ def check_extremes(a, vals, vecs):
 @example(kind="graded", n=31, seed=3)
 @example(kind="zero", n=5, seed=0)
 @example(kind="gaussian", n=1, seed=4)
+@example(kind="gaussian", n=2, seed=6)
+@example(kind="clustered", n=2, seed=7)
+@example(kind="graded", n=2, seed=8)
+@example(kind="zero", n=1, seed=0)
 def test_extreme_eigh_matches_oracle(kind, n, seed):
     a = symmetric(kind, n, seed)
     check_extremes(a, *kernels.extreme_eigh(a))
@@ -317,7 +322,9 @@ def test_extreme_eigh_rejects_asymmetry(kind, n, seed, skew):
 
 
 def test_extreme_eigh_raises_when_steps_run_out(monkeypatch):
-    a = symmetric("gaussian", 8, 0)
+    # a guess for the 1e-9 wide cluster mixes its vectors, so the first shift
+    # misses; a well-separated end would close with one shift
+    a = symmetric("clustered", 8, 0)
     monkeypatch.setattr(kernels, "EXTREME_STEPS", 1)
     with pytest.raises(NoConvergence) as info:
         kernels.extreme_eigh(a)
@@ -326,6 +333,111 @@ def test_extreme_eigh_raises_when_steps_run_out(monkeypatch):
     assert info.value.off_norm > 0.0
     monkeypatch.undo()
     kernels.extreme_eigh(a)  # the cap, not the input, was short
+
+
+def bisection_shifts(a):
+    """The Cholesky shifts of both ends of extreme_eigh without a guess.
+
+    Each end bisects from its Gershgorin bound, less the width, and its
+    smallest diagonal entry, stepping down first while the lower end fails.
+    """
+    n = a.shape[0]
+    e = kernels._exponent(a)
+    scaled = np.ldexp(a, -(e + e % 2))
+    width = kernels.EXTREME_TOL * n
+    total = 0
+    for m in (scaled, -scaled):
+        diag = np.diag(m)
+        lo = float(np.min(diag - (np.abs(m).sum(axis=1) - np.abs(diag)))) - width
+        hi, drop, factored = float(diag.min()), width, False
+        while not factored or hi - lo > width:
+            total += 1
+            sigma = 0.5 * (lo + hi) if factored else lo
+            try:
+                np.linalg.cholesky(m - sigma * np.eye(n))
+                lo, factored = sigma, True
+            except np.linalg.LinAlgError:
+                if factored:
+                    hi = sigma
+                else:
+                    lo, hi, drop = lo - drop, lo, 2.0 * drop
+    return total
+
+
+def extremes_with_shifts(a):
+    """extreme_eigh(a), and whether each of its Cholesky shifts factored, in order."""
+    tried = []
+    shift = kernels._shift_factor
+
+    def counted(m, sigma):
+        factor = shift(m, sigma)
+        tried.append(factor is not None)
+        return factor
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_shift_factor", counted)
+        return kernels.extreme_eigh(a), tried
+
+
+def _with_spectrum(values, seed):
+    q = _orthogonal(np.random.default_rng(seed), len(values))
+    a = (q * np.asarray(values, dtype=float)) @ q.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [0.0, 1.0, -3.5, 1e-300, 7e300])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_extreme_eigh_multiple_of_identity(c, n):
+    # a guess divides by the trace of upper I - a, which is 0 for a = c I: both
+    # Gershgorin brackets are within width, so neither end takes a guess
+    a = c * np.eye(n)
+    (vals, vecs), tried = extremes_with_shifts(a)
+    check_extremes(a, vals, vecs)
+    assert tried == [True, True]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(n=st.integers(2, 40), seed=seeds, low=st.integers(1, 39), high=st.integers(1, 39), scale=st.floats(0.1, 50.0))
+@example(n=2, seed=0, low=1, high=1, scale=1.0)
+@example(n=12, seed=1, low=5, high=7, scale=3.0)
+@example(n=33, seed=2, low=1, high=32, scale=0.5)
+def test_extreme_eigh_exact_multiplicities_take_the_guess(n, seed, low, high, scale):
+    # an m-fold end stops the squaring on its eigenprojector, a guess in the eigenspace
+    low = min(low, n - 1)
+    high = min(high, n - low)
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.full(low, -1.5), rng.uniform(-1.0, 2.0, n - low - high), np.full(high, 3.0)])
+    a = _with_spectrum(values * scale, seed)
+    (vals, vecs), tried = extremes_with_shifts(a)
+    check_extremes(a, vals, vecs)
+    assert len(tried) <= 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(n=st.integers(1, 64), seed=seeds)
+@example(n=1, seed=0)
+@example(n=2, seed=1)
+@example(n=8, seed=0)
+@example(n=64, seed=2)
+def test_extreme_eigh_clusters_take_no_more_shifts_than_bisection(n, seed):
+    # two clusters, 1e-9 and 1e-12 wide: narrower than the squaring resolves
+    a = symmetric("clustered", n, seed)
+    (vals, vecs), tried = extremes_with_shifts(a)
+    check_extremes(a, vals, vecs)
+    assert len(tried) <= bisection_shifts(a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,seed", [(8, 0), (16, 3), (64, 2)])
+def test_extreme_eigh_guess_misses_unresolved_cluster(n, seed):
+    # the guess mixes the cluster's vectors, the first shift fails, and the
+    # step down and the bisection still close both brackets
+    a = symmetric("clustered", n, seed)
+    (vals, vecs), tried = extremes_with_shifts(a)
+    check_extremes(a, vals, vecs)
+    assert not tried[0]
+    assert len(tried) <= bisection_shifts(a)
 
 
 def spd(kind, n, seed):

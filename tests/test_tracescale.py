@@ -1251,6 +1251,42 @@ class TestDecompositionCounts:
         assert [len(c) for c in calls.values()] == [1, 0]
 
 
+def count_shifts(monkeypatch):
+    """Patch extreme_eigh's shift factorizations to be counted per end (per ``_lowest`` call); returns the counts."""
+    ends = []
+    lowest, shift = kernels._lowest, kernels._shift_factor
+
+    def counted_lowest(*args):
+        ends.append(0)
+        return lowest(*args)
+
+    def counted_shift(*args):
+        ends[-1] += 1
+        return shift(*args)
+
+    monkeypatch.setattr(kernels, "_lowest", counted_lowest)
+    monkeypatch.setattr(kernels, "_shift_factor", counted_shift)
+    return ends
+
+
+class TestShiftCounts:
+    def test_h1_ends_open_at_a_guess(self, monkeypatch):
+        ends = count_shifts(monkeypatch)
+        a = fem2d.assemble(fem2d.gen_mesh("square", 8))
+        assert tracescale.suite_h1(a).passed
+        # four extreme_eigh calls; bisecting from the Gershgorin bracket took about 46 shifts an end
+        assert len(ends) == 8
+        assert max(ends) <= 2
+
+    def test_hhalf_quotient_bisects_without_a_guess(self, monkeypatch):
+        ends = count_shifts(monkeypatch)
+        a = fem2d.assemble(fem2d.gen_mesh("square", 8))
+        assert tracescale.suite_hhalf(a, trials=2).passed
+        # the near-identity quotient's Gershgorin radii are within the width,
+        # so neither end takes a guess, and each bisects once past its bound
+        assert ends == [2, 2]
+
+
 NECAS_MAXIMA = ("trace_rough_max", "trace_smooth_max", "flux_rough_max", "flux_smooth_max", "rellich_max")
 
 
