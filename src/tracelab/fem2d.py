@@ -16,7 +16,8 @@ factored in blocks of the bandwidth (``block_factor``) and solved by block
 substitution (``block_solve``): the interior stiffness block of the solvers
 and the combined H1 Gram G of ``space_h1partial`` go through this one
 routine, so G and its factor stay bands and no n_nodes x n_nodes array is
-made.
+made.  Its forward half alone gives the Gram B' A^-1 B of a few sparse
+columns (``forward_gram``), such as K_bi K_ii^-1 K_ib and R G^-1 R'.
 """
 
 from __future__ import annotations
@@ -236,6 +237,42 @@ def block_solve(blocks: np.ndarray, rhs: np.ndarray, forward: bool = True, backw
                 w[k] -= blocks[k, b:].T @ w[k + 1]
             w[k] = blocks[k, :b].T @ w[k]
     return flat[:n].reshape(rhs.shape)
+
+
+def forward_gram(blocks: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
+    """B' A^-1 B = W'W for W = L^-1 B: A = L L' in the blocks of
+    ``block_factor``, B of ``width`` columns given by its nonzeros (row
+    positions ``i`` in the factored block, columns ``j``, values ``v``, each
+    (row, column) once).  Only the forward half of ``block_solve`` runs, one
+    block row of W at a time: each is made from row k - 1 and B's entries,
+    its product with itself added into W'W, and dropped, so no rows x width
+    array is made.  A column of W is zero above the first block row of B that
+    reaches it, so W'W is summed with the columns renumbered in that order,
+    and block row k is a product over only the columns reached by then.
+    """
+    n_blocks, b = blocks.shape[0], blocks.shape[2]
+    k_of = i // b
+    # renumber the columns by the block row that first reaches each;
+    # block row k of W is zero past the first reached[k] renumbered columns
+    first = np.full(width, n_blocks)
+    np.minimum.at(first, j, k_of)
+    perm = np.argsort(first, kind="stable")
+    reached = np.searchsorted(first[perm], np.arange(n_blocks), side="right")
+    pos = np.argsort(perm)
+    order = np.argsort(k_of, kind="stable")
+    bounds = np.searchsorted(k_of[order], np.arange(n_blocks + 1))
+    rows, cols, vals = i[order] - k_of[order] * b, pos[j[order]], v[order]
+    wtw = np.zeros((width, width))
+    prev = np.zeros((b, 0))
+    for k, reach in enumerate(reached):  # prev <- block row k of W
+        lo, hi = bounds[k], bounds[k + 1]
+        row = np.zeros((b, reach))
+        row[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
+        if k:
+            row[:, : prev.shape[1]] -= blocks[k - 1, b:] @ prev
+        prev = blocks[k, :b] @ row
+        wtw[:reach, :reach] += prev.T @ prev
+    return wtw[np.ix_(pos, pos)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,8 @@ from .errors import (
     SolveFailure,
     ZeroVector,
 )
-from .fem2d import Assembly, block_factor, block_solve, boundary_spaces, mass_product, space_h1partial
+from .fem2d import Assembly, block_factor, block_solve, boundary_spaces, forward_gram, mass_product
+from .fem2d import space_h1partial
 from .kernels import jacobi_svd  # noqa: F401 - unused; perfbench/selftest.py checks tracing patches it
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
@@ -68,7 +69,7 @@ def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
     """K_ii^-1 rhs for one vector or a block of interior right-hand sides:
     forward and then backward block substitution with the blocks of
     ``_interior_chol``.  ``_schur`` runs the forward half alone, on K_ib,
-    one block row at a time.
+    through ``fem2d.forward_gram``.
     """
     return block_solve(_interior_chol(a), rhs)
 
@@ -98,10 +99,10 @@ def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _extension_matrix(a: Assembly) -> np.ndarray:
-    """Minimal-energy extension of every boundary hat, as columns: the Z of
-    the extension side of ``energy_split`` and of the interval constants of
-    ``suite_hhalf``.  Neither M_b S nor a solver uses it, so the scale and
-    its checks share no work with Z."""
+    """Minimal-energy extension of every boundary hat, as columns.  Nothing
+    in tracelab calls it: the suites extend only the columns they check,
+    by ``_extend``.  It is kept because ``perfbench/tracer.py`` reports its
+    cache counters."""
     z = _extend(a, np.eye(a.M_b.shape[0]))
     z.setflags(write=False)
     return z
@@ -111,45 +112,16 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
 def _schur(a: Assembly) -> oplab.InnerSpace:
     """M_b S = M_b + K_bb - K_bi K_ii^-1 K_ib: the Schur complement of the
     combined H1 Gram onto the boundary, from the stiffness band and the
-    blocks of ``_interior_chol``, never from the Gram or the extension
-    matrix.  With K_ii = L L' it is M_b + K_bb - W'W for W = L^-1 K_ib, the
-    forward half of ``_interior_solve``.  Block row k of W needs only row
-    k - 1, so each one is made from the rows of the ``_coupling`` block in
-    it, its product with itself added into W'W, and dropped: no n_nodes x nb
-    array is made.  A boundary node's column of W is zero above the first
-    block row of K_ib that reaches it, so W'W is summed with the boundary
-    renumbered in that order, and block row k is a product over only the
-    columns reached by then.  As a space, so its one Cholesky factor serves
-    every Robin and Poisson-Robin solve."""
+    blocks of ``_interior_chol``, never from the Gram.  K_bi K_ii^-1 K_ib
+    is ``fem2d.forward_gram`` of K_ii's factor and K_ib's entries, so no
+    n_nodes x nb array is made.  As a space, so its one Cholesky factor
+    serves every Robin and Poisson-Robin solve."""
     bnd, interior = _partition(a)
     mbs = np.array(a.M_b)
     i, j, v = a.K.entries(bnd, bnd)
     mbs[i, j] += v
     if interior.size:
-        blocks = _interior_chol(a)
-        n_blocks, b = blocks.shape[0], blocks.shape[2]
-        ring, c = _coupling(a)
-        bounds = np.searchsorted(ring, b * np.arange(n_blocks + 1))
-        # renumber the boundary by the block row that first reaches each node;
-        # block row k of W is zero past the first reached[k] renumbered columns
-        first = np.full(bnd.size, n_blocks)
-        rows, cols = np.nonzero(c)
-        np.minimum.at(first, cols, ring[rows] // b)
-        perm = np.argsort(first, kind="stable")
-        reached = np.searchsorted(first[perm], np.arange(n_blocks), side="right")
-        pos = np.empty_like(perm)
-        pos[perm] = np.arange(bnd.size)
-        wtw = np.zeros_like(mbs)
-        prev = np.zeros((b, 0))
-        for k, width in enumerate(reached):  # prev <- block row k of W
-            lo, hi = bounds[k], bounds[k + 1]
-            row = np.zeros((b, width))
-            row[ring[lo:hi] - k * b] = c[lo:hi, perm[:width]]
-            if k:
-                row[:, : prev.shape[1]] -= blocks[k - 1, b:] @ prev
-            prev = blocks[k, :b] @ row
-            wtw[:width, :width] += prev.T @ prev
-        mbs -= wtw[np.ix_(pos, pos)]
+        mbs -= forward_gram(_interior_chol(a), *a.K.entries(interior, bnd), bnd.size)
     return oplab.make_space(bnd.size, np.triu(mbs) + np.triu(mbs, 1).T)
 
 
@@ -177,45 +149,34 @@ def _s_roots(a: Assembly) -> tuple[Operator, Operator]:
     return oplab.half_powers(oplab.identity(s_op.domain) + s_op)
 
 
-def _boundary_representers(a: Assembly, rows: np.ndarray | None = None) -> np.ndarray:
-    """X = G^-1 R', the combined-H1 representers of the boundary point
-    values, or only its rows ``rows``: G's band solve on the one-hot columns
-    of the boundary nodes, NECAS_BLOCK columns at a time, each block's rows
-    written into the result.  No dense R' is made, and no n_nodes x nb
-    array but the result when all rows are asked for.
-    """
-    h1 = space_h1partial(a)
-    bnd, _ = _partition(a)
-    out = np.empty((a.mesh.n_nodes if rows is None else rows.size, bnd.size))
-    for start in range(0, bnd.size, NECAS_BLOCK):
-        cols = bnd[start : start + NECAS_BLOCK]
-        one_hot = np.zeros((a.mesh.n_nodes, cols.size))
-        one_hot[cols, np.arange(cols.size)] = 1.0
-        block = h1.solve(one_hot)
-        out[:, start : start + cols.size] = block if rows is None else block[rows]
-    return out
-
-
 @lru_cache(maxsize=32)
-def _trace_pinv(a: Assembly) -> Operator:
-    """Lambda, the Moore-Penrose inverse of the trace (combined H1 space to
-    boundary L2), by its range-space formula.
-
-    The trace is onto, so its pinv is gamma* (gamma gamma*)^-1; with
-    gamma* = G^-1 R' M_b the boundary mass cancels, and Lambda = X C^-1 for
-    X = G^-1 R' (``_boundary_representers``) and C = R X = X[bnd], an
-    nb x nb SPD matrix.  X C^-1 is formed in X's own buffer, nb rows at a
-    time.  C is factored by ``make_space`` here: Lambda reads G's factor
-    alone, never K_ii's or the Schur complement's, so ``harmonic_two_path``
-    and the quotient Gram of ``suite_hhalf`` keep two independent paths.
+def _trace_pinv(a: Assembly) -> oplab.InnerSpace:
+    """C = R G^-1 R' = [G^-1]_bb as a space, the block of the trace pinv's
+    range-space formula: the trace is onto, so its pinv is
+    gamma* (gamma gamma*)^-1, and with gamma* = G^-1 R' M_b it is
+    Lambda = G^-1 R' C^-1.  C is ``fem2d.forward_gram`` of G's factor and the
+    boundary nodes' one-hot columns, so no n_nodes x nb array is made.  C^-1
+    equals M_b S, G's Schur complement onto the boundary, but C reads G's
+    factor alone, never ``_schur`` or K_ii's: ``harmonic_two_path`` and
+    ``suite_hhalf``'s quotient Gram M_b + C^-1 keep two independent paths.
     """
     bnd, _ = _partition(a)
-    x = _boundary_representers(a)
-    c = x[bnd]
-    c_inv = oplab.make_space(bnd.size, 0.5 * (c + c.T)).solve(np.eye(bnd.size))
-    for start in range(0, x.shape[0], bnd.size):
-        x[start : start + bnd.size] = x[start : start + bnd.size] @ c_inv
-    return Operator(boundary_spaces(a)[0], space_h1partial(a), x)
+    c = forward_gram(space_h1partial(a).blocks, bnd, np.arange(bnd.size), np.ones(bnd.size), bnd.size)
+    return oplab.make_space(bnd.size, np.triu(c) + np.triu(c, 1).T)
+
+
+def _representers(a: Assembly, y: np.ndarray) -> np.ndarray:
+    """G^-1 R' y for an (nb, k) block y: the combined-H1 representers of the
+    boundary functionals y, each block of NECAS_BLOCK columns scattered onto
+    the boundary nodes and solved with G's band factor.  No dense R' is made.
+    """
+    out = np.empty((a.mesh.n_nodes, y.shape[1]))
+    for start in range(0, y.shape[1], NECAS_BLOCK):
+        block = y[:, start : start + NECAS_BLOCK]
+        rhs = np.zeros((a.mesh.n_nodes, block.shape[1]))
+        rhs[a.mesh.boundary_nodes] = block
+        out[:, start : start + block.shape[1]] = space_h1partial(a).solve(rhs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +387,7 @@ def _check_counts(**counts: int) -> None:
             raise BadParameter(f"{name} must be >= 0, got {n}")
 
 
-# most samples of necas, identity samples of pde or columns of _trace_pinv's X solved as one block
+# most samples of necas, identity samples of pde or columns of G^-1 R' y (_representers) solved as one block
 NECAS_BLOCK = 64
 
 
@@ -471,7 +432,7 @@ def _colnorm(x: np.ndarray, q: oplab.InnerSpace) -> np.ndarray:
     return np.sqrt(np.maximum(_colquad(x, q.gram), 0.0))
 
 
-def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
+def _pde_projection(rec: Recorder, a: Assembly, lam: np.ndarray) -> None:
     """P = Lambda R projects onto the discrete-harmonic functions, H1-orthogonally.
 
     The trace R is read as the boundary index set: R Lambda is Lambda's
@@ -481,38 +442,35 @@ def _pde_projection(rec: Recorder, a: Assembly, lam: Operator) -> None:
     """
     h1 = space_h1partial(a)
     bnd, interior = _partition(a)
-    rl = lam.mat[bnd]
+    rl = lam[bnd]
     rec.record("extension_trace_identity", rel_diff(rl, np.eye(rl.shape[0])))
-    rec.record("harmonic_projection", rel_diff(lam.mat @ rl, lam.mat))
-    gl = h1.gram @ lam.mat
+    rec.record("harmonic_projection", rel_diff(lam @ rl, lam))
+    gl = h1.gram @ lam
     gl_bb = gl[bnd]
     asym = np.sqrt(np.sum((gl_bb - gl_bb.T) ** 2) + 2.0 * np.sum(gl[interior] ** 2))
     rec.record("harmonic_projection", float(asym) / max(float(np.linalg.norm(gl)), 1.0))
 
 
-def _pde_trials(rec: Recorder, a: Assembly, lam: Operator, rng: np.random.Generator, trials: int) -> None:
+def _pde_trials(rec: Recorder, a: Assembly, lam: np.ndarray, rng: np.random.Generator, trials: int) -> None:
     """Each solver against its operator-algebra twin, over one block of trials.
 
     Trial j draws g_j, f_j and f2_j in turn; each family is solved as one block.
     """
     nb, nn = a.M_b.shape[0], a.mesh.n_nodes
-    h1 = space_h1partial(a)
     draws = rng.standard_normal((trials, nb + 2 * nn)).T
     g, f, f2 = draws[:nb], draws[nb : nb + nn], draws[nb + nn :]
 
     z = harmonic_extension(a, g)
-    rec.record("harmonic_two_path", _maxabs(z - lam.mat @ g))
-    rec.record("harmonic_projection", _maxabs(lam.mat @ z[a.mesh.boundary_nodes] - z))
-    # the twin G^-1 R' M_b g, adjoint of the trace, goes through G's factor with
-    # M_b g scattered onto the boundary nodes; the solver goes through K_ii
-    rhs = np.zeros((nn, trials))
-    rhs[a.mesh.boundary_nodes] = a.M_b @ g
-    rec.record("robin_two_path", _maxabs(robin_solve(a, g) - h1.solve(rhs)))
+    rec.record("harmonic_two_path", _maxabs(z - lam @ g))
+    rec.record("harmonic_projection", _maxabs(lam @ z[a.mesh.boundary_nodes] - z))
+    # the twin G^-1 R' M_b g, adjoint of the trace, goes through G's factor;
+    # the solver goes through K_ii
+    rec.record("robin_two_path", _maxabs(robin_solve(a, g) - _representers(a, a.M_b @ g)))
 
     u = poisson_robin(a, f)
     # the twin G^-1 M_dom, adjoint of the embedding H1 -> L2(domain), goes through
     # G's own factor and the element masses: no band product shared with the solver
-    rec.record("poisson_two_path", _maxabs(u - h1.solve(mass_product(a.mesh, f))))
+    rec.record("poisson_two_path", _maxabs(u - space_h1partial(a).solve(mass_product(a.mesh, f))))
     lhs = np.sum(f * (a.M_dom @ poisson_robin(a, f2)), axis=0)
     rhs = np.sum(f2 * (a.M_dom @ u), axis=0)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
@@ -545,14 +503,15 @@ def suite_pde(
     """Solver characterizations: each boundary-value solver against its
     operator-algebra twin, plus the flux/boundary identities.
 
-    The trial population is drawn with one call and solved as one block of
-    columns; the identity population follows in blocks of at most
-    NECAS_BLOCK columns.  The twins of the trial phase are freed before the
-    identity population is drawn.
+    The trace pinv Lambda = G^-1 R' C^-1 is formed here from the cached C
+    (``_trace_pinv``) and freed with the suite.  The trial population is
+    drawn with one call and solved as one block of columns; the identity
+    population follows in blocks of at most NECAS_BLOCK columns.  The twins
+    of the trial phase are freed before the identity population is drawn.
     """
     _check_counts(trials=trials, identity_samples=identity_samples)
     rng = default_rng(seed)
-    lam = _trace_pinv(a)
+    lam = _representers(a, _trace_pinv(a).solve(np.eye(a.M_b.shape[0])))
     rec = _recorder("pde", a)
     _pde_projection(rec, a, lam)
     if trials:
@@ -605,8 +564,9 @@ def suite_hhalf(
     closed-form energy of g = x on the boundary (``X_TRACE_ENERGY``), and
     the comparison against the minimal-extension (trace-quotient) norm.
 
-    The quotient Gram is built through the pseudo-inverse route while the
-    scale Gram comes from the Schur-complement route, so the reported
+    The quotient Gram M_b + Lambda' G Lambda = M_b + C^-1 is built from
+    C = R G^-1 R' (``_trace_pinv``, G's factor) while the scale Gram comes
+    from the Schur complement M_b S (K_ii's factor), so the reported
     constants genuinely compare two code paths (they sit at 1 in exact
     arithmetic).
     """
@@ -617,7 +577,6 @@ def suite_hhalf(
     h1 = space_h1partial(a)
     l2bnd, _ = boundary_spaces(a)
     nb = l2bnd.dim
-    lam = _trace_pinv(a)
     q_half = hs_gram(a, 0.5)
 
     rec = _recorder("hhalf", a)
@@ -625,25 +584,24 @@ def suite_hhalf(
     eye = np.eye(nb)
     rec.record("proof_identity", rel_diff(shrink @ (eye + _s_operator(a).mat) @ shrink, eye))
 
-    z = _extension_matrix(a)
     if trials:
         # one draw per trial, as columns; the extension energy goes through G
         g = rng.standard_normal((trials, nb)).T
         total = _colquad(g, q_half.gram)
-        split = total - _colquad(g, a.M_b) - _colquad(z @ g, h1.gram)
+        split = total - _colquad(g, a.M_b) - _colquad(_extend(a, g), h1.gram)
         rec.record("energy_split", _maxabs(np.abs(split) / np.maximum(total, _TINY)))
 
     xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
     rec.record("x_trace_energy", abs(float(xb @ q_half.gram @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
 
-    quot = a.M_b + lam.mat.T @ (h1.gram @ lam.mat)
+    quot = a.M_b + _trace_pinv(a).solve(eye)
     c_min, c_max = equivalence_constants(q_half, oplab.make_space(nb, 0.5 * (quot + quot.T)))
 
     constants = {"quotient_cmin": c_min, "quotient_cmax": c_max}
     if a.mesh.kind == "interval":
         s_mat = _s_operator(a).mat
         g0 = np.array([1.0, 0.0])
-        ext0 = z @ g0
+        ext0 = _extend(a, g0)
         constants.update(
             {
                 "s_00": float(s_mat[0, 0]),
@@ -677,11 +635,10 @@ def suite_h1(
     nb = l2bnd.dim
     eye = np.eye(nb)
     s_mat = _s_operator(a).mat
-    bnd, _ = _partition(a)
 
     rec = _recorder("h1", a)
-    # trace o adjoint on boundary L2, R G^-1 R' M_b, through G: only the boundary rows of G^-1 R'
-    gg = _boundary_representers(a, bnd) @ a.M_b
+    # trace o adjoint on boundary L2, R G^-1 R' M_b = C M_b, through G
+    gg = _trace_pinv(a).gram @ a.M_b
     lhs = gg @ np.linalg.solve(eye + gg, eye)
     resolvent = np.linalg.solve(eye + s_mat, eye)
     rec.record("resolvent_identity", rel_diff(lhs, resolvent))

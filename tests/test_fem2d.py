@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tracelab import fem2d, oplab, tracescale
 from tracelab.errors import BadParameter, DegenerateElement, DimensionMismatch, GramNotPD
 
-from conftest import asm, check_coupling, check_range_space_pinv, embed_domain
+from conftest import asm, check_coupling, check_forward_grams, check_range_space_pinv, embed_domain
 
 DYADIC = [1, 2, 4, 8, 16, 32]
 AREA = {"interval": 1.0, "square": 1.0, "lshape": 0.75}
@@ -486,6 +486,11 @@ class TestRenumberedMesh:
         # G's band spreads over many wide diagonals, and the boundary nodes are scattered
         check_range_space_pinv(fem2d.assemble(renumbered(*case)))
 
+    @given(case=renumbered_meshes())
+    def test_forward_grams_of_wide_bands(self, case):
+        # the boundary's one-hot columns and K_ib reach G's and K_ii's block rows out of order
+        check_forward_grams(fem2d.assemble(renumbered(*case)))
+
     @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_condensed_solvers_follow_the_permutation(self, case, seed):
         # the Robin solvers and S read K_ib off the renumbered band's ring block
@@ -617,6 +622,31 @@ def check_band_space(a, rng):
     lam = oplab.pinv(trace)
     assert lam.codomain is h1 and lam.mat.shape == (nn, nb)
     close(lam.mat, oplab.pinv(trace_ref).mat)
+
+
+class TestForwardGram:
+    @pytest.mark.parametrize(
+        "kind,n", [(k, n) for k in ("interval", "square") for n in (1, 2, 8)] + [("lshape", 2), ("lshape", 8)]
+    )
+    def test_matches_dense_oracles(self, kind, n):
+        check_forward_grams(asm(kind, n))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_two_boundary_components(self, n):
+        check_forward_grams(fem2d.assemble(frame_mesh(n)))
+
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 6))
+    def test_sparse_block_matches_dense(self, seed, width):
+        # entries in any order, and columns that no entry reaches
+        a = asm("square", 4)
+        h1 = fem2d.space_h1partial(a)
+        rng = np.random.default_rng(seed)
+        b = np.where(rng.random((a.mesh.n_nodes, width)) < 0.1, rng.standard_normal((a.mesh.n_nodes, width)), 0.0)
+        i, j = np.nonzero(b)
+        order = rng.permutation(i.size)
+        got = fem2d.forward_gram(h1.blocks, i[order], j[order], b[i, j][order], width)
+        ref = b.T @ np.linalg.solve(h1.gram.dense(), b)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(np.abs(ref).max(initial=0.0), 1.0)
 
 
 class TestBandSpace:

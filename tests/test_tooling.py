@@ -6,7 +6,8 @@ tracelab must not pull in scipy.sparse, neither importing nor running it
 may pull in any of scipy, and a run imports nothing;
 tools/report_drift.py must say which reported number moved, and by how much;
 every config of tools/standard_drift.py must be one the CLI accepts; and
-tools/cell_cost.py must report the cost and verdict of one CLI cell.
+tools/cell_cost.py must byte-compile the tree and report the cost and
+verdict of one CLI cell.
 """
 
 import importlib
@@ -167,3 +168,6 @@ def test_cell_cost_reports_one_cell():
     assert float(cost["wall_s"]) > 0.0 and float(cost["cpu_s"]) > 0.0
     # the child's own peak: at least the interpreter with numpy loaded
     assert float(cost["peak_rss_mb"]) > 10.0
+    # the tree is byte-compiled before the run, so the child compiles nothing
+    src = tool.parents[1] / "src" / "tracelab"
+    assert all(Path(importlib.util.cache_from_source(str(py))).exists() for py in src.glob("*.py"))

@@ -27,7 +27,7 @@ from tracelab.errors import (
 )
 from tracelab.report import Recorder
 
-from conftest import asm, check_coupling, check_range_space_pinv, embed_domain
+from conftest import asm, check_coupling, check_range_space_pinv, dense_schur, embed_domain, trace_pinv_matrix
 from test_fem2d import frame_mesh
 
 MESH_SAMPLE = [("interval", 8), ("square", 4), ("lshape", 4)]
@@ -403,20 +403,20 @@ def dense_projection_residuals(a, lam):
     n_nodes x n_nodes products of P = Lambda R with the 0/1 matrix R."""
     h1 = fem2d.space_h1partial(a)
     r = fem2d.op_trace(a).mat
-    rl = r @ lam.mat
-    gp = (h1.gram @ lam.mat) @ r
+    rl = r @ lam
+    gp = (h1.gram @ lam) @ r
     return [
         ("extension_trace_identity", oplab.rel_diff(rl, np.eye(rl.shape[0]))),
-        ("harmonic_projection", oplab.rel_diff(lam.mat @ (rl @ r), lam.mat @ r)),
+        ("harmonic_projection", oplab.rel_diff(lam @ (rl @ r), lam @ r)),
         ("harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)),
     ]
 
 
-def projection_residuals(a):
-    """Every value ``_pde_projection`` records, in order."""
+def projection_residuals(a, lam):
+    """Every value ``_pde_projection`` records for ``lam``, in order."""
     rec, seen = Recorder("pde"), []
     rec.record = lambda name, value: seen.append((name, float(value)))
-    tracescale._pde_projection(rec, a, tracescale._trace_pinv(a))
+    tracescale._pde_projection(rec, a, lam)
     return seen
 
 
@@ -424,13 +424,14 @@ class TestProjectionIdentities:
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_index_set_trace_matches_dense_products(self, kind, n, monkeypatch):
         a = asm(kind, n)
-        reference = dense_projection_residuals(a, tracescale._trace_pinv(a))
+        lam = trace_pinv_matrix(a)
+        reference = dense_projection_residuals(a, lam)
 
         def no_matrix(a):
             raise AssertionError("the trace's 0/1 matrix was built")
 
-        monkeypatch.setattr(fem2d, "op_trace", no_matrix)  # _trace_pinv is cached above
-        got = projection_residuals(a)
+        monkeypatch.setattr(fem2d, "op_trace", no_matrix)
+        got = projection_residuals(a, lam)
         assert [name for name, _ in got] == [name for name, _ in reference]
         for (_, value), (_, ref) in zip(got, reference):
             assert value == pytest.approx(ref, rel=1e-12)
@@ -438,10 +439,10 @@ class TestProjectionIdentities:
 
     def test_allocates_less_than_one_square_array(self):
         a = asm("square", 32)
-        projection_residuals(a)  # the cached G, Lambda and partition
+        lam = trace_pinv_matrix(a)  # and the cached G and partition
         tracemalloc.start()
         try:
-            projection_residuals(a)
+            projection_residuals(a, lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,15 +617,6 @@ class TestInteriorSolve:
         assert np.array_equal(tracescale.harmonic_extension(a, g), expected)
 
 
-def dense_schur(a):
-    """M_b + K_bb - K_bi K_ii^-1 K_ib from the dense K and a dense solve."""
-    bnd = a.mesh.boundary_nodes
-    interior = np.setdiff1d(np.arange(a.mesh.n_nodes), bnd)
-    k = a.K.dense()
-    kib = k[np.ix_(interior, bnd)]
-    return a.M_b + k[np.ix_(bnd, bnd)] - kib.T @ np.linalg.solve(k[np.ix_(interior, interior)], kib)
-
-
 class TestSchur:
     @pytest.mark.parametrize("kind,n", SOLVE_MESHES + [("square", 1), ("interval", 1)])
     def test_matches_dense_oracle(self, kind, n):
@@ -641,8 +633,11 @@ class TestSchur:
             lambda a: tracescale._s_operator(a),
             lambda a: tracescale.necas_constants(a, n_samples=70),
             lambda a: tracescale.poisson_robin(a, np.ones((a.mesh.n_nodes, 2))),
+            lambda a: tracescale.suite_pde(a, trials=3, identity_samples=3),
+            lambda a: tracescale.suite_hhalf(a, trials=3),
+            lambda a: tracescale.suite_h1(a),
         ],
-        ids=["s_operator", "necas", "poisson_robin"],
+        ids=["s_operator", "necas", "poisson_robin", "pde", "hhalf", "h1"],
     )
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_makes_no_extension_matrix(self, kind, n, run, monkeypatch):
@@ -652,6 +647,18 @@ class TestSchur:
         a = fem2d.assemble(fem2d.gen_mesh(kind, n))  # fresh, so nothing is cached
         monkeypatch.setattr(tracescale, "_extension_matrix", refuse)
         run(a)
+
+    def test_one_boundary_block_per_assembly(self):
+        # pde, hhalf and h1 read one C = R G^-1 R', made on the first call
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so C is not cached
+        misses = tracescale._trace_pinv.cache_info().misses
+        for report in (
+            tracescale.suite_pde(a, trials=3, identity_samples=3),
+            tracescale.suite_hhalf(a, trials=3),
+            tracescale.suite_h1(a),
+        ):
+            assert report.passed
+        assert tracescale._trace_pinv.cache_info().misses == misses + 1
 
 
 class TestCoupling:
@@ -1148,9 +1155,9 @@ class TestTracePinv:
         monkeypatch.setattr(fem2d, "op_trace", op_trace)
         monkeypatch.setattr(kernels, "jacobi_svd", svd)
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so _trace_pinv runs
-        lam = tracescale._trace_pinv(a)
+        lam = trace_pinv_matrix(a)
         assert made == []
-        assert np.abs(lam.mat[a.mesh.boundary_nodes] - np.eye(16)).max() <= 1e-12
+        assert np.abs(lam[a.mesh.boundary_nodes] - np.eye(16)).max() <= 1e-12
         assert tracescale.suite_pde(a, trials=3, identity_samples=3).passed
         assert made == []
 
@@ -1162,8 +1169,8 @@ class TestTracePinv:
         check_range_space_pinv(asm(kind, n))
 
     def test_reads_g_alone(self, monkeypatch):
-        # Lambda takes G's band factor only: no interior factor, Schur complement,
-        # ring block, extension matrix, trace matrix or operator SVD
+        # C and Lambda take G's band factor only: no interior factor, Schur
+        # complement, ring block, extension matrix, trace matrix or operator SVD
         def refuse(*args, **kw):
             raise AssertionError("_trace_pinv read a second path")
 
@@ -1172,8 +1179,8 @@ class TestTracePinv:
         monkeypatch.setattr(fem2d, "op_trace", refuse)
         monkeypatch.setattr(oplab.Operator, "svd", property(refuse))
         a = fem2d.assemble(fem2d.gen_mesh("lshape", 4))  # fresh, so nothing is cached
-        lam = tracescale._trace_pinv(a)
-        assert np.abs(lam.mat[a.mesh.boundary_nodes] - np.eye(a.M_b.shape[0])).max() <= 1e-12
+        lam = trace_pinv_matrix(a)
+        assert np.abs(lam[a.mesh.boundary_nodes] - np.eye(a.M_b.shape[0])).max() <= 1e-12
 
 
 

@@ -3,7 +3,8 @@
     python3 tools/cell_cost.py -- --suite pde,hhalf,h1 --mesh square --n 64 --trials 20
 
 Everything after ``--`` goes to ``python -m tracelab``, run with this tree's
-``src`` on PYTHONPATH and BLAS on one thread; the script appends its own
+``src`` on PYTHONPATH and BLAS on one thread, after ``src/tracelab`` is
+byte-compiled so that no run pays for compiling; the script appends its own
 ``--out``, so the reports go to a temporary directory.  It prints one
 ``name value`` line each for the wall time, the CPU time (user + system)
 and the peak RSS of the child (``RUSAGE_CHILDREN``), its exit code and the
@@ -13,6 +14,7 @@ child's exit code.  For a memory cap, run it under ``ulimit -v``.
 
 from __future__ import annotations
 
+import compileall
 import json
 import os
 import resource
@@ -49,6 +51,7 @@ def main(argv: list[str]) -> int:
     if not argv or argv[0] != "--":
         print("usage: cell_cost.py -- TRACELAB_ARGS...", file=sys.stderr)
         return 2
+    compileall.compile_dir(SRC / "tracelab", quiet=2)
     with tempfile.TemporaryDirectory() as tmp:
         cost = measure(argv[1:], Path(tmp))
     for name, value in cost.items():

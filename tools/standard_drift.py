@@ -5,15 +5,18 @@
 Each root is a checkout holding ``src/tracelab``.  For every config in
 ``CONFIGS`` the script runs ``python -m tracelab`` once in each tree, with
 that tree's ``src`` on PYTHONPATH, BLAS on one thread and a fixed hash seed,
-into a temporary directory.  It then prints the config's name and arguments
-and what ``tools/report_drift.py`` says of the two reports: "identical", or
-the largest moves.  The trees run one after the other, never in parallel.
+into a temporary directory; each tree's ``src/tracelab`` is byte-compiled
+first, so neither side pays for compiling.  It then prints the config's
+name and arguments and what ``tools/report_drift.py`` says of the two
+reports: "identical", or the largest moves.  The trees run one after the
+other, never in parallel.
 It exits 0 when every pair is identical, 1 when a report moved, and 2 when a
 run ends without writing its report.
 """
 
 from __future__ import annotations
 
+import compileall
 import os
 import subprocess
 import sys
@@ -58,6 +61,8 @@ def main(argv: list[str]) -> int:
         print("usage: standard_drift.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
         return 2
     roots = [Path(p).resolve() for p in argv]
+    for root in roots:
+        compileall.compile_dir(root / "src" / "tracelab", quiet=2)
     moved = False
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in CONFIGS.items():
