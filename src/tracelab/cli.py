@@ -166,9 +166,11 @@ def parse_config_file(path: str) -> dict[str, object]:
 
     Keys: suites, meshes, ns (comma lists), seed, trials (integers),
     out (path), tol.NAME (override for tolerance family NAME, a finite real >= 0).
+    A key given twice is an error that names both lines.
     """
     raw: dict[str, object] = {}
     tols: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -182,6 +184,9 @@ def parse_config_file(path: str) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in first_line:
+            raise ConfigParseError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         if key.startswith("tol."):
             name = key[len("tol.") :]
             if not name:
@@ -213,6 +218,8 @@ def _parse_tol_flag(items: list[str]) -> dict[str, float]:
             raise ConfigParseError(f"--tol expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
         name = name.strip()
+        if name in tols:
+            raise ConfigParseError(f"--tol names {name!r} twice")
         try:
             tols[name] = _tolerance(value)
         except ValueError as exc:

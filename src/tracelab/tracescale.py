@@ -387,7 +387,7 @@ def _check_counts(**counts: int) -> None:
             raise BadParameter(f"{name} must be >= 0, got {n}")
 
 
-# most samples of necas, identity samples of pde or columns of G^-1 R' y (_representers) solved as one block
+# most necas samples, pde identity samples or columns of pde's G^-1 R' y (_representers) solved as one block
 NECAS_BLOCK = 64
 
 
@@ -432,40 +432,33 @@ def _colnorm(x: np.ndarray, q: oplab.InnerSpace) -> np.ndarray:
     return np.sqrt(np.maximum(_colquad(x, q.gram), 0.0))
 
 
-def _pde_projection(rec: Recorder, a: Assembly, lam: np.ndarray) -> None:
-    """P = Lambda R projects onto the discrete-harmonic functions, H1-orthogonally.
-
-    The trace R is read as the boundary index set: R Lambda is Lambda's
-    boundary rows, and |X R| = |X| as X R only places X's columns.  So P^2 = P
-    reads Lambda (R Lambda) = Lambda, and G P - (G P)' for A = G Lambda holds
-    A_bb - A_bb' and, twice, A_ib: no n_nodes x n_nodes array is made.
-    """
-    h1 = space_h1partial(a)
-    bnd, interior = _partition(a)
-    rl = lam[bnd]
-    rec.record("extension_trace_identity", rel_diff(rl, np.eye(rl.shape[0])))
-    rec.record("harmonic_projection", rel_diff(lam @ rl, lam))
-    gl = h1.gram @ lam
-    gl_bb = gl[bnd]
-    asym = np.sqrt(np.sum((gl_bb - gl_bb.T) ** 2) + 2.0 * np.sum(gl[interior] ** 2))
-    rec.record("harmonic_projection", float(asym) / max(float(np.linalg.norm(gl)), 1.0))
-
-
-def _pde_trials(rec: Recorder, a: Assembly, lam: np.ndarray, rng: np.random.Generator, trials: int) -> None:
+def _pde_trials(rec: Recorder, a: Assembly, rng: np.random.Generator, trials: int) -> None:
     """Each solver against its operator-algebra twin, over one block of trials.
 
     Trial j draws g_j, f_j and f2_j in turn; each family is solved as one block.
+    The trace pinv Lambda = G^-1 R' C^-1 is applied to the block, never formed:
+    one ``_representers`` solve gives Lambda g, Lambda (R z) and the Robin twin.
+    P = Lambda R is checked on the block: R Lambda g = g, P z = z, and
+    G Lambda g = R' C^-1 g is zero off the boundary and pairs symmetrically with g.
     """
     nb, nn = a.M_b.shape[0], a.mesh.n_nodes
+    bnd, interior = _partition(a)
     draws = rng.standard_normal((trials, nb + 2 * nn)).T
     g, f, f2 = draws[:nb], draws[nb : nb + nn], draws[nb + nn :]
 
     z = harmonic_extension(a, g)
-    rec.record("harmonic_two_path", _maxabs(z - lam @ g))
-    rec.record("harmonic_projection", _maxabs(lam @ z[a.mesh.boundary_nodes] - z))
     # the twin G^-1 R' M_b g, adjoint of the trace, goes through G's factor;
     # the solver goes through K_ii
-    rec.record("robin_two_path", _maxabs(robin_solve(a, g) - _representers(a, a.M_b @ g)))
+    rhs = np.hstack([_trace_pinv(a).solve(np.hstack([g, z[bnd]])), a.M_b @ g])
+    lam_g, lam_z, twin = np.hsplit(_representers(a, rhs), 3)
+    rec.record("harmonic_two_path", _maxabs(z - lam_g))
+    rec.record("extension_trace_identity", rel_diff(lam_g[bnd], g))
+    rec.record("harmonic_projection", _maxabs(lam_z - z))
+    gl = space_h1partial(a).gram @ lam_g
+    rec.record("harmonic_projection", np.linalg.norm(gl[interior]) / max(np.linalg.norm(gl), _TINY))
+    pair = g.T @ gl[bnd]
+    rec.record("harmonic_projection", rel_diff(pair, pair.T))
+    rec.record("robin_two_path", _maxabs(robin_solve(a, g) - twin))
 
     u = poisson_robin(a, f)
     # the twin G^-1 M_dom, adjoint of the embedding H1 -> L2(domain), goes through
@@ -503,19 +496,17 @@ def suite_pde(
     """Solver characterizations: each boundary-value solver against its
     operator-algebra twin, plus the flux/boundary identities.
 
-    The trace pinv Lambda = G^-1 R' C^-1 is formed here from the cached C
-    (``_trace_pinv``) and freed with the suite.  The trial population is
-    drawn with one call and solved as one block of columns; the identity
-    population follows in blocks of at most NECAS_BLOCK columns.  The twins
-    of the trial phase are freed before the identity population is drawn.
+    The trial population is drawn with one call and solved as one block, the
+    trace pinv applied to it alone (``_pde_trials``): no n_nodes x nb array is
+    made, and trials=0 records no two-path or projection gate.  The identity
+    population follows in blocks of at most NECAS_BLOCK columns, after the
+    twins of the trial phase are freed.
     """
     _check_counts(trials=trials, identity_samples=identity_samples)
     rng = default_rng(seed)
-    lam = _representers(a, _trace_pinv(a).solve(np.eye(a.M_b.shape[0])))
     rec = _recorder("pde", a)
-    _pde_projection(rec, a, lam)
     if trials:
-        _pde_trials(rec, a, lam, rng, trials)
+        _pde_trials(rec, a, rng, trials)
     if identity_samples:
         _pde_identities(rec, a, rng, identity_samples)
 

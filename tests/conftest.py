@@ -43,7 +43,7 @@ def check_coupling(a: fem2d.Assembly) -> None:
 
 
 def trace_pinv_matrix(a: fem2d.Assembly) -> np.ndarray:
-    """The range-space Lambda = G^-1 R' C^-1 as ``suite_pde`` forms it, from
+    """The range-space Lambda = G^-1 R' C^-1, the tests' dense Lambda, from
     the cached C of ``tracescale._trace_pinv``."""
     return tracescale._representers(a, tracescale._trace_pinv(a).solve(np.eye(a.M_b.shape[0])))
 

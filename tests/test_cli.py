@@ -105,6 +105,19 @@ class TestConfigFile:
         with pytest.raises(ConfigParseError, match=":2"):
             cli.parse_config_file(str(f))
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("seed = 1\nsuites = pde\nseed = 2\n", "seed"),
+            ("tol.green_formula = 1e-9\n\ntol.green_formula = 1e-8\n", "tol.green_formula"),
+        ],
+    )
+    def test_repeated_key_names_both_lines(self, tmp_path, text, key):
+        f = tmp_path / "run.cfg"
+        f.write_text(text)
+        with pytest.raises(ConfigParseError, match=rf":3: key '{key}' already set on line 1"):
+            cli.parse_config_file(str(f))
+
     def test_unknown_key(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("colour = blue\n")
@@ -174,6 +187,11 @@ class TestPrecedence:
         args = cli.make_parser().parse_args([str(f), "--tol", "a=9.0", "--tol", "c=3.0"])
         cfg = cli.build_config(args)
         assert cfg.tol_overrides == {"a": 9.0, "b": 2.0, "c": 3.0}
+
+    def test_repeated_tol_flag(self):
+        args = cli.make_parser().parse_args(["--suite", "pde", "--tol", "a=1.0", "--tol", "a = 2.0"])
+        with pytest.raises(ConfigParseError, match="'a' twice"):
+            cli.build_config(args)
 
     def test_bad_tol_flag(self):
         args = cli.make_parser().parse_args(["--suite", "pde", "--tol", "oops"])
@@ -262,6 +280,21 @@ class TestRun:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and "energy_splt" in err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_repeated_key_exit_2_no_files(self, tmp_path, capsys, source):
+        out = tmp_path / "rep"
+        argv = ["--suite", "pde", "--mesh", "interval", "--n", "1", "--trials", "2", "--out", str(out)]
+        if source == "file":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = 1\nseed = 2\n")
+            argv.insert(0, str(cfg))
+        else:
+            argv += ["--tol", "green_formula=1e-9", "--tol", "green_formula=1e-8"]
+        assert run_main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and ("seed" if source == "file" else "green_formula") in err
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize("source", ["flag", "file"])

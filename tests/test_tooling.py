@@ -148,7 +148,9 @@ def test_standard_drift_configs_build(monkeypatch):
     tools = Path(__file__).resolve().parents[1] / "tools"
     monkeypatch.syspath_prepend(str(tools))  # the script imports report_drift beside it
     configs = _load(tools / "standard_drift.py", "standard_drift", monkeypatch).CONFIGS
-    assert list(configs) == ["scale-refine", "solve-fine", "oplab", "all-suites", "two-levels", "h1-fine", "interp-fine"]
+    assert list(configs) == [
+        "scale-refine", "solve-fine", "oplab", "all-suites", "two-levels", "h1-fine", "interp-fine", "pde-fine",
+    ]
     for args in configs.values():
         assert isinstance(cli.build_config(cli.make_parser().parse_args(list(args))), cli.RunConfig)
     # the two benchmark workloads, with their arguments as the benchmark passes them

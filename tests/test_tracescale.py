@@ -398,55 +398,68 @@ class TestGreenResidual:
         assert len(products) == 1 and products[0] is a.K
 
 
-def dense_projection_residuals(a, lam):
-    """The residuals of ``_pde_projection`` in order, from the dense
-    n_nodes x n_nodes products of P = Lambda R with the 0/1 matrix R."""
-    h1 = fem2d.space_h1partial(a)
+PROJECTION_GATES = ("extension_trace_identity", "harmonic_projection")
+
+
+def dense_projection_residuals(a, g):
+    """The projection residuals of ``_pde_trials`` for the trial block g, in
+    order, from the dense Lambda = G^-1 R' (R G^-1 R')^-1 of the 0/1 trace
+    matrix R and G's dense matrix."""
     r = fem2d.op_trace(a).mat
-    rl = r @ lam
-    gp = (h1.gram @ lam) @ r
+    gram = fem2d.space_h1partial(a).gram.dense()
+    g_inv_rt = np.linalg.solve(gram, r.T)
+    lam = g_inv_rt @ np.linalg.inv(r @ g_inv_rt)
+    z = tracescale.harmonic_extension(a, g)
+    gl = gram @ (lam @ g)
+    off_boundary = gl - r.T @ (r @ gl)
+    pair = g.T @ (r @ gl)
     return [
-        ("extension_trace_identity", oplab.rel_diff(rl, np.eye(rl.shape[0]))),
-        ("harmonic_projection", oplab.rel_diff(lam @ (rl @ r), lam @ r)),
-        ("harmonic_projection", float(np.linalg.norm(gp - gp.T)) / max(float(np.linalg.norm(gp)), 1.0)),
+        ("extension_trace_identity", oplab.rel_diff(r @ (lam @ g), g)),
+        ("harmonic_projection", float(np.abs(lam @ (r @ z) - z).max())),
+        ("harmonic_projection", float(np.linalg.norm(off_boundary) / np.linalg.norm(gl))),
+        ("harmonic_projection", oplab.rel_diff(pair, pair.T)),
     ]
 
 
-def projection_residuals(a, lam):
-    """Every value ``_pde_projection`` records for ``lam``, in order."""
+def projection_residuals(a, trials, seed):
+    """The projection values ``_pde_trials`` records for a block of trials,
+    in order, and the block g it drew."""
     rec, seen = Recorder("pde"), []
     rec.record = lambda name, value: seen.append((name, float(value)))
-    tracescale._pde_projection(rec, a, lam)
-    return seen
+    tracescale._pde_trials(rec, a, np.random.default_rng(seed), trials)
+    nb, nn = a.M_b.shape[0], a.mesh.n_nodes
+    g = np.random.default_rng(seed).standard_normal((trials, nb + 2 * nn)).T[:nb]
+    return [(name, value) for name, value in seen if name in PROJECTION_GATES], g
 
 
 class TestProjectionIdentities:
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_index_set_trace_matches_dense_products(self, kind, n, monkeypatch):
         a = asm(kind, n)
-        lam = trace_pinv_matrix(a)
-        reference = dense_projection_residuals(a, lam)
 
         def no_matrix(a):
             raise AssertionError("the trace's 0/1 matrix was built")
 
-        monkeypatch.setattr(fem2d, "op_trace", no_matrix)
-        got = projection_residuals(a, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(fem2d, "op_trace", no_matrix)
+            got, g = projection_residuals(a, 6, 5)
+        reference = dense_projection_residuals(a, g)
         assert [name for name, _ in got] == [name for name, _ in reference]
         for (_, value), (_, ref) in zip(got, reference):
             assert value == pytest.approx(ref, rel=1e-12)
             assert value <= 1e-12
 
-    def test_allocates_less_than_one_square_array(self):
-        a = asm("square", 32)
-        lam = trace_pinv_matrix(a)  # and the cached G and partition
+    def test_allocates_less_than_one_pinv_array(self):
+        # Lambda is n_nodes x nb; the suite applies it to its trial block only
+        a = asm("square", 64)
+        tracescale.suite_pde(a, trials=2, identity_samples=2)  # warm the cached factors and C
         tracemalloc.start()
         try:
-            projection_residuals(a, lam)
+            tracescale.suite_pde(a, trials=2, identity_samples=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * a.mesh.n_nodes**2
+        assert peak < 8 * a.mesh.n_nodes * a.M_b.shape[0]
 
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_trace_of_extension_is_identity(self, kind, n, rng):
@@ -952,7 +965,72 @@ class TestSuitePde:
 
     def test_empty_population_records_no_gate(self):
         rep = tracescale.suite_pde(asm("square", 2), trials=0, identity_samples=0)
-        assert set(rep.residuals) == {"extension_trace_identity", "harmonic_projection", "linear_reproduction"}
+        assert set(rep.residuals) == {"linear_reproduction"}
+
+
+def scaled_corner(c):
+    c[0, 0] *= 1.0 + 1e-6
+
+
+def dropped_column(c):
+    c[0], c[:, 0] = 0.0, 0.0
+    c[0, 0] = 1.0
+
+
+def coupled_pair(c):
+    c[0, 1] += 1e-7
+    c[1, 0] += 1e-7
+
+
+def scaled_whole(c):
+    c *= 1.0 + 1e-9
+
+
+# C mutants of the trace pinv's boundary block, each with the gates it must fail
+PINV_GATES = {"extension_trace_identity", "harmonic_projection"}
+C_MUTANTS = {
+    "scaled_corner": (scaled_corner, PINV_GATES | {"harmonic_two_path"}),
+    "dropped_column": (dropped_column, PINV_GATES | {"harmonic_two_path"}),
+    "coupled_pair": (coupled_pair, PINV_GATES | {"harmonic_two_path"}),
+    "scaled_whole": (scaled_whole, PINV_GATES),
+}
+PDE_KILL_MESHES = [("square", 8), ("lshape", 8)]
+
+
+def failed_gates(rep):
+    return {name for name, ok in rep.verdicts.items() if not ok}
+
+
+class TestPdeKillCheck:
+    """Planted faults in the trace pinv's C and in G's factor that
+    ``suite_pde`` must catch, each by exactly the gates named."""
+
+    @pytest.mark.parametrize("kind,n", PDE_KILL_MESHES)
+    @pytest.mark.parametrize("mutant", list(C_MUTANTS))
+    def test_c_mutant_fails_its_gates(self, mutant, kind, n, monkeypatch):
+        mutate, gates = C_MUTANTS[mutant]
+        a = asm(kind, n)
+        gram = np.array(tracescale._trace_pinv(a).gram)
+        mutate(gram)
+        planted = oplab.make_space(gram.shape[0], gram)
+        monkeypatch.setattr(tracescale, "_trace_pinv", lambda a: planted)
+        assert failed_gates(tracescale.suite_pde(a, trials=5, identity_samples=5)) == gates
+
+    @pytest.mark.parametrize("kind,n", PDE_KILL_MESHES)
+    def test_perturbed_g_factor_fails_its_gates(self, kind, n, monkeypatch):
+        # every read of G's factor (its solves, and C by its forward substitution)
+        # takes the factor of G with a middle interior diagonal entry off by 1e-9;
+        # the products keep the true band
+        a = fem2d.assemble(fem2d.gen_mesh(kind, n))  # fresh, so C is built from the planted factor
+        true = fem2d.space_h1partial(a)
+        interior = tracescale._partition(a)[1]
+        diag = np.array(true.gram.diags[0])
+        diag[interior[interior.size // 2]] *= 1.0 + 1e-9
+        band = dataclasses.replace(true.gram, diags=(diag,) + true.gram.diags[1:])
+        planted = dataclasses.replace(true, blocks=fem2d.block_factor(band, np.arange(diag.size), "G"))
+        monkeypatch.setattr(tracescale, "space_h1partial", lambda a: planted)
+        rep = tracescale.suite_pde(a, trials=5, identity_samples=5)
+        assert failed_gates(rep) == {"robin_two_path", "poisson_two_path", "harmonic_projection"}
 
 
 def identity_records(a, samples, seed):

@@ -26,8 +26,9 @@ from pathlib import Path
 from report_drift import drift
 
 # the two benchmark workloads, the oplab population, every suite on small
-# interval/lshape levels, the mesh suites at a coarse and a finer level, and
-# the H1 suites and the fractional orders of interp and dual at nb = 256
+# interval/lshape levels, the mesh suites at a coarse and a finer level, the
+# H1 suites and the fractional orders of interp and dual at nb = 256, and pde
+# alone where its trace pinv spans the most boundary columns
 CONFIGS = {
     "scale-refine": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square", "--n", "8,16",
                      "--trials", "20", "--seed", "501"),
@@ -40,6 +41,7 @@ CONFIGS = {
                    "--trials", "20", "--seed", "3"),
     "h1-fine": ("--suite", "pde,hhalf,h1", "--mesh", "square", "--n", "64", "--trials", "5", "--seed", "11"),
     "interp-fine": ("--suite", "interp,dual", "--mesh", "square", "--n", "64", "--trials", "20", "--seed", "13"),
+    "pde-fine": ("--suite", "pde", "--mesh", "square,lshape", "--n", "64,128", "--trials", "20", "--seed", "17"),
 }
 
 
