@@ -165,8 +165,8 @@ def parse_config_file(path: str) -> dict[str, object]:
     """Flat key=value text.  Blank lines and #-comments are skipped.
 
     Keys: suites, meshes, ns (comma lists), seed, trials (integers),
-    out (path), tol.NAME (override for tolerance family NAME, a finite real >= 0).
-    A key given twice is an error that names both lines.
+    out (a non-empty path), tol.NAME (override for tolerance family NAME, a
+    finite real >= 0).  A key given twice is an error that names both lines.
     """
     raw: dict[str, object] = {}
     tols: dict[str, float] = {}
@@ -203,6 +203,8 @@ def parse_config_file(path: str) -> dict[str, object]:
             except ValueError as exc:
                 raise ConfigParseError(f"{path}:{lineno}: bad integer {value!r}") from exc
         elif key == "out":
+            if not value:
+                raise ConfigParseError(f"{path}:{lineno}: empty output directory")
             raw[key] = value
         else:
             raise ConfigParseError(f"{path}:{lineno}: unknown key {key!r}")
@@ -227,8 +229,17 @@ def _parse_tol_flag(items: list[str]) -> dict[str, float]:
     return tols
 
 
+def _once(values: list | None, flag: str):
+    """The value of a single-valued flag, None when it is absent; a flag
+    given twice is an error."""
+    if values and len(values) > 1:
+        raise ConfigParseError(f"{flag} given {len(values)} times")
+    return values[0] if values else None
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     raw: dict[str, object] = {}
+    seed, trials, out = _once(args.seed, "--seed"), _once(args.trials, "--trials"), _once(args.out, "--out")
     if args.config:
         raw.update(parse_config_file(args.config))
     if args.suite:
@@ -237,33 +248,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raw["meshes"] = _split_csv(args.mesh)
     if args.n:
         raw["ns"] = _split_csv(args.n)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
+    if seed is not None:
+        raw["seed"] = seed
+    if trials is not None:
+        raw["trials"] = trials
     if args.tol:
         merged = dict(raw.get("tol_overrides", {}))
         merged.update(_parse_tol_flag(args.tol))
         raw["tol_overrides"] = merged
-    if args.out:
-        raw["out"] = args.out
+    if out is not None:
+        if not out:
+            raise ConfigParseError("--out is empty")
+        raw["out"] = out
 
     try:
         ns = tuple(int(v) for v in raw.get("ns", [8]))
     except ValueError as exc:
         raise ConfigParseError(f"bad refinement value: {exc}") from exc
 
-    def _dedupe(items) -> tuple[str, ...]:
-        seen: list[str] = []
-        for it in items:
-            if it not in seen:
-                seen.append(it)
-        return tuple(seen)
-
     out_dir = raw.get("out") or os.environ.get("TRACELAB_OUT") or "tracelab_out"
     return RunConfig(
-        suites=_dedupe(raw.get("suites", [])),
-        meshes=_dedupe(raw.get("meshes", ["square"])),
+        suites=tuple(dict.fromkeys(raw.get("suites", []))),
+        meshes=tuple(dict.fromkeys(raw.get("meshes", ["square"]))),
         ns=ns,
         seed=int(raw.get("seed", 0)),
         trials=int(raw.get("trials", 100)),
@@ -382,10 +388,11 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suite", action="append", help="suite name (repeatable / comma list)")
     parser.add_argument("--mesh", action="append", help="mesh kind (repeatable / comma list)")
     parser.add_argument("--n", action="append", help="refinement level (repeatable / comma list)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
-    parser.add_argument("--trials", type=int, default=None, help="random trials per cell")
+    # appended, so that build_config can refuse a second value
+    parser.add_argument("--seed", type=int, action="append", help="master seed (64-bit), once")
+    parser.add_argument("--trials", type=int, action="append", help="random trials per cell, once")
     parser.add_argument("--tol", action="append", help="tolerance override NAME=VALUE, VALUE finite and >= 0")
-    parser.add_argument("--out", default=None, help="output directory (default $TRACELAB_OUT)")
+    parser.add_argument("--out", action="append", help="output directory, once (default $TRACELAB_OUT)")
     return parser
 
 

@@ -6,18 +6,19 @@ Three mesh kinds: the unit interval, the unit square, and the L-shape
 masked grid.  The boundary of every mesh is read off its elements as
 facets, the element faces that belong to one element: the interval's two
 end points, a triangulation's boundary sides.  The boundary may have
-several components.  Assembly produces the domain stiffness and mass as
-their few nonzero diagonals (``Band``) and dense mass/stiffness matrices on
-the boundary facets; one routine (``_simplex_bands``) gives the point and
-segment matrices of the facets and of the interval's elements.  The trace
-is the index array ``mesh.boundary_nodes``, ascending; only ``op_trace``
-makes it a 0/1 matrix.  A principal block of a band is
-factored in blocks of the bandwidth (``block_factor``) and solved by block
-substitution (``block_solve``): the interior stiffness block of the solvers
-and the combined H1 Gram G of ``space_h1partial`` go through this one
-routine, so G and its factor stay bands and no n_nodes x n_nodes array is
-made.  Its forward half alone gives the Gram B' A^-1 B of a few sparse
-columns (``forward_gram``), such as K_bi K_ii^-1 K_ib and R G^-1 R'.
+several components.  The mesh owns the node split: ``boundary_nodes`` and
+``interior_nodes``, each ascending.  Assembly produces the domain stiffness
+and mass as their few nonzero diagonals (``Band``) and dense mass/stiffness
+matrices on the boundary facets; one routine (``_simplex_bands``) gives the
+point and segment matrices of the facets and of the interval's elements.
+The trace is the index array ``mesh.boundary_nodes``; only ``op_trace``
+makes it a 0/1 matrix.  A principal block of a band is factored in blocks
+of the bandwidth (``block_factor``) and solved by block substitution
+(``block_solve``): the interior stiffness block of the solvers and the
+combined H1 Gram G of ``space_h1partial`` go through this one routine, so
+G and its factor stay bands and no n_nodes x n_nodes array is made.  Its
+forward half alone gives the Gram B' A^-1 B of a few sparse columns
+(``forward_gram``), such as K_bi K_ii^-1 K_ib and R G^-1 R'.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class Mesh:
     are the faces that belong to exactly one element: the two end points of
     the interval, and the sides of a triangulation, each in its triangle's
     counterclockwise order.  ``boundary_nodes`` are the facets' nodes in
-    ascending order.  The boundary may have several components.
+    ascending order, ``interior_nodes`` all the others, ascending; both are
+    read-only.  The boundary may have several components.
     """
 
     kind: str
@@ -77,6 +79,12 @@ class Mesh:
         on = np.zeros(self.n_nodes, dtype=bool)
         on[self.boundary_facets] = True
         return _frozen(np.flatnonzero(on), np.intp)
+
+    @cached_property
+    def interior_nodes(self) -> np.ndarray:
+        inside = np.ones(self.n_nodes, dtype=bool)
+        inside[self.boundary_nodes] = False
+        return _frozen(np.flatnonzero(inside), np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +119,7 @@ class Band:
         return cls(offsets=tuple(kept), diags=tuple(diags[d] for d in kept))
 
     def dense(self) -> np.ndarray:
-        """The full matrix: for boundary-sized bands, the operator-algebra twins and tests."""
+        """The full matrix: for boundary-sized bands, and G in ``op_trace``'s dense domain."""
         out = np.zeros((self.diags[0].size,) * 2)
         for d, v in zip(self.offsets, self.diags):
             i = np.arange(v.size)
@@ -210,10 +218,9 @@ def block_factor(band: Band, rows: np.ndarray, what: str) -> np.ndarray:
     return blocks
 
 
-def block_solve(blocks: np.ndarray, rhs: np.ndarray, forward: bool = True, backward: bool = True) -> np.ndarray:
-    """L^-1 rhs (``forward``), L'^-1 rhs (``backward``), or both in turn,
-    (L L')^-1 rhs, for the blocks of ``block_factor`` and one vector or a
-    block of columns.
+def block_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L L')^-1 rhs for the blocks of ``block_factor`` and one vector or a
+    block of columns: forward substitution L y = rhs, then backward L' x = y.
 
     Substitution over one copy of the right-hand side padded to whole
     blocks, so ``rhs`` is left as it is.  Each block row is one product
@@ -226,16 +233,14 @@ def block_solve(blocks: np.ndarray, rhs: np.ndarray, forward: bool = True, backw
     w = np.zeros((n_blocks, b, cols.shape[1]))
     flat = w.reshape(n_blocks * b, cols.shape[1])
     flat[:n] = cols
-    if forward:
-        for k in range(n_blocks):  # L y = rhs
-            if k:
-                w[k] -= blocks[k - 1, b:] @ w[k - 1]
-            w[k] = blocks[k, :b] @ w[k]
-    if backward:
-        for k in reversed(range(n_blocks)):  # L' x = y
-            if k + 1 < n_blocks:
-                w[k] -= blocks[k, b:].T @ w[k + 1]
-            w[k] = blocks[k, :b].T @ w[k]
+    for k in range(n_blocks):  # L y = rhs
+        if k:
+            w[k] -= blocks[k - 1, b:] @ w[k - 1]
+        w[k] = blocks[k, :b] @ w[k]
+    for k in reversed(range(n_blocks)):  # L' x = y
+        if k + 1 < n_blocks:
+            w[k] -= blocks[k, b:].T @ w[k + 1]
+        w[k] = blocks[k, :b].T @ w[k]
     return flat[:n].reshape(rhs.shape)
 
 
@@ -277,43 +282,22 @@ def forward_gram(blocks: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class BandSpace:
-    """R^dim with the inner product (x, y) -> x' gram y of a banded SPD Gram.
-
-    It gives the operator algebra of ``oplab`` what that reads of a space:
-    ``dim``, ``gram @ x`` (a band product), ``lower_solve``, ``solve``,
-    ``matches`` and ``norm``, all through the blocks of ``block_factor``.
+    """The solver of a banded SPD Gram: ``gram``, the band, and ``blocks``,
+    its factor from ``block_factor``.  It is no ``oplab.InnerSpace``; the
+    operator algebra takes the dense space of the same Gram (``op_trace``).
     Built by ``band_space``.
     """
 
     gram: Band
     blocks: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.gram.diags[0].size
-
-    def matches(self, other) -> bool:
-        return self is other or (
-            isinstance(other, BandSpace)
-            and self.gram.offsets == other.gram.offsets
-            and all(np.array_equal(u, v) for u, v in zip(self.gram.diags, other.gram.diags))
-        )
-
-    def norm(self, x) -> float:
-        # |L' x| as |L^-1 G x|, so the result is never negative under rounding
-        return float(np.linalg.norm(self.lower_solve(self.gram @ x)))
-
-    def lower_solve(self, rhs, trans: bool = False) -> np.ndarray:
-        """L^-1 rhs, or L'^-1 rhs with ``trans``, for one (dim,) vector or a
-        (dim, k) block of columns; ``rhs`` is left as it is."""
-        x = np.asarray(rhs, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise DimensionMismatch(f"right-hand side of shape {x.shape} for a space of dim {self.dim}")
-        return block_solve(self.blocks, x, forward=not trans, backward=trans)
-
     def solve(self, rhs) -> np.ndarray:
-        """gram^-1 rhs, as L'^-1 L^-1 rhs, for one vector or a block of columns."""
-        return self.lower_solve(self.lower_solve(rhs), trans=True)
+        """gram^-1 rhs for one vector or a block of columns; ``rhs`` is left as it is."""
+        x = np.asarray(rhs, dtype=float)
+        dim = self.gram.diags[0].size
+        if x.ndim not in (1, 2) or x.shape[0] != dim:
+            raise DimensionMismatch(f"right-hand side of shape {x.shape} for a space of dim {dim}")
+        return block_solve(self.blocks, x)
 
 
 def band_space(gram: Band) -> BandSpace:
@@ -464,7 +448,7 @@ def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
 
 @lru_cache(maxsize=32)
 def space_h1partial(a: Assembly) -> BandSpace:
-    """The combined H1 space of one assembly: Gram G = K plus M_b on the boundary block.
+    """The solver of the combined H1 Gram of one assembly, G = K plus M_b on the boundary block.
 
     G is the inner product (grad u, grad v) + (u, v) on the boundary, a band:
     K plus the facet masses of ``assemble``'s M_b, scattered with node
@@ -497,12 +481,15 @@ def mass_product(mesh: Mesh, f: np.ndarray) -> np.ndarray:
 
 
 def op_trace(a: Assembly) -> Operator:
-    """The trace as a map from the combined H1 space to boundary L2: its matrix
-    is the 0/1 restriction onto the boundary nodes, the one place it is built."""
+    """The trace as a map from the combined H1 space to boundary L2, both
+    dense ``InnerSpace``s, so every operator-algebra map works on it: the
+    domain is the space of G built from ``space_h1partial``'s band, and the
+    matrix is the 0/1 restriction onto the boundary nodes, the one place it
+    is built.  No suite calls it; it is the tests' dense reference."""
     l2bnd, _ = boundary_spaces(a)
     r = np.zeros((l2bnd.dim, a.mesh.n_nodes))
     r[np.arange(l2bnd.dim), a.mesh.boundary_nodes] = 1.0
-    return Operator(space_h1partial(a), l2bnd, r)
+    return Operator(_space(space_h1partial(a).gram.dense()), l2bnd, r)
 
 
 def dump_mesh(mesh: Mesh, path: str | None = None) -> str:

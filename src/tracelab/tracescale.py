@@ -44,23 +44,14 @@ HARMONIC_GATE = 1e-8
 
 
 @lru_cache(maxsize=32)
-def _partition(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
-    bnd = a.mesh.boundary_nodes
-    inside = np.ones(a.mesh.n_nodes, dtype=bool)
-    inside[bnd] = False
-    return bnd, np.flatnonzero(inside)
-
-
-@lru_cache(maxsize=32)
 def _interior_chol(a: Assembly) -> np.ndarray:
     """Block Cholesky factor of the interior stiffness block K_ii, as the
     dense blocks of ``fem2d.block_factor``: blocks of b = bw + 1 rows for
     the interior bandwidth bw, ``blocks[k] = [L_kk^-1; L_{k+1,k}]``.  A pivot
     block that is not positive definite raises SolveFailure.
     """
-    _, interior = _partition(a)
     try:
-        return block_factor(a.K, interior, "the interior stiffness block")
+        return block_factor(a.K, a.mesh.interior_nodes, "the interior stiffness block")
     except NotPositiveDefinite as exc:
         raise SolveFailure(str(exc)) from exc
 
@@ -79,19 +70,20 @@ def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
     """K_ib, the one block of K that links the interior to the boundary, read
     off the band once.
 
-    Returns (ring, c): ``ring`` the ascending interior positions whose row of
-    K_ib is nonzero (the interior nodes that touch the boundary), and ``c``
-    the dense block ``K[interior[ring]][:, bnd]``, ring.size x nb, read-only.
-    Every other row of K_ib is zero, so every K_ib and K_bi product is a
-    product with ``c``.
+    Returns (ring, c): ``ring`` the ascending interior nodes whose row of
+    K_ib is nonzero (the interior nodes that touch the boundary), as node
+    indices, and ``c`` the dense block ``K[ring][:, bnd]``, ring.size x nb,
+    read-only.  Every other row of K_ib is zero, so every K_ib and K_bi
+    product is a product with ``c``.
     """
-    bnd, interior = _partition(a)
+    bnd, interior = a.mesh.boundary_nodes, a.mesh.interior_nodes
     i, j, v = a.K.entries(interior, bnd)
     touch = np.zeros(interior.size, dtype=bool)
     touch[i] = True
-    ring = np.flatnonzero(touch)
-    c = np.zeros((ring.size, bnd.size))
-    c[np.searchsorted(ring, i), j] = v
+    at = np.flatnonzero(touch)
+    c = np.zeros((at.size, bnd.size))
+    c[np.searchsorted(at, i), j] = v
+    ring = interior[at]
     for arr in (ring, c):
         arr.setflags(write=False)
     return ring, c
@@ -116,7 +108,7 @@ def _schur(a: Assembly) -> oplab.InnerSpace:
     is ``fem2d.forward_gram`` of K_ii's factor and K_ib's entries, so no
     n_nodes x nb array is made.  As a space, so its one Cholesky factor
     serves every Robin and Poisson-Robin solve."""
-    bnd, interior = _partition(a)
+    bnd, interior = a.mesh.boundary_nodes, a.mesh.interior_nodes
     mbs = np.array(a.M_b)
     i, j, v = a.K.entries(bnd, bnd)
     mbs[i, j] += v
@@ -160,7 +152,7 @@ def _trace_pinv(a: Assembly) -> oplab.InnerSpace:
     factor alone, never ``_schur`` or K_ii's: ``harmonic_two_path`` and
     ``suite_hhalf``'s quotient Gram M_b + C^-1 keep two independent paths.
     """
-    bnd, _ = _partition(a)
+    bnd = a.mesh.boundary_nodes
     c = forward_gram(space_h1partial(a).blocks, bnd, np.arange(bnd.size), np.ones(bnd.size), bnd.size)
     return oplab.make_space(bnd.size, np.triu(c) + np.triu(c, 1).T)
 
@@ -206,14 +198,13 @@ def harmonic_extension(a: Assembly, g) -> np.ndarray:
 
 def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     """harmonic_extension of boundary values already checked by ``_columns``."""
-    bnd, interior = _partition(a)
+    interior = a.mesh.interior_nodes
     z = np.zeros((a.mesh.n_nodes,) + g.shape[1:])
-    z[bnd] = g
+    z[a.mesh.boundary_nodes] = g
     if interior.size:  # K_ii z_i = -K_ib g, nonzero only on the ring
         ring, c = _coupling(a)
-        rhs = np.zeros((interior.size,) + g.shape[1:])
-        rhs[ring] = -(c @ g)
-        z[interior] = _interior_solve(a, rhs)
+        z[ring] = -(c @ g)
+        z[interior] = _interior_solve(a, z[interior])
     return z
 
 
@@ -229,23 +220,30 @@ def robin_solve(a: Assembly, g) -> np.ndarray:
     return _extend(a, _schur(a).solve(a.M_b @ g))
 
 
-def poisson_robin(a: Assembly, f) -> np.ndarray:
-    """Solve G u = M_dom f: source problem with homogeneous Robin boundary.
-
-    ``f`` is one (n_nodes,) vector or an (n_nodes, k) block of sources; the
-    solution has the same shape.  Solved by static condensation: y = K_ii^-1
-    b_i for the load b = M_dom f, then M_b S u_b = b_b - (K y)_b on the
-    boundary (y is zero there, so (K y)_b = K_bi y_i, from ``_coupling``),
-    and u = y + harmonic_extension(u_b).
-    """
-    f = _columns(f, a.mesh.n_nodes, "source")
-    bnd, interior = _partition(a)
-    load = a.M_dom @ f
+def _condense(a: Assembly, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The static condensation of a load b, one (n_nodes,) vector or an
+    (n_nodes, k) block: (y, b_b - K_bi y_i) for y = K_ii^-1 b_i on the
+    interior and zero on the boundary, so (K y)_b = K_bi y_i comes from
+    ``_coupling``'s ring block."""
+    interior = a.mesh.interior_nodes
     u = np.zeros_like(load)
     if interior.size:
         u[interior] = _interior_solve(a, load[interior])
     ring, c = _coupling(a)
-    return u + _extend(a, _schur(a).solve(load[bnd] - c.T @ u[interior[ring]]))
+    return u, load[a.mesh.boundary_nodes] - c.T @ u[ring]
+
+
+def poisson_robin(a: Assembly, f) -> np.ndarray:
+    """Solve G u = M_dom f: source problem with homogeneous Robin boundary.
+
+    ``f`` is one (n_nodes,) vector or an (n_nodes, k) block of sources; the
+    solution has the same shape.  Solved by static condensation
+    (``_condense``): y = K_ii^-1 b_i for the load b = M_dom f, then
+    M_b S u_b = b_b - K_bi y_i on the boundary, and
+    u = y + harmonic_extension(u_b).
+    """
+    u, rest = _condense(a, a.M_dom @ _columns(f, a.mesh.n_nodes, "source"))
+    return u + _extend(a, _schur(a).solve(rest))
 
 
 def normal_derivative(a: Assembly, z) -> np.ndarray:
@@ -263,13 +261,13 @@ def normal_derivative(a: Assembly, z) -> np.ndarray:
 
 def _flux(a: Assembly, z: np.ndarray, kz: np.ndarray) -> np.ndarray:
     """normal_derivative of a checked ``z``, given its product ``kz`` = K z."""
-    bnd, interior = _partition(a)
+    interior = a.mesh.interior_nodes
     if interior.size:
         gate = HARMONIC_GATE * np.linalg.norm(z, axis=0)
         if np.any(np.linalg.norm(kz[interior], axis=0) > gate):
             raise NotHarmonic("interior residual exceeds the harmonicity gate")
     l2bnd, _ = boundary_spaces(a)
-    return l2bnd.solve(kz[bnd])
+    return l2bnd.solve(kz[a.mesh.boundary_nodes])
 
 
 def green_residual(a: Assembly, z, v) -> float | np.ndarray:
@@ -442,7 +440,7 @@ def _pde_trials(rec: Recorder, a: Assembly, rng: np.random.Generator, trials: in
     G Lambda g = R' C^-1 g is zero off the boundary and pairs symmetrically with g.
     """
     nb, nn = a.M_b.shape[0], a.mesh.n_nodes
-    bnd, interior = _partition(a)
+    bnd, interior = a.mesh.boundary_nodes, a.mesh.interior_nodes
     draws = rng.standard_normal((trials, nb + 2 * nn)).T
     g, f, f2 = draws[:nb], draws[nb : nb + nn], draws[nb + nn :]
 
@@ -673,13 +671,6 @@ NECAS_TOLS: dict[str, float] = {
 }
 
 
-def _running_max(values: np.ndarray, worst: float = 0.0) -> float:
-    """max(worst, v_1, v_2, ...) taken left to right, so a NaN sample is passed over."""
-    for v in values.tolist():
-        worst = max(worst, v)
-    return worst
-
-
 def necas_constants(
     a: Assembly,
     n_samples: int = 100,
@@ -705,8 +696,6 @@ def necas_constants(
     _check_counts(n_samples=n_samples)
     rng = default_rng(seed)
     l2bnd, h1bnd = boundary_spaces(a)
-    bnd, interior = _partition(a)
-    ring, c = _coupling(a)
     nb = l2bnd.dim
     q_half = hs_gram(a, 0.5)
     h1_dom = a.K + a.M_dom
@@ -732,20 +721,18 @@ def necas_constants(
         for name, g in (("rough", g_rough), ("smooth", g_smooth)):
             r1, r2 = harmonic_ratios(g)
             failures += int(np.count_nonzero(~(np.isfinite(r1) & np.isfinite(r2))))
-            worst[f"trace_{name}_max"] = _running_max(r1, worst[f"trace_{name}_max"])
-            worst[f"flux_{name}_max"] = _running_max(r2, worst[f"flux_{name}_max"])
+            # the running maxima pass over a NaN sample, which counts as a failure
+            worst[f"trace_{name}_max"] = float(np.fmax.reduce(r1, initial=worst[f"trace_{name}_max"]))
+            worst[f"flux_{name}_max"] = float(np.fmax.reduce(r2, initial=worst[f"flux_{name}_max"]))
 
         load = a.M_dom @ f
-        u0 = np.zeros_like(f)
-        if interior.size:
-            u0[interior] = _interior_solve(a, load[interior])
-        # weak flux of the source problem keeps the volume correction
-        w0 = l2bnd.solve(c.T @ u0[interior[ring]] - load[bnd])
+        # weak flux of the zero-trace source problem: the condensation's boundary rest, negated
+        w0 = l2bnd.solve(-_condense(a, load)[1])
         f_norm = np.sqrt(np.maximum(np.einsum("ij,ij->j", f, load), 0.0))
         sourced = f_norm > 0.0
         ratio = np.sqrt(np.maximum(_colquad(w0[:, sourced], a.M_b), 0.0)) / f_norm[sourced]
         failures += int(np.count_nonzero(~np.isfinite(ratio)))
-        worst["rellich_max"] = _running_max(ratio, worst["rellich_max"])
+        worst["rellich_max"] = float(np.fmax.reduce(ratio, initial=worst["rellich_max"]))
 
     r1_const, _ = harmonic_ratios(np.ones((nb, 1)))
     constants = dict(worst, trace_const=float(r1_const[0]), samples=float(n_samples))

@@ -20,26 +20,30 @@ def asm(kind: str, n: int) -> fem2d.Assembly:
 def embed_domain(a: fem2d.Assembly) -> oplab.Operator:
     """Identity on coefficients, from the combined H1 space into domain L2.
 
-    The domain L2 space (Gram M_dom) is built afresh on every call: the map
-    is a reference for the tests, and no suite reads it.
+    The combined H1 space is ``fem2d.op_trace``'s dense domain, and the
+    domain L2 space (Gram M_dom) is built afresh on every call: the map is a
+    reference for the tests, and no suite reads it.
     """
     l2dom = oplab.make_space(a.mesh.n_nodes, a.M_dom.dense())
-    return oplab.Operator(fem2d.space_h1partial(a), l2dom, np.eye(a.mesh.n_nodes))
+    return oplab.Operator(fem2d.op_trace(a).domain, l2dom, np.eye(a.mesh.n_nodes))
 
 
 def check_coupling(a: fem2d.Assembly) -> None:
     """``tracescale._coupling`` against the dense K_ib: an ascending ring of
-    exactly the nonzero rows, and a read-only block equal to those rows."""
+    interior nodes that are exactly its nonzero rows, and a read-only block
+    equal to those rows."""
     ring, c = tracescale._coupling(a)
     bnd = a.mesh.boundary_nodes
     interior = np.flatnonzero(~np.isin(np.arange(a.mesh.n_nodes), bnd))
     kib = a.K.dense()[np.ix_(interior, bnd)]
+    at = np.searchsorted(interior, ring)  # the ring's positions among the interior nodes
     assert np.all(np.diff(ring) > 0)
+    assert np.array_equal(interior[at], ring)
     assert not c.flags.writeable
     assert c.shape == (ring.size, bnd.size)
-    assert np.array_equal(c, kib[ring])
-    assert kib[ring].any(axis=1).all()
-    assert not np.delete(kib, ring, axis=0).any()
+    assert np.array_equal(c, kib[at])
+    assert kib[at].any(axis=1).all()
+    assert not np.delete(kib, at, axis=0).any()
 
 
 def trace_pinv_matrix(a: fem2d.Assembly) -> np.ndarray:

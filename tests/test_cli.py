@@ -198,6 +198,52 @@ class TestPrecedence:
         with pytest.raises(ConfigParseError):
             cli.build_config(args)
 
+    @pytest.mark.parametrize(
+        "flag,values", [("--seed", ("1", "2")), ("--trials", ("3", "4")), ("--out", ("a", "b")), ("--out", ("a", "a"))]
+    )
+    def test_single_valued_flag_given_twice(self, flag, values):
+        argv = ["--suite", "pde", flag, values[0], flag, values[1]]
+        with pytest.raises(ConfigParseError, match=f"{flag} given 2 times"):
+            cli.build_config(cli.make_parser().parse_args(argv))
+
+    def test_first_repeated_flag_is_named(self):
+        argv = ["--suite", "pde", "--seed", "1", "--seed", "2", "--trials", "3", "--trials", "4", "--out", "a", "--out", "b"]
+        with pytest.raises(ConfigParseError, match="--seed given 2 times"):
+            cli.build_config(cli.make_parser().parse_args(argv))
+
+    def test_flag_overrides_file_key_once(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("suites = pde\nseed = 1\ntrials = 5\nout = filedir\n")
+        cfg = cli.build_config(cli.make_parser().parse_args([str(f), "--seed", "2", "--trials", "6", "--out", "x"]))
+        assert (cfg.seed, cfg.trials, cfg.out_dir) == (2, 6, "x")
+
+    def test_empty_out_flag(self, monkeypatch):
+        monkeypatch.setenv("TRACELAB_OUT", "envdir")
+        with pytest.raises(ConfigParseError, match="--out is empty"):
+            cli.build_config(cli.make_parser().parse_args(["--suite", "pde", "--out", ""]))
+
+    def test_empty_out_key(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRACELAB_OUT", "envdir")
+        f = tmp_path / "run.cfg"
+        f.write_text("suites = pde\nout =\n")
+        with pytest.raises(ConfigParseError, match=":2: empty output directory"):
+            cli.build_config(cli.make_parser().parse_args([str(f), "--out", "x"]))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--seed", "1", "--seed", "2"], ["--trials", "3", "--trials", "4"], ["--out", "a", "--out", "b"],
+         ["--out", ""], ["run.cfg"]],
+        ids=["seed-twice", "trials-twice", "out-twice", "empty-out-flag", "empty-out-key"],
+    )
+    def test_typos_exit_2_no_files(self, extra, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TRACELAB_OUT", raising=False)
+        (tmp_path / "run.cfg").write_text("out=\n")
+        code = run_main(["--suite", "oplab", "--trials", "1"][: 2 if "--trials" in extra else 4] + extra)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
 
 class TestRun:
     def test_oplab_suite_passes(self, tmp_path, capsys):

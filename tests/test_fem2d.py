@@ -511,6 +511,41 @@ class TestRenumberedMesh:
             assert np.abs(new - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0)
 
 
+def check_interior_nodes(mesh):
+    """``interior_nodes``: ascending, read-only, cached, and the complement of ``boundary_nodes``."""
+    inside = mesh.interior_nodes
+    assert inside.dtype == np.intp and not inside.flags.writeable
+    assert mesh.interior_nodes is inside
+    assert np.all(np.diff(inside) > 0)
+    assert np.array_equal(np.sort(np.concatenate([inside, mesh.boundary_nodes])), np.arange(mesh.n_nodes))
+
+
+class TestInteriorNodes:
+    @pytest.mark.parametrize("kind,n", list(all_cells()))
+    def test_complement_of_the_boundary(self, kind, n):
+        check_interior_nodes(fem2d.gen_mesh(kind, n))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_two_boundary_components(self, n):
+        mesh = frame_mesh(n)
+        check_interior_nodes(mesh)
+        # at n = 4 the frame is one cell wide, so every node is on the boundary
+        assert mesh.interior_nodes.size == mesh.n_nodes - mesh.boundary_nodes.size
+        assert (mesh.interior_nodes.size > 0) == (n > 4)
+
+    @given(case=renumbered_meshes())
+    def test_follows_the_permutation(self, case):
+        mesh, perm = case
+        moved = renumbered(mesh, perm)
+        check_interior_nodes(moved)
+        assert np.array_equal(moved.interior_nodes, np.sort(perm[mesh.interior_nodes]))
+
+    def test_hand_values(self):
+        assert fem2d.gen_mesh("interval", 3).interior_nodes.tolist() == [1, 2]
+        assert fem2d.gen_mesh("square", 2).interior_nodes.tolist() == [4]
+        assert fem2d.gen_mesh("square", 1).interior_nodes.size == 0
+
+
 class TestSpaces:
     def test_builds_one_domain_space(self, monkeypatch):
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so nothing is cached
@@ -528,7 +563,7 @@ class TestSpaces:
         monkeypatch.setattr(fem2d, "make_space", counted)
         monkeypatch.setattr(fem2d, "block_factor", counted_factor)
         h1 = fem2d.space_h1partial(a)
-        assert isinstance(h1, fem2d.BandSpace) and h1.dim == a.mesh.n_nodes
+        assert isinstance(h1, fem2d.BandSpace) and h1.gram.diags[0].size == a.mesh.n_nodes
         # one factorization, of G itself; no domain L2 space, no boundary space
         assert factored == [a.mesh.n_nodes]
         assert dims == []
@@ -600,28 +635,15 @@ def dense_h1(a):
 
 
 def check_band_space(a, rng):
-    """``space_h1partial``'s band space against the dense space of the same Gram, to 1e-12."""
+    """``space_h1partial``'s band solver against the dense space of the same Gram, to 1e-12."""
     h1, ref = fem2d.space_h1partial(a), dense_h1(a)
     assert np.array_equal(h1.gram.dense(), ref.gram)
-    nn, nb = a.mesh.n_nodes, a.mesh.boundary_nodes.size
-
-    def close(got, want):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(np.abs(want).max(initial=0.0), 1.0)
-
-    for rhs in (rng.standard_normal(nn), rng.standard_normal((nn, 3))):
+    for rhs in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 3))):
         kept = rhs.copy()
-        for trans in (False, True):
-            close(h1.lower_solve(rhs, trans=trans), ref.lower_solve(rhs, trans=trans))
-        close(h1.solve(rhs), ref.solve(rhs))
+        got, want = h1.solve(rhs), ref.solve(rhs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
         assert np.array_equal(rhs, kept)
-    x = rng.standard_normal(nn)
-    assert h1.norm(x) == pytest.approx(ref.norm(x), rel=1e-12)
-    trace, trace_ref = fem2d.op_trace(a), oplab.Operator(ref, fem2d.boundary_spaces(a)[0], np.eye(nn)[a.mesh.boundary_nodes])
-    close(oplab.to_euclidean(trace), oplab.to_euclidean(trace_ref))
-    lam = oplab.pinv(trace)
-    assert lam.codomain is h1 and lam.mat.shape == (nn, nb)
-    close(lam.mat, oplab.pinv(trace_ref).mat)
 
 
 class TestForwardGram:
@@ -674,15 +696,7 @@ class TestBandSpace:
     def test_rejects_wrong_shapes(self, shape):
         h1 = fem2d.space_h1partial(asm("square", 8))
         with pytest.raises(DimensionMismatch):
-            h1.lower_solve(np.zeros(shape))
-
-    def test_matches_compares_the_gram(self):
-        a = asm("square", 4)
-        h1 = fem2d.space_h1partial(a)
-        twin = fem2d.band_space(h1.gram)
-        assert h1.matches(h1) and h1.matches(twin) and twin.matches(h1)
-        assert not h1.matches(fem2d.space_h1partial(asm("square", 2)))
-        assert not h1.matches(dense_h1(a))
+            h1.solve(np.zeros(shape))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_gram_flagged(self, value):
@@ -716,7 +730,8 @@ class TestOperators:
         a = asm("square", 4)
         emb = embed_domain(a)
         assert np.array_equal(emb.mat, np.eye(a.mesh.n_nodes))
-        g = emb.domain.gram.dense()
+        g = emb.domain.gram
+        assert np.array_equal(g, fem2d.space_h1partial(a).gram.dense())
         c = np.sqrt(scipy.linalg.eigh(a.M_dom.dense(), g, eigvals_only=True).max())
         for _ in range(20):
             v = rng.standard_normal(a.mesh.n_nodes)
@@ -731,6 +746,37 @@ class TestOperators:
         assert oplab.op_norm(u) <= 1.0 + 1e-12
         if np.abs(a.K_b).max() > 0:
             assert np.abs(oplab.adjoint(u).mat - np.eye(u.codomain.dim)).max() > 1e-8
+
+
+class TestTraceAlgebra:
+    """The operator algebra of oplab on the trace gamma of ``op_trace``, whose
+    domain is the dense space of G, to 1e-12."""
+
+    @pytest.mark.parametrize("kind,n", [("interval", 4), ("square", 4), ("lshape", 4)])
+    def test_identities(self, kind, n):
+        a = asm(kind, n)
+        gamma = fem2d.op_trace(a)
+        gstar = oplab.adjoint(gamma)
+        nn, nb = a.mesh.n_nodes, a.mesh.boundary_nodes.size
+        # the domain's Gram is the band's, and the dense K + R' M_b R
+        assert np.array_equal(gamma.domain.gram, dense_h1(a).gram)
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+        twice = oplab.adjoint(gstar)
+        assert twice.domain is gamma.domain and twice.codomain is gamma.codomain
+        close(twice.mat, gamma.mat)
+        assert oplab.op_norm(gstar) == pytest.approx(oplab.op_norm(gamma), rel=1e-12)
+        lam = oplab.pinv(gamma)
+        assert lam.codomain is gamma.domain and lam.mat.shape == (nn, nb)
+        close(oplab.pinv(gstar).mat, oplab.adjoint(lam).mat)
+        # gamma gamma* = C M_b, C = R G^-1 R' of the range-space pinv, by a second path
+        close((gamma @ gstar).mat, tracescale._trace_pinv(a).gram @ a.M_b)
+        root, inv_root = oplab.half_powers(oplab.identity(gamma.domain) + gstar @ gamma)
+        close((root @ inv_root).mat, np.eye(nn))
+        close((inv_root @ root).mat, np.eye(nn))
 
 
 class TestDumpMesh:

@@ -5,9 +5,10 @@ not break it silently; every name tracelab exports must resolve; importing
 tracelab must not pull in scipy.sparse, neither importing nor running it
 may pull in any of scipy, and a run imports nothing;
 tools/report_drift.py must say which reported number moved, and by how much;
-every config of tools/standard_drift.py must be one the CLI accepts; and
+every config of tools/standard_drift.py must be one the CLI accepts;
 tools/cell_cost.py must byte-compile the tree and report the cost and
-verdict of one CLI cell.
+verdict of one CLI cell; and tools/bench_pairs.py must apply the pair rule
+to its records.
 """
 
 import importlib
@@ -173,3 +174,41 @@ def test_cell_cost_reports_one_cell():
     # the tree is byte-compiled before the run, so the child compiles nothing
     src = tool.parents[1] / "src" / "tracelab"
     assert all(Path(importlib.util.cache_from_source(str(py))).exists() for py in src.glob("*.py"))
+
+
+def test_bench_pairs_summary(monkeypatch):
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    bench = _load(tools / "bench_pairs.py", "bench_pairs", monkeypatch)
+    spec = [
+        {"name": "run_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+        {"name": "rate", "better": "higher", "bound": 0.1},
+        {"name": "cpu_s", "better": "lower", "bound": 0.25},
+    ]
+    parent_run = [1.0 + 0.1 * i for i in range(10)]
+    pairs = [
+        (
+            {"run_s": p, "peak_rss_mb": 100.0, "rate": 1.0 + i % 2, "cpu_s": 2.0},
+            {"run_s": p - 0.5, "peak_rss_mb": 106.0, "rate": 1.0 + i % 2, "cpu_s": 2.0 - 0.01 * (i < 3)},
+        )
+        for i, p in enumerate(parent_run)
+    ]
+    rows = {row["name"]: row for row in bench.summarize(pairs, spec)}
+    assert list(rows) == ["run_s", "peak_rss_mb", "rate", "cpu_s"]
+    run = rows["run_s"]
+    # inclusive quartiles of 1.0, 1.1, ..., 1.9: 1.225 and 1.675
+    assert run["parent_median"] == pytest.approx(1.45) and run["change_median"] == pytest.approx(0.95)
+    assert run["parent_iqr"] == pytest.approx(0.45)
+    assert (run["wins"], run["pairs"], run["verdict"]) == (10, 10, "gain")
+    # 6% above a 5% bound, and no win
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["verdict"]) == (0, "worse")
+    # equal runs: ties count for neither side; the parent's own spread of 1.0 is wider than its bound
+    assert (rows["rate"]["wins"], rows["rate"]["parent_iqr"], rows["rate"]["verdict"]) == (0, 1.0, "unresolved")
+    # 3 wins of 10 and an unchanged median: no gain, inside the bound
+    assert (rows["cpu_s"]["wins"], rows["cpu_s"]["verdict"]) == (3, "within bound")
+    # nine wins of ten suffice for a gain; eight do not
+    nine = [({"run_s": 1.0 + 0.01 * i}, {"run_s": 0.5 if i else 2.0}) for i in range(10)]
+    assert bench.summarize(nine, spec[:1])[0]["verdict"] == "gain"
+    eight = [({"run_s": 1.0 + 0.01 * i}, {"run_s": 0.5 if i > 1 else 2.0}) for i in range(10)]
+    assert bench.summarize(eight, spec[:1])[0]["verdict"] == "within bound"
+    assert bench.quartiles([3.0]) == (3.0, 3.0, 3.0)

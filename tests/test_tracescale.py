@@ -554,7 +554,7 @@ class TestInteriorFactor:
         # scale 0: K = 0, so the first pivot block is singular; scale -1: only the
         # last interior node's diagonal is negated, so only the last pivot block fails
         a = asm("square", 8)
-        _, interior = tracescale._partition(a)
+        interior = a.mesh.interior_nodes
         n_blocks = tracescale._interior_chol(a).shape[0]
         if last:
             diag = a.K.diags[0].copy()
@@ -1023,7 +1023,7 @@ class TestPdeKillCheck:
         # the products keep the true band
         a = fem2d.assemble(fem2d.gen_mesh(kind, n))  # fresh, so C is built from the planted factor
         true = fem2d.space_h1partial(a)
-        interior = tracescale._partition(a)[1]
+        interior = a.mesh.interior_nodes
         diag = np.array(true.gram.diags[0])
         diag[interior[interior.size // 2]] *= 1.0 + 1e-9
         band = dataclasses.replace(true.gram, diags=(diag,) + true.gram.diags[1:])
