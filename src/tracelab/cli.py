@@ -127,6 +127,8 @@ class RunConfig:
             raise ConfigParseError("trials must be at least 1")
         if not -(2**63) <= self.seed < 2**64:
             raise ConfigParseError("seed does not fit in 64 bits")
+        if self.out_dir == "":
+            raise ConfigParseError("empty output directory")
 
     def as_dict(self) -> dict:
         return {
@@ -266,7 +268,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigParseError(f"bad refinement value: {exc}") from exc
 
-    out_dir = raw.get("out") or os.environ.get("TRACELAB_OUT") or "tracelab_out"
+    out_dir = raw.get("out")
+    if out_dir is None:
+        out_dir = os.environ.get("TRACELAB_OUT", "tracelab_out")
+        if not out_dir:
+            raise ConfigParseError("$TRACELAB_OUT is empty")
     return RunConfig(
         suites=tuple(dict.fromkeys(raw.get("suites", []))),
         meshes=tuple(dict.fromkeys(raw.get("meshes", ["square"]))),

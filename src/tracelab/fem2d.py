@@ -139,10 +139,12 @@ class Band:
     def __matmul__(self, x) -> np.ndarray:
         """The product with one vector or with a block of columns.
 
-        Each off-diagonal term is formed in one reused temporary and then
-        added, so the sums are those of ``out[:-d] += v * x[d:]``.
+        ``x`` is made C-contiguous first, so a transposed block reads its
+        rows in order.  Each off-diagonal term is formed in one reused
+        temporary and then added, so the sums are those of
+        ``out[:-d] += v * x[d:]``.
         """
-        x = np.asarray(x, dtype=float)
+        x = np.ascontiguousarray(x, dtype=float)
         col = (slice(None),) + (None,) * (x.ndim - 1)
         out = self.diags[0][col] * x
         if len(self.offsets) > 1:
@@ -152,6 +154,19 @@ class Band:
             out[:-d] += np.multiply(v[col], x[d:], out=term)
             out[d:] += np.multiply(v[col], x[:-d], out=term)
         return out
+
+    def quad(self, x) -> float | np.ndarray:
+        """x'Ax for one vector, or for each column of a block, without forming Ax:
+        ``diags[0] @ (x*x)`` plus ``2 v @ (x[:-d]*x[d:])`` for each off-diagonal,
+        the products formed in one reused temporary.
+        """
+        x = np.ascontiguousarray(x, dtype=float)
+        out = self.diags[0] @ (x * x)
+        if len(self.offsets) > 1:
+            tmp = np.empty_like(x[self.offsets[1] :])  # the longest off-diagonal product
+        for d, v in zip(self.offsets[1:], self.diags[1:]):
+            out += 2.0 * (v @ np.multiply(x[:-d], x[d:], out=tmp[: x.shape[0] - d]))
+        return float(out) if x.ndim == 1 else out
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of the block ``self[rows][:, cols]``, as (row position,
@@ -218,30 +233,39 @@ def block_factor(band: Band, rows: np.ndarray, what: str) -> np.ndarray:
     return blocks
 
 
-def block_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def block_solve(blocks: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """(L L')^-1 rhs for the blocks of ``block_factor`` and one vector or a
     block of columns: forward substitution L y = rhs, then backward L' x = y.
 
-    Substitution over one copy of the right-hand side padded to whole
-    blocks, so ``rhs`` is left as it is.  Each block row is one product
-    with its neighbour's coupling block and one with the stored inverse of
-    its diagonal block.
+    With ``rows``, distinct valid indices, the right-hand side is
+    ``rhs[rows]``, gathered straight into the solve's buffer.  Substitution
+    over one copy of the right-hand side padded to whole blocks, so ``rhs``
+    is left as it is.  Each block row is one product with its neighbour's
+    coupling block and one with the stored inverse of its diagonal block,
+    each written into one block-row scratch; the result is a view of the
+    buffer.
     """
     n_blocks, b = blocks.shape[0], blocks.shape[2]
-    n = rhs.shape[0]
-    cols = rhs.reshape(n, -1)
+    n = rhs.shape[0] if rows is None else rows.size
+    shape = (n,) + rhs.shape[1:]
+    cols = rhs.reshape(rhs.shape[0], -1)
     w = np.zeros((n_blocks, b, cols.shape[1]))
     flat = w.reshape(n_blocks * b, cols.shape[1])
-    flat[:n] = cols
+    if rows is None:
+        flat[:n] = cols
+    else:  # an unbuffered gather: mode "raise" would copy through a temporary
+        np.take(cols, rows, axis=0, out=flat[:n], mode="clip")
+    inv, coupling, row = list(blocks[:, :b]), list(blocks[:, b:]), list(w)
+    scratch = np.empty((b, cols.shape[1]))
     for k in range(n_blocks):  # L y = rhs
         if k:
-            w[k] -= blocks[k - 1, b:] @ w[k - 1]
-        w[k] = blocks[k, :b] @ w[k]
+            row[k] -= np.matmul(coupling[k - 1], row[k - 1], out=scratch)
+        row[k][...] = np.matmul(inv[k], row[k], out=scratch)
     for k in reversed(range(n_blocks)):  # L' x = y
         if k + 1 < n_blocks:
-            w[k] -= blocks[k, b:].T @ w[k + 1]
-        w[k] = blocks[k, :b].T @ w[k]
-    return flat[:n].reshape(rhs.shape)
+            row[k] -= np.matmul(coupling[k].T, row[k + 1], out=scratch)
+        row[k][...] = np.matmul(inv[k].T, row[k], out=scratch)
+    return flat[:n].reshape(shape)
 
 
 def forward_gram(blocks: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:

@@ -56,13 +56,14 @@ def _interior_chol(a: Assembly) -> np.ndarray:
         raise SolveFailure(str(exc)) from exc
 
 
-def _interior_solve(a: Assembly, rhs: np.ndarray) -> np.ndarray:
-    """K_ii^-1 rhs for one vector or a block of interior right-hand sides:
-    forward and then backward block substitution with the blocks of
-    ``_interior_chol``.  ``_schur`` runs the forward half alone, on K_ib,
-    through ``fem2d.forward_gram``.
+def _interior_solve(a: Assembly, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """K_ii^-1 rhs for one vector or a block of interior right-hand sides,
+    or for ``rhs[rows]`` (``block_solve`` gathers them): forward and then
+    backward block substitution with the blocks of ``_interior_chol``.
+    ``_schur`` runs the forward half alone, on K_ib, through
+    ``fem2d.forward_gram``.
     """
-    return block_solve(_interior_chol(a), rhs)
+    return block_solve(_interior_chol(a), rhs, rows)
 
 
 @lru_cache(maxsize=32)
@@ -204,7 +205,7 @@ def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     if interior.size:  # K_ii z_i = -K_ib g, nonzero only on the ring
         ring, c = _coupling(a)
         z[ring] = -(c @ g)
-        z[interior] = _interior_solve(a, z[interior])
+        z[interior] = _interior_solve(a, z, interior)
     return z
 
 
@@ -228,7 +229,7 @@ def _condense(a: Assembly, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     interior = a.mesh.interior_nodes
     u = np.zeros_like(load)
     if interior.size:
-        u[interior] = _interior_solve(a, load[interior])
+        u[interior] = _interior_solve(a, load, interior)
     ring, c = _coupling(a)
     return u, load[a.mesh.boundary_nodes] - c.T @ u[ring]
 
@@ -691,19 +692,23 @@ def necas_constants(
     n_samples.  Per block: one extension and one flux solve per boundary
     population, with the smoothed data (I + S)^-1 g solved through the
     stored factor of Q_{1/2} = M_b (I + S), and one interior solve for the
-    sources.  A sample whose ratio is not finite counts as a failure.
+    sources.  The domain energy |u|_{1,domain}^2 = u'Ku + u'M_dom u reads
+    u'Ku off the product K u that the flux takes and u'M_dom u off
+    ``M_dom.quad``, so each population makes one band product; the sources
+    make one more, M_dom f.  A sample whose ratio is not finite counts as a
+    failure.
     """
     _check_counts(n_samples=n_samples)
     rng = default_rng(seed)
     l2bnd, h1bnd = boundary_spaces(a)
     nb = l2bnd.dim
     q_half = hs_gram(a, 0.5)
-    h1_dom = a.K + a.M_dom
 
     def harmonic_ratios(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = harmonic_extension(a, g)
-        w = normal_derivative(a, u)
-        dom_sq = np.einsum("ij,ij->j", u, h1_dom @ u)
+        ku = a.K @ u
+        w = _flux(a, u, ku)
+        dom_sq = np.einsum("ij,ij->j", u, ku) + a.M_dom.quad(u)
         flux_sq = _colquad(w, a.M_b)
         trace_sq = _colquad(g, h1bnd.gram)
         r1 = np.sqrt(trace_sq) / np.sqrt(dom_sq + flux_sq)

@@ -1,6 +1,7 @@
 """Runner contract: config parsing, precedence, exit codes, report files."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -228,6 +229,26 @@ class TestPrecedence:
         f.write_text("suites = pde\nout =\n")
         with pytest.raises(ConfigParseError, match=":2: empty output directory"):
             cli.build_config(cli.make_parser().parse_args([str(f), "--out", "x"]))
+
+    def test_empty_env_out_exits_2_no_files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TRACELAB_OUT", "")
+        with pytest.raises(ConfigParseError, match=r"\$TRACELAB_OUT is empty"):
+            cli.build_config(cli.make_parser().parse_args(["--suite", "pde"]))
+        assert run_main(["--suite", "oplab", "--trials", "1"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # a flag or file key that sets the directory does not read the variable
+        assert cli.build_config(cli.make_parser().parse_args(["--suite", "pde", "--out", "x"])).out_dir == "x"
+
+    def test_empty_out_dir_in_api(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigParseError, match="empty output directory"):
+            cli.RunConfig(suites=("oplab",), trials=1, out_dir="")
+        cfg = cli.RunConfig(suites=("oplab",), trials=1, out_dir=str(tmp_path / "rep"))
+        with pytest.raises(ConfigParseError, match="empty output directory"):
+            dataclasses.replace(cfg, out_dir="")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "extra",

@@ -1,6 +1,7 @@
 """Meshes and P1 assemblies: frozen hand values plus geometric invariants."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,8 @@ class TestBands:
             for arg in (x[:, 0], x, np.asfortranarray(x)):
                 got = band @ arg
                 assert got.shape == arg.shape
+                # a Fortran block is made C-contiguous first, and its sums do not move
+                assert got.flags.c_contiguous
                 assert got.tobytes() == looped_product(band, arg).tobytes()
 
     @pytest.mark.parametrize(
@@ -509,6 +512,70 @@ class TestRenumberedMesh:
             (tracescale._s_operator(b).mat[np.ix_(at, at)], tracescale._s_operator(a).mat),
         ):
             assert np.abs(new - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0)
+
+
+@st.composite
+def band_meshes(draw):
+    """Every kind, the two-component frame, and a renumbered mesh whose bands are wide."""
+    which = draw(st.sampled_from(["grid", "frame", "renumbered"]))
+    if which == "grid":
+        kind, n = draw(st.sampled_from([("interval", 1), ("interval", 8), ("square", 1), ("square", 5),
+                                        ("lshape", 2), ("lshape", 6)]))
+        return asm(kind, n)
+    if which == "frame":
+        return fem2d.assemble(frame_mesh(draw(st.sampled_from([4, 8]))))
+    return fem2d.assemble(renumbered(*draw(renumbered_meshes())))
+
+
+class TestBandQuad:
+    @given(a=band_meshes(), seed=st.integers(0, 2**32 - 1), width=st.sampled_from([None, 1, 3]),
+           layout=st.sampled_from(["C", "F"]))
+    def test_matches_dense(self, a, seed, width, layout):
+        nn = a.mesh.n_nodes
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(nn) if width is None else rng.standard_normal((width, nn)).T
+        if layout == "C":
+            x = np.ascontiguousarray(x)
+        for band in (a.K, a.M_dom):
+            dense = band.dense()
+            got = band.quad(x)
+            want = np.einsum("i...,i...->...", x, dense @ x)
+            # K's form cancels, so the bound is relative to the form of |A| at |x|
+            scale = np.einsum("i...,i...->...", np.abs(x), np.abs(dense) @ np.abs(x))
+            if width is None:
+                assert isinstance(got, float)
+            else:
+                assert got.shape == (width,)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8), ("square", 32)])
+    def test_rows_gather_bitwise(self, kind, n, rng):
+        a = asm(kind, n)
+        blocks, interior = tracescale._interior_chol(a), a.mesh.interior_nodes
+        x = rng.standard_normal((4, a.mesh.n_nodes)).T
+        for rhs in (x[:, 0], x, np.ascontiguousarray(x)):
+            kept = rhs.copy()
+            got = fem2d.block_solve(blocks, rhs, interior)
+            want = fem2d.block_solve(blocks, rhs[interior])
+            assert got.shape == want.shape == (interior.size,) + rhs.shape[1:]
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(rhs, kept)
+
+    def test_allocates_one_padded_buffer(self, rng):
+        # the gather fills the solve's own buffer: no second interior-sized block
+        a = asm("square", 32)
+        blocks, interior = tracescale._interior_chol(a), a.mesh.interior_nodes
+        rhs = rng.standard_normal((a.mesh.n_nodes, 50))
+        fem2d.block_solve(blocks, rhs, interior)
+        tracemalloc.start()
+        try:
+            fem2d.block_solve(blocks, rhs, interior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * interior.size * 50 * 8
 
 
 def check_interior_nodes(mesh):

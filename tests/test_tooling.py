@@ -166,11 +166,13 @@ def test_cell_cost_reports_one_cell():
     out = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     cost = dict(line.split(" ", 1) for line in out.stdout.strip().splitlines())
-    assert list(cost) == ["wall_s", "cpu_s", "peak_rss_mb", "exit", "verdict"]
+    assert list(cost) == ["wall_s", "cpu_s", "peak_rss_mb", "minor_faults", "exit", "verdict"]
     assert (cost["exit"], cost["verdict"]) == ("0", "pass")
     assert float(cost["wall_s"]) > 0.0 and float(cost["cpu_s"]) > 0.0
     # the child's own peak: at least the interpreter with numpy loaded
     assert float(cost["peak_rss_mb"]) > 10.0
+    # the child faults its interpreter and numpy in page by page
+    assert int(cost["minor_faults"]) > 0
     # the tree is byte-compiled before the run, so the child compiles nothing
     src = tool.parents[1] / "src" / "tracelab"
     assert all(Path(importlib.util.cache_from_source(str(py))).exists() for py in src.glob("*.py"))

@@ -1457,18 +1457,18 @@ class TestNecasConstants:
     def test_nan_sample_counts_one_failure_each(self, monkeypatch, columns):
         n_samples = tracescale.NECAS_BLOCK + 6
         width = n_samples // 2  # two equal blocks
-        original = tracescale.normal_derivative
+        original = tracescale._flux
         calls = []
 
-        def planted(a, z):
-            w = original(a, z)
+        def planted(a, z, kz):
+            w = original(a, z, kz)
             block, population = divmod(len(calls), 2)
             if population == 0 and block < 2:  # a block's rough population
                 w[:, [c - block * width for c in columns if c // width == block]] = np.nan
             calls.append(w.shape)
             return w
 
-        monkeypatch.setattr(tracescale, "normal_derivative", planted)
+        monkeypatch.setattr(tracescale, "_flux", planted)
         rep = tracescale.necas_constants(asm("square", 4), n_samples=n_samples, seed=0)
         # rough and smooth flux blocks of each sample block, then the constant data
         assert calls == [(16, width)] * 4 + [(16, 1)]
@@ -1488,6 +1488,23 @@ class TestNecasConstants:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+    def test_band_products_per_block(self, monkeypatch):
+        # per block: K u for each population, whose energy reads M_dom.quad, and M_dom f;
+        # then K u and M_dom.quad for the constant data.  No K + M_dom band is summed.
+        counts = {"__matmul__": 0, "quad": 0, "__add__": 0}
+        for name in counts:
+            original = getattr(fem2d.Band, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(fem2d.Band, name, counted)
+        a = fem2d.assemble(fem2d.gen_mesh("square", 8))  # cold caches: their builders count too
+        assert len(tracescale._block_widths(130)) == 3
+        tracescale.necas_constants(a, n_samples=130, seed=0)
+        assert counts == {"__matmul__": 3 * 3 + 1, "quad": 3 * 2 + 1, "__add__": 0}
 
     def test_deterministic_in_seed(self):
         r1 = tracescale.necas_constants(asm("square", 2), n_samples=10, seed=5)

@@ -6,10 +6,11 @@ Everything after ``--`` goes to ``python -m tracelab``, run with this tree's
 ``src`` on PYTHONPATH and BLAS on one thread, after ``src/tracelab`` is
 byte-compiled so that no run pays for compiling; the script appends its own
 ``--out``, so the reports go to a temporary directory.  It prints one
-``name value`` line each for the wall time, the CPU time (user + system)
-and the peak RSS of the child (``RUSAGE_CHILDREN``), its exit code and the
-verdict of its report.json ("none" when it wrote none).  It exits with the
-child's exit code.  For a memory cap, run it under ``ulimit -v``.
+``name value`` line each for the wall time, the CPU time (user + system),
+the peak RSS and the minor page faults of the child (``RUSAGE_CHILDREN``),
+its exit code and the verdict of its report.json ("none" when it wrote
+none).  It exits with the child's exit code.  For a memory cap, run it
+under ``ulimit -v``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ def measure(args: list[str], out: Path) -> dict[str, object]:
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),  # ru_maxrss is in KiB on Linux
+        "minor_faults": usage.ru_minflt,
         "exit": code,
         "verdict": verdict,
     }
