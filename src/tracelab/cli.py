@@ -366,11 +366,20 @@ def write_reports(config: RunConfig, reports: list[SuiteReport], verdict: str) -
     return json_path, csv_path
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise ConfigParseError, naming ``out``, unless the nearest of it and its
+    parents that exists is a directory this process may write into."""
+    found = next(p for p in (out, *out.parents) if os.path.exists(p))
+    if not (found.is_dir() and os.access(found, os.W_OK | os.X_OK)):
+        raise ConfigParseError(f"unusable output directory {out}: {found} is not a writable directory")
+
+
 def run(config: RunConfig) -> int:
-    """Execute the configured cells and write report files.
+    """Check the output directory, then execute the configured cells and write report files.
 
     Returns 0 when every gated verdict passes, 1 otherwise.
     """
+    _check_out_dir(Path(config.out_dir or "tracelab_out"))
     reports, verdict = execute(config)
     json_path, _ = write_reports(config, reports, verdict)
     failed = [

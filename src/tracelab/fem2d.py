@@ -12,13 +12,14 @@ and mass as their few nonzero diagonals (``Band``) and dense mass/stiffness
 matrices on the boundary facets; one routine (``_simplex_bands``) gives the
 point and segment matrices of the facets and of the interval's elements.
 The trace is the index array ``mesh.boundary_nodes``; only ``op_trace``
-makes it a 0/1 matrix.  A principal block of a band is factored in blocks
-of the bandwidth (``block_factor``) and solved by block substitution
-(``block_solve``): the interior stiffness block of the solvers and the
-combined H1 Gram G of ``space_h1partial`` go through this one routine, so
-G and its factor stay bands and no n_nodes x n_nodes array is made.  Its
-forward half alone gives the Gram B' A^-1 B of a few sparse columns
-(``forward_gram``), such as K_bi K_ii^-1 K_ib and R G^-1 R'.
+makes it a 0/1 matrix.  The combined H1 Gram G (``Assembly.G``) is a band
+too, built on first read.  A principal block of a band is factored in blocks
+of the bandwidth by ``band_factor``, into a ``BandFactor``: its ``solve``
+is block substitution and its ``forward_gram`` the forward half alone,
+which gives the Gram B' A^-1 B of a few sparse columns, such as
+K_bi K_ii^-1 K_ib and R G^-1 R'.  The interior stiffness block of the
+solvers and G (``space_h1partial``) are factored this way, so no
+n_nodes x n_nodes array is made.
 """
 
 from __future__ import annotations
@@ -191,22 +192,98 @@ class Band:
         return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v)
 
 
-def block_factor(band: Band, rows: np.ndarray, what: str) -> np.ndarray:
-    """Block Cholesky factor L of the principal block ``band[rows][:, rows]``, as dense blocks.
+@dataclass(frozen=True, eq=False)
+class BandFactor:
+    """Block Cholesky factor L of ``size`` rows of a banded SPD matrix, from
+    ``band_factor``.  In blocks of b = bw + 1 rows for the bandwidth bw, L is
+    block bidiagonal: a lower-triangular L_kk and a coupling block L_{k+1,k},
+    nonzero only in its strict upper triangle.  ``blocks[k]`` holds
+    [L_kk^-1; L_{k+1,k}], shape (n_blocks, 2b, b), read-only, the rows padded
+    to whole blocks with the identity, so every solve is matmuls.  ``solve``
+    and ``forward_gram`` are the only readers of this layout.
+    """
 
-    With blocks of b = bw + 1 rows for the block's bandwidth bw (read off
-    its nonzero entries), the block is block tridiagonal and L block
-    bidiagonal: a lower-triangular diagonal block L_kk and a coupling block
-    L_{k+1,k}, nonzero only in its strict upper triangle, as the band's
-    K_{k+1,k} is.  Block column k is filled from the band's entries and
-    factored in place: L_kk is the Cholesky factor of the pivot block
-    K_kk - L_{k,k-1} L_{k,k-1}', and L_{k+1,k} = K_{k+1,k} L_kk^-T.  It is
-    stored as ``blocks[k] = [L_kk^-1; L_{k+1,k}]``, the diagonal block
-    inverted once here so that every solve is matmuls, so the result has
-    shape (n_blocks, 2b, b); the rows are padded to whole blocks with the
-    identity.  No rows.size^2 array is made.  A pivot block that is not
-    positive definite raises NotPositiveDefinite, naming the block and the
-    matrix factored (``what``).
+    size: int
+    blocks: np.ndarray
+
+    def solve(self, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """(L L')^-1 rhs for one vector or a block of columns, by forward and
+        then backward block substitution over one copy of the right-hand side
+        padded to whole blocks; ``rhs`` is left as it is.  With ``rows``,
+        distinct valid indices, the right-hand side is ``rhs[rows]``, gathered
+        straight into that buffer.  Other than ``size`` rows, or other than 1
+        or 2 dimensions, raises DimensionMismatch.  Each block row is two
+        products, each written into one block-row scratch; the result is a
+        view of the buffer.
+        """
+        n = self.size
+        if rhs.ndim not in (1, 2) or (rhs.shape[0] if rows is None else rows.size) != n:
+            raise DimensionMismatch(f"right-hand side of shape {rhs.shape} for a factor of {n} rows")
+        n_blocks, b = self.blocks.shape[0], self.blocks.shape[2]
+        cols = rhs.reshape(rhs.shape[0], -1)
+        w = np.zeros((n_blocks, b, cols.shape[1]))
+        flat = w.reshape(n_blocks * b, cols.shape[1])
+        if rows is None:
+            flat[:n] = cols
+        else:  # an unbuffered gather: mode "raise" would copy through a temporary
+            np.take(cols, rows, axis=0, out=flat[:n], mode="clip")
+        inv, coupling, row = list(self.blocks[:, :b]), list(self.blocks[:, b:]), list(w)
+        scratch = np.empty((b, cols.shape[1]))
+        for k in range(n_blocks):  # L y = rhs
+            if k:
+                row[k] -= np.matmul(coupling[k - 1], row[k - 1], out=scratch)
+            row[k][...] = np.matmul(inv[k], row[k], out=scratch)
+        for k in reversed(range(n_blocks)):  # L' x = y
+            if k + 1 < n_blocks:
+                row[k] -= np.matmul(coupling[k].T, row[k + 1], out=scratch)
+            row[k][...] = np.matmul(inv[k].T, row[k], out=scratch)
+        return flat[:n].reshape((n,) + rhs.shape[1:])
+
+    def forward_gram(self, i: np.ndarray, j: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
+        """B' A^-1 B = W'W for W = L^-1 B, with A = L L' and B of ``width``
+        columns given by its nonzeros (row positions ``i`` in the factored
+        block, columns ``j``, values ``v``, each (row, column) once).  Only
+        the forward half of ``solve`` runs, one block row of W at a time:
+        each is made from row k - 1 and B's entries, its product with itself
+        added into W'W, and dropped, so no rows x width array is made.  A
+        column of W is zero above the first block row of B that reaches it,
+        so W'W is summed with the columns renumbered in that order, and block
+        row k is a product over only the columns reached by then.  The result
+        is mirrored from its upper triangle, so it is exactly symmetric.
+        """
+        n_blocks, b = self.blocks.shape[0], self.blocks.shape[2]
+        k_of = i // b
+        # renumber the columns by the block row that first reaches each;
+        # block row k of W is zero past the first reached[k] renumbered columns
+        first = np.full(width, n_blocks)
+        np.minimum.at(first, j, k_of)
+        perm = np.argsort(first, kind="stable")
+        reached = np.searchsorted(first[perm], np.arange(n_blocks), side="right")
+        pos = np.argsort(perm)
+        order = np.argsort(k_of, kind="stable")
+        bounds = np.searchsorted(k_of[order], np.arange(n_blocks + 1))
+        rows, cols, vals = i[order] - k_of[order] * b, pos[j[order]], v[order]
+        wtw = np.zeros((width, width))
+        prev = np.zeros((b, 0))
+        for k, reach in enumerate(reached):  # prev <- block row k of W
+            lo, hi = bounds[k], bounds[k + 1]
+            row = np.zeros((b, reach))
+            row[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
+            if k:
+                row[:, : prev.shape[1]] -= self.blocks[k - 1, b:] @ prev
+            prev = self.blocks[k, :b] @ row
+            wtw[:reach, :reach] += prev.T @ prev
+        wtw = wtw[np.ix_(pos, pos)]
+        return np.triu(wtw) + np.triu(wtw, 1).T
+
+
+def band_factor(band: Band, rows: np.ndarray, what: str) -> BandFactor:
+    """The ``BandFactor`` of the principal block ``band[rows][:, rows]``, its
+    bandwidth read off its nonzeros.  Block column k is filled from the
+    band's K_kk and K_{k+1,k} and factored in place: L_kk is the Cholesky
+    factor of K_kk - L_{k,k-1} L_{k,k-1}', and L_{k+1,k} = K_{k+1,k} L_kk^-T.
+    No rows.size^2 array is made.  A pivot block that is not positive
+    definite raises NotPositiveDefinite, naming the block and ``what``.
     """
     r, c, v = band.entries(rows, rows)
     b = int((r - c).max(initial=0)) + 1
@@ -230,110 +307,7 @@ def block_factor(band: Band, rows: np.ndarray, what: str) -> np.ndarray:
         diag[...] = tril_inv(low)
         coupling[...] = coupling @ diag.T
     blocks.setflags(write=False)
-    return blocks
-
-
-def block_solve(blocks: np.ndarray, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """(L L')^-1 rhs for the blocks of ``block_factor`` and one vector or a
-    block of columns: forward substitution L y = rhs, then backward L' x = y.
-
-    With ``rows``, distinct valid indices, the right-hand side is
-    ``rhs[rows]``, gathered straight into the solve's buffer.  Substitution
-    over one copy of the right-hand side padded to whole blocks, so ``rhs``
-    is left as it is.  Each block row is one product with its neighbour's
-    coupling block and one with the stored inverse of its diagonal block,
-    each written into one block-row scratch; the result is a view of the
-    buffer.
-    """
-    n_blocks, b = blocks.shape[0], blocks.shape[2]
-    n = rhs.shape[0] if rows is None else rows.size
-    shape = (n,) + rhs.shape[1:]
-    cols = rhs.reshape(rhs.shape[0], -1)
-    w = np.zeros((n_blocks, b, cols.shape[1]))
-    flat = w.reshape(n_blocks * b, cols.shape[1])
-    if rows is None:
-        flat[:n] = cols
-    else:  # an unbuffered gather: mode "raise" would copy through a temporary
-        np.take(cols, rows, axis=0, out=flat[:n], mode="clip")
-    inv, coupling, row = list(blocks[:, :b]), list(blocks[:, b:]), list(w)
-    scratch = np.empty((b, cols.shape[1]))
-    for k in range(n_blocks):  # L y = rhs
-        if k:
-            row[k] -= np.matmul(coupling[k - 1], row[k - 1], out=scratch)
-        row[k][...] = np.matmul(inv[k], row[k], out=scratch)
-    for k in reversed(range(n_blocks)):  # L' x = y
-        if k + 1 < n_blocks:
-            row[k] -= np.matmul(coupling[k].T, row[k + 1], out=scratch)
-        row[k][...] = np.matmul(inv[k].T, row[k], out=scratch)
-    return flat[:n].reshape(shape)
-
-
-def forward_gram(blocks: np.ndarray, i: np.ndarray, j: np.ndarray, v: np.ndarray, width: int) -> np.ndarray:
-    """B' A^-1 B = W'W for W = L^-1 B: A = L L' in the blocks of
-    ``block_factor``, B of ``width`` columns given by its nonzeros (row
-    positions ``i`` in the factored block, columns ``j``, values ``v``, each
-    (row, column) once).  Only the forward half of ``block_solve`` runs, one
-    block row of W at a time: each is made from row k - 1 and B's entries,
-    its product with itself added into W'W, and dropped, so no rows x width
-    array is made.  A column of W is zero above the first block row of B that
-    reaches it, so W'W is summed with the columns renumbered in that order,
-    and block row k is a product over only the columns reached by then.
-    """
-    n_blocks, b = blocks.shape[0], blocks.shape[2]
-    k_of = i // b
-    # renumber the columns by the block row that first reaches each;
-    # block row k of W is zero past the first reached[k] renumbered columns
-    first = np.full(width, n_blocks)
-    np.minimum.at(first, j, k_of)
-    perm = np.argsort(first, kind="stable")
-    reached = np.searchsorted(first[perm], np.arange(n_blocks), side="right")
-    pos = np.argsort(perm)
-    order = np.argsort(k_of, kind="stable")
-    bounds = np.searchsorted(k_of[order], np.arange(n_blocks + 1))
-    rows, cols, vals = i[order] - k_of[order] * b, pos[j[order]], v[order]
-    wtw = np.zeros((width, width))
-    prev = np.zeros((b, 0))
-    for k, reach in enumerate(reached):  # prev <- block row k of W
-        lo, hi = bounds[k], bounds[k + 1]
-        row = np.zeros((b, reach))
-        row[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
-        if k:
-            row[:, : prev.shape[1]] -= blocks[k - 1, b:] @ prev
-        prev = blocks[k, :b] @ row
-        wtw[:reach, :reach] += prev.T @ prev
-    return wtw[np.ix_(pos, pos)]
-
-
-@dataclass(frozen=True, eq=False)
-class BandSpace:
-    """The solver of a banded SPD Gram: ``gram``, the band, and ``blocks``,
-    its factor from ``block_factor``.  It is no ``oplab.InnerSpace``; the
-    operator algebra takes the dense space of the same Gram (``op_trace``).
-    Built by ``band_space``.
-    """
-
-    gram: Band
-    blocks: np.ndarray
-
-    def solve(self, rhs) -> np.ndarray:
-        """gram^-1 rhs for one vector or a block of columns; ``rhs`` is left as it is."""
-        x = np.asarray(rhs, dtype=float)
-        dim = self.gram.diags[0].size
-        if x.ndim not in (1, 2) or x.shape[0] != dim:
-            raise DimensionMismatch(f"right-hand side of shape {x.shape} for a space of dim {dim}")
-        return block_solve(self.blocks, x)
-
-
-def band_space(gram: Band) -> BandSpace:
-    """The space of a band Gram, factored once.  A Gram with a non-finite
-    entry, or one that is not positive definite, raises GramNotPD."""
-    if not all(np.isfinite(v).all() for v in gram.diags):
-        raise GramNotPD("gram band has non-finite entries")
-    try:
-        blocks = block_factor(gram, np.arange(gram.diags[0].size), "the gram band")
-    except NotPositiveDefinite as exc:
-        raise GramNotPD(str(exc)) from exc
-    return BandSpace(gram=gram, blocks=blocks)
+    return BandFactor(size=rows.size, blocks=blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,6 +320,7 @@ class Assembly:
     tangential boundary stiffness (zero on point facets).  M_b and K_b are
     dense, on the boundary nodes in the ascending order of
     ``mesh.boundary_nodes``; the trace of v is ``v[mesh.boundary_nodes]``.
+    G: the combined H1 Gram, built on first read.
     """
 
     mesh: Mesh
@@ -353,6 +328,16 @@ class Assembly:
     M_dom: Band
     M_b: np.ndarray
     K_b: np.ndarray
+
+    @cached_property
+    def G(self) -> Band:
+        """The combined H1 Gram K + R' M_b R, the inner product (grad u, grad v)
+        + (u, v) on the boundary, a band: K plus the facet masses of M_b,
+        scattered with node indices instead of boundary positions, so each
+        entry sums the terms of K.dense() + R' M_b R in the same order."""
+        mesh = self.mesh
+        _, m_b = _simplex_bands(mesh.boundary_facets, _facet_measure(mesh), mesh.n_nodes, "boundary facet")
+        return self.K + m_b
 
 
 def _interval_mesh(n: int) -> Mesh:
@@ -471,19 +456,18 @@ def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
 
 
 @lru_cache(maxsize=32)
-def space_h1partial(a: Assembly) -> BandSpace:
-    """The solver of the combined H1 Gram of one assembly, G = K plus M_b on the boundary block.
-
-    G is the inner product (grad u, grad v) + (u, v) on the boundary, a band:
-    K plus the facet masses of ``assemble``'s M_b, scattered with node
-    indices instead of boundary positions.  Each entry sums the terms of
-    K.dense() + R' M_b R in the same order.  Its one factorization is
-    ``block_factor``'s, so neither G nor its factor is an n_nodes x n_nodes
-    array.
+def space_h1partial(a: Assembly) -> BandFactor:
+    """The factor of the combined H1 Gram ``a.G``, taken once by
+    ``band_factor``, so neither G nor its factor is an n_nodes x n_nodes
+    array.  A G with a non-finite entry, or one that is not positive
+    definite, raises GramNotPD.
     """
-    mesh = a.mesh
-    _, m_b = _simplex_bands(mesh.boundary_facets, _facet_measure(mesh), mesh.n_nodes, "boundary facet")
-    return band_space(a.K + m_b)
+    if not all(np.isfinite(v).all() for v in a.G.diags):
+        raise GramNotPD("gram band has non-finite entries")
+    try:
+        return band_factor(a.G, np.arange(a.mesh.n_nodes), "the gram band")
+    except NotPositiveDefinite as exc:
+        raise GramNotPD(str(exc)) from exc
 
 
 def mass_product(mesh: Mesh, f: np.ndarray) -> np.ndarray:
@@ -507,13 +491,13 @@ def mass_product(mesh: Mesh, f: np.ndarray) -> np.ndarray:
 def op_trace(a: Assembly) -> Operator:
     """The trace as a map from the combined H1 space to boundary L2, both
     dense ``InnerSpace``s, so every operator-algebra map works on it: the
-    domain is the space of G built from ``space_h1partial``'s band, and the
-    matrix is the 0/1 restriction onto the boundary nodes, the one place it
-    is built.  No suite calls it; it is the tests' dense reference."""
+    domain is the space of ``a.G``, and the matrix is the 0/1 restriction
+    onto the boundary nodes, the one place it is built.  No suite calls it;
+    it is the tests' dense reference."""
     l2bnd, _ = boundary_spaces(a)
     r = np.zeros((l2bnd.dim, a.mesh.n_nodes))
     r[np.arange(l2bnd.dim), a.mesh.boundary_nodes] = 1.0
-    return Operator(_space(space_h1partial(a).gram.dense()), l2bnd, r)
+    return Operator(_space(a.G.dense()), l2bnd, r)
 
 
 def dump_mesh(mesh: Mesh, path: str | None = None) -> str:

@@ -29,8 +29,7 @@ from .errors import (
     SolveFailure,
     ZeroVector,
 )
-from .fem2d import Assembly, block_factor, block_solve, boundary_spaces, forward_gram, mass_product
-from .fem2d import space_h1partial
+from .fem2d import Assembly, BandFactor, band_factor, boundary_spaces, mass_product, space_h1partial
 from .kernels import jacobi_svd  # noqa: F401 - unused; perfbench/selftest.py checks tracing patches it
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
@@ -44,26 +43,16 @@ HARMONIC_GATE = 1e-8
 
 
 @lru_cache(maxsize=32)
-def _interior_chol(a: Assembly) -> np.ndarray:
-    """Block Cholesky factor of the interior stiffness block K_ii, as the
-    dense blocks of ``fem2d.block_factor``: blocks of b = bw + 1 rows for
-    the interior bandwidth bw, ``blocks[k] = [L_kk^-1; L_{k+1,k}]``.  A pivot
-    block that is not positive definite raises SolveFailure.
+def _interior_chol(a: Assembly) -> BandFactor:
+    """The ``fem2d.BandFactor`` of the interior stiffness block K_ii: its
+    ``solve`` gives K_ii^-1 of interior right-hand sides, or of the interior
+    rows of domain ones, and ``_schur`` runs its ``forward_gram`` on K_ib.  A
+    pivot block that is not positive definite raises SolveFailure.
     """
     try:
-        return block_factor(a.K, a.mesh.interior_nodes, "the interior stiffness block")
+        return band_factor(a.K, a.mesh.interior_nodes, "the interior stiffness block")
     except NotPositiveDefinite as exc:
         raise SolveFailure(str(exc)) from exc
-
-
-def _interior_solve(a: Assembly, rhs: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """K_ii^-1 rhs for one vector or a block of interior right-hand sides,
-    or for ``rhs[rows]`` (``block_solve`` gathers them): forward and then
-    backward block substitution with the blocks of ``_interior_chol``.
-    ``_schur`` runs the forward half alone, on K_ib, through
-    ``fem2d.forward_gram``.
-    """
-    return block_solve(_interior_chol(a), rhs, rows)
 
 
 @lru_cache(maxsize=32)
@@ -104,18 +93,19 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _schur(a: Assembly) -> oplab.InnerSpace:
     """M_b S = M_b + K_bb - K_bi K_ii^-1 K_ib: the Schur complement of the
-    combined H1 Gram onto the boundary, from the stiffness band and the
-    blocks of ``_interior_chol``, never from the Gram.  K_bi K_ii^-1 K_ib
-    is ``fem2d.forward_gram`` of K_ii's factor and K_ib's entries, so no
-    n_nodes x nb array is made.  As a space, so its one Cholesky factor
-    serves every Robin and Poisson-Robin solve."""
+    combined H1 Gram onto the boundary, from the stiffness band and K_ii's
+    factor (``_interior_chol``), never from the Gram.  K_bi K_ii^-1 K_ib is
+    that factor's ``forward_gram`` of K_ib's entries, so no n_nodes x nb
+    array is made; M_b + K_bb is exactly symmetric, and so is the
+    difference.  As a space, so its one Cholesky factor serves every Robin
+    and Poisson-Robin solve."""
     bnd, interior = a.mesh.boundary_nodes, a.mesh.interior_nodes
     mbs = np.array(a.M_b)
     i, j, v = a.K.entries(bnd, bnd)
     mbs[i, j] += v
     if interior.size:
-        mbs -= forward_gram(_interior_chol(a), *a.K.entries(interior, bnd), bnd.size)
-    return oplab.make_space(bnd.size, np.triu(mbs) + np.triu(mbs, 1).T)
+        mbs -= _interior_chol(a).forward_gram(*a.K.entries(interior, bnd), bnd.size)
+    return oplab.make_space(bnd.size, mbs)
 
 
 @lru_cache(maxsize=32)
@@ -147,15 +137,16 @@ def _trace_pinv(a: Assembly) -> oplab.InnerSpace:
     """C = R G^-1 R' = [G^-1]_bb as a space, the block of the trace pinv's
     range-space formula: the trace is onto, so its pinv is
     gamma* (gamma gamma*)^-1, and with gamma* = G^-1 R' M_b it is
-    Lambda = G^-1 R' C^-1.  C is ``fem2d.forward_gram`` of G's factor and the
-    boundary nodes' one-hot columns, so no n_nodes x nb array is made.  C^-1
-    equals M_b S, G's Schur complement onto the boundary, but C reads G's
-    factor alone, never ``_schur`` or K_ii's: ``harmonic_two_path`` and
-    ``suite_hhalf``'s quotient Gram M_b + C^-1 keep two independent paths.
+    Lambda = G^-1 R' C^-1.  C is the ``forward_gram`` of G's factor
+    (``space_h1partial``) and the boundary nodes' one-hot columns, so no
+    n_nodes x nb array is made.  C^-1 equals M_b S, G's Schur complement
+    onto the boundary, but C reads G's factor alone, never ``_schur`` or
+    K_ii's: ``harmonic_two_path`` and ``suite_hhalf``'s quotient Gram
+    M_b + C^-1 keep two independent paths.
     """
     bnd = a.mesh.boundary_nodes
-    c = forward_gram(space_h1partial(a).blocks, bnd, np.arange(bnd.size), np.ones(bnd.size), bnd.size)
-    return oplab.make_space(bnd.size, np.triu(c) + np.triu(c, 1).T)
+    c = space_h1partial(a).forward_gram(bnd, np.arange(bnd.size), np.ones(bnd.size), bnd.size)
+    return oplab.make_space(bnd.size, c)
 
 
 def _representers(a: Assembly, y: np.ndarray) -> np.ndarray:
@@ -205,7 +196,7 @@ def _extend(a: Assembly, g: np.ndarray) -> np.ndarray:
     if interior.size:  # K_ii z_i = -K_ib g, nonzero only on the ring
         ring, c = _coupling(a)
         z[ring] = -(c @ g)
-        z[interior] = _interior_solve(a, z, interior)
+        z[interior] = _interior_chol(a).solve(z, interior)
     return z
 
 
@@ -229,7 +220,7 @@ def _condense(a: Assembly, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     interior = a.mesh.interior_nodes
     u = np.zeros_like(load)
     if interior.size:
-        u[interior] = _interior_solve(a, load, interior)
+        u[interior] = _interior_chol(a).solve(load, interior)
     ring, c = _coupling(a)
     return u, load[a.mesh.boundary_nodes] - c.T @ u[ring]
 
@@ -453,7 +444,7 @@ def _pde_trials(rec: Recorder, a: Assembly, rng: np.random.Generator, trials: in
     rec.record("harmonic_two_path", _maxabs(z - lam_g))
     rec.record("extension_trace_identity", rel_diff(lam_g[bnd], g))
     rec.record("harmonic_projection", _maxabs(lam_z - z))
-    gl = space_h1partial(a).gram @ lam_g
+    gl = a.G @ lam_g
     rec.record("harmonic_projection", np.linalg.norm(gl[interior]) / max(np.linalg.norm(gl), _TINY))
     pair = g.T @ gl[bnd]
     rec.record("harmonic_projection", rel_diff(pair, pair.T))
@@ -564,7 +555,6 @@ def suite_hhalf(
     if a.mesh.kind not in X_TRACE_ENERGY:
         raise BadParameter(f"no closed x_trace_energy for mesh kind {a.mesh.kind!r}")
     rng = default_rng(seed)
-    h1 = space_h1partial(a)
     l2bnd, _ = boundary_spaces(a)
     nb = l2bnd.dim
     q_half = hs_gram(a, 0.5)
@@ -578,7 +568,7 @@ def suite_hhalf(
         # one draw per trial, as columns; the extension energy goes through G
         g = rng.standard_normal((trials, nb)).T
         total = _colquad(g, q_half.gram)
-        split = total - _colquad(g, a.M_b) - _colquad(_extend(a, g), h1.gram)
+        split = total - _colquad(g, a.M_b) - _colquad(_extend(a, g), a.G)
         rec.record("energy_split", _maxabs(np.abs(split) / np.maximum(total, _TINY)))
 
     xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
@@ -600,7 +590,7 @@ def suite_hhalf(
                 "s_11": float(s_mat[1, 1]),
                 "split_total": float(g0 @ q_half.gram @ g0),
                 "split_l2": float(g0 @ a.M_b @ g0),
-                "split_extension": float(ext0 @ (h1.gram @ ext0)),
+                "split_extension": float(ext0 @ (a.G @ ext0)),
             }
         )
 

@@ -72,14 +72,14 @@ def dense_schur(a: fem2d.Assembly) -> np.ndarray:
 
 
 def check_forward_grams(a: fem2d.Assembly) -> None:
-    """The two Grams made by ``fem2d.forward_gram`` against dense oracles, to
-    1e-12 relative: C = R G^-1 R' (``tracescale._trace_pinv``) against the
-    boundary block of inv(G), M_b S (``tracescale._schur``) against
-    ``dense_schur``, and C^-1 against M_b S, the identity that the two paths
-    of suite_hhalf's quotient constants rest on."""
+    """The two Grams made by ``fem2d.BandFactor.forward_gram`` against dense
+    oracles, to 1e-12 relative: C = R G^-1 R' (``tracescale._trace_pinv``)
+    against the boundary block of inv(G), M_b S (``tracescale._schur``)
+    against ``dense_schur``, and C^-1 against M_b S, the identity that the
+    two paths of suite_hhalf's quotient constants rest on."""
     bnd = a.mesh.boundary_nodes
     c, mbs = tracescale._trace_pinv(a), tracescale._schur(a).gram
-    g_inv = np.linalg.inv(fem2d.space_h1partial(a).gram.dense())
+    g_inv = np.linalg.inv(a.G.dense())
     for got, ref in (
         (c.gram, g_inv[np.ix_(bnd, bnd)]),
         (mbs, dense_schur(a)),

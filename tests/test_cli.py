@@ -417,6 +417,26 @@ class TestRun:
         assert err.startswith("error: oplab:-:0 residual ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_exit_2_before_any_suite(self, tmp_path, monkeypatch, capsys, below):
+        # a file at the output path, or on its way, fails before the suites run
+        blocker = tmp_path / "FILE"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+
+        def refuse(config):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "execute", refuse)
+        code = run_main(["--suite", "pde", "--mesh", "square", "--n", "2", "--trials", "1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: unusable output directory")
+        assert str(out) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
     def test_runner_looked_up_at_call_time(self, monkeypatch):
         # tools that patch module attributes (the benchmark tracer) must see every cell
         calls = []

@@ -553,12 +553,12 @@ class TestBlockSolve:
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8), ("square", 32)])
     def test_rows_gather_bitwise(self, kind, n, rng):
         a = asm(kind, n)
-        blocks, interior = tracescale._interior_chol(a), a.mesh.interior_nodes
+        factor, interior = tracescale._interior_chol(a), a.mesh.interior_nodes
         x = rng.standard_normal((4, a.mesh.n_nodes)).T
         for rhs in (x[:, 0], x, np.ascontiguousarray(x)):
             kept = rhs.copy()
-            got = fem2d.block_solve(blocks, rhs, interior)
-            want = fem2d.block_solve(blocks, rhs[interior])
+            got = factor.solve(rhs, interior)
+            want = factor.solve(rhs[interior])
             assert got.shape == want.shape == (interior.size,) + rhs.shape[1:]
             assert got.tobytes() == want.tobytes()
             assert np.array_equal(rhs, kept)
@@ -566,12 +566,12 @@ class TestBlockSolve:
     def test_allocates_one_padded_buffer(self, rng):
         # the gather fills the solve's own buffer: no second interior-sized block
         a = asm("square", 32)
-        blocks, interior = tracescale._interior_chol(a), a.mesh.interior_nodes
+        factor, interior = tracescale._interior_chol(a), a.mesh.interior_nodes
         rhs = rng.standard_normal((a.mesh.n_nodes, 50))
-        fem2d.block_solve(blocks, rhs, interior)
+        factor.solve(rhs, interior)
         tracemalloc.start()
         try:
-            fem2d.block_solve(blocks, rhs, interior)
+            factor.solve(rhs, interior)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -617,7 +617,7 @@ class TestSpaces:
     def test_builds_one_domain_space(self, monkeypatch):
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so nothing is cached
         dims, factored = [], []
-        make_space, block_factor = fem2d.make_space, fem2d.block_factor
+        make_space, band_factor = fem2d.make_space, fem2d.band_factor
 
         def counted(dim, gram):
             dims.append(dim)
@@ -625,22 +625,21 @@ class TestSpaces:
 
         def counted_factor(band, rows, what):
             factored.append(rows.size)
-            return block_factor(band, rows, what)
+            return band_factor(band, rows, what)
 
         monkeypatch.setattr(fem2d, "make_space", counted)
-        monkeypatch.setattr(fem2d, "block_factor", counted_factor)
+        monkeypatch.setattr(fem2d, "band_factor", counted_factor)
         h1 = fem2d.space_h1partial(a)
-        assert isinstance(h1, fem2d.BandSpace) and h1.gram.diags[0].size == a.mesh.n_nodes
+        assert isinstance(h1, fem2d.BandFactor) and h1.size == a.mesh.n_nodes
         # one factorization, of G itself; no domain L2 space, no boundary space
         assert factored == [a.mesh.n_nodes]
         assert dims == []
 
     def test_interval_combined_gram(self):
         a = asm("interval", 1)
-        h1 = fem2d.space_h1partial(a)
         l2dom = embed_domain(a).codomain
         l2bnd, h1bnd = fem2d.boundary_spaces(a)
-        assert np.array_equal(h1.gram.dense(), [[2.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(a.G.dense(), [[2.0, -1.0], [-1.0, 2.0]])
         assert np.array_equal(l2bnd.gram, np.eye(2))
         assert np.array_equal(h1bnd.gram, np.eye(2))
         assert np.abs(l2dom.gram - np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0).max() <= 1e-16
@@ -648,16 +647,14 @@ class TestSpaces:
     @pytest.mark.parametrize("kind,n", [("interval", 4), ("square", 4), ("lshape", 4)])
     def test_boundary_term_removes_kernel(self, kind, n):
         a = asm(kind, n)
-        h1 = fem2d.space_h1partial(a)
         ones = np.ones(a.mesh.n_nodes)
         r = fem2d.op_trace(a).mat
         boundary_part = r.T @ a.M_b @ r @ ones
-        assert np.abs(h1.gram @ ones - boundary_part).max() <= 1e-14
+        assert np.abs(a.G @ ones - boundary_part).max() <= 1e-14
         assert np.abs(boundary_part).max() > 0.0
 
     def test_square_gram_spectral_floor(self):
-        h1 = fem2d.space_h1partial(asm("square", 8))
-        assert np.linalg.eigvalsh(h1.gram.dense()).min() > 1e-4
+        assert np.linalg.eigvalsh(asm("square", 8).G.dense()).min() > 1e-4
 
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
     def test_boundary_spaces_shared(self, kind):
@@ -686,7 +683,7 @@ class TestSpaces:
         ends = {}
         for n in (4, 8):
             a = asm(kind, n)
-            g = fem2d.space_h1partial(a).gram.dense()
+            g = a.G.dense()
             vals = scipy.linalg.eigh(g, a.K.dense() + a.M_dom.dense(), eigvals_only=True)
             ends[n] = (vals.min(), vals.max())
             assert vals.min() > 0.0
@@ -701,10 +698,10 @@ def dense_h1(a):
     return oplab.make_space(a.mesh.n_nodes, a.K.dense() + r.T @ a.M_b @ r)
 
 
-def check_band_space(a, rng):
-    """``space_h1partial``'s band solver against the dense space of the same Gram, to 1e-12."""
+def check_g_factor(a, rng):
+    """``space_h1partial``'s factor of ``a.G`` against the dense space of the same Gram, to 1e-12."""
     h1, ref = fem2d.space_h1partial(a), dense_h1(a)
-    assert np.array_equal(h1.gram.dense(), ref.gram)
+    assert np.array_equal(a.G.dense(), ref.gram)
     for rhs in (rng.standard_normal(a.mesh.n_nodes), rng.standard_normal((a.mesh.n_nodes, 3))):
         kept = rhs.copy()
         got, want = h1.solve(rhs), ref.solve(rhs)
@@ -733,8 +730,8 @@ class TestForwardGram:
         b = np.where(rng.random((a.mesh.n_nodes, width)) < 0.1, rng.standard_normal((a.mesh.n_nodes, width)), 0.0)
         i, j = np.nonzero(b)
         order = rng.permutation(i.size)
-        got = fem2d.forward_gram(h1.blocks, i[order], j[order], b[i, j][order], width)
-        ref = b.T @ np.linalg.solve(h1.gram.dense(), b)
+        got = h1.forward_gram(i[order], j[order], b[i, j][order], width)
+        ref = b.T @ np.linalg.solve(a.G.dense(), b)
         assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * max(np.abs(ref).max(initial=0.0), 1.0)
 
 
@@ -745,17 +742,17 @@ class TestBandSpace:
          ("lshape", 2), ("lshape", 8)],
     )
     def test_matches_dense_space(self, kind, n, rng):
-        check_band_space(asm(kind, n), rng)
+        check_g_factor(asm(kind, n), rng)
 
     @given(case=renumbered_meshes(), seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_space_on_wide_bands(self, case, seed):
-        check_band_space(fem2d.assemble(renumbered(*case)), np.random.default_rng(seed))
+        check_g_factor(fem2d.assemble(renumbered(*case)), np.random.default_rng(seed))
 
     def test_gram_is_a_band_of_the_stiffness_offsets(self):
         # the boundary edges are sides of the grid, so G keeps K's diagonals
         a = asm("square", 8)
         h1 = fem2d.space_h1partial(a)
-        assert isinstance(h1.gram, fem2d.Band) and h1.gram.offsets == a.K.offsets
+        assert isinstance(a.G, fem2d.Band) and a.G.offsets == a.K.offsets
         assert h1.blocks.shape[1:] == (2 * (a.K.offsets[-1] + 1), a.K.offsets[-1] + 1)
         assert not h1.blocks.flags.writeable
 
@@ -767,11 +764,38 @@ class TestBandSpace:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_gram_flagged(self, value):
-        g = fem2d.space_h1partial(asm("interval", 2)).gram
-        diag = g.diags[0].copy()
+        # the interval's node 1 is interior, so G's diagonal there is K's
+        a = asm("interval", 2)
+        diag = a.K.diags[0].copy()
         diag[1] = value
+        bad = dataclasses.replace(a, K=fem2d.Band(offsets=a.K.offsets, diags=(diag,) + a.K.diags[1:]))
+        assert not np.isfinite(bad.G.diags[0][1])
         with pytest.raises(GramNotPD, match="non-finite"):
-            fem2d.band_space(fem2d.Band(offsets=g.offsets, diags=(diag,) + g.diags[1:]))
+            fem2d.space_h1partial(bad)
+
+
+class TestFactorShapes:
+    @pytest.mark.parametrize("which", ["interior", "gram"])
+    def test_wrong_lengths_raise(self, which):
+        # on square n = 8, K_ii has 49 rows (in blocks of 8, padded to 56) and G
+        # 81: a right-hand side of another length must not be solved against
+        # the identity padding, with or without a row gather
+        a = asm("square", 8)
+        if which == "interior":
+            factor, rows = tracescale._interior_chol(a), a.mesh.interior_nodes
+        else:
+            factor, rows = fem2d.space_h1partial(a), np.arange(a.mesh.n_nodes)
+        n = rows.size
+        assert factor.size == n
+        for length in (n - 1, n + 3):
+            for shape in ((length,), (length, 2)):
+                with pytest.raises(DimensionMismatch, match=f"for a factor of {n} rows"):
+                    factor.solve(np.zeros(shape))
+        rhs = np.zeros((a.mesh.n_nodes + 3, 2))
+        for wrong in (rows[:-1], np.arange(n + 3)):
+            with pytest.raises(DimensionMismatch):
+                factor.solve(rhs, wrong)
+        assert factor.solve(rhs, rows).shape == (n, 2)
 
 
 class TestOperators:
@@ -798,7 +822,7 @@ class TestOperators:
         emb = embed_domain(a)
         assert np.array_equal(emb.mat, np.eye(a.mesh.n_nodes))
         g = emb.domain.gram
-        assert np.array_equal(g, fem2d.space_h1partial(a).gram.dense())
+        assert np.array_equal(g, a.G.dense())
         c = np.sqrt(scipy.linalg.eigh(a.M_dom.dense(), g, eigvals_only=True).max())
         for _ in range(20):
             v = rng.standard_normal(a.mesh.n_nodes)

@@ -406,7 +406,7 @@ def dense_projection_residuals(a, g):
     order, from the dense Lambda = G^-1 R' (R G^-1 R')^-1 of the 0/1 trace
     matrix R and G's dense matrix."""
     r = fem2d.op_trace(a).mat
-    gram = fem2d.space_h1partial(a).gram.dense()
+    gram = a.G.dense()
     g_inv_rt = np.linalg.solve(gram, r.T)
     lam = g_inv_rt @ np.linalg.inv(r @ g_inv_rt)
     z = tracescale.harmonic_extension(a, g)
@@ -471,11 +471,10 @@ class TestProjectionIdentities:
 
     def test_extension_of_trace_projects(self, rng):
         a = asm("square", 4)
-        h1 = fem2d.space_h1partial(a)
         lam = oplab.pinv(fem2d.op_trace(a))
         proj = lam.mat @ fem2d.op_trace(a).mat
         assert np.abs(proj @ proj - proj).max() <= 1e-10
-        gp = h1.gram @ proj
+        gp = a.G @ proj
         assert np.abs(gp - gp.T).max() <= 1e-10
         # fixes everything that passes the harmonicity gate
         z = tracescale.harmonic_extension(a, rng.standard_normal(16))
@@ -500,7 +499,7 @@ def banded_solve(a, rhs):
 
 
 def factor_from_blocks(blocks):
-    """The padded lower factor L laid out by ``_interior_chol``'s blocks, each
+    """The padded lower factor L laid out by a ``BandFactor``'s blocks, each
     stored inverse diagonal block inverted back by LAPACK's triangular solve."""
     n_blocks, _, b = blocks.shape
     low = np.zeros(((n_blocks + 1) * b, n_blocks * b))
@@ -525,12 +524,12 @@ class TestInteriorFactor:
         # the interior of the 17 x 17 grid is 15 x 15: K_ii has bandwidth 15, so
         # blocks of 16 rows, and 225 = 14 * 16 + 1 rows make 15 block columns
         a = fem2d.assemble(fem2d.gen_mesh("square", 16))
-        assert tracescale._interior_chol(a).shape == (15, 32, 16)
+        assert tracescale._interior_chol(a).blocks.shape == (15, 32, 16)
 
     @pytest.mark.parametrize("kind,n", [("interval", 2), ("interval", 8), ("square", 4), ("lshape", 8)])
     def test_factor_reproduces_interior_block(self, kind, n):
         a = asm(kind, n)
-        blocks = tracescale._interior_chol(a)
+        blocks = tracescale._interior_chol(a).blocks
         kii, ab = interior_band(a)
         ni, b = kii.shape[0], blocks.shape[2]
         assert b == ab.shape[0]
@@ -555,7 +554,7 @@ class TestInteriorFactor:
         # last interior node's diagonal is negated, so only the last pivot block fails
         a = asm("square", 8)
         interior = a.mesh.interior_nodes
-        n_blocks = tracescale._interior_chol(a).shape[0]
+        n_blocks = tracescale._interior_chol(a).blocks.shape[0]
         if last:
             diag = a.K.diags[0].copy()
             diag[interior[-1]] *= scale
@@ -568,7 +567,7 @@ class TestInteriorFactor:
             tracescale._interior_chol(bad)
 
     def test_factor_is_one_read_only_copy(self):
-        blocks = tracescale._interior_chol(asm("square", 8))
+        blocks = tracescale._interior_chol(asm("square", 8)).blocks
         assert not blocks.flags.writeable
         assert blocks.base is None
 
@@ -581,7 +580,7 @@ class TestInteriorSolve:
         ni = interior_band(a)[0].shape[0]
         rhs = rng.standard_normal(ni if cols is None else (ni, cols))
         kept = rhs.copy()
-        got = tracescale._interior_solve(a, rhs)
+        got = tracescale._interior_chol(a).solve(rhs)
         ref = banded_solve(a, rhs)
         assert got.shape == rhs.shape
         assert np.array_equal(rhs, kept)
@@ -592,7 +591,7 @@ class TestInteriorSolve:
         for kind, n in SOLVE_MESHES:
             a = asm(kind, n)
             ni = a.mesh.n_nodes - a.mesh.boundary_nodes.size
-            n_blocks, _, b = tracescale._interior_chol(a).shape
+            n_blocks, _, b = tracescale._interior_chol(a).blocks.shape
             assert n_blocks == -(-ni // b)
             layouts.add("one block" if ni <= b else "whole blocks" if ni % b == 0 else "partial block")
         assert layouts == {"one block", "whole blocks", "partial block"}
@@ -606,7 +605,7 @@ class TestInteriorSolve:
     def test_property_matches_banded_oracle(self, kind_n, cols, seed):
         a = asm(*kind_n)
         rhs = np.random.default_rng(seed).standard_normal((interior_band(a)[0].shape[0], cols))
-        got = tracescale._interior_solve(a, rhs)
+        got = tracescale._interior_chol(a).solve(rhs)
         ref = banded_solve(a, rhs)
         assert np.abs(got - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=1.0)
 
@@ -733,9 +732,8 @@ class TestHsGram:
         assert g @ q.gram @ g == pytest.approx(3.0, abs=1e-13)
         # split: 1 from the boundary mass, 2 from the extension energy
         z = tracescale.harmonic_extension(a, g)
-        h1 = fem2d.space_h1partial(a)
         assert g @ a.M_b @ g == pytest.approx(1.0)
-        assert z @ (h1.gram @ z) == pytest.approx(2.0, abs=1e-13)
+        assert z @ (a.G @ z) == pytest.approx(2.0, abs=1e-13)
 
     def test_interval_negative_half_is_resolvent(self):
         q = tracescale.hs_gram(asm("interval", 1), -0.5)
@@ -895,8 +893,9 @@ class TestSuitePde:
     def test_solve_count_does_not_grow_with_samples(self, monkeypatch):
         a = asm("square", 4)
         tracescale.suite_pde(a, trials=1, identity_samples=1)  # fill the per-assembly caches
-        # the boundary solves go through InnerSpace.solve, the interior ones through _interior_solve
-        owners = {"solve": oplab.InnerSpace, "_interior_solve": tracescale}
+        # the boundary solves go through InnerSpace.solve, the interior ones (and
+        # G's) through BandFactor.solve
+        owners = {"boundary": oplab.InnerSpace, "band": fem2d.BandFactor}
         calls = {name: [] for name in owners}
 
         def counting(name, original):
@@ -907,7 +906,7 @@ class TestSuitePde:
             return counted
 
         for name, owner in owners.items():
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+            monkeypatch.setattr(owner, "solve", counting(name, owner.solve))
         counts = []
         for trials, samples in ((2, 3), (7, 11)):
             for made in calls.values():
@@ -916,7 +915,7 @@ class TestSuitePde:
             counts.append({name: len(made) for name, made in calls.items()})
         assert counts[0] == counts[1]
         # a count of 0 would mean the solvers no longer go through the patched names
-        assert counts[0]["_interior_solve"] > 0 and counts[0]["solve"] > 0
+        assert counts[0]["band"] > 0 and counts[0]["boundary"] > 0
 
     @pytest.mark.parametrize("kind,n", MESH_SAMPLE)
     def test_same_stream_as_per_trial_draws(self, kind, n, monkeypatch):
@@ -1022,12 +1021,11 @@ class TestPdeKillCheck:
         # takes the factor of G with a middle interior diagonal entry off by 1e-9;
         # the products keep the true band
         a = fem2d.assemble(fem2d.gen_mesh(kind, n))  # fresh, so C is built from the planted factor
-        true = fem2d.space_h1partial(a)
         interior = a.mesh.interior_nodes
-        diag = np.array(true.gram.diags[0])
+        diag = np.array(a.G.diags[0])
         diag[interior[interior.size // 2]] *= 1.0 + 1e-9
-        band = dataclasses.replace(true.gram, diags=(diag,) + true.gram.diags[1:])
-        planted = dataclasses.replace(true, blocks=fem2d.block_factor(band, np.arange(diag.size), "G"))
+        band = dataclasses.replace(a.G, diags=(diag,) + a.G.diags[1:])
+        planted = fem2d.band_factor(band, np.arange(diag.size), "G")
         monkeypatch.setattr(tracescale, "space_h1partial", lambda a: planted)
         rep = tracescale.suite_pde(a, trials=5, identity_samples=5)
         assert failed_gates(rep) == {"robin_two_path", "poisson_two_path", "harmonic_projection"}
@@ -1171,16 +1169,15 @@ class TestSuiteHhalf:
         # S comes from the stiffness blocks, so every G route now disagrees with its
         # K-block twin; the closed-form energy, which reads no G, still holds
         a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached object holds the true Gram
-        original = fem2d.space_h1partial
+        original = fem2d.Assembly.G.func
 
         def halved(asm_):
-            # through the band route: K plus half of G's boundary-edge masses
-            g, k = original(asm_).gram, dict(zip(asm_.K.offsets, asm_.K.diags))
+            # K plus half of G's boundary-edge masses
+            g, k = original(asm_), dict(zip(asm_.K.offsets, asm_.K.diags))
             diags = tuple(k.get(d, 0.0) + 0.5 * (v - k.get(d, 0.0)) for d, v in zip(g.offsets, g.diags))
-            return fem2d.band_space(fem2d.Band(offsets=g.offsets, diags=diags))
+            return fem2d.Band(offsets=g.offsets, diags=diags)
 
-        monkeypatch.setattr(fem2d, "space_h1partial", halved)
-        monkeypatch.setattr(tracescale, "space_h1partial", halved)
+        monkeypatch.setattr(fem2d.Assembly, "G", property(halved))
         hhalf = tracescale.suite_hhalf(a, trials=3)
         assert not hhalf.verdicts["energy_split"] and hhalf.verdicts["x_trace_energy"]
         assert not tracescale.suite_h1(a).verdicts["resolvent_identity"]
