@@ -7,12 +7,14 @@ masked grid.  The boundary of every mesh is read off its elements as
 facets, the element faces that belong to one element: the interval's two
 end points, a triangulation's boundary sides.  The boundary may have
 several components.  The mesh owns the node split: ``boundary_nodes`` and
-``interior_nodes``, each ascending.  Assembly produces the domain stiffness
-and mass as their few nonzero diagonals (``Band``) and dense mass/stiffness
-matrices on the boundary facets; one routine (``_simplex_bands``) gives the
-point and segment matrices of the facets and of the interval's elements.
-The trace is the index array ``mesh.boundary_nodes``; only ``op_trace``
-makes it a 0/1 matrix.  The combined H1 Gram G (``Assembly.G``) is a band
+``interior_nodes``, each ascending.  One routine (``_simplex_bands``) gives
+the P1 stiffness and mass of every simplex from its vertex coordinates: the
+elements (segments, triangles) with a signed measure, the facets (points,
+segments) with an unsigned one.  Assembly sums them into the domain
+stiffness and mass as their few nonzero diagonals (``Band``), and into
+dense mass/stiffness matrices on the boundary facets.  The trace is the
+index array ``mesh.boundary_nodes``; only ``op_trace`` makes it a 0/1
+matrix.  The combined H1 Gram G (``Assembly.G``) is a band
 too, built on first read.  A principal block of a band is factored in blocks
 of the bandwidth by ``band_factor``, into a ``BandFactor``: its ``solve``
 is block substitution and its ``forward_gram`` the forward half alone,
@@ -210,22 +212,24 @@ class BandFactor:
         """(L L')^-1 rhs for one vector or a block of columns, by forward and
         then backward block substitution over one copy of the right-hand side
         padded to whole blocks; ``rhs`` is left as it is.  With ``rows``,
-        distinct valid indices, the right-hand side is ``rhs[rows]``, gathered
-        straight into that buffer.  Other than ``size`` rows, or other than 1
-        or 2 dimensions, raises DimensionMismatch.  Each block row is two
-        products, each written into one block-row scratch; the result is a
-        view of the buffer.
+        distinct indices, the right-hand side is ``rhs[rows]``, gathered
+        straight into that buffer.  Other than ``size`` rows, a row outside
+        ``rhs``, or other than 1 or 2 dimensions, raises DimensionMismatch.
+        Each block row is two products, each written into one block-row
+        scratch; the result is a view of the buffer.
         """
         n = self.size
         if rhs.ndim not in (1, 2) or (rhs.shape[0] if rows is None else rows.size) != n:
             raise DimensionMismatch(f"right-hand side of shape {rhs.shape} for a factor of {n} rows")
+        if rows is not None and n and (rows.min() < 0 or rows.max() >= rhs.shape[0]):
+            raise DimensionMismatch(f"rows outside a right-hand side of {rhs.shape[0]} rows")
         n_blocks, b = self.blocks.shape[0], self.blocks.shape[2]
         cols = rhs.reshape(rhs.shape[0], -1)
         w = np.zeros((n_blocks, b, cols.shape[1]))
         flat = w.reshape(n_blocks * b, cols.shape[1])
         if rows is None:
             flat[:n] = cols
-        else:  # an unbuffered gather: mode "raise" would copy through a temporary
+        else:  # bounds checked above, so an unbuffered gather: mode "raise" would copy through a temporary
             np.take(cols, rows, axis=0, out=flat[:n], mode="clip")
         inv, coupling, row = list(self.blocks[:, :b]), list(self.blocks[:, b:]), list(w)
         scratch = np.empty((b, cols.shape[1]))
@@ -336,7 +340,7 @@ class Assembly:
         scattered with node indices instead of boundary positions, so each
         entry sums the terms of K.dense() + R' M_b R in the same order."""
         mesh = self.mesh
-        _, m_b = _simplex_bands(mesh.boundary_facets, _facet_measure(mesh), mesh.n_nodes, "boundary facet")
+        _, m_b = _simplex_bands(mesh.nodes, mesh.boundary_facets, mesh.n_nodes, "boundary facet")
         return self.K + m_b
 
 
@@ -379,59 +383,53 @@ def gen_mesh(kind: str, n: int) -> Mesh:
     return _interval_mesh(n) if kind == "interval" else _grid_mesh(kind, n)
 
 
-_TRI_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+def _simplex_bands(coords: np.ndarray, idx: np.ndarray, size: int, what: str) -> tuple[Band, Band]:
+    """Stiffness and mass bands of P1 simplices: points, segments and
+    triangles, with vertex indices ``idx`` into the rows of ``coords``.
 
-
-def _simplex_bands(idx: np.ndarray, vol: np.ndarray, size: int, what: str) -> tuple[Band, Band]:
-    """Stiffness and mass bands of P1 points or segments of measures ``vol`` on indices ``idx``.
-
-    A k-vertex one (k = 1, 2) of measure vol has stiffness (k I - 1 1')/vol
-    and mass vol (1 + delta_ij) / (k (k+1)): a point (vol 1) carries unit
-    mass and no stiffness, a segment the hat-function matrices of its length.
+    Face i of a k-vertex simplex is its vertices i+1, ..., i+k-1, as in
+    ``Mesh``, and a_i its normal, scaled by the face's measure: for a
+    triangle, the edge p_{i+2} - p_{i+1} turned a quarter turn
+    counterclockwise; for a segment, -1 and +1 along it; a point has none.
+    A simplex that fills its space (a segment of the line, a triangle of the
+    plane) has the signed measure a_1 . (p_1 - p_0) / (k-1)!, so a leftward
+    or clockwise one is degenerate too; a facet (a point, a segment of the
+    plane) has its unsigned measure, 1 or the length.  The stiffness is
+    a_i . a_j / ((k-1)!^2 vol) and the mass vol (1 + delta_ij) / (k (k+1)).
+    A non-positive measure raises DegenerateElement, naming ``what``.
     """
+    pts = coords.T[:, idx]  # coordinate c of vertex i of element e at [c, e, i]
+    k = idx.shape[1]
+    if k == 3:
+        edge = pts[..., [2, 0, 1]] - pts[..., [1, 2, 0]]
+        normal = np.stack([-edge[1], edge[0]])
+    else:  # the same for every element: none for a point, -1 and +1 for a segment
+        normal = np.array([[-1.0, 1.0]])[: k - 1, 2 - k :]
+    # sums over the coordinates add one array per coordinate, first to last:
+    # the rounding order the reports were made with
+    if k == coords.shape[1] + 1:
+        vol = sum(normal[..., 1] * (pts[..., 1] - pts[..., 0])) / math.factorial(k - 1)
+    else:  # at most one edge: a point, or a segment of the plane
+        edge = pts[..., 1:] - pts[..., :1]
+        vol = np.sqrt(sum(edge * edge).prod(axis=1))
     if np.any(vol <= 0.0):
         raise DegenerateElement(f"non-positive {what} measure")
-    k = idx.shape[1]
-    stiff = (k * np.eye(k) - 1.0) / vol[:, None, None]
-    mass = (vol[:, None, None] * (1.0 + np.eye(k))) / (k * (k + 1))
+    vol = vol[:, None, None]
+    stiff = sum(c[..., :, None] * c[..., None, :] for c in normal) / (math.factorial(k - 1) ** 2 * vol)
+    # two rounding orders, those the reports were made with: the triangle
+    # multiplies vol by the rounded table (1 + delta)/12, the point and segment
+    # divide vol (1 + delta) by k (k+1); neither order gives the other's
+    # matrices bit for bit
+    table = 1.0 + np.eye(k)
+    mass = vol * (table / 12.0) if k == 3 else (vol * table) / (k * (k + 1))
     return Band.scatter(idx, stiff, size), Band.scatter(idx, mass, size)
-
-
-def _facet_measure(mesh: Mesh) -> np.ndarray:
-    """The measure of each boundary facet: 1 for a point, the length of a
-    segment.  These are the facets of 1-d and 2-d meshes; the product of
-    edge lengths is no measure for larger facets."""
-    pts = mesh.nodes[mesh.boundary_facets]
-    return np.prod(np.linalg.norm(pts[:, 1:] - pts[:, :1], axis=2), axis=1)
-
-
-def _triangle_bands(mesh: Mesh) -> tuple[Band, Band]:
-    nn = mesh.n_nodes
-    tris = mesh.elements
-    x = mesh.nodes[tris, 0]                  # (ne, 3) vertex coordinates
-    y = mesh.nodes[tris, 1]
-    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-    if np.any(area2 <= 0.0):
-        raise DegenerateElement("non-positive triangle area")
-    area = 0.5 * area2
-    bvec = np.column_stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]])
-    cvec = np.column_stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]])
-    outer = bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
-    k = Band.scatter(tris, outer / (4.0 * area)[:, None, None], nn)
-    m = Band.scatter(tris, area[:, None, None] * _TRI_MASS, nn)
-    return k, m
 
 
 def assemble(mesh: Mesh) -> Assembly:
     """Exact P1 matrices (consistent mass, closed-form element integrals)."""
-    el = mesh.elements
-    if el.shape[1] == 2:  # segments of the line, oriented left to right
-        x = mesh.nodes[el, 0]
-        k, m = _simplex_bands(el, x[:, 1] - x[:, 0], mesh.n_nodes, "segment")
-    else:
-        k, m = _triangle_bands(mesh)
+    k, m = _simplex_bands(mesh.nodes, mesh.elements, mesh.n_nodes, "element")
     pos = np.searchsorted(mesh.boundary_nodes, mesh.boundary_facets)
-    k_b, m_b = _simplex_bands(pos, _facet_measure(mesh), mesh.boundary_nodes.size, "boundary facet")
+    k_b, m_b = _simplex_bands(mesh.nodes[mesh.boundary_nodes], pos, mesh.boundary_nodes.size, "boundary facet")
     m_b, k_b = m_b.dense(), k_b.dense()
     for mat in (m_b, k_b):
         mat.setflags(write=False)  # fresh float arrays: frozen in place, not copied

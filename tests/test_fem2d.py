@@ -1,6 +1,7 @@
 """Meshes and P1 assemblies: frozen hand values plus geometric invariants."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,25 @@ def frame_mesh(n):
     return fem2d.Mesh(kind="frame", refinement=n, nodes=nodes, elements=tris)
 
 
+def warped_mesh(kind, n):
+    """The square or lshape mesh under a smooth map that bends the boundary
+    and gives every triangle and facet its own size: a mesh that is no grid."""
+    base = fem2d.gen_mesh(kind, n)
+    x, y = base.nodes.T
+    nodes = np.column_stack([x + 0.12 * np.sin(np.pi * x) * (0.5 + y), y + 0.12 * np.sin(np.pi * y) * (1.0 - 0.5 * x)])
+    return fem2d.Mesh(kind="warped", refinement=n, nodes=nodes, elements=base.elements)
+
+
+def any_mesh(kind, n):
+    """gen_mesh's kinds, "frame" and "warped-square" or "warped-lshape"."""
+    if kind.startswith("warped-"):
+        return warped_mesh(kind.removeprefix("warped-"), n)
+    return frame_mesh(n) if kind == "frame" else fem2d.gen_mesh(kind, n)
+
+
+OFF_GRID = [("warped-square", 7), ("warped-square", 8), ("warped-lshape", 6), ("warped-lshape", 8), ("frame", 8)]
+
+
 class TestBoundaryLoop:
     """The boundary facets of a triangulation: one closed loop per boundary component."""
 
@@ -222,7 +242,8 @@ def looped_assembly(mesh):
         if len(at) == 1:  # a point facet carries the counting measure
             m_b[at[0], at[0]] += 1.0
             continue
-        h = float(np.linalg.norm(mesh.nodes[facet[1]] - mesh.nodes[facet[0]]))
+        e = mesh.nodes[facet[1]] - mesh.nodes[facet[0]]
+        h = math.sqrt(e[0] * e[0] + e[1] * e[1])  # not through dot, which may fuse its multiply-adds
         sl = np.ix_(at, at)
         m_b[sl] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
         k_b[sl] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
@@ -280,16 +301,31 @@ class TestAssemble:
     @pytest.mark.parametrize(
         "kind,n",
         [("interval", 1), ("interval", 2), ("interval", 16), ("square", 1), ("square", 2), ("square", 7),
-         ("square", 16), ("lshape", 2), ("lshape", 6), ("lshape", 16)],
+         ("square", 16), ("lshape", 2), ("lshape", 6), ("lshape", 16)] + OFF_GRID,
     )
     def test_matches_element_loop_bitwise(self, kind, n):
-        mesh = fem2d.gen_mesh(kind, n)
+        mesh = any_mesh(kind, n)
         a = fem2d.assemble(mesh)
         k, m, m_b, k_b = looped_assembly(mesh)
         assert np.array_equal(a.K.dense(), k)
         assert np.array_equal(a.M_dom.dense(), m)
         assert np.array_equal(a.M_b, m_b)
         assert np.array_equal(a.K_b, k_b)
+
+    @pytest.mark.parametrize("kind,n", OFF_GRID)
+    def test_invariants_off_the_grid(self, kind, n):
+        a = fem2d.assemble(any_mesh(kind, n))
+        k, m_dom = a.K.dense(), a.M_dom.dense()
+        ones = np.ones(a.mesh.n_nodes)
+        onesb = np.ones(a.M_b.shape[0])
+        for mat in (k, m_dom, a.M_b, a.K_b):
+            assert np.array_equal(mat, mat.T)
+        # constants are gradient-free up to rounding, which is not exact off dyadic grids
+        assert np.abs(k @ ones).max() <= 1e-14 * np.abs(k).max()
+        assert np.abs(a.K_b @ onesb).max() <= 1e-14 * np.abs(a.K_b).max()
+        assert abs(ones @ m_dom @ ones - shoelace(a.mesh)) <= 1e-14
+        edges = np.diff(a.mesh.nodes[a.mesh.boundary_facets], axis=1)[:, 0]
+        assert abs(onesb @ a.M_b @ onesb - math.fsum(np.hypot(*edges.T))) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
     def test_patch_test_linear_gradient(self, kind):
@@ -305,6 +341,12 @@ class TestAssemble:
             nodes=np.array([[0.0], [0.0], [1.0]]),
             elements=m.elements,
         )
+        with pytest.raises(DegenerateElement):
+            fem2d.assemble(bad)
+
+    def test_leftward_segment_rejected(self):
+        # an element's measure is signed: a segment running right to left is degenerate
+        bad = fem2d.Mesh(kind="interval", refinement=1, nodes=np.array([[1.0], [0.0]]), elements=np.array([[0, 1]]))
         with pytest.raises(DegenerateElement):
             fem2d.assemble(bad)
 
@@ -792,7 +834,8 @@ class TestFactorShapes:
                 with pytest.raises(DimensionMismatch, match=f"for a factor of {n} rows"):
                     factor.solve(np.zeros(shape))
         rhs = np.zeros((a.mesh.n_nodes + 3, 2))
-        for wrong in (rows[:-1], np.arange(n + 3)):
+        # out-of-range rows must not be clipped onto the first or last row of rhs
+        for wrong in (rows[:-1], np.arange(n + 3), np.append(rows[:-1], 10**6), np.append(-1, rows[1:])):
             with pytest.raises(DimensionMismatch):
                 factor.solve(rhs, wrong)
         assert factor.solve(rhs, rows).shape == (n, 2)

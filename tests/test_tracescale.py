@@ -1111,10 +1111,11 @@ class TestNoDomainSquareArray:
         f = rng.standard_normal((a.mesh.n_nodes, 3))
 
         def refuse(*args):
-            raise AssertionError("the M_dom band was read")
+            raise AssertionError("the M_dom band, or its assembly, was read")
 
         monkeypatch.setattr(fem2d.Band, "__matmul__", refuse)
         monkeypatch.setattr(fem2d.Band, "dense", refuse)
+        monkeypatch.setattr(fem2d, "_simplex_bands", refuse)  # nor the assembly's element routine
         for x in (f, f[:, 0]):
             got = fem2d.mass_product(a.mesh, x)
             assert got.shape == x.shape

@@ -27,8 +27,10 @@ from report_drift import drift
 
 # the two benchmark workloads, the oplab population, every suite on small
 # interval/lshape levels, the mesh suites at a coarse and a finer level, the
-# H1 suites and the fractional orders of interp and dual at nb = 256, and pde
-# alone where its trace pinv spans the most boundary columns
+# H1 suites and the fractional orders of interp and dual at nb = 256, pde
+# alone where its trace pinv spans the most boundary columns, and the mesh
+# suites at levels that are no powers of two, where element measures are not
+# dyadic and a change in the rounding order of assembly shows
 CONFIGS = {
     "scale-refine": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square", "--n", "8,16",
                      "--trials", "20", "--seed", "501"),
@@ -42,6 +44,8 @@ CONFIGS = {
     "h1-fine": ("--suite", "pde,hhalf,h1", "--mesh", "square", "--n", "64", "--trials", "5", "--seed", "11"),
     "interp-fine": ("--suite", "interp,dual", "--mesh", "square", "--n", "64", "--trials", "20", "--seed", "13"),
     "pde-fine": ("--suite", "pde", "--mesh", "square,lshape", "--n", "64,128", "--trials", "20", "--seed", "17"),
+    "odd-levels": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square,lshape", "--n", "6,10",
+                   "--trials", "20", "--seed", "19"),
 }
 
 
