@@ -284,15 +284,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _mesh_cells(config: RunConfig, suite: str, assemblies) -> list[SuiteReport]:
+def _assembly_cells(config: RunConfig, suites: list[str], mesh: str, n: int) -> dict[str, SuiteReport]:
+    """The cell of each of ``suites`` on the (mesh, n) assembly, keyed by suite.
+    The assembly is built here and dropped on return, and its memoized
+    factors with it."""
+    a = fem2d.assemble(fem2d.gen_mesh(mesh, n))
+    tols = config.tol_overrides or None
+    return {
+        suite: SUITES[suite].mesh_cell(a, config, cell_seed(config.seed, f"{suite}:{mesh}:{n}"), tols)
+        for suite in suites
+    }
+
+
+def _suite_reports(config: RunConfig, suite: str, cells: dict) -> list[SuiteReport]:
+    """The cells of one mesh suite, mesh by mesh and level by level, each
+    mesh's series followed by its stability row when the suite has one."""
     spec = SUITES[suite]
     reports: list[SuiteReport] = []
-    tols = config.tol_overrides or None
     for mesh in config.meshes:
-        per_level: list[SuiteReport] = []
-        for n in config.ns:
-            seed = cell_seed(config.seed, f"{suite}:{mesh}:{n}")
-            per_level.append(spec.mesh_cell(assemblies[(mesh, n)], config, seed, tols))
+        per_level = [cells[suite, mesh, n] for n in config.ns]
         reports.extend(per_level)
         if spec.stability and len(per_level) >= 2:
             metrics, mode, limit = spec.stability
@@ -316,7 +326,15 @@ def _check_tolerance_names(config: RunConfig) -> None:
 
 
 def execute(config: RunConfig) -> tuple[list[SuiteReport], str]:
-    """Run every selected cell, mesh-free cells first; returns (reports, verdict)."""
+    """Run every selected cell; returns (reports, verdict).
+
+    The mesh-free cells run first.  The mesh cells run assembly by assembly:
+    each (mesh, n) assembly is built when its turn comes, every selected
+    mesh suite runs its cell on it, and it is dropped, with its factors,
+    before the next is built, so a run holds one assembly at a time.  The
+    reports come in the order suite, mesh, n, each mesh's series followed by
+    its stability row.
+    """
     _check_tolerance_names(config)
     tols = config.tol_overrides or None
     reports = [
@@ -327,13 +345,14 @@ def execute(config: RunConfig) -> tuple[list[SuiteReport], str]:
 
     mesh_suites = [s for s in config.suites if SUITES[s].mesh_cell]
     if mesh_suites:
-        assemblies = {
-            (mesh, n): fem2d.assemble(fem2d.gen_mesh(mesh, n))
+        cells = {
+            (suite, mesh, n): rep
             for mesh in config.meshes
             for n in config.ns
+            for suite, rep in _assembly_cells(config, mesh_suites, mesh, n).items()
         }
         for suite in mesh_suites:
-            reports.extend(_mesh_cells(config, suite, assemblies))
+            reports.extend(_suite_reports(config, suite, cells))
 
     verdict = "pass" if all(rep.passed for rep in reports) else "fail"
     return reports, verdict

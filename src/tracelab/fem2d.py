@@ -21,15 +21,19 @@ is block substitution and its ``forward_gram`` the forward half alone,
 which gives the Gram B' A^-1 B of a few sparse columns, such as
 K_bi K_ii^-1 K_ib and R G^-1 R'.  The interior stiffness block of the
 solvers and G (``space_h1partial``) are factored this way, so no
-n_nodes x n_nodes array is made.
+n_nodes x n_nodes array is made.  What is derived from an assembly (its
+boundary spaces, G's factor, and ``tracescale``'s factors and boundary
+Grams) is memoized on the assembly itself by ``per_assembly``: built once,
+and freed with the assembly.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,24 +106,29 @@ class Band:
     diags: tuple[np.ndarray, ...]
 
     @classmethod
-    def scatter(cls, idx: np.ndarray, local: np.ndarray, size: int) -> Band:
-        """Sum symmetric element matrices ``local[e]`` into a size x size band.
+    def scatter(cls, idx: np.ndarray, stacks: tuple[np.ndarray, ...], size: int) -> tuple[Band, ...]:
+        """Sum each stack of symmetric element matrices into a size x size band:
+        ``stack[e]`` is element e's matrix, on its global indices ``idx[e]``.
 
-        ``idx[e]`` holds element e's global indices.  Only entries with row <=
-        column are kept, and bincount adds the contributions to each in
-        element order, as a loop of ``mat[np.ix_(idx[e], idx[e])] += local[e]``
-        would.  The offsets are those the elements reach; all-zero
-        off-diagonals are dropped.
+        The rows, columns and offsets are found once for all the stacks.
+        Only entries with row <= column are kept, and bincount adds the
+        contributions to each in element order, as a loop of
+        ``mat[np.ix_(idx[e], idx[e])] += stack[e]`` would.  The offsets are
+        those the elements reach; each band drops its own all-zero
+        off-diagonals.
         """
         rows = np.repeat(idx, idx.shape[1], axis=1).ravel()
         cols = np.tile(idx, (1, idx.shape[1])).ravel()
         upper = rows <= cols
         offsets, which = np.unique(cols[upper] - rows[upper], return_inverse=True)
         flat = which * size + rows[upper]
-        sums = np.bincount(flat, weights=local.ravel()[upper], minlength=offsets.size * size)
-        diags = {int(d): _frozen(v[: size - d], float) for d, v in zip(offsets, sums.reshape(-1, size))}
-        kept = [d for d, v in diags.items() if d == 0 or np.any(v)]
-        return cls(offsets=tuple(kept), diags=tuple(diags[d] for d in kept))
+        bands = []
+        for stack in stacks:
+            sums = np.bincount(flat, weights=stack.ravel()[upper], minlength=offsets.size * size)
+            diags = {int(d): _frozen(v[: size - d], float) for d, v in zip(offsets, sums.reshape(-1, size))}
+            kept = [d for d, v in diags.items() if d == 0 or np.any(v)]
+            bands.append(cls(offsets=tuple(kept), diags=tuple(diags[d] for d in kept)))
+        return tuple(bands)
 
     def dense(self) -> np.ndarray:
         """The full matrix: for boundary-sized bands, and G in ``op_trace``'s dense domain."""
@@ -324,7 +333,9 @@ class Assembly:
     tangential boundary stiffness (zero on point facets).  M_b and K_b are
     dense, on the boundary nodes in the ascending order of
     ``mesh.boundary_nodes``; the trace of v is ``v[mesh.boundary_nodes]``.
-    G: the combined H1 Gram, built on first read.
+    G: the combined H1 Gram, built on first read.  The factors and spaces
+    derived from an assembly (``per_assembly``) are kept in its private
+    memo, so they live exactly as long as the assembly.
     """
 
     mesh: Mesh
@@ -332,6 +343,7 @@ class Assembly:
     M_dom: Band
     M_b: np.ndarray
     K_b: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def G(self) -> Band:
@@ -342,6 +354,37 @@ class Assembly:
         mesh = self.mesh
         _, m_b = _simplex_bands(mesh.nodes, mesh.boundary_facets, mesh.n_nodes, "boundary facet")
         return self.K + m_b
+
+
+class CacheInfo(NamedTuple):
+    """The cumulative hits and misses of a ``per_assembly`` function, over every assembly."""
+
+    hits: int
+    misses: int
+
+
+def per_assembly(fn):
+    """Memoize ``fn(a, *args)`` on its assembly ``a``.
+
+    The result is stored in ``a``'s memo under (fn, *args), so it is built
+    once per assembly and arguments and freed with the assembly; the memo
+    has no size bound.  A call that raises stores nothing.  ``cache_info()``
+    gives the hits and misses summed over every assembly since import.
+    """
+    counts = [0, 0]  # hits, misses
+
+    @wraps(fn)
+    def memo(a: Assembly, *args):
+        key = (fn, *args)
+        if key in a._memo:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            a._memo[key] = fn(a, *args)
+        return a._memo[key]
+
+    memo.cache_info = lambda: CacheInfo(*counts)
+    return memo
 
 
 def _interval_mesh(n: int) -> Mesh:
@@ -422,7 +465,7 @@ def _simplex_bands(coords: np.ndarray, idx: np.ndarray, size: int, what: str) ->
     # matrices bit for bit
     table = 1.0 + np.eye(k)
     mass = vol * (table / 12.0) if k == 3 else (vol * table) / (k * (k + 1))
-    return Band.scatter(idx, stiff, size), Band.scatter(idx, mass, size)
+    return Band.scatter(idx, (stiff, mass), size)
 
 
 def assemble(mesh: Mesh) -> Assembly:
@@ -443,7 +486,7 @@ def _space(gram: np.ndarray) -> InnerSpace:
         raise GramNotPD(str(exc)) from exc
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
     """The two boundary coefficient spaces of one assembly.
 
@@ -453,7 +496,7 @@ def boundary_spaces(a: Assembly) -> tuple[InnerSpace, InnerSpace]:
     return _space(a.M_b), _space(a.M_b + a.K_b)
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def space_h1partial(a: Assembly) -> BandFactor:
     """The factor of the combined H1 Gram ``a.G``, taken once by
     ``band_factor``, so neither G nor its factor is an n_nodes x n_nodes

@@ -12,8 +12,6 @@ suites) is an ``oplab.InnerSpace``: validated and Cholesky-factored once by
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.random import default_rng
 
@@ -29,7 +27,15 @@ from .errors import (
     SolveFailure,
     ZeroVector,
 )
-from .fem2d import Assembly, BandFactor, band_factor, boundary_spaces, mass_product, space_h1partial
+from .fem2d import (
+    Assembly,
+    BandFactor,
+    band_factor,
+    boundary_spaces,
+    mass_product,
+    per_assembly,
+    space_h1partial,
+)
 from .kernels import jacobi_svd  # noqa: F401 - unused; perfbench/selftest.py checks tracing patches it
 from .oplab import Operator, rel_diff
 from .report import Recorder, SuiteReport
@@ -39,10 +45,11 @@ HARMONIC_GATE = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# cached per-assembly factorizations (assemblies are immutable)
+# per-assembly factorizations, each built once and kept in its assembly's
+# memo (``fem2d.per_assembly``), so it is freed with the assembly
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _interior_chol(a: Assembly) -> BandFactor:
     """The ``fem2d.BandFactor`` of the interior stiffness block K_ii: its
     ``solve`` gives K_ii^-1 of interior right-hand sides, or of the interior
@@ -55,7 +62,7 @@ def _interior_chol(a: Assembly) -> BandFactor:
         raise SolveFailure(str(exc)) from exc
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
     """K_ib, the one block of K that links the interior to the boundary, read
     off the band once.
@@ -79,7 +86,7 @@ def _coupling(a: Assembly) -> tuple[np.ndarray, np.ndarray]:
     return ring, c
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _extension_matrix(a: Assembly) -> np.ndarray:
     """Minimal-energy extension of every boundary hat, as columns.  Nothing
     in tracelab calls it: the suites extend only the columns they check,
@@ -90,7 +97,7 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _schur(a: Assembly) -> oplab.InnerSpace:
     """M_b S = M_b + K_bb - K_bi K_ii^-1 K_ib: the Schur complement of the
     combined H1 Gram onto the boundary, from the stiffness band and K_ii's
@@ -108,14 +115,14 @@ def _schur(a: Assembly) -> oplab.InnerSpace:
     return oplab.make_space(bnd.size, mbs)
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _s_operator(a: Assembly) -> Operator:
     """S on boundary L2, from the Schur complement: S = M_b^-1 (M_b S)."""
     l2bnd, _ = boundary_spaces(a)
     return Operator(l2bnd, l2bnd, l2bnd.solve(_schur(a).gram))
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _s_spectrum(a: Assembly) -> oplab.SpectralDecomposition:
     """Spectral decomposition of I + S: the one eigensolve behind the orders
     of the scale that are not multiples of 1/4."""
@@ -123,7 +130,7 @@ def _s_spectrum(a: Assembly) -> oplab.SpectralDecomposition:
     return oplab.spectral(oplab.identity(s_op.domain) + s_op)
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _s_roots(a: Assembly) -> tuple[Operator, Operator]:
     """((I + S)^(1/2), (I + S)^(-1/2)) on boundary L2, from ``oplab.half_powers``:
     the one square root behind the orders of the scale with 4s in Z that are
@@ -132,7 +139,7 @@ def _s_roots(a: Assembly) -> tuple[Operator, Operator]:
     return oplab.half_powers(oplab.identity(s_op.domain) + s_op)
 
 
-@lru_cache(maxsize=32)
+@per_assembly
 def _trace_pinv(a: Assembly) -> oplab.InnerSpace:
     """C = R G^-1 R' = [G^-1]_bb as a space, the block of the trace pinv's
     range-space formula: the trace is onto, so its pinv is
@@ -285,8 +292,10 @@ def green_residual(a: Assembly, z, v) -> float | np.ndarray:
 # the fractional boundary-norm scale
 
 
-@lru_cache(maxsize=128)
+@per_assembly
 def _hs_gram_cached(a: Assembly, s: float) -> oplab.InnerSpace:
+    """The space of ``hs_gram(a, s)`` for a checked float order, built once
+    per (assembly, order) and kept in the assembly's memo."""
     l2bnd, _ = boundary_spaces(a)
     if s == 0.0:
         return l2bnd
@@ -325,8 +334,9 @@ def hs_gram(a: Assembly, s: float) -> oplab.InnerSpace:
                                 of I + S (``_s_spectrum``)
     ==========================  ==============================================
 
-    Each space is cached per (assembly, order), so its Cholesky factor is
-    taken once.
+    Each space is built once per (assembly, order) and kept with the
+    assembly (``_hs_gram_cached``), so its Cholesky factor is taken once and
+    freed when the assembly is.
     """
     s = float(s)
     if not -1.0 <= s <= 1.0:

@@ -3,10 +3,11 @@
 import csv
 import dataclasses
 import json
+import weakref
 
 import pytest
 
-from tracelab import cli, kernels, oplab, tracescale
+from tracelab import cli, fem2d, kernels, oplab, tracescale
 from tracelab.errors import ConfigParseError
 from tracelab.report import SuiteReport
 
@@ -558,3 +559,70 @@ class TestRun:
         assert payload["config"]["suites"] == ["h1"]
         assert payload["results"][0]["constants"]["h1_cmin"] == pytest.approx(2.0)
         assert payload["results"][0]["constants"]["h1_cmax"] == pytest.approx(4.0)
+
+
+class TestAssemblyLifetime:
+    def test_each_assembly_freed_after_its_cells(self, monkeypatch):
+        # cells run assembly by assembly, and an assembly, with its memoized
+        # factors, is gone before the next one's cells run
+        built, seen = [], []
+        assemble, suite_hhalf = fem2d.assemble, tracescale.suite_hhalf
+
+        def recording(mesh):
+            a = assemble(mesh)
+            built.append(weakref.ref(a))
+            return a
+
+        def checking(a, **kwargs):
+            alive = [r() is not None for r in built]
+            seen.append((a.mesh.kind, a.mesh.refinement, alive))
+            return suite_hhalf(a, **kwargs)
+
+        monkeypatch.setattr(fem2d, "assemble", recording)
+        monkeypatch.setattr(tracescale, "suite_hhalf", checking)
+        config = cli.RunConfig(suites=("pde", "hhalf"), meshes=("interval", "square"), ns=(2, 4), trials=2)
+        reports, verdict = cli.execute(config)
+        assert verdict == "pass"
+        assert seen == [
+            ("interval", 2, [True]),
+            ("interval", 4, [False, True]),
+            ("square", 2, [False, False, True]),
+            ("square", 4, [False, False, False, True]),
+        ]
+        assert len(built) == 4 and all(r() is None for r in built)
+        # the report order is still suite, then mesh, then n, each mesh's stability row after its levels
+        assert [(r.suite, r.mesh, r.n) for r in reports] == [
+            ("pde", "interval", 2), ("pde", "interval", 4), ("pde", "square", 2), ("pde", "square", 4),
+            ("hhalf", "interval", 2), ("hhalf", "interval", 4), ("hhalf-stability", "interval", 0),
+            ("hhalf", "square", 2), ("hhalf", "square", 4), ("hhalf-stability", "square", 0),
+        ]
+
+
+class TestAssemblyMemo:
+    def test_one_build_per_assembly_and_order(self):
+        # 40 assemblies, more than a cache bounded at 32 entries would hold
+        memos = (fem2d.space_h1partial, tracescale._trace_pinv, tracescale._hs_gram_cached)
+        before = [m.cache_info() for m in memos]
+        config = cli.RunConfig(
+            suites=("hhalf", "h1", "interp", "dual"), meshes=("interval",), ns=tuple(range(1, 41)), trials=5
+        )
+        _, verdict = cli.execute(config)
+        after = [m.cache_info() for m in memos]
+        assert verdict == "pass"
+        assert [x.misses - b.misses for x, b in zip(after, before)] == [40, 40, 360]
+        assert all(x.hits >= b.hits for x, b in zip(after, before))
+
+    def test_memo_per_assembly(self):
+        info = tracescale._interior_chol.cache_info()
+        a = fem2d.assemble(fem2d.gen_mesh("square", 4))
+        factor = tracescale._interior_chol(a)
+        assert tracescale._interior_chol(a) is factor
+        twin = fem2d.assemble(fem2d.gen_mesh("square", 4))  # the same kind and n, another assembly
+        assert tracescale._interior_chol(twin) is not factor
+        # cumulative over both assemblies, and kept when they are gone
+        counts = tracescale._interior_chol.cache_info()
+        assert (counts.hits, counts.misses) == (info.hits + 1, info.misses + 2)
+        ref = weakref.ref(factor)
+        del a, twin, factor
+        assert ref() is None
+        assert tracescale._interior_chol.cache_info() == counts

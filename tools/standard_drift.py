@@ -30,7 +30,8 @@ from report_drift import drift
 # H1 suites and the fractional orders of interp and dual at nb = 256, pde
 # alone where its trace pinv spans the most boundary columns, and the mesh
 # suites at levels that are no powers of two, where element measures are not
-# dyadic and a change in the rounding order of assembly shows
+# dyadic and a change in the rounding order of assembly shows, and 40
+# interval levels, more assemblies than a count-bounded cache would hold
 CONFIGS = {
     "scale-refine": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square", "--n", "8,16",
                      "--trials", "20", "--seed", "501"),
@@ -46,6 +47,8 @@ CONFIGS = {
     "pde-fine": ("--suite", "pde", "--mesh", "square,lshape", "--n", "64,128", "--trials", "20", "--seed", "17"),
     "odd-levels": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square,lshape", "--n", "6,10",
                    "--trials", "20", "--seed", "19"),
+    "many-levels": ("--suite", "hhalf,h1,interp,dual", "--mesh", "interval",
+                    "--n", ",".join(map(str, range(1, 41))), "--trials", "5"),
 }
 
 
