@@ -19,10 +19,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import fem2d, oplab, tracescale
-from .errors import ConfigParseError, NonFiniteResidual, TracelabError
+from .errors import BadParameter, ConfigParseError, NonFiniteResidual, TracelabError
 from .report import SuiteReport
-
-VALID_MESHES = fem2d.KINDS
 
 
 @dataclass(frozen=True)
@@ -109,20 +107,18 @@ class RunConfig:
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigParseError(f"unknown suite {s!r}")
-        for m in self.meshes:
-            if m not in VALID_MESHES:
-                raise ConfigParseError(f"unknown mesh kind {m!r}")
         if not self.meshes:
             raise ConfigParseError("no mesh kinds selected")
         if not self.ns:
             raise ConfigParseError("no refinement levels selected")
-        for n in self.ns:
-            if n < 1:
-                raise ConfigParseError(f"refinement {n} must be positive")
+        for m in self.meshes:
+            try:
+                levels = tuple(fem2d.check_level(m, n) for n in self.ns)
+            except BadParameter as exc:
+                raise ConfigParseError(str(exc)) from exc
+        object.__setattr__(self, "ns", levels)  # plain ints, so a numpy integer level reaches the report
         if len(set(self.ns)) != len(self.ns):
             raise ConfigParseError(f"refinement levels {list(self.ns)} repeat a level")
-        if "lshape" in self.meshes and any(n % 2 for n in self.ns):
-            raise ConfigParseError("lshape meshes need even refinement levels")
         if self.trials < 1:
             raise ConfigParseError("trials must be at least 1")
         if not -(2**63) <= self.seed < 2**64:

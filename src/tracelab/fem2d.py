@@ -7,24 +7,26 @@ masked grid.  The boundary of every mesh is read off its elements as
 facets, the element faces that belong to one element: the interval's two
 end points, a triangulation's boundary sides.  The boundary may have
 several components.  The mesh owns the node split: ``boundary_nodes`` and
-``interior_nodes``, each ascending.  One routine (``_simplex_bands``) gives
-the P1 stiffness and mass of every simplex from its vertex coordinates: the
-elements (segments, triangles) with a signed measure, the facets (points,
-segments) with an unsigned one.  Assembly sums them into the domain
-stiffness and mass as their few nonzero diagonals (``Band``), and into
-dense mass/stiffness matrices on the boundary facets.  The trace is the
-index array ``mesh.boundary_nodes``; only ``op_trace`` makes it a 0/1
-matrix.  The combined H1 Gram G (``Assembly.G``) is a band
-too, built on first read.  A principal block of a band is factored in blocks
-of the bandwidth by ``band_factor``, into a ``BandFactor``: its ``solve``
-is block substitution and its ``forward_gram`` the forward half alone,
-which gives the Gram B' A^-1 B of a few sparse columns, such as
-K_bi K_ii^-1 K_ib and R G^-1 R'.  The interior stiffness block of the
-solvers and G (``space_h1partial``) are factored this way, so no
-n_nodes x n_nodes array is made.  What is derived from an assembly (its
-boundary spaces, G's factor, and ``tracescale``'s factors and boundary
-Grams) is memoized on the assembly itself by ``per_assembly``: built once,
-and freed with the assembly.
+``interior_nodes``, each ascending; ``check_level`` holds which levels
+``gen_mesh`` builds, for it and the CLI.  One routine (``_simplex_bands``)
+gives the P1 stiffness and mass of every simplex from its vertex
+coordinates: the elements (segments, triangles) with a signed measure, the
+facets (points, segments) with an unsigned one.  ``assemble`` sums the
+elements, and then the boundary facets, into bands on the node indices,
+their few nonzero diagonals (``Band``): G is K plus the facet mass band,
+and M_b and K_b are the facet bands' dense boundary-node blocks
+(``Band.dense(rows)``).  The trace is the index array
+``mesh.boundary_nodes``; only ``op_trace`` makes it a 0/1 matrix.  A
+principal block of a band is factored in blocks of the bandwidth by
+``band_factor``, into a ``BandFactor``: its ``solve`` is block substitution
+and its ``forward_gram`` the forward half alone, which gives the Gram
+B' A^-1 B of a few sparse columns, such as K_bi K_ii^-1 K_ib and
+R G^-1 R'.  The interior stiffness block of the solvers and G
+(``space_h1partial``) are factored this way, so no n_nodes x n_nodes array
+is made.  What is derived from an assembly (its boundary spaces, G's
+factor, and ``tracescale``'s factors and boundary Grams) is memoized on the
+assembly itself by ``per_assembly``: built once, and freed with the
+assembly.
 """
 
 from __future__ import annotations
@@ -130,12 +132,16 @@ class Band:
             bands.append(cls(offsets=tuple(kept), diags=tuple(diags[d] for d in kept)))
         return tuple(bands)
 
-    def dense(self) -> np.ndarray:
-        """The full matrix: for boundary-sized bands, and G in ``op_trace``'s dense domain."""
-        out = np.zeros((self.diags[0].size,) * 2)
-        for d, v in zip(self.offsets, self.diags):
-            i = np.arange(v.size)
-            out[i, i + d] = out[i + d, i] = v
+    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The principal block ``self[rows][:, rows]``, read-only, by default
+        the full matrix: the boundary blocks M_b, K_b and K_bb, and G in
+        ``op_trace``'s dense domain.  ``rows`` hold distinct indices."""
+        if rows is None:
+            rows = np.arange(self.diags[0].size)
+        out = np.zeros((rows.size,) * 2)
+        r, c, v = self.entries(rows, rows)
+        out[r, c] = v
+        out.setflags(write=False)
         return out
 
     def __add__(self, other: Band) -> Band:
@@ -325,15 +331,15 @@ def band_factor(band: Band, rows: np.ndarray, what: str) -> BandFactor:
 
 @dataclass(frozen=True, eq=False)
 class Assembly:
-    """P1 matrices for one mesh.
+    """P1 matrices for one mesh, all built by ``assemble``.
 
     K: grad-grad form on the domain, a ``Band``.  M_dom: domain mass, a
     ``Band``.  M_b: boundary mass of the facets, in arclength (the counting
     measure, the identity, on the interval's two end points).  K_b:
     tangential boundary stiffness (zero on point facets).  M_b and K_b are
-    dense, on the boundary nodes in the ascending order of
+    dense and read-only, on the boundary nodes in the ascending order of
     ``mesh.boundary_nodes``; the trace of v is ``v[mesh.boundary_nodes]``.
-    G: the combined H1 Gram, built on first read.  The factors and spaces
+    G: the combined H1 Gram K + R' M_b R, a band.  The factors and spaces
     derived from an assembly (``per_assembly``) are kept in its private
     memo, so they live exactly as long as the assembly.
     """
@@ -343,17 +349,8 @@ class Assembly:
     M_dom: Band
     M_b: np.ndarray
     K_b: np.ndarray
+    G: Band
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def G(self) -> Band:
-        """The combined H1 Gram K + R' M_b R, the inner product (grad u, grad v)
-        + (u, v) on the boundary, a band: K plus the facet masses of M_b,
-        scattered with node indices instead of boundary positions, so each
-        entry sums the terms of K.dense() + R' M_b R in the same order."""
-        mesh = self.mesh
-        _, m_b = _simplex_bands(mesh.nodes, mesh.boundary_facets, mesh.n_nodes, "boundary facet")
-        return self.K + m_b
 
 
 class CacheInfo(NamedTuple):
@@ -412,17 +409,24 @@ def _grid_mesh(kind: str, n: int) -> Mesh:
     return Mesh(kind=kind, refinement=n, nodes=_frozen(nodes, float), elements=_frozen(tris, np.intp))
 
 
-def gen_mesh(kind: str, n: int) -> Mesh:
-    """Uniform mesh of the requested kind at refinement n (h = 1/n)."""
+def check_level(kind: str, n) -> int:
+    """The refinement n of a ``kind`` mesh as an int, when ``gen_mesh`` can
+    build it: a known kind, an integer n >= 1, even for the lshape.
+    Anything else raises BadParameter."""
     if kind not in KINDS:
         raise BadParameter(f"unknown mesh kind {kind!r}")
     if not isinstance(n, numbers.Integral):
         raise BadParameter(f"refinement must be an integer, got {n!r}")
     if n < 1:
         raise BadParameter(f"refinement must be >= 1, got {n}")
-    n = int(n)
     if kind == "lshape" and n % 2:
-        raise BadParameter("lshape needs an even refinement")
+        raise BadParameter(f"lshape needs an even refinement, got {n}")
+    return int(n)
+
+
+def gen_mesh(kind: str, n: int) -> Mesh:
+    """Uniform mesh of the requested kind at refinement n (h = 1/n), checked by ``check_level``."""
+    n = check_level(kind, n)
     return _interval_mesh(n) if kind == "interval" else _grid_mesh(kind, n)
 
 
@@ -469,14 +473,12 @@ def _simplex_bands(coords: np.ndarray, idx: np.ndarray, size: int, what: str) ->
 
 
 def assemble(mesh: Mesh) -> Assembly:
-    """Exact P1 matrices (consistent mass, closed-form element integrals)."""
+    """Exact P1 matrices (consistent mass, closed-form element integrals):
+    one pass over the elements and one over the boundary facets, on node indices."""
     k, m = _simplex_bands(mesh.nodes, mesh.elements, mesh.n_nodes, "element")
-    pos = np.searchsorted(mesh.boundary_nodes, mesh.boundary_facets)
-    k_b, m_b = _simplex_bands(mesh.nodes[mesh.boundary_nodes], pos, mesh.boundary_nodes.size, "boundary facet")
-    m_b, k_b = m_b.dense(), k_b.dense()
-    for mat in (m_b, k_b):
-        mat.setflags(write=False)  # fresh float arrays: frozen in place, not copied
-    return Assembly(mesh=mesh, K=k, M_dom=m, M_b=m_b, K_b=k_b)
+    k_f, m_f = _simplex_bands(mesh.nodes, mesh.boundary_facets, mesh.n_nodes, "boundary facet")
+    bnd = mesh.boundary_nodes
+    return Assembly(mesh=mesh, K=k, M_dom=m, M_b=m_f.dense(bnd), K_b=k_f.dense(bnd), G=k + m_f)
 
 
 def _space(gram: np.ndarray) -> InnerSpace:

@@ -101,15 +101,14 @@ def _extension_matrix(a: Assembly) -> np.ndarray:
 def _schur(a: Assembly) -> oplab.InnerSpace:
     """M_b S = M_b + K_bb - K_bi K_ii^-1 K_ib: the Schur complement of the
     combined H1 Gram onto the boundary, from the stiffness band and K_ii's
-    factor (``_interior_chol``), never from the Gram.  K_bi K_ii^-1 K_ib is
-    that factor's ``forward_gram`` of K_ib's entries, so no n_nodes x nb
-    array is made; M_b + K_bb is exactly symmetric, and so is the
-    difference.  As a space, so its one Cholesky factor serves every Robin
-    and Poisson-Robin solve."""
+    factor (``_interior_chol``), never from the Gram.  K_bb is the band's
+    boundary block ``K.dense(bnd)``, as M_b is the facet mass band's.
+    K_bi K_ii^-1 K_ib is that factor's ``forward_gram`` of K_ib's entries,
+    so no n_nodes x nb array is made; M_b + K_bb is exactly symmetric, and
+    so is the difference.  As a space, so its one Cholesky factor serves
+    every Robin and Poisson-Robin solve."""
     bnd, interior = a.mesh.boundary_nodes, a.mesh.interior_nodes
-    mbs = np.array(a.M_b)
-    i, j, v = a.K.entries(bnd, bnd)
-    mbs[i, j] += v
+    mbs = a.M_b + a.K.dense(bnd)
     if interior.size:
         mbs -= _interior_chol(a).forward_gram(*a.K.entries(interior, bnd), bnd.size)
     return oplab.make_space(bnd.size, mbs)
@@ -437,8 +436,10 @@ def _pde_trials(rec: Recorder, a: Assembly, rng: np.random.Generator, trials: in
 
     Trial j draws g_j, f_j and f2_j in turn; each family is solved as one block.
     The trace pinv Lambda = G^-1 R' C^-1 is applied to the block, never formed:
-    one ``_representers`` solve gives Lambda g, Lambda (R z) and the Robin twin.
-    P = Lambda R is checked on the block: R Lambda g = g, P z = z, and
+    one ``_representers`` solve of [C^-1 g | M_b g] gives Lambda g and the
+    Robin twin, each trial column once.  P = Lambda R is checked on the
+    block: R Lambda g = g; P z = z, where R z is g itself, since the
+    extension copies its boundary values, so P z = Lambda g; and
     G Lambda g = R' C^-1 g is zero off the boundary and pairs symmetrically with g.
     """
     nb, nn = a.M_b.shape[0], a.mesh.n_nodes
@@ -449,11 +450,10 @@ def _pde_trials(rec: Recorder, a: Assembly, rng: np.random.Generator, trials: in
     z = harmonic_extension(a, g)
     # the twin G^-1 R' M_b g, adjoint of the trace, goes through G's factor;
     # the solver goes through K_ii
-    rhs = np.hstack([_trace_pinv(a).solve(np.hstack([g, z[bnd]])), a.M_b @ g])
-    lam_g, lam_z, twin = np.hsplit(_representers(a, rhs), 3)
+    lam_g, twin = np.hsplit(_representers(a, np.hstack([_trace_pinv(a).solve(g), a.M_b @ g])), 2)
     rec.record("harmonic_two_path", _maxabs(z - lam_g))
     rec.record("extension_trace_identity", rel_diff(lam_g[bnd], g))
-    rec.record("harmonic_projection", _maxabs(lam_z - z))
+    rec.record("harmonic_projection", _maxabs(lam_g - z))
     gl = a.G @ lam_g
     rec.record("harmonic_projection", np.linalg.norm(gl[interior]) / max(np.linalg.norm(gl), _TINY))
     pair = g.T @ gl[bnd]

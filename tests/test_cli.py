@@ -5,10 +5,11 @@ import dataclasses
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from tracelab import cli, fem2d, kernels, oplab, tracescale
-from tracelab.errors import ConfigParseError
+from tracelab.errors import BadParameter, ConfigParseError
 from tracelab.report import SuiteReport
 
 
@@ -53,6 +54,24 @@ class TestRunConfig:
     def test_trials_floor(self):
         with pytest.raises(ConfigParseError):
             cli.RunConfig(suites=("pde",), trials=0)
+
+    @pytest.mark.parametrize("kind", fem2d.KINDS + ("disc",))
+    @pytest.mark.parametrize("n", [1, 2, 3, np.int64(4), np.uint8(5), 2.5, 2.0, 0, -2])
+    def test_accepts_exactly_the_levels_gen_mesh_builds(self, kind, n):
+        # a level gen_mesh cannot build is refused when the config is made, before any cell runs
+        try:
+            fem2d.gen_mesh(kind, n)
+        except BadParameter:
+            with pytest.raises(ConfigParseError):
+                cli.RunConfig(suites=("oplab", "pde"), meshes=(kind,), ns=(n,))
+        else:
+            assert cli.RunConfig(suites=("oplab", "pde"), meshes=(kind,), ns=(n,)).ns == (n,)
+
+    def test_numpy_levels_reach_the_report(self, tmp_path):
+        cfg = cli.RunConfig(suites=("h1",), meshes=("interval",), ns=(np.int64(2), np.uint8(4)), out_dir=str(tmp_path))
+        assert cfg.ns == (2, 4) and all(type(n) is int for n in cfg.ns)
+        assert cli.run(cfg) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["ns"] == [2, 4]
 
     def test_seed_width(self):
         with pytest.raises(ConfigParseError):

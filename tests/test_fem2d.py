@@ -312,6 +312,26 @@ class TestAssemble:
         assert np.array_equal(a.M_b, m_b)
         assert np.array_equal(a.K_b, k_b)
 
+    @pytest.mark.parametrize("kind,n", [("interval", 4), ("square", 4), ("lshape", 4), ("frame", 8)])
+    def test_one_element_pass_and_one_facet_pass(self, kind, n, monkeypatch):
+        # K and M_dom come from the elements, and G, M_b and K_b from the one facet pass
+        # on node indices: reading G, or factoring it, assembles nothing more
+        calls = []
+        original = fem2d._simplex_bands
+
+        def counted(coords, idx, size, what):
+            calls.append((what, idx.shape[1], size))
+            return original(coords, idx, size, what)
+
+        monkeypatch.setattr(fem2d, "_simplex_bands", counted)
+        mesh = any_mesh(kind, n)
+        a = fem2d.assemble(mesh)
+        k = mesh.elements.shape[1]
+        assert calls == [("element", k, mesh.n_nodes), ("boundary facet", k - 1, mesh.n_nodes)]
+        assert isinstance(a.G, fem2d.Band)
+        fem2d.space_h1partial(a)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("kind,n", OFF_GRID)
     def test_invariants_off_the_grid(self, kind, n):
         a = fem2d.assemble(any_mesh(kind, n))
@@ -387,6 +407,20 @@ def looped_product(band, x):
 
 
 class TestBands:
+    @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)] + OFF_GRID)
+    def test_dense_block_is_the_full_matrix_restricted(self, kind, n, rng):
+        # M_b, K_b and _schur's K_bb are such blocks
+        a = fem2d.assemble(any_mesh(kind, n))
+        scrambled = rng.permutation(a.mesh.n_nodes)[: a.mesh.n_nodes // 2]
+        for band in (a.K, a.M_dom, a.G):
+            full = band.dense()
+            assert not full.flags.writeable
+            for rows in (a.mesh.boundary_nodes, a.mesh.interior_nodes, scrambled):
+                block = band.dense(rows)
+                assert block.tobytes() == full[np.ix_(rows, rows)].tobytes()
+                assert not block.flags.writeable
+        assert not a.M_b.flags.writeable and not a.K_b.flags.writeable
+
     @pytest.mark.parametrize("kind,n", [("interval", 8), ("square", 8), ("lshape", 8)])
     def test_products_match_dense(self, kind, n, rng):
         a = asm(kind, n)
@@ -709,13 +743,10 @@ class TestSpaces:
     def test_bad_assembly_flagged(self):
         m = fem2d.gen_mesh("interval", 1)
         good = fem2d.assemble(m)
-        bad = fem2d.Assembly(
-            mesh=m,
-            K=fem2d.Band(offsets=(0,), diags=(np.full(2, -5.0),)),
-            M_dom=good.M_dom,
-            M_b=good.M_b,
-            K_b=good.K_b,
-        )
+        bad_k = fem2d.Band(offsets=(0,), diags=(np.full(2, -5.0),))
+        # both nodes are boundary nodes, so the Gram K + R' M_b R of that stiffness is -5 + 1 on the diagonal
+        robin = fem2d.Band(offsets=(0,), diags=(np.diag(good.M_b),))
+        bad = fem2d.Assembly(mesh=m, K=bad_k, M_dom=good.M_dom, M_b=good.M_b, K_b=good.K_b, G=bad_k + robin)
         with pytest.raises(GramNotPD):
             fem2d.space_h1partial(bad)
 
@@ -808,10 +839,10 @@ class TestBandSpace:
     def test_non_finite_gram_flagged(self, value):
         # the interval's node 1 is interior, so G's diagonal there is K's
         a = asm("interval", 2)
-        diag = a.K.diags[0].copy()
+        diag = a.G.diags[0].copy()
         diag[1] = value
-        bad = dataclasses.replace(a, K=fem2d.Band(offsets=a.K.offsets, diags=(diag,) + a.K.diags[1:]))
-        assert not np.isfinite(bad.G.diags[0][1])
+        bad = dataclasses.replace(a, G=fem2d.Band(offsets=a.G.offsets, diags=(diag,) + a.G.diags[1:]))
+        assert a.G.diags[0][1] == a.K.diags[0][1]
         with pytest.raises(GramNotPD, match="non-finite"):
             fem2d.space_h1partial(bad)
 

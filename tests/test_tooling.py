@@ -151,7 +151,7 @@ def test_standard_drift_configs_build(monkeypatch):
     configs = _load(tools / "standard_drift.py", "standard_drift", monkeypatch).CONFIGS
     assert list(configs) == [
         "scale-refine", "solve-fine", "oplab", "all-suites", "two-levels", "h1-fine", "interp-fine", "pde-fine",
-        "odd-levels", "many-levels",
+        "pde-trials", "odd-levels", "many-levels",
     ]
     for args in configs.values():
         assert isinstance(cli.build_config(cli.make_parser().parse_args(list(args))), cli.RunConfig)

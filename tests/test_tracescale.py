@@ -200,12 +200,17 @@ class TestStaticCondensation:
         ids=["robin_solve", "poisson_robin", "necas", "interp", "dual"],
     )
     def test_builds_no_domain_space(self, run, monkeypatch):
-        # only the operator-algebra twins need the n_nodes x n_nodes H1 space or a dense K or M_dom
+        # only the operator-algebra twins need the n_nodes x n_nodes H1 space or a dense K or M_dom;
+        # the one dense block of a band the solvers read is K_bb, on the boundary rows
         def refuse(a):
             raise AssertionError("space_h1partial called")
 
-        def refuse_dense(band):
-            raise AssertionError("Band.dense called")
+        dense = fem2d.Band.dense
+
+        def refuse_dense(band, rows=None):
+            if rows is None or not np.array_equal(rows, a.mesh.boundary_nodes):
+                raise AssertionError("Band.dense called off the boundary rows")
+            return dense(band, rows)
 
         a = fem2d.assemble(fem2d.gen_mesh("square", 4))  # fresh, so nothing is cached
         monkeypatch.setattr(tracescale, "space_h1partial", refuse)
@@ -890,6 +895,32 @@ class TestSuitePde:
         with pytest.raises(NonFiniteResidual, match=r"pde:interval:1 residual '\w+'"):
             tracescale.suite_pde(asm("interval", 1), trials=2, identity_samples=2)
 
+    @pytest.mark.parametrize("trials", [1, 5, 70])
+    def test_each_trial_column_solved_once(self, trials, monkeypatch):
+        # R z is g itself, so C solves the T columns of g alone, and G's factor
+        # the 2T columns [C^-1 g | M_b g] of Lambda g and the Robin twin
+        a = asm("square", 4)
+        widths = {"C": 0, "G": 0}
+        trace_pinv, representers = tracescale._trace_pinv, tracescale._representers
+
+        class CountedC:
+            def __init__(self, space):
+                self.space = space
+
+            def solve(self, y):
+                widths["C"] += y.shape[1]
+                return self.space.solve(y)
+
+        def counted_representers(a_, y):
+            widths["G"] += y.shape[1]
+            return representers(a_, y)
+
+        monkeypatch.setattr(tracescale, "_trace_pinv", lambda a_: CountedC(trace_pinv(a_)))
+        monkeypatch.setattr(tracescale, "_representers", counted_representers)
+        rep = tracescale.suite_pde(a, trials=trials, identity_samples=0)
+        assert rep.passed and "harmonic_projection" in rep.residuals
+        assert widths == {"C": trials, "G": 2 * trials}
+
     def test_solve_count_does_not_grow_with_samples(self, monkeypatch):
         a = asm("square", 4)
         tracescale.suite_pde(a, trials=1, identity_samples=1)  # fill the per-assembly caches
@@ -1083,10 +1114,10 @@ class TestNoDomainSquareArray:
         a = fem2d.assemble(fem2d.gen_mesh("square", 8))  # fresh, so every cached object is built here
         dense = fem2d.Band.dense
 
-        def boundary_only(band):
-            if band.diags[0].size == a.mesh.n_nodes:
+        def boundary_only(band, rows=None):
+            if (band.diags[0].size if rows is None else rows.size) == a.mesh.n_nodes:
                 raise AssertionError("an n_nodes x n_nodes band was made dense")
-            return dense(band)
+            return dense(band, rows)
 
         monkeypatch.setattr(fem2d.Band, "dense", boundary_only)
         for name, run in self.SUITES.items():
@@ -1165,20 +1196,15 @@ class TestSuiteHhalf:
         assert rep.residuals["proof_identity"] > 0.1
 
     @pytest.mark.parametrize("kind", ["interval", "square", "lshape"])
-    def test_halved_robin_in_gram_fails_three_suites(self, kind, monkeypatch):
+    def test_halved_robin_in_gram_fails_three_suites(self, kind):
         # K + R' M_b R / 2 in place of the combined H1 Gram, wherever the Gram is read.
         # S comes from the stiffness blocks, so every G route now disagrees with its
         # K-block twin; the closed-form energy, which reads no G, still holds
-        a = fem2d.assemble(fem2d.gen_mesh(kind, 4))  # fresh, so no cached object holds the true Gram
-        original = fem2d.Assembly.G.func
-
-        def halved(asm_):
-            # K plus half of G's boundary-edge masses
-            g, k = original(asm_), dict(zip(asm_.K.offsets, asm_.K.diags))
-            diags = tuple(k.get(d, 0.0) + 0.5 * (v - k.get(d, 0.0)) for d, v in zip(g.offsets, g.diags))
-            return fem2d.Band(offsets=g.offsets, diags=diags)
-
-        monkeypatch.setattr(fem2d.Assembly, "G", property(halved))
+        true = fem2d.assemble(fem2d.gen_mesh(kind, 4))
+        # K plus half of G's boundary-edge masses, in a fresh assembly, so no cached object holds the true Gram
+        g, k = true.G, dict(zip(true.K.offsets, true.K.diags))
+        diags = tuple(k.get(d, 0.0) + 0.5 * (v - k.get(d, 0.0)) for d, v in zip(g.offsets, g.diags))
+        a = dataclasses.replace(true, G=fem2d.Band(offsets=g.offsets, diags=diags))
         hhalf = tracescale.suite_hhalf(a, trials=3)
         assert not hhalf.verdicts["energy_split"] and hhalf.verdicts["x_trace_energy"]
         assert not tracescale.suite_h1(a).verdicts["resolvent_identity"]
@@ -1491,6 +1517,8 @@ class TestNecasConstants:
         # per block: K u for each population, whose energy reads M_dom.quad, and M_dom f;
         # then K u and M_dom.quad for the constant data.  No K + M_dom band is summed.
         counts = {"__matmul__": 0, "quad": 0, "__add__": 0}
+        # cold caches: their builders count too; the assembly's own sum K + facet mass (G) does not
+        a = fem2d.assemble(fem2d.gen_mesh("square", 8))
         for name in counts:
             original = getattr(fem2d.Band, name)
 
@@ -1499,7 +1527,6 @@ class TestNecasConstants:
                 return original(*args)
 
             monkeypatch.setattr(fem2d.Band, name, counted)
-        a = fem2d.assemble(fem2d.gen_mesh("square", 8))  # cold caches: their builders count too
         assert len(tracescale._block_widths(130)) == 3
         tracescale.necas_constants(a, n_samples=130, seed=0)
         assert counts == {"__matmul__": 3 * 3 + 1, "quad": 3 * 2 + 1, "__add__": 0}

@@ -28,9 +28,11 @@ from report_drift import drift
 # the two benchmark workloads, the oplab population, every suite on small
 # interval/lshape levels, the mesh suites at a coarse and a finer level, the
 # H1 suites and the fractional orders of interp and dual at nb = 256, pde
-# alone where its trace pinv spans the most boundary columns, and the mesh
-# suites at levels that are no powers of two, where element measures are not
-# dyadic and a change in the rounding order of assembly shows, and 40
+# alone where its trace pinv spans the most boundary columns, pde at the
+# CLI's default of 100 trials, whose representers span several NECAS_BLOCK
+# blocks of columns, the mesh suites at levels that are no powers of two,
+# where element measures are not dyadic and a change in the rounding order
+# of assembly shows, and 40
 # interval levels, more assemblies than a count-bounded cache would hold
 CONFIGS = {
     "scale-refine": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square", "--n", "8,16",
@@ -45,6 +47,7 @@ CONFIGS = {
     "h1-fine": ("--suite", "pde,hhalf,h1", "--mesh", "square", "--n", "64", "--trials", "5", "--seed", "11"),
     "interp-fine": ("--suite", "interp,dual", "--mesh", "square", "--n", "64", "--trials", "20", "--seed", "13"),
     "pde-fine": ("--suite", "pde", "--mesh", "square,lshape", "--n", "64,128", "--trials", "20", "--seed", "17"),
+    "pde-trials": ("--suite", "pde", "--mesh", "square,lshape", "--n", "16,32", "--trials", "100", "--seed", "23"),
     "odd-levels": ("--suite", "pde,hhalf,h1,necas,interp,dual", "--mesh", "square,lshape", "--n", "6,10",
                    "--trials", "20", "--seed", "19"),
     "many-levels": ("--suite", "hhalf,h1,interp,dual", "--mesh", "interval",
