@@ -99,7 +99,7 @@ class RunConfig:
     seed: int = 0
     trials: int = 100
     tol_overrides: dict[str, float] = field(default_factory=dict)
-    out_dir: str | None = None
+    out_dir: str = "tracelab_out"
 
     def __post_init__(self) -> None:
         if not self.suites:
@@ -117,13 +117,14 @@ class RunConfig:
             except BadParameter as exc:
                 raise ConfigParseError(str(exc)) from exc
         object.__setattr__(self, "ns", levels)  # plain ints, so a numpy integer level reaches the report
-        if len(set(self.ns)) != len(self.ns):
-            raise ConfigParseError(f"refinement levels {list(self.ns)} repeat a level")
+        for what, values in (("suites", self.suites), ("mesh kinds", self.meshes), ("refinement levels", self.ns)):
+            if len(set(values)) != len(values):
+                raise ConfigParseError(f"{what} {list(values)} repeat an entry")
         if self.trials < 1:
             raise ConfigParseError("trials must be at least 1")
         if not -(2**63) <= self.seed < 2**64:
             raise ConfigParseError("seed does not fit in 64 bits")
-        if self.out_dir == "":
+        if not self.out_dir:  # None included: the default is "tracelab_out"
             raise ConfigParseError("empty output directory")
 
     def as_dict(self) -> dict:
@@ -264,11 +265,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigParseError(f"bad refinement value: {exc}") from exc
 
-    out_dir = raw.get("out")
-    if out_dir is None:
-        out_dir = os.environ.get("TRACELAB_OUT", "tracelab_out")
-        if not out_dir:
-            raise ConfigParseError("$TRACELAB_OUT is empty")
+    out_dir = raw.get("out", os.environ.get("TRACELAB_OUT", RunConfig.out_dir))
+    if not out_dir:  # the flag and the file key are non-empty, so only the variable can be empty
+        raise ConfigParseError("$TRACELAB_OUT is empty")
     return RunConfig(
         suites=tuple(dict.fromkeys(raw.get("suites", []))),
         meshes=tuple(dict.fromkeys(raw.get("meshes", ["square"]))),
@@ -364,7 +363,7 @@ def write_reports(config: RunConfig, reports: list[SuiteReport], verdict: str) -
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFiniteResidual(f"report not written, it holds a NaN or infinity: {exc}") from exc
-    out = Path(config.out_dir or "tracelab_out")
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     json_path.write_text(text)
@@ -383,8 +382,8 @@ def write_reports(config: RunConfig, reports: list[SuiteReport], verdict: str) -
 
 def _check_out_dir(out: Path) -> None:
     """Raise ConfigParseError, naming ``out``, unless the nearest of it and its
-    parents that exists is a directory this process may write into."""
-    found = next(p for p in (out, *out.parents) if os.path.exists(p))
+    parents that exists (a dangling link too) is a directory this process may write into."""
+    found = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not (found.is_dir() and os.access(found, os.W_OK | os.X_OK)):
         raise ConfigParseError(f"unusable output directory {out}: {found} is not a writable directory")
 
@@ -394,7 +393,7 @@ def run(config: RunConfig) -> int:
 
     Returns 0 when every gated verdict passes, 1 otherwise.
     """
-    _check_out_dir(Path(config.out_dir or "tracelab_out"))
+    _check_out_dir(Path(config.out_dir))
     reports, verdict = execute(config)
     json_path, _ = write_reports(config, reports, verdict)
     failed = [

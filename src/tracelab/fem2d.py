@@ -11,7 +11,8 @@ several components.  The mesh owns the node split: ``boundary_nodes`` and
 ``gen_mesh`` builds, for it and the CLI.  One routine (``_simplex_bands``)
 gives the P1 stiffness and mass of every simplex from its vertex
 coordinates: the elements (segments, triangles) with a signed measure, the
-facets (points, segments) with an unsigned one.  ``assemble`` sums the
+facets (points, segments) with an unsigned one; ``simplex_measures`` gives
+the measures alone, by a second path for the checks.  ``assemble`` sums the
 elements, and then the boundary facets, into bands on the node indices,
 their few nonzero diagonals (``Band``): G is K plus the facet mass band,
 and M_b and K_b are the facet bands' dense boundary-node blocks
@@ -513,19 +514,28 @@ def space_h1partial(a: Assembly) -> BandFactor:
         raise GramNotPD(str(exc)) from exc
 
 
+def simplex_measures(coords: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The measure of each k-vertex simplex ``idx`` (rows of ``coords``) from its
+    edges E = p_i - p_0 alone: |det E| / (k-1)! if it fills its space, else
+    sqrt(det E E') / (k-1)!, 1 for a point.  It reads no band, nor
+    ``_simplex_bands``: the second path of ``mass_product`` and ``tracescale._x_energy``."""
+    edges = coords[idx[:, 1:]] - coords[idx[:, :1]]  # (n_simplices, k-1, d)
+    fill = edges.shape[1] == edges.shape[2]
+    det = np.abs(np.linalg.det(edges)) if fill else np.sqrt(np.linalg.det(edges @ edges.swapaxes(1, 2)))
+    return det / math.factorial(edges.shape[1])
+
+
 def mass_product(mesh: Mesh, f: np.ndarray) -> np.ndarray:
     """M_dom f for one (n_nodes,) vector or an (n_nodes, k) block, by a
     scatter-add of the element mass matrices |T| (1 + delta_ij) / ((d+1)(d+2))
-    applied to each element's values of f.
+    applied to each element's values of f, with |T| from ``simplex_measures``.
 
     The twin of the band product ``a.M_dom @ f``: it reads neither the band
     nor its product, only the mesh.
     """
     el = mesh.elements
     k = el.shape[1]  # d + 1 vertices
-    edges = mesh.nodes[el[:, 1:]] - mesh.nodes[el[:, :1]]  # (n_elements, d, d)
-    vol = np.abs(np.linalg.det(edges)) / math.factorial(k - 1)
-    local = vol[:, None, None] * (np.ones((k, k)) + np.eye(k)) / (k * (k + 1))
+    local = simplex_measures(mesh.nodes, el)[:, None, None] * (np.ones((k, k)) + np.eye(k)) / (k * (k + 1))
     out = np.zeros(np.shape(f))
     np.add.at(out, el, np.einsum("eij,ej...->ei...", local, f[el]))
     return out

@@ -34,6 +34,7 @@ from .fem2d import (
     boundary_spaces,
     mass_product,
     per_assembly,
+    simplex_measures,
     space_h1partial,
 )
 from .kernels import jacobi_svd  # noqa: F401 - unused; perfbench/selftest.py checks tracing patches it
@@ -531,17 +532,16 @@ HHALF_TOLS: dict[str, float] = {
     "x_trace_energy": 1e-10,
 }
 
-# g = x on the boundary is the trace of the harmonic P1 function x, so
-# g' Q_{1/2} g = |g|^2_{L2(bnd)} + |grad x|^2 + |g|^2_{L2(bnd)} = |Omega| + 2 int x^2 ds
-# exactly at every refinement.  Taken from each domain's edges (x = 0 on the
-# left ones); the interval's boundary {0, 1} carries the counting measure.
-X_TRACE_ENERGY: dict[str, float] = {
-    "interval": 1.0 + 2.0 * (0.0 + 1.0),
-    # bottom, right, top
-    "square": 1.0 + 2.0 * (1.0 / 3.0 + 1.0 + 1.0 / 3.0),
-    # bottom, lower right, inner horizontal, inner vertical, top
-    "lshape": 0.75 + 2.0 * (1.0 / 3.0 + 1.0 / 2.0 + 7.0 / 24.0 + 1.0 / 8.0 + 1.0 / 24.0),
-}
+def _x_energy(mesh) -> float:
+    """|Omega| + 2 int x^2 ds = g' Q_{1/2} g exactly for g = x, the trace of the
+    harmonic P1 function x, at every refinement.  From the coordinates alone
+    (``simplex_measures``), never a band: a k-vertex facet F has int_F x^2 =
+    |F| (sum x_i^2 + (sum x_i)^2) / (k (k+1)), L (x_1^2 + x_1 x_2 + x_2^2) / 3 on a segment."""
+    x = mesh.nodes[mesh.boundary_facets, 0]
+    k = x.shape[1]
+    facet_sq = (np.sum(x * x, axis=1) + np.sum(x, axis=1) ** 2) / (k * (k + 1))
+    area = np.sum(simplex_measures(mesh.nodes, mesh.elements))
+    return float(area + 2.0 * (simplex_measures(mesh.nodes, mesh.boundary_facets) @ facet_sq))
 
 
 def suite_hhalf(
@@ -552,8 +552,8 @@ def suite_hhalf(
 ) -> SuiteReport:
     """Order-1/2 characterization: the proof identity H^-1 (I + S) H^-1 = I
     for the smoothing H^-1 = (I + S)^(-1/2), the exact energy split, the
-    closed-form energy of g = x on the boundary (``X_TRACE_ENERGY``), and
-    the comparison against the minimal-extension (trace-quotient) norm.
+    closed-form energy of g = x on the boundary (``_x_energy``), and the
+    comparison against the minimal-extension (trace-quotient) norm.
 
     The quotient Gram M_b + Lambda' G Lambda = M_b + C^-1 is built from
     C = R G^-1 R' (``_trace_pinv``, G's factor) while the scale Gram comes
@@ -562,8 +562,6 @@ def suite_hhalf(
     arithmetic).
     """
     _check_counts(trials=trials)
-    if a.mesh.kind not in X_TRACE_ENERGY:
-        raise BadParameter(f"no closed x_trace_energy for mesh kind {a.mesh.kind!r}")
     rng = default_rng(seed)
     l2bnd, _ = boundary_spaces(a)
     nb = l2bnd.dim
@@ -582,7 +580,7 @@ def suite_hhalf(
         rec.record("energy_split", _maxabs(np.abs(split) / np.maximum(total, _TINY)))
 
     xb = a.mesh.nodes[a.mesh.boundary_nodes, 0]
-    rec.record("x_trace_energy", abs(float(xb @ q_half.gram @ xb) / X_TRACE_ENERGY[a.mesh.kind] - 1.0))
+    rec.record("x_trace_energy", abs(float(xb @ q_half.gram @ xb) / _x_energy(a.mesh) - 1.0))
 
     quot = a.M_b + _trace_pinv(a).solve(eye)
     c_min, c_max = equivalence_constants(q_half, oplab.make_space(nb, 0.5 * (quot + quot.T)))
@@ -592,17 +590,10 @@ def suite_hhalf(
         s_mat = _s_operator(a).mat
         g0 = np.array([1.0, 0.0])
         ext0 = _extend(a, g0)
-        constants.update(
-            {
-                "s_00": float(s_mat[0, 0]),
-                "s_01": float(s_mat[0, 1]),
-                "s_10": float(s_mat[1, 0]),
-                "s_11": float(s_mat[1, 1]),
-                "split_total": float(g0 @ q_half.gram @ g0),
-                "split_l2": float(g0 @ a.M_b @ g0),
-                "split_extension": float(ext0 @ (a.G @ ext0)),
-            }
-        )
+        constants.update({f"s_{i}{j}": float(s_mat[i, j]) for i in range(2) for j in range(2)})
+        constants["split_total"] = float(g0 @ q_half.gram @ g0)
+        constants["split_l2"] = float(g0 @ a.M_b @ g0)
+        constants["split_extension"] = float(ext0 @ (a.G @ ext0))
 
     return rec.report(HHALF_TOLS, tolerances, constants)
 

@@ -51,6 +51,18 @@ class TestRunConfig:
         with pytest.raises(ConfigParseError):
             cli.RunConfig(suites=("hhalf",), meshes=("interval",), ns=(1, 2, 1))
 
+    @pytest.mark.parametrize("field,values", [("suites", ("h1", "h1")), ("meshes", ("interval", "square", "interval"))])
+    def test_repeated_suite_or_mesh_rejected(self, field, values):
+        # each cell would run, and be reported, once per repeat
+        with pytest.raises(ConfigParseError, match="repeat an entry"):
+            cli.RunConfig(**dict({"suites": ("h1",), "meshes": ("interval",), "ns": (2, 4)}, **{field: values}))
+
+    def test_default_out_dir(self, monkeypatch):
+        cfg = cli.RunConfig(suites=("pde",))
+        assert cfg.out_dir == cfg.as_dict()["out_dir"] == "tracelab_out"
+        with pytest.raises(ConfigParseError, match="empty output directory"):
+            cli.RunConfig(suites=("pde",), out_dir=None)
+
     def test_trials_floor(self):
         with pytest.raises(ConfigParseError):
             cli.RunConfig(suites=("pde",), trials=0)
@@ -456,6 +468,22 @@ class TestRun:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "kept\n"
+
+    def test_dangling_link_out_exit_2_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        # a link to nowhere cannot become the output directory
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / "missing" / "x")
+
+        def refuse(config):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "execute", refuse)
+        code = run_main(["--suite", "h1", "--mesh", "interval", "--n", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: unusable output directory {out}: {out} is not a writable")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == [out] and out.is_symlink() and not out.exists()
 
     def test_runner_looked_up_at_call_time(self, monkeypatch):
         # tools that patch module attributes (the benchmark tracer) must see every cell

@@ -28,7 +28,7 @@ from tracelab.errors import (
 from tracelab.report import Recorder
 
 from conftest import asm, check_coupling, check_range_space_pinv, dense_schur, embed_domain, trace_pinv_matrix
-from test_fem2d import frame_mesh
+from test_fem2d import OFF_GRID, any_mesh, frame_mesh
 
 MESH_SAMPLE = [("interval", 8), ("square", 4), ("lshape", 4)]
 
@@ -1154,15 +1154,6 @@ class TestNoDomainSquareArray:
 
 
 class TestSuiteHhalf:
-    def test_kind_without_closed_energy_rejected_before_work(self, monkeypatch):
-        def refuse(*_):
-            raise AssertionError("suite_hhalf did work before checking the mesh kind")
-
-        monkeypatch.setattr(tracescale, "_trace_pinv", refuse)
-        monkeypatch.setattr(tracescale, "space_h1partial", refuse)
-        with pytest.raises(BadParameter, match="'frame'"):
-            tracescale.suite_hhalf(fem2d.assemble(frame_mesh(4)))
-
     def test_interval_exact_split(self):
         rep = tracescale.suite_hhalf(asm("interval", 1))
         assert rep.passed
@@ -1211,8 +1202,13 @@ class TestSuiteHhalf:
         pde = tracescale.suite_pde(a, trials=3, identity_samples=3)
         assert not pde.verdicts["robin_two_path"] and not pde.verdicts["poisson_two_path"]
 
-    @pytest.mark.parametrize("kind,mutant", [("interval", 2.5), ("square", 3.5), ("lshape", 43.0 / 16.0)])
-    def test_halved_robin_gram_fails_x_trace_energy(self, kind, mutant, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind,mutant,exact",
+        [pytest.param(kind, mutant, exact, id=f"{kind}-{mutant}")
+         for kind, mutant, exact in [("interval", 2.5, 3.0), ("square", 3.5, 13.0 / 3.0),
+                                     ("lshape", 43.0 / 16.0, 10.0 / 3.0)]],
+    )
+    def test_halved_robin_gram_fails_x_trace_energy(self, kind, mutant, exact, monkeypatch):
         # the Robin term R' M_b R of G is the M_b term of its Schur complement
         # M_b S = M_b + K_bb + K_bi Z_i; halved there, S loses I/2 and g' Q_{1/2} g
         # drops by half the boundary L2 norm of g
@@ -1226,16 +1222,66 @@ class TestSuiteHhalf:
         monkeypatch.setattr(tracescale, "_s_operator", halved)
         rep = tracescale.suite_hhalf(a, trials=3)
         assert not rep.verdicts["x_trace_energy"]
-        exact = tracescale.X_TRACE_ENERGY[kind]
         assert rep.residuals["x_trace_energy"] == pytest.approx(abs(mutant / exact - 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("kind,exact", [("interval", 3.0), ("square", 13.0 / 3.0), ("lshape", 10.0 / 3.0)])
     def test_x_trace_energy_closed_form(self, kind, exact):
-        assert tracescale.X_TRACE_ENERGY[kind] == pytest.approx(exact, rel=1e-15)
+        # the closed value read off the coordinates is |Omega| + 2 int x^2 ds at every level
+        for n in range(2, 41, 2):
+            assert tracescale._x_energy(fem2d.gen_mesh(kind, n)) == pytest.approx(exact, rel=2e-15)
         for n in (2, 8):
             a = asm(kind, n)
             x = a.mesh.nodes[a.mesh.boundary_nodes, 0]
             assert x @ tracescale.hs_gram(a, 0.5).gram @ x == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_x_trace_energy_on_the_frame(self, n):
+        # 1 - 1/4 of area plus 2 (5/3 outside + 1/2 inside) of boundary x^2, over both loops
+        assert tracescale._x_energy(frame_mesh(n)) == pytest.approx(21.0 / 4.0, rel=2e-15)
+
+    @pytest.mark.parametrize("kind,n", [("interval", 3), ("square", 5), ("lshape", 6), ("frame", 8)])
+    def test_closed_energy_reads_the_coordinates_alone(self, kind, n, monkeypatch):
+        # two independent paths: neither the assembly's simplex routine nor any band
+        mesh = any_mesh(kind, n)
+        want = tracescale._x_energy(mesh)
+
+        def refuse(*args):
+            raise AssertionError("a band, or the assembly's simplex routine, was read")
+
+        monkeypatch.setattr(fem2d.Band, "__matmul__", refuse)
+        monkeypatch.setattr(fem2d.Band, "dense", refuse)
+        monkeypatch.setattr(fem2d.Band, "scatter", refuse)
+        monkeypatch.setattr(fem2d, "_simplex_bands", refuse)
+        assert tracescale._x_energy(mesh) == want
+
+    @pytest.mark.parametrize("kind,n", OFF_GRID)
+    def test_passes_off_the_grid(self, kind, n):
+        # every mesh has its closed energy, several boundary loops and bent boundaries too
+        rep = tracescale.suite_hhalf(fem2d.assemble(any_mesh(kind, n)), trials=5)
+        assert rep.passed
+        assert rep.residuals["x_trace_energy"] <= 1e-14
+
+    @pytest.mark.parametrize("kind,n", [("square", 8), ("warped-square", 8), ("warped-lshape", 8)])
+    def test_equal_facet_lengths_fail_x_trace_energy_off_the_grid(self, kind, n, monkeypatch):
+        # _simplex_bands' facet pass with every facet given the first one's length:
+        # alike on a uniform grid, so only a mesh whose facets differ can tell
+        original = fem2d._simplex_bands
+
+        def equal_facets(coords, idx, size, what):
+            if what != "boundary facet":
+                return original(coords, idx, size, what)
+            length = np.linalg.norm(coords[idx[0, 1]] - coords[idx[0, 0]])
+            stiff = np.array([[1.0, -1.0], [-1.0, 1.0]]) / length
+            mass = length * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+            return fem2d.Band.scatter(idx, (np.tile(stiff, (len(idx), 1, 1)), np.tile(mass, (len(idx), 1, 1))), size)
+
+        monkeypatch.setattr(fem2d, "_simplex_bands", equal_facets)
+        rep = tracescale.suite_hhalf(fem2d.assemble(any_mesh(kind, n)), trials=3)
+        if kind == "square":
+            assert rep.passed
+        else:
+            assert not rep.verdicts["x_trace_energy"]
+            assert rep.residuals["x_trace_energy"] > 0.1
 
 
 class TestTracePinv:
